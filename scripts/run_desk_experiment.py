@@ -50,7 +50,7 @@ def main() -> int:
 
     print(f"\n=== experiment summary ({out}) ===")
     a1, a2 = report["functional_range"]
-    print(f"stage 1: searched depths up to {report['stage1']['searched_hi']}, "
+    print(f"stage 1: fold trees grew to depths {report['stage1']['fold_depths']}, "
           f"best invalid rate {report['stage1']['best_rate']:.3f} "
           f"at depth {report['stage1']['best_h']}")
     print(f"stage 2: functional range [{a1}, {a2}], optimal depth h* = {report['h_star']}")

@@ -65,7 +65,7 @@ def _require(path: str) -> str:
     return path
 
 
-def _gen_one(args) -> tuple[int, dict, dict, dict | None]:
+def _gen_one(args) -> tuple[int, netmodel.Topology, netmodel.SfcSpec, dict | None]:
     gen_cfg, index, budget = args
     topo = netmodel.generate_topology(gen_cfg, index)
     sfc = netmodel.build_sfc(gen_cfg, index)
@@ -74,7 +74,7 @@ def _gen_one(args) -> tuple[int, dict, dict, dict | None]:
         row = placer.placement_row(index, topo, sfc, p)
     except placer.InfeasiblePlacement:
         row = None
-    return index, netmodel.topology_to_json(topo), netmodel.sfc_to_json(sfc), row
+    return index, topo, sfc, row
 
 
 def cmd_generate(cfg: RunConfig, workers: int) -> int:
@@ -91,8 +91,8 @@ def cmd_generate(cfg: RunConfig, workers: int) -> int:
         done = [_gen_one(w) for w in work]
     done.sort(key=lambda r: r[0])
 
-    topo_docs = [d[1] for d in done]
-    sfc_docs = [d[2] for d in done]
+    topologies = [d[1] for d in done]
+    sfcs = [d[2] for d in done]
     rows = [d[3] for d in done if d[3] is not None]
     n_infeasible = n - len(rows)
     if n and n_infeasible / n > cfg.max_infeasible_fraction:
@@ -100,30 +100,29 @@ def cmd_generate(cfg: RunConfig, workers: int) -> int:
              f"(tolerated fraction {cfg.max_infeasible_fraction})")
         return EXIT_PIPELINE
 
-    with open(paths["batch"], "w", encoding="utf-8") as fh:
-        json.dump({"config": cfg.gen.to_json(), "topologies": topo_docs,
-                   "sfcs": sfc_docs}, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    with open(paths["placements"], "w", encoding="utf-8") as fh:
-        fh.write(placer.placement_rows_to_json(rows))
-
     feasible = [r["index"] for r in rows]
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(len(feasible))
     n_test = max(1, int(round(len(feasible) * cfg.test_fraction)))
     test_idx = sorted(feasible[i] for i in perm[:n_test])
     train_idx = sorted(feasible[i] for i in perm[n_test:])
+    if not train_idx or not test_idx:
+        _log(f"error: {len(feasible)} feasible topologies leave the train or test "
+             f"split empty (train={len(train_idx)}, test={len(test_idx)})")
+        return EXIT_PIPELINE
+
+    netmodel.save_batch(paths["batch"], topologies, sfcs, cfg.gen)
+    with open(paths["placements"], "w", encoding="utf-8") as fh:
+        fh.write(placer.placement_rows_to_json(rows))
     with open(paths["split"], "w", encoding="utf-8") as fh:
         json.dump({"train": train_idx, "test": test_idx, "seed": cfg.seed},
                   fh, sort_keys=True, indent=1)
         fh.write("\n")
 
-    topo_by_index = {i: netmodel.topology_from_json(t) for i, t in enumerate(topo_docs)}
-    sfc_by_index = {i: netmodel.sfc_from_json(s) for i, s in enumerate(sfc_docs)}
     placement_by_index = {r["index"]: placer.placement_from_row(r) for r in rows}
     for name, idx in [("train", train_idx), ("test", test_idx)]:
         ds = features.build_dataset(
-            [(topo_by_index[i], sfc_by_index[i], placement_by_index[i]) for i in idx]
+            [(topologies[i], sfcs[i], placement_by_index[i]) for i in idx]
         )
         features.save_dataset(ds, paths[name])
 
@@ -155,13 +154,17 @@ def cmd_optimize(cfg: RunConfig, workers: int) -> int:
     _, topos, sfcs, teacher_rows = _load_context(cfg, "train")
     teacher_avg = [float(np.mean(r["cp_delays"])) for r in teacher_rows]
     ctx = swarm.make_context(topos, sfcs, teacher_avg)
+    if ds.n_samples < cfg.folds:
+        _log(f"pipeline failed: {ds.n_samples} training rows cannot fill "
+             f"{cfg.folds} folds")
+        return EXIT_PIPELINE
     folds = features.kfold(ds, cfg.folds, cfg.seed)
     _log(f"optimizing depth on {ds.n_samples} training rows, {cfg.folds} folds")
     try:
-        report, model = pipeline.run_pipeline(
+        report, model, full = pipeline.run_pipeline(
             ds, ctx, folds, cfg.pso, cfg.pipeline, config_echo=cfg.to_json()
         )
-    except (pipeline.PipelineError, pipeline.RangeNotFound) as e:
+    except pipeline.RangeNotFound as e:
         _log(f"pipeline failed: {e}")
         return EXIT_PIPELINE
     pipeline.save_report(report, paths["report"])
@@ -182,8 +185,7 @@ def cmd_optimize(cfg: RunConfig, workers: int) -> int:
         for d in sorted(report.stage2.curve):
             w.writerow([d, repr(report.stage2.curve[d])])
     tree.save_model(model, paths["model_optimized"])
-    baseline = tree.fit(ds.features, ds.labels, cfg.baseline_depth)
-    tree.save_model(baseline, paths["model_baseline"])
+    tree.save_model(full.truncate(cfg.baseline_depth), paths["model_baseline"])
     _log(f"functional range [{report.functional_range.a1}, "
          f"{report.functional_range.a2}], optimal depth {report.h_star}")
     return 0

@@ -50,15 +50,7 @@ class RunConfig:
                 "social": self.pso.social,
                 "seed": self.pso.seed,
             },
-            "pipeline": {
-                "error_threshold": self.pipeline.error_threshold,
-                "max_tolerable": self.pipeline.max_tolerable,
-                "steady_window": self.pipeline.steady_window,
-                "plateau_epsilon": self.pipeline.plateau_epsilon,
-                "initial_bounds": [self.pipeline.initial_lo, self.pipeline.initial_hi],
-                "bound_doubling_cap": self.pipeline.bound_doubling_cap,
-                "stage2_use_pso": self.pipeline.stage2_use_pso,
-            },
+            "pipeline": self.pipeline.to_json(),
             "baseline_depth": self.baseline_depth,
             "test_fraction": self.test_fraction,
             "teacher_budget": self.teacher_budget,
@@ -69,7 +61,18 @@ class RunConfig:
         }
 
 
+def _reject_unknown(section: str, d: dict, known: set[str]):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section} must be a JSON object")
+    unknown = set(d) - known
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+
+
 def _pso_from_json(d: dict) -> PsoParams:
+    _reject_unknown("pso config", d, {
+        "swarm_size", "iterations", "inertia", "cognitive", "social", "seed",
+    })
     try:
         return PsoParams(
             swarm_size=int(d.get("swarm_size", 10)),
@@ -84,31 +87,28 @@ def _pso_from_json(d: dict) -> PsoParams:
 
 
 def _pipeline_from_json(d: dict) -> PipelineSettings:
-    bounds = d.get("initial_bounds", [2, 100])
+    _reject_unknown("pipeline config", d, {
+        "error_threshold", "steady_window", "plateau_epsilon", "initial_bounds",
+    })
     try:
+        lo, hi = d.get("initial_bounds", [2, 100])
         return PipelineSettings(
             error_threshold=float(d.get("error_threshold", 0.075)),
-            max_tolerable=float(d.get("max_tolerable", 0.10)),
             steady_window=int(d.get("steady_window", 10)),
             plateau_epsilon=float(d.get("plateau_epsilon", 0.001)),
-            initial_lo=int(bounds[0]),
-            initial_hi=int(bounds[1]),
-            bound_doubling_cap=int(d.get("bound_doubling_cap", 800)),
-            stage2_use_pso=bool(d.get("stage2_use_pso", False)),
+            initial_lo=int(lo),
+            initial_hi=int(hi),
         )
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"bad pipeline config: {e}") from None
 
 
 def run_config_from_json(d: dict) -> RunConfig:
-    known = {
+    _reject_unknown("config", d, {
         "gen", "folds", "pso", "pipeline", "baseline_depth", "test_fraction",
         "teacher_budget", "max_infeasible_fraction", "histogram_bin_width_us",
         "output_dir", "seed",
-    }
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    })
     kwargs: dict = {}
     if "gen" in d:
         kwargs["gen"] = GenConfig.from_json(d["gen"])
@@ -116,16 +116,16 @@ def run_config_from_json(d: dict) -> RunConfig:
         kwargs["pso"] = _pso_from_json(d["pso"])
     if "pipeline" in d:
         kwargs["pipeline"] = _pipeline_from_json(d["pipeline"])
-    for key, conv in [
-        ("folds", int), ("baseline_depth", int), ("test_fraction", float),
-        ("teacher_budget", int), ("max_infeasible_fraction", float),
-        ("histogram_bin_width_us", float), ("output_dir", str), ("seed", int),
-    ]:
-        if key in d:
-            kwargs[key] = conv(d[key])
     try:
+        for key, conv in [
+            ("folds", int), ("baseline_depth", int), ("test_fraction", float),
+            ("teacher_budget", int), ("max_infeasible_fraction", float),
+            ("histogram_bin_width_us", float), ("output_dir", str), ("seed", int),
+        ]:
+            if key in d:
+                kwargs[key] = conv(d[key])
         return RunConfig(**kwargs)
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from None
 
 

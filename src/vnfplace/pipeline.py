@@ -1,13 +1,20 @@
 """Three-stage depth optimization.
 
-Stage 1 searches a depth interval (initially [2, 100], doubling the upper
-bound while the best invalid rate stays above the error threshold) for the
-depth minimizing invalid predictions and materializes the full per-depth
-invalid-rate curve. Stage 2 detects the functional range (below-threshold
-plus steady state) and picks the depth minimizing the full delay-plus-
-penalty objective over it, with a plateau rule preferring the smallest
-depth within a relative epsilon of the minimum. Stage 3 fits the final
-tree on the full training set at that depth.
+Every stage reads one per-depth table of cross-validation fold results.
+Each fold tree is fitted once with a depth bound that never binds, and its
+depth-h predictions are traversals truncated at h, which equal those of a
+fresh depth-h fit. A fold tree stops changing beyond its natural depth, so
+the table is computed once per depth from the lower search bound up to the
+deepest fold tree (or the upper bound, if that is lower), and every deeper
+depth reads that last entry.
+
+Stage 1 runs PSO over the initial depth bounds for the depth minimizing
+invalid predictions and reads the per-depth invalid-rate curve over the same
+bounds. Stage 2 detects the functional range (below-threshold plus steady
+state) and picks the depth minimizing the full delay-plus-penalty objective
+over it, with a plateau rule preferring the smallest depth within a relative
+epsilon of the minimum. Stage 3 fits the full training set once, unbounded;
+the final model is its truncation at that depth.
 """
 
 from __future__ import annotations
@@ -19,9 +26,10 @@ from . import tree as tree_mod
 from .features import Dataset, FoldSplit
 from .swarm import (
     EvalContext,
-    FoldTreeCache,
+    ObjectiveResult,
     PsoParams,
     PsoTrace,
+    fold_results,
     invalid_rate,
     objective_full,
     objective_invalid_only,
@@ -31,10 +39,6 @@ from .swarm import (
 
 class RangeNotFound(Exception):
     """No depth reaches an invalid rate at or below the error threshold."""
-
-
-class PipelineError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -50,59 +54,64 @@ class FunctionalRange:
 @dataclass(frozen=True)
 class PipelineSettings:
     error_threshold: float = 0.075
-    max_tolerable: float = 0.10
     steady_window: int = 10
     plateau_epsilon: float = 0.001
     initial_lo: int = 2
     initial_hi: int = 100
-    bound_doubling_cap: int = 800
-    stage2_use_pso: bool = False
 
     def __post_init__(self):
-        if not (0 < self.error_threshold <= self.max_tolerable):
-            raise ValueError("require 0 < error_threshold <= max_tolerable")
+        if not (0 < self.error_threshold <= 1):
+            raise ValueError("error_threshold must be in (0, 1]")
         if self.steady_window < 1:
             raise ValueError("steady_window must be >= 1")
         if self.plateau_epsilon < 0:
             raise ValueError("plateau_epsilon must be >= 0")
-        if not (1 <= self.initial_lo < self.initial_hi <= self.bound_doubling_cap):
-            raise ValueError("require 1 <= initial_lo < initial_hi <= cap")
+        if not (1 <= self.initial_lo < self.initial_hi):
+            raise ValueError("require 1 <= initial_lo < initial_hi")
+
+    def to_json(self) -> dict:
+        return {
+            "error_threshold": self.error_threshold,
+            "steady_window": self.steady_window,
+            "plateau_epsilon": self.plateau_epsilon,
+            "initial_bounds": [self.initial_lo, self.initial_hi],
+        }
+
+
+def fit_unbounded(ds: Dataset) -> tree_mod.DecisionTree:
+    """Fit with max_depth set to the row count, a bound that never binds:
+    every split leaves rows on both sides, so n rows grow at most n - 1 deep."""
+    return tree_mod.fit(ds.features, ds.labels, ds.n_samples)
+
+
+def depth_table(ds: Dataset, ctx: EvalContext, folds: FoldSplit,
+                trees: list[tree_mod.DecisionTree], lo: int, hi: int
+                ) -> dict[int, list[ObjectiveResult]]:
+    """Fold results for every depth in [lo, hi] from one unbounded tree per
+    fold, computing each distinct result once: every depth beyond the deepest
+    fold tree shares that depth's entry."""
+    top = min(max(max(t.tree_depth() for t in trees), lo), hi)
+    computed = {h: fold_results(h, ds, ctx, folds, trees) for h in range(lo, top + 1)}
+    return {h: computed[min(h, top)] for h in range(lo, hi + 1)}
 
 
 @dataclass
 class Stage1Result:
     curve: dict[int, float]  # depth -> invalid rate over all validation rows
     trace: PsoTrace
-    searched_hi: int
     best_h: int
     best_rate: float
 
 
-def stage1(ds: Dataset, ctx: EvalContext, folds: FoldSplit,
-           pso_params: PsoParams, settings: PipelineSettings,
-           cache: FoldTreeCache | None = None) -> Stage1Result:
-    """Invalid-minimizing depth search with upper-bound doubling."""
-    lo, hi = settings.initial_lo, settings.initial_hi
-    if cache is None:
-        cache = FoldTreeCache(ds, folds, hi)
-    trace = None
-    best_h = None
-    while True:
-        f = lambda h: objective_invalid_only(h, ds, ctx, folds, cache)
-        best_h, trace = pso_minimize(f, pso_params.with_bounds(lo, hi))
-        best_rate = invalid_rate(best_h, ds, ctx, folds, cache)
-        if best_rate <= settings.error_threshold:
-            break
-        hi *= 2
-        if hi > settings.bound_doubling_cap:
-            raise PipelineError(
-                f"invalid rate never reached {settings.error_threshold:.3f} within "
-                f"the depth cap {settings.bound_doubling_cap}; best rate was "
-                f"{best_rate:.3f} at depth {best_h}"
-            )
-    curve = {h: invalid_rate(h, ds, ctx, folds, cache) for h in range(lo, hi + 1)}
-    return Stage1Result(curve=curve, trace=trace, searched_hi=hi,
-                        best_h=best_h, best_rate=best_rate)
+def stage1(table: dict[int, list[ObjectiveResult]], folds: FoldSplit,
+           pso_params: PsoParams) -> Stage1Result:
+    """Invalid-minimizing PSO over the table's depth interval, plus the
+    invalid-rate curve over that interval."""
+    curve = {h: invalid_rate(res, folds) for h, res in table.items()}
+    best_h, trace = pso_minimize(lambda h: objective_invalid_only(table[h]),
+                                 pso_params.with_bounds(min(table), max(table)))
+    return Stage1Result(curve=curve, trace=trace, best_h=best_h,
+                        best_rate=curve[best_h])
 
 
 def detect_functional_range(curve: dict[int, float], threshold: float,
@@ -116,9 +125,11 @@ def detect_functional_range(curve: dict[int, float], threshold: float,
         raise ValueError("curve must cover a contiguous integer interval")
     a1 = next((d for d in depths if curve[d] <= threshold), None)
     if a1 is None:
+        best = min(curve.values())
         raise RangeNotFound(
-            f"no depth reaches an invalid rate <= {threshold:.3f} "
-            f"(minimum {min(curve.values()):.3f})"
+            f"invalid rate never reached {threshold:.3f} at depths "
+            f"{depths[0]}-{depths[-1]}: minimum {best:.3f}, first at depth "
+            f"{next(d for d in depths if curve[d] == best)}"
         )
     last = depths[-1]
     steady = None
@@ -137,29 +148,13 @@ def detect_functional_range(curve: dict[int, float], threshold: float,
 class Stage2Result:
     h_star: int
     curve: dict[int, float]  # depth -> full objective
-    trace: PsoTrace | None = None
 
 
-def stage2(frange: FunctionalRange, ds: Dataset, ctx: EvalContext,
-           folds: FoldSplit, settings: PipelineSettings,
-           pso_params: PsoParams | None = None,
-           cache: FoldTreeCache | None = None) -> Stage2Result:
-    """Pick the optimal depth inside the functional range under the full objective.
-
-    The range is small, so every depth is evaluated exhaustively by default;
-    PSO over the range is available behind ``settings.stage2_use_pso``.
-    """
-    if cache is None:
-        cache = FoldTreeCache(ds, folds, frange.a2)
-    curve = {h: objective_full(h, ds, ctx, folds, cache)
-             for h in range(frange.a1, frange.a2 + 1)}
-    trace = None
-    if settings.stage2_use_pso:
-        if pso_params is None:
-            raise ValueError("stage2_use_pso requires PSO parameters")
-        if frange.a2 - frange.a1 >= 1:
-            f = lambda h: curve[h]
-            _, trace = pso_minimize(f, pso_params.with_bounds(frange.a1, frange.a2))
+def stage2(frange: FunctionalRange, table: dict[int, list[ObjectiveResult]],
+           settings: PipelineSettings) -> Stage2Result:
+    """Pick the optimal depth inside the functional range under the full
+    objective; the range is small, so every depth in it is evaluated."""
+    curve = {h: objective_full(table[h]) for h in range(frange.a1, frange.a2 + 1)}
     best = min(curve.values())
     # plateau rule: the objective flattens once extra depth stops changing the
     # fitted trees, so prefer the start of the trailing plateau (every depth
@@ -175,17 +170,23 @@ def stage2(frange: FunctionalRange, ds: Dataset, ctx: EvalContext,
             break
     if h_star is None:
         h_star = next(h for h in depths if curve[h] == best)
-    return Stage2Result(h_star=h_star, curve=curve, trace=trace)
+    return Stage2Result(h_star=h_star, curve=curve)
 
 
-def stage3_build(ds: Dataset, h_star: int, seed: int = 0) -> tree_mod.DecisionTree:
-    return tree_mod.fit(ds.features, ds.labels, h_star, seed=seed)
+def stage3_build(ds: Dataset, h_star: int
+                 ) -> tuple[tree_mod.DecisionTree, tree_mod.DecisionTree]:
+    """Fit the full training set once, unbounded; return its truncation at
+    h_star (the final model) and the unbounded tree, which any other depth
+    truncates."""
+    full = fit_unbounded(ds)
+    return full.truncate(h_star), full
 
 
 @dataclass
 class PipelineReport:
     settings: PipelineSettings
     stage1: Stage1Result
+    fold_depths: list[int]  # natural depth of each fold tree
     functional_range: FunctionalRange
     stage2: Stage2Result
     h_star: int
@@ -195,18 +196,10 @@ class PipelineReport:
 
     def to_json(self) -> dict:
         return {
-            "settings": {
-                "error_threshold": self.settings.error_threshold,
-                "max_tolerable": self.settings.max_tolerable,
-                "steady_window": self.settings.steady_window,
-                "plateau_epsilon": self.settings.plateau_epsilon,
-                "initial_bounds": [self.settings.initial_lo, self.settings.initial_hi],
-                "bound_doubling_cap": self.settings.bound_doubling_cap,
-                "stage2_use_pso": self.settings.stage2_use_pso,
-            },
+            "settings": self.settings.to_json(),
             "stage1": {
                 "curve": {str(k): v for k, v in sorted(self.stage1.curve.items())},
-                "searched_hi": self.stage1.searched_hi,
+                "fold_depths": self.fold_depths,
                 "best_h": self.stage1.best_h,
                 "best_rate": self.stage1.best_rate,
                 "trace": {
@@ -228,16 +221,20 @@ class PipelineReport:
 def run_pipeline(ds: Dataset, ctx: EvalContext, folds: FoldSplit,
                  pso_params: PsoParams, settings: PipelineSettings,
                  config_echo: dict | None = None
-                 ) -> tuple[PipelineReport, tree_mod.DecisionTree]:
-    cache = FoldTreeCache(ds, folds, settings.initial_hi)
-    s1 = stage1(ds, ctx, folds, pso_params, settings, cache)
+                 ) -> tuple[PipelineReport, tree_mod.DecisionTree, tree_mod.DecisionTree]:
+    """Run the three stages; return the report, the final model and the
+    unbounded full-training-set tree it truncates."""
+    trees = [fit_unbounded(ds.subset(train_idx)) for train_idx, _ in folds.folds]
+    table = depth_table(ds, ctx, folds, trees, settings.initial_lo, settings.initial_hi)
+    s1 = stage1(table, folds, pso_params)
     frange = detect_functional_range(s1.curve, settings.error_threshold,
                                      settings.steady_window)
-    s2 = stage2(frange, ds, ctx, folds, settings, pso_params, cache)
-    model = stage3_build(ds, s2.h_star)
+    s2 = stage2(frange, table, settings)
+    model, full = stage3_build(ds, s2.h_star)
     report = PipelineReport(
         settings=settings,
         stage1=s1,
+        fold_depths=[t.tree_depth() for t in trees],
         functional_range=frange,
         stage2=s2,
         h_star=s2.h_star,
@@ -245,7 +242,7 @@ def run_pipeline(ds: Dataset, ctx: EvalContext, folds: FoldSplit,
         model_nodes=model.node_count(),
         config_echo=config_echo or {},
     )
-    return report, model
+    return report, model, full
 
 
 def save_report(report: PipelineReport, path):

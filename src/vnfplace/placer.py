@@ -3,10 +3,12 @@
 The heuristic places instances in chain order, always trying the cheapest
 feasible server first (summed delay to already-placed upstream replicas,
 ties to the lower server id) and backtracks within a node budget, keeping
-the best complete assignment found so far (branch and bound). On small
-instances the budget is enough to certify the optimum; on larger ones the
-first descent is the plain greedy placement and the remaining budget buys
-improvement.
+the best complete assignment found so far (branch and bound). The first
+descent is the plain greedy placement and the remaining budget buys
+improvement; the result is not certified optimal. On the first 100
+topologies of ``configs/desk.json``, a budget of 100,000 nodes finds a
+placement with a lower mean path delay than the default budget of 1000 on
+43 of them.
 """
 
 from __future__ import annotations

@@ -103,56 +103,26 @@ def placement_from_labels(sfc: SfcSpec, labels) -> Placement:
     return Placement(assignment={i.id: int(s) for i, s in zip(inst, labels)})
 
 
-class FoldTreeCache:
-    """One deep-fitted tree per fold, reused for every candidate depth.
-
-    Depth-h predictions come from truncated traversal, which is exact for
-    top-down CART (the depth limit only stops recursion), so sweeping
-    depths costs one fit per fold instead of one per (fold, depth).
-    """
-
-    def __init__(self, ds: Dataset, folds: FoldSplit, fit_depth: int):
-        self.ds = ds
-        self.folds = folds
-        self.fit_depth = fit_depth
-        self._trees: dict[int, tree_mod.DecisionTree] = {}
-
-    def ensure_depth(self, depth: int):
-        if depth > self.fit_depth:
-            self.fit_depth = depth
-            self._trees.clear()
-
-    def predict(self, fold_idx: int, h: int, X: np.ndarray) -> np.ndarray:
-        self.ensure_depth(h)
-        t = self._trees.get(fold_idx)
-        if t is None:
-            train_idx, _ = self.folds.folds[fold_idx]
-            sub = self.ds.subset(train_idx)
-            t = tree_mod.fit(sub.features, sub.labels, self.fit_depth)
-            self._trees[fold_idx] = t
-        return t.predict(X, max_depth=h)
-
-
 def fold_results(
     h: int,
     ds: Dataset,
     ctx: EvalContext,
     folds: FoldSplit,
-    cache: FoldTreeCache | None = None,
+    trees: list[tree_mod.DecisionTree],
 ) -> list[ObjectiveResult]:
-    """Evaluate depth h on every fold; one ObjectiveResult per fold."""
+    """Evaluate depth h on every fold; one ObjectiveResult per fold.
+
+    ``trees`` holds one tree per fold, fitted on that fold's training rows
+    at any depth of at least h: predictions come from traversal truncated
+    at h, which is exact for top-down CART (see ``DecisionTree.truncate``).
+    """
     if h < 1:
         raise ValueError("depth must be >= 1")
     if len(ctx.topologies) != ds.n_samples:
         raise ValueError("context must carry one (topology, sfc) per dataset row")
     out = []
-    for fi, (train_idx, val_idx) in enumerate(folds.folds):
-        if cache is not None:
-            pred = cache.predict(fi, h, ds.features[val_idx])
-        else:
-            sub = ds.subset(train_idx)
-            t = tree_mod.fit(sub.features, sub.labels, h)
-            pred = t.predict(ds.features[val_idx])
+    for (_, val_idx), t in zip(folds.folds, trees, strict=True):
+        pred = t.predict(ds.features[val_idx], max_depth=h)
         ip = 0
         delays = []
         for row, labels in zip(val_idx, pred):
@@ -170,23 +140,20 @@ def fold_results(
     return out
 
 
-def objective_full(h, ds, ctx, folds, cache=None) -> float:
+def objective_full(results: list[ObjectiveResult]) -> float:
     """Cross-validated mean of (average path delay + invalid penalty)."""
-    res = fold_results(h, ds, ctx, folds, cache)
-    return float(np.mean([r.o_pso for r in res]))
+    return float(np.mean([r.o_pso for r in results]))
 
 
-def objective_invalid_only(h, ds, ctx, folds, cache=None) -> float:
+def objective_invalid_only(results: list[ObjectiveResult]) -> float:
     """Cross-validated mean invalid-prediction count, delay ignored."""
-    res = fold_results(h, ds, ctx, folds, cache)
-    return float(np.mean([r.ip for r in res]))
+    return float(np.mean([r.ip for r in results]))
 
 
-def invalid_rate(h, ds, ctx, folds, cache=None) -> float:
+def invalid_rate(results: list[ObjectiveResult], folds: FoldSplit) -> float:
     """Invalid predictions as a fraction of all validation rows."""
-    res = fold_results(h, ds, ctx, folds, cache)
     total_rows = sum(len(v) for _, v in folds.folds)
-    return sum(r.ip for r in res) / total_rows
+    return sum(r.ip for r in results) / total_rows
 
 
 def pso_minimize(f, params: PsoParams) -> tuple[int, PsoTrace]:

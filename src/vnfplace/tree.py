@@ -5,7 +5,7 @@ Gini impurity; candidate thresholds are midpoints between consecutive
 distinct sorted feature values; ties break to the lowest feature index,
 then the lowest threshold. Leaves (and internal nodes, for depth-truncated
 prediction) store per-output majority labels with ties to the smallest
-label. Fully deterministic; the seed parameter is reserved and unused.
+label. Fully deterministic.
 """
 
 from __future__ import annotations
@@ -17,15 +17,6 @@ import numpy as np
 
 #: Impurity differences below this are treated as exact ties.
 _TIE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Hyperparams:
-    max_depth: int
-
-    def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
 
 
 @dataclass
@@ -73,6 +64,32 @@ class DecisionTree:
                     node = self.right[node]
             out[r] = self.majority[node]
         return out
+
+    def truncate(self, max_depth: int) -> "DecisionTree":
+        """The tree ``fit`` grows on the same rows with this ``max_depth``.
+
+        CART grows top-down and the depth limit only stops recursion, so the
+        shallower fit is this tree with the nodes below ``max_depth`` dropped
+        and the nodes at ``max_depth`` turned into leaves. Nodes are stored in
+        pre-order, which dropping whole subtrees preserves.
+        """
+        if max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        keep = self.depth <= max_depth
+        new_index = np.cumsum(keep) - 1
+        leaf = (self.feature[keep] < 0) | (self.depth[keep] == max_depth)
+        return DecisionTree(
+            n_features=self.n_features,
+            n_outputs=self.n_outputs,
+            classes=self.classes,
+            feature=np.where(leaf, -1, self.feature[keep]),
+            threshold=np.where(leaf, np.nan, self.threshold[keep]),
+            left=np.where(leaf, -1, new_index[self.left[keep]]),
+            right=np.where(leaf, -1, new_index[self.right[keep]]),
+            depth=self.depth[keep],
+            majority=self.majority[keep],
+            max_depth_fit=max_depth,
+        )
 
     def to_json(self) -> dict:
         return {
@@ -167,7 +184,7 @@ def _best_split(X: np.ndarray, Yenc: np.ndarray, n_classes: list[int]):
     return best[1], best[2], best[0]
 
 
-def fit(X: np.ndarray, Y: np.ndarray, max_depth: int, seed: int = 0) -> DecisionTree:
+def fit(X: np.ndarray, Y: np.ndarray, max_depth: int) -> DecisionTree:
     """Grow a depth-bounded multi-output CART on (X, Y)."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=int)
@@ -228,15 +245,3 @@ def fit(X: np.ndarray, Y: np.ndarray, max_depth: int, seed: int = 0) -> Decision
         majority=np.array(majority, dtype=int),
         max_depth_fit=max_depth,
     )
-
-
-def fit_dataset(ds, h: Hyperparams, seed: int = 0) -> DecisionTree:
-    return fit(ds.features, ds.labels, h.max_depth, seed=seed)
-
-
-def tree_depth(m: DecisionTree) -> int:
-    return m.tree_depth()
-
-
-def node_count(m: DecisionTree) -> int:
-    return m.node_count()

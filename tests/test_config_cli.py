@@ -60,8 +60,12 @@ def test_unknown_key_rejected():
         {"max_infeasible_fraction": 1.0},
         {"histogram_bin_width_us": 0},
         {"pso": {"swarm_size": 1}},
-        {"pipeline": {"error_threshold": 0.5, "max_tolerable": 0.1}},
-        {"pipeline": {"initial_bounds": [2, 2000]}},
+        {"pipeline": {"bound_doubling_cap": 800}},
+        {"pipeline": {"error_threshold": 1.5}},
+        {"pso": {"hi": 50}},
+        {"pipeline": {"initial_bounds": [2]}},
+        {"pso": 5},
+        {"folds": "x"},
     ],
 )
 def test_bad_values_rejected(patch):
@@ -114,6 +118,22 @@ def test_cli_infeasible_generation_exits_3(tmp_path, monkeypatch):
     doc["gen"]["cpu_demand"] = {"kind": "uniform", "a": 1000, "b": 1000}
     path = write_config(tmp_path / "cfg.json", doc)
     assert _run("generate", "--config", path, "--workers", "1") == 3
+
+
+def test_cli_generate_without_a_train_and_test_row_exits_3(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path / "cfg.json", quick_config(n_topologies=1))
+    assert _run("generate", "--config", path, "--workers", "1") == 3
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_cli_optimize_with_fewer_rows_than_folds_exits_3(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path / "cfg.json", quick_config(n_topologies=3))
+    assert _run("generate", "--config", path, "--workers", "1") == 0
+    assert len(json.loads((tmp_path / "out" / "split.json").read_text())["train"]) < 5
+    assert _run("optimize", "--config", path) == 3
+    assert not (tmp_path / "out" / "pipeline_report.json").exists()
 
 
 @pytest.fixture(scope="module")

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import line_topology, simple_sfc
-from vnfplace import features, pipeline, swarm
+from vnfplace import features, pipeline, swarm, tree
 from vnfplace.pipeline import (
     FunctionalRange,
-    PipelineError,
     PipelineSettings,
     RangeNotFound,
     detect_functional_range,
     stage2,
 )
-from vnfplace.swarm import PsoParams
+from vnfplace.swarm import ObjectiveResult, PsoParams
 
 
 def reference_curve():
@@ -70,7 +69,9 @@ def test_steady_requires_no_improvement_in_window():
 
 def test_range_not_found():
     curve = {d: 0.2 for d in range(2, 30)}
-    with pytest.raises(RangeNotFound, match="0.075"):
+    curve[7] = curve[9] = 0.1
+    with pytest.raises(RangeNotFound,
+                       match="never reached 0.075 .*minimum 0.100, first at depth 7"):
         detect_functional_range(curve, 0.075, 10)
 
 
@@ -86,7 +87,7 @@ def test_functional_range_validation():
 
 def test_settings_validation():
     with pytest.raises(ValueError):
-        PipelineSettings(error_threshold=0.2, max_tolerable=0.1)
+        PipelineSettings(error_threshold=1.5)
     with pytest.raises(ValueError):
         PipelineSettings(error_threshold=0.0)
     with pytest.raises(ValueError):
@@ -94,31 +95,21 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         PipelineSettings(initial_lo=100, initial_hi=100)
     with pytest.raises(ValueError):
-        PipelineSettings(initial_hi=2000)
+        PipelineSettings(initial_lo=0)
 
 
 class _CurveStage2:
-    """Run stage2 against a hand-written objective curve by faking the
-    cross-validation machinery behind objective_full."""
+    """Run stage2 against a hand-written objective curve: one fold per depth
+    whose objective is the curve value."""
 
     def __init__(self, curve):
         self.curve = curve
 
     def run(self, settings):
         frange = FunctionalRange(min(self.curve), max(self.curve))
-        import unittest.mock as mock
-        with mock.patch.object(pipeline, "objective_full",
-                               side_effect=lambda h, *a, **k: self.curve[h]):
-            return stage2(frange, None, None, _FakeFolds(), settings,
-                          cache=_FakeCache())
-
-
-class _FakeFolds:
-    folds = []
-
-
-class _FakeCache:
-    pass
+        table = {h: [ObjectiveResult(avg_delay_cp=v, ip=0, reg_term=0.0, o_pso=v)]
+                 for h, v in self.curve.items()}
+        return stage2(frange, table, settings)
 
 
 # [DERIVED] plateau rule by hand: curve flat at 100.0 from depth 29 onward,
@@ -146,14 +137,6 @@ def test_stage2_epsilon_widens_plateau():
     assert res_tight.h_star == 23
 
 
-def test_stage2_requires_pso_params_when_enabled(small_dataset):
-    ds, ctx = small_dataset
-    folds = features.kfold(ds, 3, seed=0)
-    with pytest.raises(ValueError, match="PSO"):
-        stage2(FunctionalRange(2, 5), ds, ctx, folds,
-               PipelineSettings(stage2_use_pso=True))
-
-
 def _hopeless_problem():
     """Rows whose demands exceed every capacity: no placement is ever valid."""
     topo = line_topology([10.0, 10.0, 10.0, 10.0, 10.0])
@@ -175,21 +158,26 @@ def _hopeless_problem():
 def test_stage1_raises_when_threshold_unreachable():
     ds, ctx = _hopeless_problem()
     folds = features.kfold(ds, 3, seed=0)
-    settings = PipelineSettings(initial_hi=4, bound_doubling_cap=16)
-    with pytest.raises(PipelineError, match="best rate"):
-        pipeline.stage1(ds, ctx, folds, PsoParams(seed=0, iterations=3),
-                        settings)
+    settings = PipelineSettings(initial_hi=40)
+    with pytest.raises(RangeNotFound,
+                       match="never reached 0.075 .*minimum 1.000, first at depth 2"):
+        pipeline.run_pipeline(ds, ctx, folds, PsoParams(seed=0, iterations=3),
+                              settings)
 
 
 def test_full_pipeline_on_small_batch(small_dataset, tmp_path):
     ds, ctx = small_dataset
     folds = features.kfold(ds, 5, seed=0)
     settings = PipelineSettings()
-    report, model = pipeline.run_pipeline(
+    report, model, _ = pipeline.run_pipeline(
         ds, ctx, folds, PsoParams(seed=7), settings, config_echo={"note": "test"}
     )
     fr = report.functional_range
-    assert settings.initial_lo <= fr.a1 <= fr.a2 <= report.stage1.searched_hi
+    assert settings.initial_lo <= fr.a1 <= fr.a2 <= settings.initial_hi
+    assert set(report.stage1.curve) == set(range(settings.initial_lo,
+                                                 settings.initial_hi + 1))
+    assert len(report.fold_depths) == 5
+    assert model.to_json() == tree.fit(ds.features, ds.labels, report.h_star).to_json()
     assert fr.a1 <= report.h_star <= fr.a2
     assert report.stage1.curve[fr.a1] <= settings.error_threshold
     assert set(report.stage2.curve) == set(range(fr.a1, fr.a2 + 1))
@@ -209,9 +197,9 @@ def test_full_pipeline_on_small_batch(small_dataset, tmp_path):
 def test_pipeline_deterministic(small_dataset):
     ds, ctx = small_dataset
     folds = features.kfold(ds, 5, seed=0)
-    r1, m1 = pipeline.run_pipeline(ds, ctx, folds, PsoParams(seed=7),
-                                   PipelineSettings())
-    r2, m2 = pipeline.run_pipeline(ds, ctx, folds, PsoParams(seed=7),
-                                   PipelineSettings())
+    r1, m1, _ = pipeline.run_pipeline(ds, ctx, folds, PsoParams(seed=7),
+                                      PipelineSettings())
+    r2, m2, _ = pipeline.run_pipeline(ds, ctx, folds, PsoParams(seed=7),
+                                      PipelineSettings())
     assert r1.to_json() == r2.to_json()
     assert m1.to_json() == m2.to_json()

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnfplace import features, placer, swarm
-from vnfplace.swarm import EvalContext, FoldTreeCache, PsoParams, reg_term
+from vnfplace import features, pipeline, placer, swarm
+from vnfplace import tree as tree_mod
+from vnfplace.swarm import EvalContext, PsoParams, reg_term
 
 
 # [DERIVED] 1000*log2(ip+1) by hand: log2(1)=0, log2(2)=1, log2(4)=2,
@@ -53,15 +54,13 @@ def test_context_alignment_enforced(small_batch):
         EvalContext(topos[:3], sfcs[:2], 100.0)
 
 
-def test_fold_results_against_manual_recompute(small_dataset):
-    ds, ctx = small_dataset
-    folds = features.kfold(ds, 4, seed=0)
-    res = swarm.fold_results(6, ds, ctx, folds)
-    assert len(res) == 4
-    from vnfplace import tree as tree_mod
-    for (train_idx, val_idx), r in zip(folds.folds, res):
+def reference_fold_results(h, ds, ctx, folds):
+    """Slow reference: a fresh depth-h fit per fold, every validation row
+    validated by hand. Returns (invalid count, mean valid delay) per fold."""
+    out = []
+    for train_idx, val_idx in folds.folds:
         sub = ds.subset(train_idx)
-        t = tree_mod.fit(sub.features, sub.labels, 6)
+        t = tree_mod.fit(sub.features, sub.labels, h)
         pred = t.predict(ds.features[val_idx])
         ip = 0
         delays = []
@@ -71,39 +70,52 @@ def test_fold_results_against_manual_recompute(small_dataset):
                 delays.append(placer.avg_cp_delay(ctx.topologies[row], p, ctx.sfcs[row]))
             else:
                 ip += 1
+        out.append((ip, float(np.mean(delays)) if delays else ctx.delay_ceiling))
+    return out
+
+
+def unbounded_fold_trees(ds, folds):
+    return [pipeline.fit_unbounded(ds.subset(train_idx)) for train_idx, _ in folds.folds]
+
+
+def test_fold_results_against_manual_recompute(small_dataset):
+    ds, ctx = small_dataset
+    folds = features.kfold(ds, 4, seed=0)
+    res = swarm.fold_results(6, ds, ctx, folds, unbounded_fold_trees(ds, folds))
+    assert len(res) == 4
+    for (ip, avg), r in zip(reference_fold_results(6, ds, ctx, folds), res):
         assert r.ip == ip
-        expected_avg = float(np.mean(delays)) if delays else ctx.delay_ceiling
-        assert r.avg_delay_cp == pytest.approx(expected_avg, rel=1e-12)
+        assert r.avg_delay_cp == pytest.approx(avg, rel=1e-12)
         assert r.o_pso == pytest.approx(r.avg_delay_cp + r.reg_term, rel=1e-12)
         assert r.reg_term == pytest.approx(reg_term(ip), abs=0)
 
 
-def test_cache_matches_fresh_fits(small_dataset):
+def test_depth_table_matches_fresh_fits(small_dataset):
+    """Every depth in [lo, D_max + 5] reads exactly what fresh depth-h fits give,
+    including the depths past the deepest fold tree that share its entry,
+    also when lo itself lies past it."""
     ds, ctx = small_dataset
+    n = 48  # a slice keeps the fresh fits at every depth quick
+    ds = ds.subset(np.arange(n))
+    ctx = EvalContext(ctx.topologies[:n], ctx.sfcs[:n], ctx.delay_ceiling)
     folds = features.kfold(ds, 3, seed=5)
-    cache = FoldTreeCache(ds, folds, fit_depth=40)
-    for h in (2, 5, 9, 14):
-        fresh = swarm.objective_full(h, ds, ctx, folds)
-        cached = swarm.objective_full(h, ds, ctx, folds, cache)
-        assert cached == pytest.approx(fresh, rel=1e-12)
-
-
-def test_cache_refits_when_depth_exceeded(small_dataset):
-    ds, ctx = small_dataset
-    folds = features.kfold(ds, 3, seed=5)
-    cache = FoldTreeCache(ds, folds, fit_depth=4)
-    swarm.objective_full(3, ds, ctx, folds, cache)
-    deep_fresh = swarm.objective_full(12, ds, ctx, folds)
-    deep_cached = swarm.objective_full(12, ds, ctx, folds, cache)
-    assert cache.fit_depth == 12
-    assert deep_cached == pytest.approx(deep_fresh, rel=1e-12)
+    trees = unbounded_fold_trees(ds, folds)
+    d_max = max(t.tree_depth() for t in trees)
+    hi = d_max + 5
+    expected = {h: reference_fold_results(h, ds, ctx, folds) for h in range(2, hi + 1)}
+    for lo in (2, d_max + 2):
+        table = pipeline.depth_table(ds, ctx, folds, trees, lo, hi)
+        assert sorted(table) == list(range(lo, hi + 1))
+        for h, res in table.items():
+            assert [(r.ip, r.avg_delay_cp) for r in res] == expected[h]
 
 
 def test_invalid_rate_bounds_and_decrease(small_dataset):
     ds, ctx = small_dataset
     folds = features.kfold(ds, 5, seed=0)
-    cache = FoldTreeCache(ds, folds, fit_depth=60)
-    rates = [swarm.invalid_rate(h, ds, ctx, folds, cache) for h in (1, 4, 10, 25)]
+    trees = unbounded_fold_trees(ds, folds)
+    rates = [swarm.invalid_rate(swarm.fold_results(h, ds, ctx, folds, trees), folds)
+             for h in (1, 4, 10, 25)]
     assert all(0.0 <= r <= 1.0 for r in rates)
     assert rates[-1] <= rates[0]
 
@@ -123,7 +135,7 @@ def test_depth_validation(small_dataset):
     ds, ctx = small_dataset
     folds = features.kfold(ds, 3, seed=0)
     with pytest.raises(ValueError):
-        swarm.fold_results(0, ds, ctx, folds)
+        swarm.fold_results(0, ds, ctx, folds, [])
 
 
 # [DERIVED] the unique integer minimum of (h - 17)^2 on [2, 100] is 17.

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import reference_predict, stump_oracle
 from vnfplace import tree
-from vnfplace.tree import DecisionTree, Hyperparams
+from vnfplace.tree import DecisionTree
 
 
 def random_problem(rng, n=None, nf=None, n_out=None, n_classes=None):
@@ -152,12 +152,24 @@ def test_fit_input_validation():
         tree.fit(np.zeros((4, 3)), np.zeros((4, 1), dtype=int), max_depth=0)
     with pytest.raises(ValueError):
         tree.fit(np.zeros((4, 3)), np.zeros((5, 1), dtype=int), max_depth=3)
-    with pytest.raises(ValueError):
-        Hyperparams(max_depth=0)
     t = tree.fit(np.zeros((4, 3)) + np.arange(4)[:, None],
                  np.arange(4, dtype=int)[:, None], max_depth=3)
     with pytest.raises(ValueError, match="width"):
         t.predict(np.zeros((2, 5)))
+    with pytest.raises(ValueError):
+        t.truncate(0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), extra=st.integers(0, 3))
+def test_truncate_equals_fresh_fit_property(seed, extra):
+    """Truncating an unbounded fit at every depth, up to one to four past its
+    natural depth, gives the tree a fresh fit at that depth grows."""
+    rng = np.random.default_rng(seed)
+    X, Y = random_problem(rng)
+    full = tree.fit(X, Y, max_depth=X.shape[0])
+    for h in range(1, full.tree_depth() + extra + 2):
+        assert full.truncate(h).to_json() == tree.fit(X, Y, max_depth=h).to_json()
 
 
 @settings(max_examples=25, deadline=None)
