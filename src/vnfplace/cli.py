@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import evaluation, features, netmodel, pipeline, placer, swarm, tree
-from .config import ConfigError, RunConfig, load_run_config
+from .config import RunConfig, load_run_config
 
 EXIT_CONFIG = 2
 EXIT_PIPELINE = 3
@@ -33,10 +32,6 @@ EXIT_MISSING = 4
 
 def _log(msg: str):
     print(msg, file=sys.stderr)
-
-
-class MissingArtifact(Exception):
-    pass
 
 
 def _paths(cfg: RunConfig) -> dict[str, str]:
@@ -61,7 +56,7 @@ def _paths(cfg: RunConfig) -> dict[str, str]:
 
 def _require(path: str) -> str:
     if not os.path.exists(path):
-        raise MissingArtifact(f"missing artifact: {path} (run the earlier stage first)")
+        raise netmodel.ArtifactError(f"missing artifact: {path} (run the earlier stage first)")
     return path
 
 
@@ -112,12 +107,9 @@ def cmd_generate(cfg: RunConfig, workers: int) -> int:
         return EXIT_PIPELINE
 
     netmodel.save_batch(paths["batch"], topologies, sfcs, cfg.gen)
-    with open(paths["placements"], "w", encoding="utf-8") as fh:
-        fh.write(placer.placement_rows_to_json(rows))
-    with open(paths["split"], "w", encoding="utf-8") as fh:
-        json.dump({"train": train_idx, "test": test_idx, "seed": cfg.seed},
-                  fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    netmodel.save_json(rows, paths["placements"])
+    netmodel.save_json({"train": train_idx, "test": test_idx, "seed": cfg.seed},
+                       paths["split"])
 
     placement_by_index = {r["index"]: placer.placement_from_row(r) for r in rows}
     for name, idx in [("train", train_idx), ("test", test_idx)]:
@@ -136,10 +128,8 @@ def _load_context(cfg: RunConfig, which: str):
     """Rebuild per-row (topology, sfc) context and teacher data for a split."""
     paths = _paths(cfg)
     topologies, sfcs, _ = netmodel.load_batch(_require(paths["batch"]))
-    with open(_require(paths["split"]), encoding="utf-8") as fh:
-        split = json.load(fh)
-    with open(_require(paths["placements"]), encoding="utf-8") as fh:
-        rows = json.load(fh)
+    split = netmodel.load_json(_require(paths["split"]))
+    rows = netmodel.load_json(_require(paths["placements"]))
     by_index = {r["index"]: r for r in rows}
     idx = split[which]
     ctx_topos = [topologies[i] for i in idx]
@@ -272,13 +262,13 @@ def main(argv=None) -> int:
         cfg = load_run_config(args.config)
         if args.seed is not None:
             cfg = _apply_seed(cfg, args.seed)
-    except ConfigError as e:
+    except ValueError as e:  # ConfigError, or a seed a config dataclass rejects
         _log(f"config error: {e}")
         return EXIT_CONFIG
     workers = args.workers if args.workers else (os.cpu_count() or 1)
     try:
         return COMMANDS[args.command](cfg, workers)
-    except MissingArtifact as e:
+    except netmodel.ArtifactError as e:
         _log(str(e))
         return EXIT_MISSING
     except features.DatasetSchemaError as e:

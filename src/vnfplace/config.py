@@ -1,11 +1,18 @@
-"""Run configuration: one JSON file drives every CLI command."""
+"""Run configuration: one JSON file drives every CLI command.
+
+The JSON keys of each section are exactly the fields of its dataclass
+(``RunConfig``, ``GenConfig``, ``Dist``, ``PsoParams``, ``PipelineSettings``),
+and an absent key takes the field's default, so the defaults live only in
+those dataclasses. ``netmodel.config_from_json`` reads a document by the
+field types and rejects anything else with ``ConfigError``.
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 
-from .netmodel import ConfigError, GenConfig
+from .netmodel import ConfigError, GenConfig, config_from_json, config_to_json
 from .pipeline import PipelineSettings
 from .swarm import PsoParams
 
@@ -37,96 +44,15 @@ class RunConfig:
             raise ConfigError("max_infeasible_fraction must be in [0, 1)")
         if self.histogram_bin_width_us <= 0:
             raise ConfigError("histogram_bin_width_us must be > 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def to_json(self) -> dict:
-        return {
-            "gen": self.gen.to_json(),
-            "folds": self.folds,
-            "pso": {
-                "swarm_size": self.pso.swarm_size,
-                "iterations": self.pso.iterations,
-                "inertia": self.pso.inertia,
-                "cognitive": self.pso.cognitive,
-                "social": self.pso.social,
-                "seed": self.pso.seed,
-            },
-            "pipeline": self.pipeline.to_json(),
-            "baseline_depth": self.baseline_depth,
-            "test_fraction": self.test_fraction,
-            "teacher_budget": self.teacher_budget,
-            "max_infeasible_fraction": self.max_infeasible_fraction,
-            "histogram_bin_width_us": self.histogram_bin_width_us,
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-        }
-
-
-def _reject_unknown(section: str, d: dict, known: set[str]):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{section} must be a JSON object")
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
-
-
-def _pso_from_json(d: dict) -> PsoParams:
-    _reject_unknown("pso config", d, {
-        "swarm_size", "iterations", "inertia", "cognitive", "social", "seed",
-    })
-    try:
-        return PsoParams(
-            swarm_size=int(d.get("swarm_size", 10)),
-            iterations=int(d.get("iterations", 30)),
-            inertia=float(d.get("inertia", 0.7)),
-            cognitive=float(d.get("cognitive", 1.5)),
-            social=float(d.get("social", 1.5)),
-            seed=int(d.get("seed", 0)),
-        )
-    except ValueError as e:
-        raise ConfigError(f"bad pso config: {e}") from None
-
-
-def _pipeline_from_json(d: dict) -> PipelineSettings:
-    _reject_unknown("pipeline config", d, {
-        "error_threshold", "steady_window", "plateau_epsilon", "initial_bounds",
-    })
-    try:
-        lo, hi = d.get("initial_bounds", [2, 100])
-        return PipelineSettings(
-            error_threshold=float(d.get("error_threshold", 0.075)),
-            steady_window=int(d.get("steady_window", 10)),
-            plateau_epsilon=float(d.get("plateau_epsilon", 0.001)),
-            initial_lo=int(lo),
-            initial_hi=int(hi),
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad pipeline config: {e}") from None
+        return config_to_json(self)
 
 
 def run_config_from_json(d: dict) -> RunConfig:
-    _reject_unknown("config", d, {
-        "gen", "folds", "pso", "pipeline", "baseline_depth", "test_fraction",
-        "teacher_budget", "max_infeasible_fraction", "histogram_bin_width_us",
-        "output_dir", "seed",
-    })
-    kwargs: dict = {}
-    if "gen" in d:
-        kwargs["gen"] = GenConfig.from_json(d["gen"])
-    if "pso" in d:
-        kwargs["pso"] = _pso_from_json(d["pso"])
-    if "pipeline" in d:
-        kwargs["pipeline"] = _pipeline_from_json(d["pipeline"])
-    try:
-        for key, conv in [
-            ("folds", int), ("baseline_depth", int), ("test_fraction", float),
-            ("teacher_budget", int), ("max_infeasible_fraction", float),
-            ("histogram_bin_width_us", float), ("output_dir", str), ("seed", int),
-        ]:
-            if key in d:
-                kwargs[key] = conv(d[key])
-        return RunConfig(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e)) from None
+    return config_from_json(RunConfig, d, "config")
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -137,6 +63,4 @@ def load_run_config(path: str) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must contain a JSON object")
     return run_config_from_json(doc)

@@ -11,12 +11,11 @@ a fixed-width histogram.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netmodel import SfcSpec, Topology
+from .netmodel import SfcSpec, Topology, save_json
 from .placer import (
     Placement,
     cp_delay,
@@ -236,9 +235,7 @@ def comparison_report(results: list[StrategyResult],
 
 
 def save_report_json(report: dict, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    save_json(report, path)
 
 
 def save_cp_delay_csv(results: list[StrategyResult], path):

@@ -12,12 +12,11 @@ Labels are one server id per instance. No scaling: trees are scale-invariant.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import ADJACENT_PAIRS, SfcSpec, Topology, VnfType
+from .netmodel import ADJACENT_PAIRS, SfcSpec, Topology, VnfType, load_json, save_json
 from .placer import Placement
 
 
@@ -169,18 +168,11 @@ def schema_path(path: str) -> str:
 
 
 def save_dataset(ds: Dataset, path: str):
-    with open(schema_path(path), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "feature_cols": ds.feature_cols,
-                "label_cols": ds.label_cols,
-                "n_servers": ds.n_servers,
-            },
-            fh,
-            sort_keys=True,
-            indent=1,
-        )
-        fh.write("\n")
+    save_json({
+        "feature_cols": ds.feature_cols,
+        "label_cols": ds.label_cols,
+        "n_servers": ds.n_servers,
+    }, schema_path(path))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(ds.feature_cols + ds.label_cols)
@@ -190,8 +182,7 @@ def save_dataset(ds: Dataset, path: str):
 
 def load_dataset(path: str) -> Dataset:
     try:
-        with open(schema_path(path), encoding="utf-8") as fh:
-            schema = json.load(fh)
+        schema = load_json(schema_path(path))
     except FileNotFoundError:
         raise DatasetSchemaError(f"missing schema file {schema_path(path)}") from None
     feature_cols = list(schema["feature_cols"])

@@ -8,8 +8,9 @@ config and its index, independent of generation order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -42,8 +43,74 @@ ADJACENT_PAIRS: tuple[tuple[VnfType, VnfType], ...] = tuple(
 DEPENDENCY_LEVEL: dict[VnfType, int] = {t: i for i, t in enumerate(CHAIN)}
 
 
+#: Replicas per chain type, in chain order; a JSON object keyed by type name.
+ReplicaCounts = tuple[tuple[VnfType, int], ...]
+
+
 class ConfigError(ValueError):
     """Invalid generation or run configuration."""
+
+
+def config_from_json(cls, doc, where: str):
+    """Build the config dataclass ``cls`` from the JSON object ``doc``.
+
+    Each field of ``cls`` is one JSON key, read by its annotated type, and an
+    absent key takes the field's default. A non-object, an unknown or missing
+    key, a value of the wrong JSON type, or a value ``cls`` rejects raises
+    ConfigError naming the key path (``where``, e.g. ``config.gen.tolerance``).
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {unknown}")
+    for f in fields(cls):
+        if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}.{f.name} is required")
+    types = get_type_hints(cls)
+    kwargs = {k: _value_from_json(types[k], v, f"{where}.{k}") for k, v in doc.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from None
+
+
+def _value_from_json(tp, v, where: str):
+    if is_dataclass(tp):
+        return config_from_json(tp, v, where)
+    if tp == ReplicaCounts:
+        if not isinstance(v, dict) or any(type(c) is not int for c in v.values()):
+            raise ConfigError(f"{where} must map chain types to integer counts")
+        try:
+            return tuple((VnfType(t), c) for t, c in v.items())
+        except ValueError as e:
+            raise ConfigError(f"{where}: {e}") from None
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        if not isinstance(v, list) or len(v) != len(args):
+            raise ConfigError(f"{where} must be a list of {len(args)} values")
+        return tuple(_value_from_json(a, x, f"{where}[{i}]")
+                     for i, (a, x) in enumerate(zip(args, v)))
+    if tp is float and type(v) in (int, float):
+        return float(v)
+    if tp in (int, str) and type(v) is tp:
+        return v
+    raise ConfigError(f"{where} must be of type {tp.__name__}, not {json.dumps(v)}")
+
+
+def config_to_json(obj) -> dict:
+    """The JSON object that ``config_from_json`` reads back as ``obj``."""
+    types = get_type_hints(type(obj))
+    return {f.name: _value_to_json(types[f.name], getattr(obj, f.name))
+            for f in fields(obj)}
+
+
+def _value_to_json(tp, v):
+    if is_dataclass(v):
+        return config_to_json(v)
+    if tp == ReplicaCounts:
+        return {t.value: c for t, c in v}
+    return list(v) if isinstance(v, tuple) else v
 
 
 @dataclass(frozen=True)
@@ -170,16 +237,6 @@ class Dist:
             return rng.uniform(self.a, self.b, size=size)
         return np.maximum(rng.normal(self.a, self.b, size=size), 0.0)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "a": self.a, "b": self.b}
-
-    @staticmethod
-    def from_json(d: dict) -> "Dist":
-        try:
-            return Dist(str(d["kind"]), float(d["a"]), float(d["b"]))
-        except KeyError as e:
-            raise ConfigError(f"distribution missing key {e}") from None
-
 
 DEFAULT_REPLICA_COUNTS = {VnfType.HSS: 1, VnfType.MME: 2, VnfType.SGW: 2, VnfType.PGW: 1}
 
@@ -194,7 +251,7 @@ class GenConfig:
     """
 
     n_servers: int = 15
-    replica_counts: tuple[tuple[VnfType, int], ...] = tuple(DEFAULT_REPLICA_COUNTS.items())
+    replica_counts: ReplicaCounts = tuple(DEFAULT_REPLICA_COUNTS.items())
     intra_tier_delay: Dist = Dist("uniform", 50.0, 200.0)
     cross_tier_delay: Dist = Dist("uniform", 200.0, 1000.0)
     cpu_capacity: Dist = Dist("uniform", 8.0, 32.0)
@@ -219,6 +276,8 @@ class GenConfig:
             raise ConfigError("n_servers must be >= number of instances")
         if self.n_topologies < 0:
             raise ConfigError("n_topologies must be >= 0")
+        if self.base_seed < 0:
+            raise ConfigError("base_seed must be >= 0")
 
     @property
     def counts(self) -> dict[VnfType, int]:
@@ -227,54 +286,6 @@ class GenConfig:
     @property
     def n_instances(self) -> int:
         return sum(dict(self.replica_counts).values())
-
-    def to_json(self) -> dict:
-        return {
-            "n_servers": self.n_servers,
-            "replica_counts": {t.value: c for t, c in self.replica_counts},
-            "intra_tier_delay": self.intra_tier_delay.to_json(),
-            "cross_tier_delay": self.cross_tier_delay.to_json(),
-            "cpu_capacity": self.cpu_capacity.to_json(),
-            "mem_capacity": self.mem_capacity.to_json(),
-            "cpu_demand": self.cpu_demand.to_json(),
-            "mem_demand": self.mem_demand.to_json(),
-            "tolerance": self.tolerance.to_json(),
-            "n_topologies": self.n_topologies,
-            "base_seed": self.base_seed,
-        }
-
-    @staticmethod
-    def from_json(d: dict) -> "GenConfig":
-        kwargs: dict = {}
-        if "replica_counts" in d:
-            try:
-                kwargs["replica_counts"] = tuple(
-                    (VnfType(k), int(v)) for k, v in d["replica_counts"].items()
-                )
-            except ValueError as e:
-                raise ConfigError(f"bad replica_counts: {e}") from None
-        for key in ("n_servers", "n_topologies", "base_seed"):
-            if key in d:
-                kwargs[key] = int(d[key])
-        for key in (
-            "intra_tier_delay",
-            "cross_tier_delay",
-            "cpu_capacity",
-            "mem_capacity",
-            "cpu_demand",
-            "mem_demand",
-            "tolerance",
-        ):
-            if key in d:
-                kwargs[key] = Dist.from_json(d[key])
-        unknown = set(d) - {
-            "n_servers", "replica_counts", "n_topologies", "base_seed",
-            "intra_tier_delay", "cross_tier_delay", "cpu_capacity",
-            "mem_capacity", "cpu_demand", "mem_demand", "tolerance",
-        }
-        if unknown:
-            raise ConfigError(f"unknown generation config keys: {sorted(unknown)}")
-        return GenConfig(**kwargs)
 
 
 def tier_assignment(n_servers: int) -> list[Tier]:
@@ -336,6 +347,26 @@ def build_sfc(cfg: GenConfig, index: int) -> SfcSpec:
 
 # ---------------------------------------------------------------------------
 # Persistence
+
+
+class ArtifactError(Exception):
+    """An artifact file is missing or is not valid JSON."""
+
+
+def save_json(doc, path):
+    """Write a JSON artifact: sorted keys, one-space indent, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+def load_json(path):
+    """Read a JSON artifact; one that does not parse raises ArtifactError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ArtifactError(f"{path} is not valid JSON: {e}") from None
 
 
 def topology_to_json(topo: Topology) -> dict:
@@ -413,20 +444,16 @@ def sfc_from_json(d: dict) -> SfcSpec:
 
 def save_batch(path, topologies: list[Topology], sfcs: list[SfcSpec], cfg: GenConfig):
     """Persist a generated batch as one JSON file."""
-    doc = {
-        "config": cfg.to_json(),
+    save_json({
+        "config": config_to_json(cfg),
         "topologies": [topology_to_json(t) for t in topologies],
         "sfcs": [sfc_to_json(s) for s in sfcs],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    }, path)
 
 
 def load_batch(path) -> tuple[list[Topology], list[SfcSpec], GenConfig]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    cfg = GenConfig.from_json(doc["config"])
+    doc = load_json(path)
+    cfg = config_from_json(GenConfig, doc["config"], f"{path} config")
     topologies = [topology_from_json(t) for t in doc["topologies"]]
     sfcs = [sfc_from_json(s) for s in doc["sfcs"]]
     return topologies, sfcs, cfg

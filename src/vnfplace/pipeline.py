@@ -19,11 +19,11 @@ the final model is its truncation at that depth.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from . import tree as tree_mod
 from .features import Dataset, FoldSplit
+from .netmodel import config_to_json, save_json
 from .swarm import (
     EvalContext,
     ObjectiveResult,
@@ -56,8 +56,7 @@ class PipelineSettings:
     error_threshold: float = 0.075
     steady_window: int = 10
     plateau_epsilon: float = 0.001
-    initial_lo: int = 2
-    initial_hi: int = 100
+    initial_bounds: tuple[int, int] = (2, 100)
 
     def __post_init__(self):
         if not (0 < self.error_threshold <= 1):
@@ -66,16 +65,9 @@ class PipelineSettings:
             raise ValueError("steady_window must be >= 1")
         if self.plateau_epsilon < 0:
             raise ValueError("plateau_epsilon must be >= 0")
-        if not (1 <= self.initial_lo < self.initial_hi):
-            raise ValueError("require 1 <= initial_lo < initial_hi")
-
-    def to_json(self) -> dict:
-        return {
-            "error_threshold": self.error_threshold,
-            "steady_window": self.steady_window,
-            "plateau_epsilon": self.plateau_epsilon,
-            "initial_bounds": [self.initial_lo, self.initial_hi],
-        }
+        lo, hi = self.initial_bounds
+        if not (1 <= lo < hi):
+            raise ValueError("initial_bounds require 1 <= lo < hi")
 
 
 def fit_unbounded(ds: Dataset) -> tree_mod.DecisionTree:
@@ -109,7 +101,7 @@ def stage1(table: dict[int, list[ObjectiveResult]], folds: FoldSplit,
     invalid-rate curve over that interval."""
     curve = {h: invalid_rate(res, folds) for h, res in table.items()}
     best_h, trace = pso_minimize(lambda h: objective_invalid_only(table[h]),
-                                 pso_params.with_bounds(min(table), max(table)))
+                                 min(table), max(table), pso_params)
     return Stage1Result(curve=curve, trace=trace, best_h=best_h,
                         best_rate=curve[best_h])
 
@@ -196,7 +188,7 @@ class PipelineReport:
 
     def to_json(self) -> dict:
         return {
-            "settings": self.settings.to_json(),
+            "settings": config_to_json(self.settings),
             "stage1": {
                 "curve": {str(k): v for k, v in sorted(self.stage1.curve.items())},
                 "fold_depths": self.fold_depths,
@@ -225,7 +217,7 @@ def run_pipeline(ds: Dataset, ctx: EvalContext, folds: FoldSplit,
     """Run the three stages; return the report, the final model and the
     unbounded full-training-set tree it truncates."""
     trees = [fit_unbounded(ds.subset(train_idx)) for train_idx, _ in folds.folds]
-    table = depth_table(ds, ctx, folds, trees, settings.initial_lo, settings.initial_hi)
+    table = depth_table(ds, ctx, folds, trees, *settings.initial_bounds)
     s1 = stage1(table, folds, pso_params)
     frange = detect_functional_range(s1.curve, settings.error_threshold,
                                      settings.steady_window)
@@ -246,6 +238,4 @@ def run_pipeline(ds: Dataset, ctx: EvalContext, folds: FoldSplit,
 
 
 def save_report(report: PipelineReport, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    save_json(report.to_json(), path)

@@ -30,8 +30,6 @@ class PsoParams:
     inertia: float = 0.7
     cognitive: float = 1.5
     social: float = 1.5
-    lo: int = 2
-    hi: int = 100
     seed: int = 0
 
     def __post_init__(self):
@@ -43,12 +41,8 @@ class PsoParams:
             raise ValueError("inertia must be in (0, 1]")
         if self.cognitive <= 0 or self.social <= 0:
             raise ValueError("cognitive and social weights must be > 0")
-        if self.lo >= self.hi:
-            raise ValueError("bounds require lo < hi")
-
-    def with_bounds(self, lo: int, hi: int) -> "PsoParams":
-        return PsoParams(self.swarm_size, self.iterations, self.inertia,
-                         self.cognitive, self.social, lo, hi, self.seed)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -156,20 +150,21 @@ def invalid_rate(results: list[ObjectiveResult], folds: FoldSplit) -> float:
     return sum(r.ip for r in results) / total_rows
 
 
-def pso_minimize(f, params: PsoParams) -> tuple[int, PsoTrace]:
-    """Global-best PSO over an integer interval.
+def pso_minimize(f, lo: int, hi: int, params: PsoParams) -> tuple[int, PsoTrace]:
+    """Global-best PSO over the integer interval [lo, hi].
 
     Particles move in the continuous interval; evaluation rounds to the
     nearest integer and clamps to the bounds, with results memoized per
     integer. Returns the best integer over all evaluations plus the trace.
     """
+    if lo >= hi:
+        raise ValueError("bounds require lo < hi")
     rng = np.random.default_rng(params.seed)
-    lo, hi = float(params.lo), float(params.hi)
     n = params.swarm_size
     memo: dict[int, float] = {}
 
     def evaluate(pos: float) -> tuple[int, float]:
-        h = int(min(max(round(pos), params.lo), params.hi))
+        h = int(min(max(round(pos), lo), hi))
         if h not in memo:
             memo[h] = float(f(h))
         return h, memo[h]

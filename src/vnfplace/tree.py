@@ -10,10 +10,11 @@ label. Fully deterministic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .netmodel import load_json, save_json
 
 #: Impurity differences below this are treated as exact ties.
 _TIE_TOL = 1e-12
@@ -132,14 +133,11 @@ class DecisionTree:
 
 
 def save_model(tree: DecisionTree, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tree.to_json(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    save_json(tree.to_json(), path)
 
 
 def load_model(path) -> DecisionTree:
-    with open(path, encoding="utf-8") as fh:
-        return DecisionTree.from_json(json.load(fh))
+    return DecisionTree.from_json(load_json(path))
 
 
 def _majority(y_enc: np.ndarray, n_classes: int) -> int:

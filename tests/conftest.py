@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from vnfplace import features, netmodel, placer, swarm
-from vnfplace.netmodel import Dist, GenConfig, VnfType
+from vnfplace.netmodel import Dist, GenConfig, VnfType, config_from_json
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DESK_CONFIG_PATH = os.path.join(REPO_ROOT, "configs", "desk.json")
@@ -34,7 +34,7 @@ def tiny_config(seed=7, n_servers=4, replicas=(1, 1, 1, 1)):
 @pytest.fixture(scope="session")
 def desk_gen_config():
     with open(DESK_CONFIG_PATH, encoding="utf-8") as fh:
-        return GenConfig.from_json(json.load(fh)["gen"])
+        return config_from_json(GenConfig, json.load(fh)["gen"], "gen")
 
 
 @pytest.fixture(scope="session")

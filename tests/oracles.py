@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 
 from vnfplace import placer
+from vnfplace.netmodel import CHAIN
 from vnfplace.placer import Placement
 
 
@@ -74,3 +75,35 @@ def reference_predict(model_doc, x):
         return descend(node["right"])
 
     return descend(0)
+
+
+def reference_valid(topo, sfc, p):
+    """Validity under all four constraint families, written from their
+    definitions: capacity, delay tolerance over every dependent pair,
+    anti-location, and dependency (every computational path within the
+    tolerance hop by hop)."""
+    a = p.assignment
+    if any(i.id not in a or not 0 <= a[i.id] < topo.n_servers for i in sfc.instances):
+        return False
+    for s in topo.servers:
+        hosted = [i for i in sfc.instances if a[i.id] == s.id]
+        if (sum(i.cpu_demand for i in hosted) > s.cpu_capacity
+                or sum(i.mem_demand for i in hosted) > s.mem_capacity):
+            return False
+    by_type = [[i for i in sfc.instances if i.vnf_type == t] for t in CHAIN]
+
+    def within(x, y):
+        return topo.delay[a[x.id], a[y.id]] <= sfc.tolerance[(x.vnf_type, y.vnf_type)]
+
+    for ups, downs in zip(by_type, by_type[1:]):
+        if not all(within(x, y) for x in ups for y in downs):
+            return False
+    for replicas in by_type:
+        groups = [topo.servers[a[i.id]].host_group for i in replicas]
+        if len(set(groups)) != len(groups):
+            return False
+    return all(
+        within(x, y)
+        for path in itertools.product(*by_type)
+        for x, y in zip(path, path[1:])
+    )

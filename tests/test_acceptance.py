@@ -167,7 +167,7 @@ def test_criterion_5_cart_correctness():
 def test_criterion_6_pso_correctness():
     hits = 0
     for seed in range(30):
-        h, trace = pso_minimize(lambda h: (h - 17) ** 2,
+        h, trace = pso_minimize(lambda h: (h - 17) ** 2, 2, 100,
                                 PsoParams(swarm_size=10, iterations=30, seed=seed))
         for a, b in zip(trace.best_objective, trace.best_objective[1:]):
             assert b <= a

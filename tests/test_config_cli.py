@@ -1,5 +1,7 @@
+import glob
 import json
 import os
+import shutil
 
 import pytest
 
@@ -8,11 +10,13 @@ from vnfplace.config import RunConfig, load_run_config, run_config_from_json
 from vnfplace.netmodel import ConfigError
 
 
+CONFIGS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "configs")
+
+
 def quick_config(output_dir="out", n_topologies=80, seed=42):
     """A fast end-to-end run config built on the desk generator settings."""
-    doc = json.loads(open(os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "configs", "desk.json")).read())
+    doc = json.loads(open(os.path.join(CONFIGS_DIR, "desk.json")).read())
     doc["gen"]["n_topologies"] = n_topologies
     doc["gen"]["base_seed"] = seed
     doc["seed"] = seed
@@ -35,13 +39,23 @@ def test_run_config_round_trip():
     assert run_config_from_json(cfg.to_json()) == cfg
 
 
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS_DIR, "*.json"))),
+                         ids=os.path.basename)
+def test_shipped_config_round_trip(path):
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    cfg = load_run_config(path)
+    assert cfg.to_json() == doc  # every key is a field, every field a key
+    assert run_config_from_json(cfg.to_json()) == cfg
+
+
 def test_defaults_applied_for_missing_sections():
     cfg = run_config_from_json({"seed": 5})
     assert cfg.seed == 5
     assert cfg.folds == 5
     assert cfg.pso.swarm_size == 10
     assert cfg.pipeline.error_threshold == 0.075
-    assert (cfg.pipeline.initial_lo, cfg.pipeline.initial_hi) == (2, 100)
+    assert cfg.pipeline.initial_bounds == (2, 100)
 
 
 def test_unknown_key_rejected():
@@ -66,6 +80,17 @@ def test_unknown_key_rejected():
         {"pipeline": {"initial_bounds": [2]}},
         {"pso": 5},
         {"folds": "x"},
+        {"gen": 5},
+        {"gen": {"n_servers": "x"}},
+        {"gen": {"tolerance": 5}},
+        {"gen": {"replica_counts": 5}},
+        {"gen": {"tolerance": {"kind": "uniform", "a": "x", "b": 1}}},
+        {"pso": {"swarm_size": None}},
+        {"pso": {"seed": -2}},
+        {"gen": {"base_seed": -1}},
+        {"seed": -1},
+        {"folds": 2.9},
+        {"output_dir": 5},
     ],
 )
 def test_bad_values_rejected(patch):
@@ -103,6 +128,16 @@ def test_cli_bad_config_exits_2(tmp_path):
     doc["not_a_key"] = 1
     path = write_config(tmp_path / "cfg.json", doc)
     assert _run("generate", "--config", path) == 2
+
+
+@pytest.mark.parametrize("patch, argv", [
+    ({"gen": 5}, []),
+    ({}, ["--seed", "-1"]),
+])
+def test_cli_malformed_config_or_seed_exits_2(tmp_path, capsys, patch, argv):
+    path = write_config(tmp_path / "cfg.json", dict(quick_config(), **patch))
+    assert _run("generate", "--config", path, *argv) == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_cli_optimize_before_generate_exits_4(tmp_path, monkeypatch):
@@ -218,3 +253,18 @@ def test_cli_aliases_map_to_same_commands():
     assert cli.COMMANDS["teach"] is cli.COMMANDS["generate"]
     assert cli.COMMANDS["train"] is cli.COMMANDS["optimize"]
     assert cli.COMMANDS["evaluate"] is cli.COMMANDS["compare"]
+
+
+@pytest.mark.parametrize("name, stage", [
+    ("batch.json", "optimize"),
+    ("split.json", "optimize"),
+    ("model_optimized.json", "compare"),
+])
+def test_cli_truncated_artifact_exits_4(cli_run, tmp_path, monkeypatch, capsys, name, stage):
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    target = tmp_path / "out" / name
+    target.write_bytes(target.read_bytes()[:100])
+    path = write_config(tmp_path / "cfg.json", quick_config())
+    assert _run(stage, "--config", path) == 4
+    assert name in capsys.readouterr().err

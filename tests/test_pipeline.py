@@ -93,9 +93,9 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         PipelineSettings(steady_window=0)
     with pytest.raises(ValueError):
-        PipelineSettings(initial_lo=100, initial_hi=100)
+        PipelineSettings(initial_bounds=(100, 100))
     with pytest.raises(ValueError):
-        PipelineSettings(initial_lo=0)
+        PipelineSettings(initial_bounds=(0, 100))
 
 
 class _CurveStage2:
@@ -158,7 +158,7 @@ def _hopeless_problem():
 def test_stage1_raises_when_threshold_unreachable():
     ds, ctx = _hopeless_problem()
     folds = features.kfold(ds, 3, seed=0)
-    settings = PipelineSettings(initial_hi=40)
+    settings = PipelineSettings(initial_bounds=(2, 40))
     with pytest.raises(RangeNotFound,
                        match="never reached 0.075 .*minimum 1.000, first at depth 2"):
         pipeline.run_pipeline(ds, ctx, folds, PsoParams(seed=0, iterations=3),
@@ -173,9 +173,9 @@ def test_full_pipeline_on_small_batch(small_dataset, tmp_path):
         ds, ctx, folds, PsoParams(seed=7), settings, config_echo={"note": "test"}
     )
     fr = report.functional_range
-    assert settings.initial_lo <= fr.a1 <= fr.a2 <= settings.initial_hi
-    assert set(report.stage1.curve) == set(range(settings.initial_lo,
-                                                 settings.initial_hi + 1))
+    lo, hi = settings.initial_bounds
+    assert lo <= fr.a1 <= fr.a2 <= hi
+    assert set(report.stage1.curve) == set(range(lo, hi + 1))
     assert len(report.fold_depths) == 5
     assert model.to_json() == tree.fit(ds.features, ds.labels, report.h_star).to_json()
     assert fr.a1 <= report.h_star <= fr.a2

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import line_topology, simple_sfc, tiny_config
-from oracles import brute_force_placement
+from oracles import brute_force_placement, reference_valid
 from vnfplace import netmodel, placer
+from vnfplace.netmodel import Dist
 from vnfplace.placer import InfeasiblePlacement, Placement
 
 
@@ -84,7 +87,7 @@ def test_tolerance_boundary_is_inclusive():
     report = placer.validate_placement(topo, tight, p)
     assert not report.valid
     kinds = {k for k, _ in report.violations}
-    assert kinds == {"delay_tolerance", "dependency"}
+    assert kinds == {"delay_tolerance"}
 
 
 def test_capacity_violation_detected():
@@ -102,7 +105,28 @@ def test_validator_lists_every_violation():
     p = Placement(assignment={0: 0, 1: 0, 2: 0, 3: 1, 4: 2})
     report = placer.validate_placement(topo, sfc, p)
     kinds = {k for k, _ in report.violations}
-    assert kinds == {"capacity", "delay_tolerance", "anti_location", "dependency"}
+    assert kinds == {"capacity", "delay_tolerance", "anti_location"}
+
+
+# Binding tolerances U(100, 300) us: a changed label often breaks one pair's
+# tolerance and not the others, and about a third of the rows stay valid.
+@settings(max_examples=150, deadline=None)
+@given(index=st.integers(0, 39),
+       # (instance position, server id) changes to the teacher's label row;
+       # desk geometry has 6 instances and 15 servers (id 15 is out of range)
+       changes=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 15)), max_size=3))
+def test_validator_matches_four_family_reference_property(desk_gen_config, index, changes):
+    cfg = dataclasses.replace(desk_gen_config, tolerance=Dist("uniform", 100.0, 300.0))
+    topo = netmodel.generate_topology(cfg, index)
+    sfc = netmodel.build_sfc(cfg, index)
+    try:
+        labels = [s for _, s in sorted(placer.place_teacher(topo, sfc).assignment.items())]
+    except InfeasiblePlacement:
+        labels = list(range(sfc.n_instances))
+    for pos, server in changes:
+        labels[pos] = server
+    p = Placement(assignment=dict(enumerate(labels)))
+    assert placer.validate_placement(topo, sfc, p).valid == reference_valid(topo, sfc, p)
 
 
 def test_teacher_on_fully_feasible_instance():

@@ -142,7 +142,7 @@ def test_depth_validation(small_dataset):
 def test_pso_finds_quadratic_minimum_all_seeds():
     for seed in range(30):
         params = PsoParams(seed=seed)
-        h, trace = swarm.pso_minimize(lambda h: (h - 17) ** 2, params)
+        h, trace = swarm.pso_minimize(lambda h: (h - 17) ** 2, 2, 100, params)
         assert h == 17
         assert trace.best_objective[-1] == 0.0
 
@@ -150,7 +150,7 @@ def test_pso_finds_quadratic_minimum_all_seeds():
 def test_pso_trace_non_increasing():
     for seed in range(10):
         params = PsoParams(seed=seed, iterations=25)
-        _, trace = swarm.pso_minimize(lambda h: math.sin(h) * 50 + h, params)
+        _, trace = swarm.pso_minimize(lambda h: math.sin(h) * 50 + h, 2, 100, params)
         assert len(trace.best_objective) == 26
         for a, b in zip(trace.best_objective, trace.best_objective[1:]):
             assert b <= a
@@ -163,8 +163,8 @@ def test_pso_stays_in_bounds():
         seen.append(h)
         return -h  # pushes toward the upper bound
 
-    params = PsoParams(lo=5, hi=40, seed=3)
-    h, _ = swarm.pso_minimize(f, params)
+    params = PsoParams(seed=3)
+    h, _ = swarm.pso_minimize(f, 5, 40, params)
     assert h == 40
     assert all(5 <= s <= 40 for s in seen)
 
@@ -172,8 +172,8 @@ def test_pso_stays_in_bounds():
 def test_pso_deterministic_per_seed():
     params = PsoParams(seed=9)
     f = lambda h: (h - 33) ** 2 + 0.1 * h
-    a = swarm.pso_minimize(f, params)
-    b = swarm.pso_minimize(f, params)
+    a = swarm.pso_minimize(f, 2, 100, params)
+    b = swarm.pso_minimize(f, 2, 100, params)
     assert a[0] == b[0]
     assert a[1].best_objective == b[1].best_objective
     assert a[1].best_h == b[1].best_h
@@ -186,7 +186,7 @@ def test_pso_memoizes_objective():
         calls.append(h)
         return (h - 10) ** 2
 
-    swarm.pso_minimize(f, PsoParams(seed=0))
+    swarm.pso_minimize(f, 2, 100, PsoParams(seed=0))
     assert len(calls) == len(set(calls))
 
 
@@ -198,14 +198,12 @@ def test_params_validation():
     with pytest.raises(ValueError):
         PsoParams(inertia=0.0)
     with pytest.raises(ValueError):
-        PsoParams(lo=10, hi=10)
-    p = PsoParams(seed=4).with_bounds(3, 50)
-    assert (p.lo, p.hi, p.seed) == (3, 50, 4)
+        swarm.pso_minimize(abs, 10, 10, PsoParams())
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**31), target=st.integers(2, 100))
 def test_pso_near_optimal_on_unimodal_property(seed, target):
     params = PsoParams(seed=seed)
-    h, _ = swarm.pso_minimize(lambda h: abs(h - target), params)
+    h, _ = swarm.pso_minimize(lambda h: abs(h - target), 2, 100, params)
     assert abs(h - target) <= 2
