@@ -2,19 +2,22 @@
 
 Subcommands map to workflow stages: ``generate`` (topologies, heuristic
 placements, dataset), ``optimize`` (depth search and final models), and
-``compare`` (held-out head-to-head report). ``teach``, ``train`` and
-``evaluate`` are aliases. All state lives in files under the configured
-output directory; progress goes to stderr only, so reruns with the same
-config and seed are byte-identical.
+``compare`` (held-out head-to-head report: ``comparison.json``, with both
+trees' node counts and whether they are identical, and one
+``diff_hist_<a>_vs_<b>.csv`` per non-empty ``delay_differences`` entry).
+``teach``, ``train`` and ``evaluate`` are aliases. All state lives in files
+under the configured output directory, each written atomically; progress
+goes to stderr only, so reruns with the same config and seed are
+byte-identical.
 
 Exit codes: 0 success, 2 config error, 3 infeasibility or pipeline
-failure, 4 missing artifact.
+failure, 4 an upstream artifact that is missing, does not parse, or lacks
+what the stage reads (the message names the file).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -125,24 +128,26 @@ def cmd_generate(cfg: RunConfig, workers: int) -> int:
 
 
 def _load_context(cfg: RunConfig, which: str):
-    """Rebuild per-row (topology, sfc) context and teacher data for a split."""
+    """Rebuild a split's (topology, sfc) context and its teacher rows, each as
+    (placement, mean path delay)."""
     paths = _paths(cfg)
     topologies, sfcs, _ = netmodel.load_batch(_require(paths["batch"]))
-    split = netmodel.load_json(_require(paths["split"]))
-    rows = netmodel.load_json(_require(paths["placements"]))
-    by_index = {r["index"]: r for r in rows}
-    idx = split[which]
-    ctx_topos = [topologies[i] for i in idx]
-    ctx_sfcs = [sfcs[i] for i in idx]
-    teacher_rows = [by_index[i] for i in idx]
-    return idx, ctx_topos, ctx_sfcs, teacher_rows
+    rows = netmodel.load_json(_require(paths["placements"]), lambda rows: {
+        r["index"]: (placer.placement_from_row(r), float(np.mean(r["cp_delays"])))
+        for r in rows})
+
+    def pick(split):
+        idx = split[which]
+        return ([topologies[i] for i in idx], [sfcs[i] for i in idx],
+                [rows[i] for i in idx])
+    return netmodel.load_json(_require(paths["split"]), pick)
 
 
 def cmd_optimize(cfg: RunConfig, workers: int) -> int:
     paths = _paths(cfg)
     ds = features.load_dataset(_require(paths["train"]))
-    _, topos, sfcs, teacher_rows = _load_context(cfg, "train")
-    teacher_avg = [float(np.mean(r["cp_delays"])) for r in teacher_rows]
+    topos, sfcs, teacher = _load_context(cfg, "train")
+    teacher_avg = [avg for _, avg in teacher]
     ctx = swarm.make_context(topos, sfcs, teacher_avg)
     if ds.n_samples < cfg.folds:
         _log(f"pipeline failed: {ds.n_samples} training rows cannot fill "
@@ -158,22 +163,14 @@ def cmd_optimize(cfg: RunConfig, workers: int) -> int:
         _log(f"pipeline failed: {e}")
         return EXIT_PIPELINE
     pipeline.save_report(report, paths["report"])
-    with open(paths["stage1_curve"], "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["depth", "invalid_rate"])
-        for d in sorted(report.stage1.curve):
-            w.writerow([d, repr(report.stage1.curve[d])])
-    with open(paths["stage1_trace"], "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "best_h", "best_objective"])
-        t = report.stage1.trace
-        for i, (h, v) in enumerate(zip(t.best_h, t.best_objective)):
-            w.writerow([i, h, repr(v)])
-    with open(paths["stage2_curve"], "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["depth", "objective"])
-        for d in sorted(report.stage2.curve):
-            w.writerow([d, repr(report.stage2.curve[d])])
+    netmodel.save_csv(paths["stage1_curve"], ["depth", "invalid_rate"],
+                      ([d, repr(v)] for d, v in sorted(report.stage1.curve.items())))
+    t = report.stage1.trace
+    netmodel.save_csv(paths["stage1_trace"], ["iteration", "best_h", "best_objective"],
+                      ([i, h, repr(v)]
+                       for i, (h, v) in enumerate(zip(t.best_h, t.best_objective))))
+    netmodel.save_csv(paths["stage2_curve"], ["depth", "objective"],
+                      ([d, repr(v)] for d, v in sorted(report.stage2.curve.items())))
     tree.save_model(model, paths["model_optimized"])
     tree.save_model(full.truncate(cfg.baseline_depth), paths["model_baseline"])
     _log(f"functional range [{report.functional_range.a1}, "
@@ -185,39 +182,33 @@ def cmd_compare(cfg: RunConfig, workers: int) -> int:
     paths = _paths(cfg)
     optimized = tree.load_model(_require(paths["model_optimized"]))
     baseline = tree.load_model(_require(paths["model_baseline"]))
-    idx, topos, sfcs, teacher_rows = _load_context(cfg, "test")
-    rows = [
-        evaluation.EvalRow(t, s, features.extract_features(t, s))
-        for t, s in zip(topos, sfcs)
-    ]
-    teacher_placements = [placer.placement_from_row(r) for r in teacher_rows]
+    topos, sfcs, teacher = _load_context(cfg, "test")
+    X = np.array([features.extract_features(t, s) for t, s in zip(topos, sfcs)])
 
-    def heuristic_fn_factory():
-        it = iter(teacher_placements)
-        return lambda row: next(it)
-
-    def model_fn(model):
-        return lambda row: swarm.placement_from_labels(
-            row.sfc, model.predict(row.features)[0]
-        )
+    def predicted(model):
+        return [swarm.placement_from_labels(s, labels)
+                for s, labels in zip(sfcs, model.predict(X))]
 
     results = [
-        evaluation.evaluate_strategy("heuristic", heuristic_fn_factory(), rows),
-        evaluation.evaluate_strategy("baseline_tree", model_fn(baseline), rows),
-        evaluation.evaluate_strategy("optimized_tree", model_fn(optimized), rows),
+        evaluation.evaluate_strategy("heuristic", topos, sfcs, [p for p, _ in teacher]),
+        evaluation.evaluate_strategy("baseline_tree", topos, sfcs, predicted(baseline)),
+        evaluation.evaluate_strategy("optimized_tree", topos, sfcs, predicted(optimized)),
     ]
     report = evaluation.comparison_report(results, cfg.histogram_bin_width_us)
-    evaluation.save_report_json(report, paths["comparison"])
+    report["node_counts"] = {"baseline_tree": baseline.node_count(),
+                             "optimized_tree": optimized.node_count()}
+    report["baseline_equals_optimized"] = (
+        baseline.to_json()["nodes"] == optimized.to_json()["nodes"])
+    netmodel.save_json(report, paths["comparison"])
     evaluation.save_cp_delay_csv(results, paths["cp_delays"])
     evaluation.save_pair_delay_csv(results, sfcs[0], paths["pair_delays"])
-    for a in results:
-        for b in results:
-            if a.name < b.name:
-                d = evaluation.delay_difference_stats(a, b, cfg.histogram_bin_width_us)
-                if not d.empty:
-                    evaluation.save_diff_histogram_csv(
-                        d, os.path.join(cfg.output_dir,
-                                        f"diff_hist_{a.name}_vs_{b.name}.csv"))
+    for key, entry in report["delay_differences"].items():
+        if entry["n_samples"]:
+            evaluation.save_diff_histogram_csv(
+                entry, os.path.join(cfg.output_dir, f"diff_hist_{key}.csv"))
+    if report["baseline_equals_optimized"]:
+        _log(f"baseline and optimized trees are identical "
+             f"({optimized.node_count()} nodes)")
     for r in results:
         _log(f"{r.name}: ip_rate={r.ip_rate:.3f} mean_cp_delay={r.mean_cp_delay:.1f}")
     return 0

@@ -1,38 +1,31 @@
 """Head-to-head comparison of placement strategies on a held-out batch.
 
-For every test row each strategy produces a placement; invalid placements
-are flagged and excluded from delay aggregates. Win ratios count, per
-(row, path) cell where every compared strategy is valid, the strategy with
-strictly least delay; exact ties go to a separate ties column. Delay
-differences are computed per common-valid cell and summarized as mean plus
-a fixed-width histogram.
+Each strategy gives one placement per test row; ``evaluate_strategy``
+validates it and keeps its per-path and per-pair delays, none when it is
+invalid (invalid rows are excluded from delay aggregates). The comparison
+then walks once over the (row, path) cells where every strategy is valid.
+That walk feeds the win table, where a cell goes to the strategy with
+strictly least delay and exact ties to a separate ties column; each pair
+(a, b)'s wins and ties; and each pair's per-cell delay differences
+delay_a - delay_b, summarized as a mean plus a fixed-width histogram.
+Each histogram CSV is written from its entry in the report.
 """
 
 from __future__ import annotations
 
-import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netmodel import SfcSpec, Topology, save_json
+from .netmodel import SfcSpec, Topology, save_csv
 from .placer import (
     Placement,
-    cp_delay,
     dependent_pairs,
-    enumerate_cps,
+    path_delays,
     server_delay,
     validate_placement,
 )
-
-
-@dataclass
-class EvalRow:
-    """One held-out test case: its topology, chain spec, and feature vector."""
-
-    topology: Topology
-    sfc: SfcSpec
-    features: np.ndarray
 
 
 @dataclass
@@ -64,24 +57,15 @@ class StrategyResult:
         return float(np.mean(delays)) if delays else float("nan")
 
 
-def evaluate_strategy(name: str, place_fn, rows: list[EvalRow]) -> StrategyResult:
-    """Run one strategy over the test rows.
-
-    ``place_fn(row) -> Placement`` may raise nothing; infeasibility must be
-    expressed as an invalid placement upstream.
-    """
+def evaluate_strategy(name: str, topologies: list[Topology], sfcs: list[SfcSpec],
+                      placements: list[Placement]) -> StrategyResult:
+    """Validate and score one strategy's placement of each test row."""
     outcomes = []
-    for row in rows:
-        p: Placement = place_fn(row)
-        report = validate_placement(row.topology, row.sfc, p)
-        if report.valid:
-            cps = enumerate_cps(row.sfc)
-            cp_delays = [cp_delay(row.topology, p, cp) for cp in cps]
-            pair_delays = [
-                server_delay(row.topology, p.server_of(a), p.server_of(b))
-                for a, b in dependent_pairs(row.sfc)
-            ]
-            outcomes.append(RowOutcome(True, cp_delays, pair_delays))
+    for topo, sfc, p in zip(topologies, sfcs, placements, strict=True):
+        if validate_placement(topo, sfc, p).valid:
+            pair_delays = [server_delay(topo, p.server_of(a), p.server_of(b))
+                           for a, b in dependent_pairs(sfc)]
+            outcomes.append(RowOutcome(True, path_delays(topo, p, sfc), pair_delays))
         else:
             outcomes.append(RowOutcome(False, [], []))
     return StrategyResult(name=name, rows=outcomes)
@@ -102,58 +86,43 @@ def _check_aligned(results: list[StrategyResult]):
             raise ValueError(f"misaligned results: row {i} differs in path count")
 
 
+def _common_cells(results: list[StrategyResult]) -> np.ndarray:
+    """Delays of the (row, path) cells where every strategy is valid: one
+    array row per cell, in (row, path) order, one column per strategy."""
+    _check_aligned(results)
+    cells = [cell for rows in zip(*(r.rows for r in results)) if all(x.valid for x in rows)
+             for cell in zip(*(x.cp_delays for x in rows))]
+    return np.array(cells, dtype=float).reshape(len(cells), len(results))
+
+
 @dataclass
 class WinTable:
     strategies: list[str]
     wins: dict[str, int]
     ties: int
     compared_cells: int
+    # Per pair (a, b), a before b in strategy order, over the same cells:
+    # (wins_a, wins_b, ties), and delay_a - delay_b per cell.
     pairwise: dict[tuple[str, str], tuple[int, int, int]] = field(default_factory=dict)
-    # pairwise value: (wins_a, wins_b, ties)
+    differences: dict[tuple[str, str], list[float]] = field(default_factory=dict)
 
 
 def win_ratios(results: list[StrategyResult]) -> WinTable:
     """Per-(row, path) least-delay wins, over cells valid for all strategies."""
-    _check_aligned(results)
+    cells = _common_cells(results)
     names = [r.name for r in results]
-    wins = {n: 0 for n in names}
-    ties = 0
-    cells = 0
-    for i in range(len(results[0].rows)):
-        if not all(r.rows[i].valid for r in results):
-            continue
-        for j in range(len(results[0].rows[i].cp_delays)):
-            cells += 1
-            delays = [r.rows[i].cp_delays[j] for r in results]
-            m = min(delays)
-            winners = [k for k, d in enumerate(delays) if d == m]
-            if len(winners) == 1:
-                wins[names[winners[0]]] += 1
-            else:
-                ties += 1
-    pairwise = {}
-    for a in range(len(results)):
-        for b in range(a + 1, len(results)):
-            sub = win_ratios_pair(results[a], results[b])
-            pairwise[(names[a], names[b])] = sub
-    return WinTable(strategies=names, wins=wins, ties=ties,
-                    compared_cells=cells, pairwise=pairwise)
-
-
-def win_ratios_pair(a: StrategyResult, b: StrategyResult) -> tuple[int, int, int]:
-    _check_aligned([a, b])
-    wa = wb = ties = 0
-    for ra, rb in zip(a.rows, b.rows):
-        if not (ra.valid and rb.valid):
-            continue
-        for da, db in zip(ra.cp_delays, rb.cp_delays):
-            if da < db:
-                wa += 1
-            elif db < da:
-                wb += 1
-            else:
-                ties += 1
-    return wa, wb, ties
+    least = cells == cells.min(axis=1, keepdims=True)
+    sole = least.sum(axis=1) == 1
+    table = WinTable(strategies=names,
+                     wins={n: int((least[:, k] & sole).sum()) for k, n in enumerate(names)},
+                     ties=int((~sole).sum()), compared_cells=len(cells))
+    for a, b in itertools.combinations(range(len(names)), 2):
+        da, db = cells[:, a], cells[:, b]
+        key = (names[a], names[b])
+        table.pairwise[key] = (int((da < db).sum()), int((db < da).sum()),
+                               int((da == db).sum()))
+        table.differences[key] = (da - db).tolist()
+    return table
 
 
 @dataclass
@@ -166,14 +135,8 @@ class DiffStats:
     empty: bool = False
 
 
-def delay_difference_stats(a: StrategyResult, b: StrategyResult,
-                           bin_width: float = 5.0) -> DiffStats:
-    """Per common-valid (row, path) cell: delay_a - delay_b."""
-    _check_aligned([a, b])
-    samples = []
-    for ra, rb in zip(a.rows, b.rows):
-        if ra.valid and rb.valid:
-            samples.extend(da - db for da, db in zip(ra.cp_delays, rb.cp_delays))
+def delay_difference_stats(samples: list[float], bin_width: float = 5.0) -> DiffStats:
+    """Mean and fixed-width histogram of per-cell delay differences."""
     if not samples:
         return DiffStats([], float("nan"), bin_width, [], [], empty=True)
     lo = np.floor(min(samples) / bin_width) * bin_width
@@ -197,12 +160,11 @@ def delay_difference_stats(a: StrategyResult, b: StrategyResult,
 
 def comparison_report(results: list[StrategyResult],
                       bin_width: float = 5.0) -> dict:
+    """Per-strategy aggregates, the win table and each pair's differences."""
     table = win_ratios(results)
     diffs = {}
-    for (na, nb), _ in table.pairwise.items():
-        a = next(r for r in results if r.name == na)
-        b = next(r for r in results if r.name == nb)
-        d = delay_difference_stats(a, b, bin_width)
+    for (na, nb), samples in table.differences.items():
+        d = delay_difference_stats(samples, bin_width)
         diffs[f"{na}_vs_{nb}"] = {
             "mean": None if d.empty else d.mean,
             "n_samples": len(d.samples),
@@ -234,8 +196,8 @@ def comparison_report(results: list[StrategyResult],
     }
 
 
-def save_report_json(report: dict, path):
-    save_json(report, path)
+def _mean_cell(vals: list[float]) -> str:
+    return repr(float(np.mean(vals))) if vals else ""
 
 
 def save_cp_delay_csv(results: list[StrategyResult], path):
@@ -243,32 +205,21 @@ def save_cp_delay_csv(results: list[StrategyResult], path):
     n_cps = max((len(r.rows[i].cp_delays)
                  for r in results for i in range(len(r.rows)) if r.rows[i].valid),
                 default=0)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["strategy", "cp_index", "mean_delay_us"])
-        for r in results:
-            for j in range(n_cps):
-                vals = [row.cp_delays[j] for row in r.rows if row.valid]
-                w.writerow([r.name, j, repr(float(np.mean(vals))) if vals else ""])
+    save_csv(path, ["strategy", "cp_index", "mean_delay_us"],
+             ([r.name, j, _mean_cell([row.cp_delays[j] for row in r.rows if row.valid])]
+              for r in results for j in range(n_cps)))
 
 
 def save_pair_delay_csv(results: list[StrategyResult], sfc: SfcSpec, path):
-    pairs = dependent_pairs(sfc)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["strategy", "pair_index", "upstream_id", "downstream_id",
-                    "mean_delay_us"])
-        for r in results:
-            for j, (a, b) in enumerate(pairs):
-                vals = [row.pair_delays[j] for row in r.rows if row.valid]
-                w.writerow([r.name, j, a, b,
-                            repr(float(np.mean(vals))) if vals else ""])
+    save_csv(path, ["strategy", "pair_index", "upstream_id", "downstream_id",
+                    "mean_delay_us"],
+             ([r.name, j, a, b, _mean_cell([row.pair_delays[j] for row in r.rows if row.valid])]
+              for r in results for j, (a, b) in enumerate(dependent_pairs(sfc))))
 
 
-def save_diff_histogram_csv(d: DiffStats, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_lo_us", "bin_hi_us", "count"])
-        for k in range(len(d.bin_counts)):
-            w.writerow([repr(d.bin_edges[k]), repr(d.bin_edges[k + 1]),
-                        d.bin_counts[k]])
+def save_diff_histogram_csv(entry: dict, path):
+    """One ``delay_differences`` entry of the report as a table of bins."""
+    edges = entry["bin_edges"]
+    save_csv(path, ["bin_lo_us", "bin_hi_us", "count"],
+             ([repr(lo), repr(hi), c]
+              for lo, hi, c in zip(edges, edges[1:], entry["bin_counts"])))

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import ADJACENT_PAIRS, SfcSpec, Topology, VnfType, load_json, save_json
+from .netmodel import (
+    ADJACENT_PAIRS, SfcSpec, Topology, VnfType, load_json, save_csv, save_json,
+)
 from .placer import Placement
 
 
@@ -173,23 +175,20 @@ def save_dataset(ds: Dataset, path: str):
         "label_cols": ds.label_cols,
         "n_servers": ds.n_servers,
     }, schema_path(path))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(ds.feature_cols + ds.label_cols)
-        for r in range(ds.n_samples):
-            w.writerow([repr(float(v)) for v in ds.features[r]] + [int(v) for v in ds.labels[r]])
+    save_csv(path, ds.feature_cols + ds.label_cols,
+             ([repr(float(v)) for v in ds.features[r]] + [int(v) for v in ds.labels[r]]
+              for r in range(ds.n_samples)))
 
 
 def load_dataset(path: str) -> Dataset:
     try:
-        schema = load_json(schema_path(path))
+        feature_cols, label_cols, n_servers = load_json(schema_path(path), lambda s: (
+            list(s["feature_cols"]), list(s["label_cols"]), int(s["n_servers"])))
     except FileNotFoundError:
         raise DatasetSchemaError(f"missing schema file {schema_path(path)}") from None
-    feature_cols = list(schema["feature_cols"])
-    label_cols = list(schema["label_cols"])
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != feature_cols + label_cols:
             raise DatasetSchemaError(
                 f"{path}: header does not match schema (expected "
@@ -200,7 +199,10 @@ def load_dataset(path: str) -> Dataset:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != nf + len(label_cols):
                 raise DatasetSchemaError(f"{path}:{lineno}: wrong column count")
-            X.append([float(v) for v in row[:nf]])
+            try:
+                X.append([float(v) for v in row[:nf]])
+            except ValueError as e:
+                raise DatasetSchemaError(f"{path}:{lineno}: {e}") from None
             labels = []
             for col, v in zip(label_cols, row[nf:]):
                 try:
@@ -213,4 +215,4 @@ def load_dataset(path: str) -> Dataset:
     nf_total = len(feature_cols)
     X_arr = np.array(X, dtype=float).reshape(len(X), nf_total)
     Y_arr = np.array(Y, dtype=int).reshape(len(Y), len(label_cols))
-    return Dataset(X_arr, Y_arr, feature_cols, label_cols, int(schema["n_servers"]))
+    return Dataset(X_arr, Y_arr, feature_cols, label_cols, n_servers)

@@ -7,7 +7,9 @@ config and its index, independent of generation order.
 
 from __future__ import annotations
 
+import csv
 import json
+import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import get_args, get_origin, get_type_hints
@@ -350,23 +352,55 @@ def build_sfc(cfg: GenConfig, index: int) -> SfcSpec:
 
 
 class ArtifactError(Exception):
-    """An artifact file is missing or is not valid JSON."""
+    """An artifact file is missing, is not valid JSON, or lacks what its reader needs."""
+
+
+def _write_atomic(path, write):
+    """Call ``write(fh)`` on a temporary file beside ``path``, then move it onto
+    ``path``: a write that fails leaves the previous file and no temporary one."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def save_json(doc, path):
     """Write a JSON artifact: sorted keys, one-space indent, final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+    def write(fh):
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
+    _write_atomic(path, write)
 
 
-def load_json(path):
-    """Read a JSON artifact; one that does not parse raises ArtifactError."""
+def save_csv(path, header, rows):
+    """Write a CSV artifact in csv's default dialect (``\\r\\n`` line ends)."""
+    def write(fh):
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    _write_atomic(path, write)
+
+
+def load_json(path, build=lambda doc: doc):
+    """Read a JSON artifact and return ``build(doc)``.
+
+    A file that does not parse, or a document ``build`` cannot use (it raises
+    LookupError, TypeError or ValueError, ConfigError included), raises
+    ArtifactError naming the file.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return build(json.load(fh))
         except json.JSONDecodeError as e:
             raise ArtifactError(f"{path} is not valid JSON: {e}") from None
+        except (LookupError, TypeError, ValueError) as e:
+            raise ArtifactError(
+                f"{path} is malformed: {type(e).__name__}: {e}") from None
 
 
 def topology_to_json(topo: Topology) -> dict:
@@ -452,8 +486,8 @@ def save_batch(path, topologies: list[Topology], sfcs: list[SfcSpec], cfg: GenCo
 
 
 def load_batch(path) -> tuple[list[Topology], list[SfcSpec], GenConfig]:
-    doc = load_json(path)
-    cfg = config_from_json(GenConfig, doc["config"], f"{path} config")
-    topologies = [topology_from_json(t) for t in doc["topologies"]]
-    sfcs = [sfc_from_json(s) for s in doc["sfcs"]]
-    return topologies, sfcs, cfg
+    def build(doc):
+        cfg = config_from_json(GenConfig, doc["config"], f"{path} config")
+        topologies = [topology_from_json(t) for t in doc["topologies"]]
+        return topologies, [sfc_from_json(s) for s in doc["sfcs"]], cfg
+    return load_json(path, build)

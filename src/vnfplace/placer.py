@@ -77,10 +77,15 @@ def cp_delay(topo: Topology, p: Placement, cp: ComputationalPath) -> float:
     return total
 
 
+def path_delays(topo: Topology, p: Placement, sfc: SfcSpec) -> list[float]:
+    """Delay of every computational path, in ``enumerate_cps`` order."""
+    return [cp_delay(topo, p, cp) for cp in enumerate_cps(sfc)]
+
+
 def avg_cp_delay(topo: Topology, p: Placement, sfc: SfcSpec) -> float:
     """Arithmetic mean of path delay over all computational paths."""
-    cps = enumerate_cps(sfc)
-    return sum(cp_delay(topo, p, cp) for cp in cps) / len(cps)
+    delays = path_delays(topo, p, sfc)
+    return sum(delays) / len(delays)
 
 
 def total_pair_delay(topo: Topology, p: Placement, sfc: SfcSpec) -> float:
@@ -235,7 +240,7 @@ def placement_row(index: int, topo: Topology, sfc: SfcSpec, p: Placement) -> dic
         "index": index,
         "assignment": {str(k): v for k, v in p.assignment.items()},
         "valid": report.valid,
-        "cp_delays": [cp_delay(topo, p, cp) for cp in enumerate_cps(sfc)],
+        "cp_delays": path_delays(topo, p, sfc),
     }
 
 

@@ -137,7 +137,7 @@ def save_model(tree: DecisionTree, path):
 
 
 def load_model(path) -> DecisionTree:
-    return DecisionTree.from_json(load_json(path))
+    return load_json(path, DecisionTree.from_json)
 
 
 def _majority(y_enc: np.ndarray, n_classes: int) -> int:

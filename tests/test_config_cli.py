@@ -1,3 +1,4 @@
+import csv
 import glob
 import json
 import os
@@ -255,16 +256,69 @@ def test_cli_aliases_map_to_same_commands():
     assert cli.COMMANDS["evaluate"] is cli.COMMANDS["compare"]
 
 
-@pytest.mark.parametrize("name, stage", [
-    ("batch.json", "optimize"),
-    ("split.json", "optimize"),
-    ("model_optimized.json", "compare"),
+def _truncate(text):
+    return text[:100]
+
+
+def _malformed_batch_config(text):
+    return json.dumps(dict(json.loads(text), config=5))
+
+
+@pytest.mark.parametrize("name, stage, edit", [
+    pytest.param("batch.json", "optimize", _truncate, id="batch.json-optimize"),
+    pytest.param("split.json", "optimize", _truncate, id="split.json-optimize"),
+    pytest.param("model_optimized.json", "compare", _truncate,
+                 id="model_optimized.json-compare"),
+    pytest.param("split.json", "optimize", lambda _: "{}", id="split.json-optimize-no-key"),
+    pytest.param("batch.json", "optimize", _malformed_batch_config,
+                 id="batch.json-optimize-bad-config"),
+    pytest.param("train.schema.json", "optimize", lambda _: '{"feature_cols": []}',
+                 id="train.schema.json-optimize-no-key"),
+    pytest.param("model_optimized.json", "compare", lambda _: '{"nodes": []}',
+                 id="model_optimized.json-compare-no-key"),
+    pytest.param("train.csv", "optimize", lambda _: "", id="train.csv-optimize-empty"),
+    pytest.param("train.csv", "optimize", lambda text: text.replace("\n", "\nx", 1),
+                 id="train.csv-optimize-not-a-number"),
 ])
-def test_cli_truncated_artifact_exits_4(cli_run, tmp_path, monkeypatch, capsys, name, stage):
+def test_cli_truncated_artifact_exits_4(cli_run, tmp_path, monkeypatch, capsys,
+                                        name, stage, edit):
     monkeypatch.chdir(tmp_path)
     shutil.copytree(cli_run / "out", tmp_path / "out")
     target = tmp_path / "out" / name
-    target.write_bytes(target.read_bytes()[:100])
+    target.write_text(edit(target.read_text()))
     path = write_config(tmp_path / "cfg.json", quick_config())
     assert _run(stage, "--config", path) == 4
     assert name in capsys.readouterr().err
+
+
+def test_cli_histograms_match_report(cli_run):
+    out = cli_run / "out"
+    diffs = json.loads((out / "comparison.json").read_text())["delay_differences"]
+    hists = {p.name[len("diff_hist_"):-len(".csv")]: p for p in out.glob("diff_hist_*.csv")}
+    assert sorted(hists) == sorted(k for k, e in diffs.items() if e["n_samples"])
+    for key, path in hists.items():
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        edges = [float(r[0]) for r in rows] + [float(rows[-1][1])]
+        assert edges == diffs[key]["bin_edges"], key
+        assert [int(r[2]) for r in rows] == diffs[key]["bin_counts"], key
+
+
+def test_cli_compare_flags_identical_trees(cli_run, tmp_path, monkeypatch, capsys):
+    out = cli_run / "out"
+    comparison = json.loads((out / "comparison.json").read_text())
+    models = {name: json.loads((out / f"model_{name}.json").read_text())
+              for name in ("baseline", "optimized")}
+    assert comparison["node_counts"] == {f"{name}_tree": len(m["nodes"])
+                                         for name, m in models.items()}
+    assert comparison["baseline_equals_optimized"] == (
+        models["baseline"]["nodes"] == models["optimized"]["nodes"])
+
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(out, tmp_path / "out")
+    shutil.copyfile(out / "model_optimized.json", tmp_path / "out" / "model_baseline.json")
+    path = write_config(tmp_path / "cfg.json", quick_config())
+    assert _run("compare", "--config", path) == 0
+    same = json.loads((tmp_path / "out" / "comparison.json").read_text())
+    assert same["baseline_equals_optimized"] is True
+    assert "trees are identical" in capsys.readouterr().err

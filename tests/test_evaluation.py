@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import line_topology, simple_sfc
-from vnfplace import evaluation, features, placer
+from vnfplace import evaluation, netmodel, placer
 from vnfplace.evaluation import (
-    EvalRow,
     RowOutcome,
     StrategyResult,
     delay_difference_stats,
     win_ratios,
-    win_ratios_pair,
 )
 from vnfplace.placer import Placement
 
@@ -25,6 +23,11 @@ def _result(name, rows):
         rows=[RowOutcome(False, [], []) if r is None else RowOutcome(True, list(r), list(r))
               for r in rows],
     )
+
+
+def _differences(a, b):
+    """Per common-valid cell: delay_a - delay_b, from the one cell walk."""
+    return win_ratios([a, b]).differences[(a.name, b.name)]
 
 
 # [DERIVED] by hand: per-cell strict minimum over 3 strategies across
@@ -50,16 +53,30 @@ def test_invalid_rows_excluded_from_cells():
     assert table.wins == {"A": 1, "B": 0}
 
 
+def test_pairwise_counts_use_cells_valid_for_every_strategy():
+    a = _result("A", [[1.0], [2.0]])
+    b = _result("B", [[2.0], [1.0]])
+    c = _result("C", [[3.0], None])
+    table = win_ratios([a, b, c])
+    assert table.compared_cells == 1
+    assert table.pairwise[("A", "B")] == (1, 0, 0)
+    assert table.differences[("A", "B")] == [-1.0]
+
+
 def test_win_ratios_pair_consistent_with_table():
     rng = np.random.default_rng(4)
     rows_a = [list(rng.uniform(0, 100, 4)) for _ in range(20)]
     rows_b = [list(rng.uniform(0, 100, 4)) for _ in range(20)]
     a, b = _result("A", rows_a), _result("B", rows_b)
-    wa, wb, t = win_ratios_pair(a, b)
+    cells = [(x, y) for ra, rb in zip(rows_a, rows_b) for x, y in zip(ra, rb)]
+    wa = sum(x < y for x, y in cells)
+    wb = sum(y < x for x, y in cells)
+    t = sum(x == y for x, y in cells)
     assert wa + wb + t == 80
     table = win_ratios([a, b])
     assert table.pairwise[("A", "B")] == (wa, wb, t)
     assert table.wins["A"] == wa and table.wins["B"] == wb
+    assert table.ties == t
 
 
 def test_misaligned_inputs_rejected():
@@ -79,7 +96,7 @@ def test_misaligned_inputs_rejected():
 def test_delay_difference_stats_hand_case():
     a = _result("A", [[1.0, 5.0], [3.0, 8.0]])
     b = _result("B", [[2.0, 4.0], [6.0, 6.0]])
-    d = delay_difference_stats(a, b, bin_width=5.0)
+    d = delay_difference_stats(_differences(a, b), bin_width=5.0)
     assert sorted(d.samples) == [-3.0, -1.0, 1.0, 2.0]
     assert d.mean == pytest.approx(-0.25, abs=0)
     assert d.bin_edges == [-5.0, 0.0, 5.0]
@@ -91,7 +108,7 @@ def test_delay_difference_counts_cover_all_samples():
     rng = np.random.default_rng(9)
     a = _result("A", [list(rng.uniform(0, 400, 4)) for _ in range(30)])
     b = _result("B", [list(rng.uniform(0, 400, 4)) for _ in range(30)])
-    d = delay_difference_stats(a, b, bin_width=5.0)
+    d = delay_difference_stats(_differences(a, b), bin_width=5.0)
     assert sum(d.bin_counts) == len(d.samples) == 120
     assert d.bin_edges[0] <= min(d.samples)
     assert d.bin_edges[-1] >= max(d.samples)
@@ -101,29 +118,23 @@ def test_delay_difference_counts_cover_all_samples():
 def test_delay_difference_empty_when_no_common_valid():
     a = _result("A", [None, [1.0]])
     b = _result("B", [[2.0], None])
-    d = delay_difference_stats(a, b)
+    d = delay_difference_stats(_differences(a, b))
     assert d.empty and d.samples == [] and math.isnan(d.mean)
 
 
 def test_evaluate_strategy_end_to_end():
     topo = line_topology([100.0, 50.0, 25.0])
     sfc = simple_sfc()
-    rows = [EvalRow(topo, sfc, features.extract_features(topo, sfc))]
+    good = Placement(assignment={0: 0, 1: 1, 2: 2, 3: 3})
+    bad = Placement(assignment={0: 0, 1: 0, 2: 0, 3: 0})  # dependency ok...
 
-    def good(row):
-        return Placement(assignment={0: 0, 1: 1, 2: 2, 3: 3})
-
-    def bad(row):
-        return Placement(assignment={0: 0, 1: 0, 2: 0, 3: 0})  # dependency ok...
-
-    res = evaluation.evaluate_strategy("good", good, rows)
+    res = evaluation.evaluate_strategy("good", [topo], [sfc], [good])
     assert res.ip_rate == 0.0
     assert res.mean_cp_delay == pytest.approx(175.0, abs=0)
     assert res.rows[0].pair_delays == [100.0, 50.0, 25.0]
 
     overload = simple_sfc(cpu=60.0)
-    rows2 = [EvalRow(topo, overload, features.extract_features(topo, overload))]
-    res2 = evaluation.evaluate_strategy("bad", bad, rows2)
+    res2 = evaluation.evaluate_strategy("bad", [topo], [overload], [bad])
     assert res2.ip_rate == 1.0
     assert math.isnan(res2.mean_cp_delay)
 
@@ -144,9 +155,9 @@ def test_comparison_report_schema_and_persistence(tmp_path):
     assert report["win_table"]["pairwise"][key] == {"wins_a": 2, "wins_b": 2, "ties": 0}
     assert report["delay_differences"][key]["mean"] == pytest.approx(-0.25)
     path = tmp_path / "comparison.json"
-    evaluation.save_report_json(report, path)
+    netmodel.save_json(report, path)
     assert json.loads(path.read_text()) == json.loads(path.read_text())
-    evaluation.save_report_json(report, tmp_path / "again.json")
+    netmodel.save_json(report, tmp_path / "again.json")
     assert (tmp_path / "comparison.json").read_bytes() == (tmp_path / "again.json").read_bytes()
 
 
@@ -169,9 +180,9 @@ def test_csv_outputs(tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + 2 * n_pairs
 
-    d = delay_difference_stats(a, b, bin_width=5.0)
-    evaluation.save_diff_histogram_csv(d, tmp_path / "hist.csv")
+    entry = evaluation.comparison_report([a, b], bin_width=5.0)["delay_differences"]["A_vs_B"]
+    evaluation.save_diff_histogram_csv(entry, tmp_path / "hist.csv")
     with open(tmp_path / "hist.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["bin_lo_us", "bin_hi_us", "count"]
-    assert sum(int(r[2]) for r in rows[1:]) == len(d.samples)
+    assert sum(int(r[2]) for r in rows[1:]) == entry["n_samples"]

@@ -134,3 +134,15 @@ def test_batch_round_trip(tmp_path):
     for a, b in zip(sfcs, s2):
         assert a.instances == b.instances
         assert a.tolerance == b.tolerance
+
+
+def test_failed_write_keeps_previous_artifact(tmp_path):
+    path = tmp_path / "doc.json"
+    netmodel.save_json({"a": [1, 2]}, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        netmodel.save_json({"a": [1, object()]}, path)
+    with pytest.raises(ZeroDivisionError):
+        netmodel.save_csv(path, ["x"], ([1 / x] for x in (1, 0)))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
