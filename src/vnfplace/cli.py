@@ -4,20 +4,26 @@ Subcommands map to workflow stages: ``generate`` (topologies, heuristic
 placements, dataset), ``optimize`` (depth search and final models), and
 ``compare`` (held-out head-to-head report: ``comparison.json``, with both
 trees' node counts and whether they are identical, and one
-``diff_hist_<a>_vs_<b>.csv`` per non-empty ``delay_differences`` entry).
+``diff_hist_<a>_vs_<b>.csv`` per non-empty ``delay_differences`` entry; any
+other ``diff_hist_*.csv`` in the output directory is deleted).
 ``teach``, ``train`` and ``evaluate`` are aliases. All state lives in files
 under the configured output directory, each written atomically; progress
 goes to stderr only, so reruns with the same config and seed are
 byte-identical.
 
+``split.json`` carries a fingerprint of the settings ``generate`` read, and
+``optimize`` and ``compare`` refuse artifacts generated under others.
+
 Exit codes: 0 success, 2 config error, 3 infeasibility or pipeline
-failure, 4 an upstream artifact that is missing, does not parse, or lacks
-what the stage reads (the message names the file).
+failure, 4 an upstream artifact that is missing, does not parse, lacks
+what the stage reads, holds a non-finite feature, or was generated under
+other settings (the message names the file).
 """
 
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import evaluation, features, netmodel, pipeline, placer, swarm, tree
-from .config import RunConfig, load_run_config
+from .config import GENERATE_FIELDS, RunConfig, generate_fingerprint, load_run_config
 
 EXIT_CONFIG = 2
 EXIT_PIPELINE = 3
@@ -111,7 +117,8 @@ def cmd_generate(cfg: RunConfig, workers: int) -> int:
 
     netmodel.save_batch(paths["batch"], topologies, sfcs, cfg.gen)
     netmodel.save_json(rows, paths["placements"])
-    netmodel.save_json({"train": train_idx, "test": test_idx, "seed": cfg.seed},
+    netmodel.save_json({"train": train_idx, "test": test_idx, "seed": cfg.seed,
+                        "config_fingerprint": generate_fingerprint(cfg)},
                        paths["split"])
 
     placement_by_index = {r["index"]: placer.placement_from_row(r) for r in rows}
@@ -129,7 +136,8 @@ def cmd_generate(cfg: RunConfig, workers: int) -> int:
 
 def _load_context(cfg: RunConfig, which: str):
     """Rebuild a split's (topology, sfc) context and its teacher rows, each as
-    (placement, mean path delay)."""
+    (placement, mean path delay). Artifacts that ``generate`` wrote under other
+    settings than ``cfg``'s raise ArtifactError."""
     paths = _paths(cfg)
     topologies, sfcs, _ = netmodel.load_batch(_require(paths["batch"]))
     rows = netmodel.load_json(_require(paths["placements"]), lambda rows: {
@@ -137,6 +145,10 @@ def _load_context(cfg: RunConfig, which: str):
         for r in rows})
 
     def pick(split):
+        if split["config_fingerprint"] != generate_fingerprint(cfg):
+            raise netmodel.ArtifactError(
+                f"{paths['split']} was generated under other settings of "
+                f"{', '.join(GENERATE_FIELDS)} than this config's; rerun generate")
         idx = split[which]
         return ([topologies[i] for i in idx], [sfcs[i] for i in idx],
                 [rows[i] for i in idx])
@@ -202,10 +214,14 @@ def cmd_compare(cfg: RunConfig, workers: int) -> int:
     netmodel.save_json(report, paths["comparison"])
     evaluation.save_cp_delay_csv(results, paths["cp_delays"])
     evaluation.save_pair_delay_csv(results, sfcs[0], paths["pair_delays"])
-    for key, entry in report["delay_differences"].items():
-        if entry["n_samples"]:
-            evaluation.save_diff_histogram_csv(
-                entry, os.path.join(cfg.output_dir, f"diff_hist_{key}.csv"))
+    histograms = {f"diff_hist_{key}.csv": entry
+                  for key, entry in report["delay_differences"].items()
+                  if entry["n_samples"]}
+    for name, entry in histograms.items():
+        evaluation.save_diff_histogram_csv(entry, os.path.join(cfg.output_dir, name))
+    for name in os.listdir(cfg.output_dir):
+        if fnmatch.fnmatch(name, "diff_hist_*.csv") and name not in histograms:
+            os.remove(os.path.join(cfg.output_dir, name))  # left by an earlier run
     if report["baseline_equals_optimized"]:
         _log(f"baseline and optimized trees are identical "
              f"({optimized.node_count()} nodes)")

@@ -9,6 +9,7 @@ field types and rejects anything else with ``ConfigError``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -49,6 +50,19 @@ class RunConfig:
 
     def to_json(self) -> dict:
         return config_to_json(self)
+
+
+#: The RunConfig fields ``generate`` reads. The other sections (``pso``,
+#: ``pipeline``, ``folds``, ``baseline_depth``, ...) shape only later stages.
+GENERATE_FIELDS = ("gen", "seed", "test_fraction", "teacher_budget",
+                   "max_infeasible_fraction")
+
+
+def generate_fingerprint(cfg: RunConfig) -> str:
+    """sha256 of the canonical JSON of the settings ``generate`` reads."""
+    doc = {k: v for k, v in cfg.to_json().items() if k in GENERATE_FIELDS}
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def run_config_from_json(d: dict) -> RunConfig:

@@ -181,6 +181,8 @@ def save_dataset(ds: Dataset, path: str):
 
 
 def load_dataset(path: str) -> Dataset:
+    """Read a dataset ``save_dataset`` wrote. A file that breaks its schema or
+    holds a non-finite feature raises DatasetSchemaError naming file and line."""
     try:
         feature_cols, label_cols, n_servers = load_json(schema_path(path), lambda s: (
             list(s["feature_cols"]), list(s["label_cols"]), int(s["n_servers"])))
@@ -214,5 +216,10 @@ def load_dataset(path: str) -> Dataset:
             Y.append(labels)
     nf_total = len(feature_cols)
     X_arr = np.array(X, dtype=float).reshape(len(X), nf_total)
+    non_finite = np.argwhere(~np.isfinite(X_arr))
+    if len(non_finite):
+        r, c = non_finite[0]
+        raise DatasetSchemaError(f"{path}:{r + 2}: column {feature_cols[c]!r} "
+                                 f"is not finite: {float(X_arr[r, c])!r}")
     Y_arr = np.array(Y, dtype=int).reshape(len(Y), len(label_cols))
     return Dataset(X_arr, Y_arr, feature_cols, label_cols, n_servers)

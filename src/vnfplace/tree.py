@@ -6,6 +6,12 @@ distinct sorted feature values; ties break to the lowest feature index,
 then the lowest threshold. Leaves (and internal nodes, for depth-truncated
 prediction) store per-output majority labels with ties to the smallest
 label. Fully deterministic.
+
+The split search is the exhaustive CART scan (Breiman et al., 1984) for
+all features at once: one sort per node, exact integer class counts, so
+every tree is bit-identical to a feature-by-feature scan's (the reference
+in ``tests/oracles.py``). Features must be finite: no split may depend on
+where a sort puts NaN.
 """
 
 from __future__ import annotations
@@ -148,38 +154,44 @@ def _majority(y_enc: np.ndarray, n_classes: int) -> int:
 def _best_split(X: np.ndarray, Yenc: np.ndarray, n_classes: list[int]):
     """Exhaustive best (feature, threshold) by mean weighted child Gini.
 
+    One pass: a stable argsort of every column at once orders the node's
+    rows per feature; for each output, one integer cumsum of its labels
+    gathered through that order gives the class counts left of every split
+    position, and the node's counts minus those give the right ones. Counts
+    and sums of squared counts are exact integers, and each score is the
+    same float expression, summed over outputs in the same order, as in a
+    feature-by-feature scan, so every score is bit-identical to that scan's.
+    A feature's candidate is its first position within ``_TIE_TOL`` of its
+    minimum; in feature order, a candidate replaces the best only when lower
+    by more than ``_TIE_TOL``.
+
     Returns (feature, threshold, score) or None when no feature admits a split.
     """
     n, nf = X.shape
-    n_out = Yenc.shape[1]
-    best = None  # (score, feature, threshold)
-    idx = np.arange(1, n, dtype=float)  # left-side sizes per split position
-    for f in range(nf):
-        x = X[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        valid = xs[:-1] < xs[1:]
-        if not valid.any():
-            continue
-        total = np.zeros(n - 1)
-        for o in range(n_out):
-            ys = Yenc[order, o]
-            onehot = np.zeros((n, n_classes[o]))
-            onehot[np.arange(n), ys] = 1.0
-            prefix = np.cumsum(onehot, axis=0)[:-1]  # left counts at each position
-            left_sq = (prefix**2).sum(axis=1)
-            right = prefix[-1] + onehot[-1] - prefix
-            right_sq = (right**2).sum(axis=1)
-            total += (idx - left_sq / idx + (n - idx) - right_sq / (n - idx)) / n
-        scores = total / n_out
-        scores[~valid] = np.inf
-        i = int(np.flatnonzero(scores <= scores.min() + _TIE_TOL)[0])
-        score = float(scores[i])
-        if best is None or score < best[0] - _TIE_TOL:
-            best = (score, f, float((xs[i] + xs[i + 1]) / 2.0))
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    valid = xs[:-1] < xs[1:]  # a threshold fits between sorted positions i and i + 1
+    idx = np.arange(1, n, dtype=float)[:, None]  # left-side sizes per split position
+    total = np.zeros((n - 1, nf))
+    for o, c in enumerate(n_classes):
+        ys = Yenc[order[:-1], o]
+        left = np.cumsum(ys[:, :, None] == np.arange(c), axis=0, dtype=np.int32)
+        right = np.bincount(Yenc[:, o], minlength=c).astype(np.int32) - left
+        left_sq = np.einsum("ijk,ijk->ij", left, left, dtype=np.int64)
+        right_sq = np.einsum("ijk,ijk->ij", right, right, dtype=np.int64)
+        total += (idx - left_sq / idx + (n - idx) - right_sq / (n - idx)) / n
+    scores = np.where(valid, total / len(n_classes), np.inf)
+    first = np.argmax(scores <= scores.min(axis=0) + _TIE_TOL, axis=0)
+    candidate = scores[first, np.arange(nf)].tolist()
+    best = None  # (score, feature)
+    for f in np.flatnonzero(valid.any(axis=0)).tolist():
+        if best is None or candidate[f] < best[0] - _TIE_TOL:
+            best = (candidate[f], f)
     if best is None:
         return None
-    return best[1], best[2], best[0]
+    score, f = best
+    i = first[f]
+    return f, float((xs[i, f] + xs[i + 1, f]) / 2.0), score
 
 
 def fit(X: np.ndarray, Y: np.ndarray, max_depth: int) -> DecisionTree:
@@ -190,6 +202,8 @@ def fit(X: np.ndarray, Y: np.ndarray, max_depth: int) -> DecisionTree:
         raise ValueError("X and Y must be 2-D with matching sample counts")
     if X.shape[0] == 0:
         raise ValueError("cannot fit on an empty dataset")
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite: NaN or infinite feature values")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     n_out = Y.shape[1]

@@ -61,6 +61,82 @@ def stump_oracle(X, Y):
     return None if best is None else (best[1], best[2], best[0])
 
 
+def reference_best_split(X, Yenc, n_classes):
+    """Exhaustive best (feature, threshold) by mean weighted child Gini, one
+    feature and one output at a time: the scan ``tree._best_split`` does for
+    all features at once, with the same arithmetic and tie rules.
+
+    Returns (feature, threshold, score) or None when no feature admits a split.
+    """
+    n, nf = X.shape
+    n_out = Yenc.shape[1]
+    best = None  # (score, feature, threshold)
+    idx = np.arange(1, n, dtype=float)  # left-side sizes per split position
+    for f in range(nf):
+        x = X[:, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        valid = xs[:-1] < xs[1:]
+        if not valid.any():
+            continue
+        total = np.zeros(n - 1)
+        for o in range(n_out):
+            ys = Yenc[order, o]
+            onehot = np.zeros((n, n_classes[o]))
+            onehot[np.arange(n), ys] = 1.0
+            prefix = np.cumsum(onehot, axis=0)[:-1]  # left counts at each position
+            left_sq = (prefix**2).sum(axis=1)
+            right = prefix[-1] + onehot[-1] - prefix
+            right_sq = (right**2).sum(axis=1)
+            total += (idx - left_sq / idx + (n - idx) - right_sq / (n - idx)) / n
+        scores = total / n_out
+        scores[~valid] = np.inf
+        i = int(np.flatnonzero(scores <= scores.min() + 1e-12)[0])
+        score = float(scores[i])
+        if best is None or score < best[0] - 1e-12:
+            best = (score, f, float((xs[i] + xs[i + 1]) / 2.0))
+    if best is None:
+        return None
+    return best[1], best[2], best[0]
+
+
+def reference_fit(X, Y, max_depth):
+    """The model JSON document of the CART ``tree.fit(X, Y, max_depth)``
+    grows, built by plain recursion over ``reference_best_split``: nodes in
+    pre-order, per-output majorities with ties to the smallest label, a node
+    a leaf at ``max_depth``, below two rows, when every output is pure, or
+    when no feature admits a split."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=int)
+    n, n_out = Y.shape
+    classes = [sorted(set(Y[:, o].tolist())) for o in range(n_out)]
+    Yenc = np.array([[classes[o].index(v) for o, v in enumerate(row)]
+                     for row in Y.tolist()], dtype=int).reshape(n, n_out)
+    nodes = []
+
+    def grow(rows, depth):
+        labels = [Y[rows, o].tolist() for o in range(n_out)]
+        node = {"feature": -1, "threshold": None, "left": -1, "right": -1,
+                "depth": depth,
+                "majority": [min(set(ys), key=lambda c: (-ys.count(c), c)) for ys in labels]}
+        nodes.append(node)
+        here = len(nodes) - 1
+        if depth >= max_depth or len(rows) < 2 or all(len(set(ys)) == 1 for ys in labels):
+            return here
+        split = reference_best_split(X[rows], Yenc[rows], [len(c) for c in classes])
+        if split is None:
+            return here
+        f, thr, _ = split
+        node["feature"], node["threshold"] = f, thr
+        node["left"] = grow([r for r in rows if X[r, f] <= thr], depth + 1)
+        node["right"] = grow([r for r in rows if X[r, f] > thr], depth + 1)
+        return here
+
+    grow(list(range(n)), 0)
+    return {"n_features": X.shape[1], "n_outputs": n_out, "max_depth_fit": max_depth,
+            "classes": classes, "nodes": nodes}
+
+
 def reference_predict(model_doc, x):
     """Recursive-descent traversal of a serialized tree, written independently
     of the array-based predictor."""

@@ -6,8 +6,12 @@ import shutil
 
 import pytest
 
+from dataclasses import replace
+
 from vnfplace import cli, config
-from vnfplace.config import RunConfig, load_run_config, run_config_from_json
+from vnfplace.config import (
+    GENERATE_FIELDS, RunConfig, generate_fingerprint, load_run_config, run_config_from_json,
+)
 from vnfplace.netmodel import ConfigError
 
 
@@ -99,6 +103,20 @@ def test_bad_values_rejected(patch):
         run_config_from_json(patch)
 
 
+def test_generate_fingerprint_covers_exactly_what_generate_reads():
+    cfg = run_config_from_json(quick_config())
+    retuned = replace(cfg, folds=3, baseline_depth=7, output_dir="elsewhere",
+                      histogram_bin_width_us=2.0,
+                      pso=replace(cfg.pso, swarm_size=4, seed=9),
+                      pipeline=replace(cfg.pipeline, error_threshold=0.5))
+    assert generate_fingerprint(retuned) == generate_fingerprint(cfg)
+    changed = {"gen": replace(cfg.gen, base_seed=cfg.gen.base_seed + 1), "seed": cfg.seed + 1,
+               "test_fraction": 0.3, "teacher_budget": 999, "max_infeasible_fraction": 0.5}
+    assert sorted(changed) == sorted(GENERATE_FIELDS)
+    for key, value in changed.items():
+        assert generate_fingerprint(replace(cfg, **{key: value})) != generate_fingerprint(cfg), key
+
+
 def test_load_missing_and_invalid_files(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_run_config(str(tmp_path / "nope.json"))
@@ -161,6 +179,24 @@ def test_cli_generate_without_a_train_and_test_row_exits_3(tmp_path, monkeypatch
     path = write_config(tmp_path / "cfg.json", quick_config(n_topologies=1))
     assert _run("generate", "--config", path, "--workers", "1") == 3
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_cli_stage_refuses_artifacts_generated_under_other_settings(tmp_path, monkeypatch,
+                                                                    capsys):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path / "cfg.json", quick_config(n_topologies=12))
+    assert _run("generate", "--config", path, "--workers", "1", "--seed", "1") == 0
+    split = json.loads((tmp_path / "out" / "split.json").read_text())
+    assert len(split["config_fingerprint"]) == 64
+    capsys.readouterr()
+    assert _run("optimize", "--config", path, "--seed", "2") == 4
+    assert "split.json was generated under other settings" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "pipeline_report.json").exists()
+    assert _run("optimize", "--config", path, "--seed", "1") == 0
+    capsys.readouterr()
+    assert _run("compare", "--config", path, "--seed", "2") == 4
+    assert "split.json was generated under other settings" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "comparison.json").exists()
 
 
 def test_cli_optimize_with_fewer_rows_than_folds_exits_3(tmp_path, monkeypatch):
@@ -264,6 +300,13 @@ def _malformed_batch_config(text):
     return json.dumps(dict(json.loads(text), config=5))
 
 
+def _non_finite_features(text):
+    header, first, rest = text.split("\n", 2)
+    cells = first.split(",")
+    cells[1], cells[2] = "nan", "inf"
+    return "\n".join([header, ",".join(cells), rest])
+
+
 @pytest.mark.parametrize("name, stage, edit", [
     pytest.param("batch.json", "optimize", _truncate, id="batch.json-optimize"),
     pytest.param("split.json", "optimize", _truncate, id="split.json-optimize"),
@@ -279,6 +322,8 @@ def _malformed_batch_config(text):
     pytest.param("train.csv", "optimize", lambda _: "", id="train.csv-optimize-empty"),
     pytest.param("train.csv", "optimize", lambda text: text.replace("\n", "\nx", 1),
                  id="train.csv-optimize-not-a-number"),
+    pytest.param("train.csv", "optimize", _non_finite_features,
+                 id="train.csv-optimize-non-finite"),
 ])
 def test_cli_truncated_artifact_exits_4(cli_run, tmp_path, monkeypatch, capsys,
                                         name, stage, edit):
@@ -302,6 +347,20 @@ def test_cli_histograms_match_report(cli_run):
         edges = [float(r[0]) for r in rows] + [float(rows[-1][1])]
         assert edges == diffs[key]["bin_edges"], key
         assert [int(r[2]) for r in rows] == diffs[key]["bin_counts"], key
+
+
+def test_cli_compare_removes_stale_histograms(cli_run, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    out = tmp_path / "out"
+    (out / "diff_hist_baseline_tree_vs_heuristic.csv").write_text("lo,hi,count\n0,5,1\n")
+    (out / "notes.csv").write_text("kept\n")
+    path = write_config(tmp_path / "cfg.json", quick_config())
+    assert _run("compare", "--config", path) == 0
+    diffs = json.loads((out / "comparison.json").read_text())["delay_differences"]
+    assert sorted(p.name for p in out.glob("diff_hist_*.csv")) == sorted(
+        f"diff_hist_{k}.csv" for k, e in diffs.items() if e["n_samples"])
+    assert (out / "notes.csv").read_text() == "kept\n"
 
 
 def test_cli_compare_flags_identical_trees(cli_run, tmp_path, monkeypatch, capsys):

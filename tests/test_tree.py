@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import reference_predict, stump_oracle
+from oracles import reference_fit, reference_predict, stump_oracle
 from vnfplace import tree
 from vnfplace.tree import DecisionTree
 
@@ -152,6 +152,11 @@ def test_fit_input_validation():
         tree.fit(np.zeros((4, 3)), np.zeros((4, 1), dtype=int), max_depth=0)
     with pytest.raises(ValueError):
         tree.fit(np.zeros((4, 3)), np.zeros((5, 1), dtype=int), max_depth=3)
+    for bad in (np.nan, np.inf):
+        X = np.zeros((4, 3)) + np.arange(4)[:, None]
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            tree.fit(X, np.arange(4, dtype=int)[:, None], max_depth=3)
     t = tree.fit(np.zeros((4, 3)) + np.arange(4)[:, None],
                  np.arange(4, dtype=int)[:, None], max_depth=3)
     with pytest.raises(ValueError, match="width"):
@@ -193,3 +198,38 @@ def test_tree_invariants_property(seed, depth):
     pred = t.predict(X)
     for o in range(Y.shape[1]):
         assert set(np.unique(pred[:, o])) <= set(t.classes[o].tolist())
+
+
+@st.composite
+def tie_heavy_problems(draw):
+    """Small (X, Y) full of exact ties: each fresh column takes 2-4 levels,
+    other columns copy an earlier one or are constant, and each output has
+    its own alphabet of 1-4 labels (one label: a single-class output)."""
+    n = draw(st.integers(2, 60))
+    levels = draw(st.integers(2, 4))
+    kinds = draw(st.lists(st.sampled_from(["fresh", "copy", "constant"]),
+                          min_size=1, max_size=6))
+    alphabets = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in kinds:
+        if kind == "copy" and columns:
+            columns.append(columns[int(rng.integers(len(columns)))].copy())
+        elif kind == "constant":
+            columns.append(np.full(n, 0.3 * int(rng.integers(levels))))
+        else:
+            columns.append(0.3 * rng.integers(0, levels, size=n))
+    Y = np.stack([rng.choice(rng.choice(20, size=k, replace=False), size=n)
+                  for k in alphabets], axis=1)
+    return np.stack(columns, axis=1), Y
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=tie_heavy_problems())
+def test_fit_matches_reference_property(problem):
+    """The one-pass split search grows exactly the tree of the per-feature,
+    per-output reference scan at every depth up to one past the natural one."""
+    X, Y = problem
+    natural = tree.fit(X, Y, max_depth=X.shape[0]).tree_depth()
+    for h in range(1, natural + 2):
+        assert tree.fit(X, Y, max_depth=h).to_json() == reference_fit(X, Y, h)
