@@ -12,7 +12,10 @@ goes to stderr only, so reruns with the same config and seed are
 byte-identical.
 
 ``split.json`` carries a fingerprint of the settings ``generate`` read, and
-``optimize`` and ``compare`` refuse artifacts generated under others.
+``optimize`` and ``compare`` refuse artifacts generated under others. The
+models carry one of the split's fingerprint plus the settings ``optimize``
+read, and ``compare`` refuses models optimized under others. ``optimize``
+removes the models of an earlier run before it can fail.
 
 Exit codes: 0 success, 2 config error, 3 infeasibility or pipeline
 failure, 4 an upstream artifact that is missing, does not parse, lacks
@@ -32,7 +35,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import evaluation, features, netmodel, pipeline, placer, swarm, tree
-from .config import GENERATE_FIELDS, RunConfig, generate_fingerprint, load_run_config
+from .config import (
+    GENERATE_FIELDS, OPTIMIZE_FIELDS, RunConfig, generate_fingerprint, load_run_config,
+    optimize_fingerprint,
+)
 
 EXIT_CONFIG = 2
 EXIT_PIPELINE = 3
@@ -130,8 +136,19 @@ def cmd_generate(cfg: RunConfig, workers: int) -> int:
 
     valid = sum(1 for r in rows if r["valid"])
     _log(f"teacher placements: {valid}/{len(rows)} valid, "
-         f"{n_infeasible} infeasible; train={len(train_idx)} test={len(test_idx)}")
+         f"{n_infeasible} infeasible; train={len(train_idx)} test={len(test_idx)}; "
+         f"{sum(r['teacher_nodes'] for r in rows)} search nodes, budget exhausted on "
+         f"{sum(r['budget_exhausted'] for r in rows)} rows")
     return 0
+
+
+def _check_fingerprint(doc: dict, expected: str, path: str, stage: str, fields) -> None:
+    """Raise ArtifactError unless ``doc`` records ``expected`` as its
+    ``config_fingerprint``; artifacts written before the key existed have none."""
+    if doc.get("config_fingerprint") != expected:
+        raise netmodel.ArtifactError(
+            f"{path} was {stage}d under other settings of {', '.join(fields)} "
+            f"than this config's; rerun {stage}")
 
 
 def _load_context(cfg: RunConfig, which: str):
@@ -145,11 +162,9 @@ def _load_context(cfg: RunConfig, which: str):
         for r in rows})
 
     def pick(split):
-        if split["config_fingerprint"] != generate_fingerprint(cfg):
-            raise netmodel.ArtifactError(
-                f"{paths['split']} was generated under other settings of "
-                f"{', '.join(GENERATE_FIELDS)} than this config's; rerun generate")
         idx = split[which]
+        _check_fingerprint(split, generate_fingerprint(cfg), paths["split"], "generate",
+                           GENERATE_FIELDS)
         return ([topologies[i] for i in idx], [sfcs[i] for i in idx],
                 [rows[i] for i in idx])
     return netmodel.load_json(_require(paths["split"]), pick)
@@ -157,6 +172,9 @@ def _load_context(cfg: RunConfig, which: str):
 
 def cmd_optimize(cfg: RunConfig, workers: int) -> int:
     paths = _paths(cfg)
+    for key in ("model_baseline", "model_optimized"):
+        if os.path.exists(paths[key]):
+            os.remove(paths[key])  # never left for compare by a failed run
     ds = features.load_dataset(_require(paths["train"]))
     topos, sfcs, teacher = _load_context(cfg, "train")
     teacher_avg = [avg for _, avg in teacher]
@@ -183,8 +201,10 @@ def cmd_optimize(cfg: RunConfig, workers: int) -> int:
                        for i, (h, v) in enumerate(zip(t.best_h, t.best_objective))))
     netmodel.save_csv(paths["stage2_curve"], ["depth", "objective"],
                       ([d, repr(v)] for d, v in sorted(report.stage2.curve.items())))
-    tree.save_model(model, paths["model_optimized"])
-    tree.save_model(full.truncate(cfg.baseline_depth), paths["model_baseline"])
+    fingerprint = optimize_fingerprint(cfg)
+    for key, m in [("model_optimized", model),
+                   ("model_baseline", full.truncate(cfg.baseline_depth))]:
+        netmodel.save_json(dict(m.to_json(), config_fingerprint=fingerprint), paths[key])
     _log(f"functional range [{report.functional_range.a1}, "
          f"{report.functional_range.a2}], optimal depth {report.h_star}")
     return 0
@@ -192,9 +212,17 @@ def cmd_optimize(cfg: RunConfig, workers: int) -> int:
 
 def cmd_compare(cfg: RunConfig, workers: int) -> int:
     paths = _paths(cfg)
-    optimized = tree.load_model(_require(paths["model_optimized"]))
-    baseline = tree.load_model(_require(paths["model_baseline"]))
     topos, sfcs, teacher = _load_context(cfg, "test")
+
+    def load_model(key):
+        def build(doc):
+            model = tree.DecisionTree.from_json(doc)
+            _check_fingerprint(doc, optimize_fingerprint(cfg), paths[key], "optimize",
+                               OPTIMIZE_FIELDS + GENERATE_FIELDS)
+            return model
+        return netmodel.load_json(_require(paths[key]), build)
+
+    optimized, baseline = load_model("model_optimized"), load_model("model_baseline")
     X = np.array([features.extract_features(t, s) for t, s in zip(topos, sfcs)])
 
     def predicted(model):

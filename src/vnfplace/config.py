@@ -57,12 +57,25 @@ class RunConfig:
 GENERATE_FIELDS = ("gen", "seed", "test_fraction", "teacher_budget",
                    "max_infeasible_fraction")
 
+#: The RunConfig fields ``optimize`` reads beyond those its input was generated under.
+OPTIMIZE_FIELDS = ("folds", "pso", "pipeline", "baseline_depth")
+
+
+def _fingerprint(doc: dict) -> str:
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 def generate_fingerprint(cfg: RunConfig) -> str:
     """sha256 of the canonical JSON of the settings ``generate`` reads."""
-    doc = {k: v for k, v in cfg.to_json().items() if k in GENERATE_FIELDS}
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _fingerprint({k: v for k, v in cfg.to_json().items() if k in GENERATE_FIELDS})
+
+
+def optimize_fingerprint(cfg: RunConfig) -> str:
+    """sha256 of the canonical JSON of the split's fingerprint plus the
+    settings ``optimize`` reads, recorded in the models it writes."""
+    doc = {k: v for k, v in cfg.to_json().items() if k in OPTIMIZE_FIELDS}
+    return _fingerprint(dict(doc, split=generate_fingerprint(cfg)))
 
 
 def run_config_from_json(d: dict) -> RunConfig:

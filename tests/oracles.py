@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 
 from vnfplace import placer
-from vnfplace.netmodel import CHAIN
-from vnfplace.placer import Placement
+from vnfplace.netmodel import CHAIN, DEPENDENCY_LEVEL
+from vnfplace.placer import InfeasiblePlacement, Placement
 
 
 def brute_force_placement(topo, sfc):
@@ -183,3 +183,93 @@ def reference_valid(topo, sfc, p):
         for path in itertools.product(*by_type)
         for x, y in zip(path, path[1:])
     )
+
+
+def reference_place_teacher(topo, sfc, budget=1000):
+    """The teacher search as first written: it rebuilds every search node's
+    candidate list from scratch, one server and one upstream replica at a time.
+    ``placer.place_teacher`` must return the same assignment, in the same
+    insertion order, or raise ``InfeasiblePlacement`` exactly when this does.
+
+    Place the chain on the topology, minimizing total dependent-pair delay.
+
+    Depth-first search in chain order; children ordered by incremental delay
+    cost then server id; branches whose partial cost cannot beat the best
+    complete assignment are pruned. ``budget`` caps the number of expanded
+    nodes; the best complete assignment seen is returned.
+    """
+    order = [i for t in CHAIN for i in sfc.replicas(t)]
+    n_inst = len(order)
+    by_id = {i.id: i for i in sfc.instances}
+    upstream: list[list[int]] = []  # per order position: already-placed dependent ids
+    for k, inst in enumerate(order):
+        pos = DEPENDENCY_LEVEL[inst.vnf_type]
+        prev_type = CHAIN[pos - 1] if pos > 0 else None
+        upstream.append(
+            [i.id for i in order[:k] if prev_type is not None and i.vnf_type == prev_type]
+        )
+
+    delay = topo.delay
+    best_cost = float("inf")
+    best_assignment: dict[int, int] | None = None
+    nodes = 0
+
+    assignment: dict[int, int] = {}
+    cpu_left = [s.cpu_capacity for s in topo.servers]
+    mem_left = [s.mem_capacity for s in topo.servers]
+
+    def candidates(k: int) -> list[tuple[float, int]]:
+        inst = order[k]
+        out = []
+        used_groups = {
+            topo.servers[assignment[i.id]].host_group
+            for i in order[:k]
+            if i.vnf_type == inst.vnf_type
+        }
+        for s in topo.servers:
+            if inst.cpu_demand > cpu_left[s.id] or inst.mem_demand > mem_left[s.id]:
+                continue
+            if s.host_group in used_groups:
+                continue
+            cost = 0.0
+            ok = True
+            for uid in upstream[k]:
+                d = delay[assignment[uid], s.id]
+                tol = sfc.tolerance[(by_id[uid].vnf_type, inst.vnf_type)]
+                if d > tol:
+                    ok = False
+                    break
+                cost += d
+            if ok:
+                out.append((cost, s.id))
+        out.sort()
+        return out
+
+    def search(k: int, cost: float):
+        nonlocal best_cost, best_assignment, nodes
+        if k == n_inst:
+            if cost < best_cost:
+                best_cost = cost
+                best_assignment = dict(assignment)
+            return
+        inst = order[k]
+        for inc, sid in candidates(k):
+            if nodes >= budget:
+                return
+            if cost + inc >= best_cost:
+                break  # candidates sorted: no cheaper child remains
+            nodes += 1
+            assignment[inst.id] = sid
+            cpu_left[sid] -= inst.cpu_demand
+            mem_left[sid] -= inst.mem_demand
+            search(k + 1, cost + inc)
+            cpu_left[sid] += inst.cpu_demand
+            mem_left[sid] += inst.mem_demand
+            del assignment[inst.id]
+
+    search(0, 0.0)
+    if best_assignment is None:
+        raise InfeasiblePlacement(
+            f"no valid assignment found within a budget of {budget} nodes"
+        )
+    return Placement(assignment=best_assignment)

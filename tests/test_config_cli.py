@@ -10,7 +10,8 @@ from dataclasses import replace
 
 from vnfplace import cli, config
 from vnfplace.config import (
-    GENERATE_FIELDS, RunConfig, generate_fingerprint, load_run_config, run_config_from_json,
+    GENERATE_FIELDS, OPTIMIZE_FIELDS, RunConfig, generate_fingerprint, load_run_config,
+    optimize_fingerprint, run_config_from_json,
 )
 from vnfplace.netmodel import ConfigError
 
@@ -115,6 +116,18 @@ def test_generate_fingerprint_covers_exactly_what_generate_reads():
     assert sorted(changed) == sorted(GENERATE_FIELDS)
     for key, value in changed.items():
         assert generate_fingerprint(replace(cfg, **{key: value})) != generate_fingerprint(cfg), key
+
+
+def test_optimize_fingerprint_covers_the_split_and_what_optimize_reads():
+    cfg = run_config_from_json(quick_config())
+    retuned = replace(cfg, output_dir="elsewhere", histogram_bin_width_us=2.0)
+    assert optimize_fingerprint(retuned) == optimize_fingerprint(cfg)
+    changed = {"folds": 3, "pso": replace(cfg.pso, swarm_size=4), "baseline_depth": 7,
+               "pipeline": replace(cfg.pipeline, error_threshold=0.5)}
+    assert sorted(changed) == sorted(OPTIMIZE_FIELDS)
+    changed["teacher_budget"] = 999  # a generate setting: the split's fingerprint
+    for key, value in changed.items():
+        assert optimize_fingerprint(replace(cfg, **{key: value})) != optimize_fingerprint(cfg), key
 
 
 def test_load_missing_and_invalid_files(tmp_path):
@@ -307,33 +320,81 @@ def _non_finite_features(text):
     return "\n".join([header, ",".join(cells), rest])
 
 
-@pytest.mark.parametrize("name, stage, edit", [
-    pytest.param("batch.json", "optimize", _truncate, id="batch.json-optimize"),
-    pytest.param("split.json", "optimize", _truncate, id="split.json-optimize"),
-    pytest.param("model_optimized.json", "compare", _truncate,
+def _drop_fingerprint(text):
+    return json.dumps({k: v for k, v in json.loads(text).items() if k != "config_fingerprint"})
+
+
+@pytest.mark.parametrize("name, stage, edit, says", [
+    pytest.param("batch.json", "optimize", _truncate, "is not valid JSON",
+                 id="batch.json-optimize"),
+    pytest.param("split.json", "optimize", _truncate, "is not valid JSON",
+                 id="split.json-optimize"),
+    pytest.param("model_optimized.json", "compare", _truncate, "is not valid JSON",
                  id="model_optimized.json-compare"),
-    pytest.param("split.json", "optimize", lambda _: "{}", id="split.json-optimize-no-key"),
-    pytest.param("batch.json", "optimize", _malformed_batch_config,
+    pytest.param("split.json", "optimize", lambda _: "{}", "is malformed",
+                 id="split.json-optimize-no-key"),
+    pytest.param("batch.json", "optimize", _malformed_batch_config, "is malformed",
                  id="batch.json-optimize-bad-config"),
     pytest.param("train.schema.json", "optimize", lambda _: '{"feature_cols": []}',
-                 id="train.schema.json-optimize-no-key"),
+                 "is malformed", id="train.schema.json-optimize-no-key"),
     pytest.param("model_optimized.json", "compare", lambda _: '{"nodes": []}',
-                 id="model_optimized.json-compare-no-key"),
-    pytest.param("train.csv", "optimize", lambda _: "", id="train.csv-optimize-empty"),
+                 "is malformed", id="model_optimized.json-compare-no-key"),
+    pytest.param("train.csv", "optimize", lambda _: "", "dataset error",
+                 id="train.csv-optimize-empty"),
     pytest.param("train.csv", "optimize", lambda text: text.replace("\n", "\nx", 1),
-                 id="train.csv-optimize-not-a-number"),
-    pytest.param("train.csv", "optimize", _non_finite_features,
+                 "dataset error", id="train.csv-optimize-not-a-number"),
+    pytest.param("train.csv", "optimize", _non_finite_features, "is not finite",
                  id="train.csv-optimize-non-finite"),
+    # written before split.json carried the fingerprint
+    pytest.param("split.json", "optimize", _drop_fingerprint, "rerun generate",
+                 id="split.json-optimize-no-fingerprint"),
 ])
 def test_cli_truncated_artifact_exits_4(cli_run, tmp_path, monkeypatch, capsys,
-                                        name, stage, edit):
+                                        name, stage, edit, says):
     monkeypatch.chdir(tmp_path)
     shutil.copytree(cli_run / "out", tmp_path / "out")
     target = tmp_path / "out" / name
     target.write_text(edit(target.read_text()))
     path = write_config(tmp_path / "cfg.json", quick_config())
     assert _run(stage, "--config", path) == 4
-    assert name in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert name in err and says in err
+
+
+def test_cli_compare_refuses_models_of_other_optimize_settings(cli_run, tmp_path,
+                                                               monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    models = {p.name: p.read_bytes() for p in (tmp_path / "out").glob("model_*.json")}
+    assert sorted(models) == ["model_baseline.json", "model_optimized.json"]
+    doc = quick_config()
+    train_rows = len(json.loads((tmp_path / "out" / "split.json").read_text())["train"])
+    doc["folds"] = train_rows + 1
+    path = write_config(tmp_path / "cfg.json", doc)
+    assert _run("optimize", "--config", path) == 3
+    assert not list((tmp_path / "out").glob("model_*.json"))
+    capsys.readouterr()
+    assert _run("compare", "--config", path) == 4
+    assert "model_optimized.json" in capsys.readouterr().err
+    # models an earlier optimize wrote under other settings, left in place
+    for name, data in models.items():
+        (tmp_path / "out" / name).write_bytes(data)
+    assert _run("compare", "--config", path) == 4
+    err = capsys.readouterr().err
+    assert "model_optimized.json was optimized under other settings" in err
+    assert "rerun optimize" in err
+    assert _run("compare", "--config", write_config(tmp_path / "same.json",
+                                                    quick_config())) == 0
+
+
+def test_cli_generate_records_teacher_counters(cli_run):
+    rows = json.loads((cli_run / "out" / "placements.json").read_text())
+    budget = quick_config()["teacher_budget"]
+    for row in rows:
+        assert 1 <= row["teacher_nodes"] <= budget
+        assert isinstance(row["budget_exhausted"], bool)
+        assert not row["budget_exhausted"] or row["teacher_nodes"] == budget
+    assert any(r["budget_exhausted"] for r in rows)
 
 
 def test_cli_histograms_match_report(cli_run):

@@ -1,12 +1,14 @@
 import dataclasses
+import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import line_topology, simple_sfc, tiny_config
-from oracles import brute_force_placement, reference_valid
+from conftest import REPO_ROOT, line_topology, simple_sfc, tiny_config
+from oracles import brute_force_placement, reference_place_teacher, reference_valid
 from vnfplace import netmodel, placer
 from vnfplace.netmodel import Dist
 from vnfplace.placer import InfeasiblePlacement, Placement
@@ -152,6 +154,20 @@ def test_teacher_matches_brute_force_on_tiny_instances():
     assert within >= 29  # near-optimal on exhaustively checkable instances
 
 
+def test_teacher_search_not_cut_short_is_optimal():
+    cfg = tiny_config(seed=29, n_servers=5, replicas=(1, 2, 1, 1))
+    finished = 0
+    for i in range(10):
+        topo = netmodel.generate_topology(cfg, i)
+        sfc = netmodel.build_sfc(cfg, i)
+        opt, opt_cost = brute_force_placement(topo, sfc)
+        p = placer.place_teacher(topo, sfc)
+        if not p.budget_exhausted:
+            finished += 1
+            assert placer.total_pair_delay(topo, p, sfc) == pytest.approx(opt_cost, abs=1e-9)
+    assert finished == 10
+
+
 def test_teacher_skips_undersized_server():
     topo = line_topology([10.0, 10.0, 10.0])
     servers = list(topo.servers)
@@ -194,3 +210,74 @@ def test_cp_count_law_cross_check(small_batch):
     cfg, topos, sfcs, _ = small_batch
     for sfc in sfcs[:20]:
         assert len(placer.enumerate_cps(sfc)) == sfc.n_paths
+
+
+def _assert_counters_exact(topo, sfc, got, budget):
+    """The budget is exhausted exactly when a budget one larger expands one
+    more node; otherwise the search ran to its end, so a budget of exactly the
+    nodes it expanded, or a larger one, gives the same result."""
+    assert 1 <= got.nodes <= budget
+    if got.budget_exhausted:
+        assert got.nodes == budget
+        assert placer.place_teacher(topo, sfc, budget=budget + 1).nodes == budget + 1
+    else:
+        for b in (got.nodes, budget + 1000):
+            again = placer.place_teacher(topo, sfc, budget=b)
+            assert ((again.assignment, again.nodes, again.budget_exhausted)
+                    == (got.assignment, got.nodes, False))
+
+
+def _teacher_or_none(place, topo, sfc, budget):
+    try:
+        return place(topo, sfc, budget=budget)
+    except InfeasiblePlacement:
+        return None
+
+
+# Delays on a coarse grid (50-400 us) give many cost ties; tolerances run
+# from binding (most pairs out of reach) to loose; each server fits up to
+# three unit instances or none; pairs of servers may share a host group.
+# About a third of the examples are infeasible and about 40% use up the
+# budget part way through the search.
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n_servers=st.integers(3, 30),
+       replicas=st.tuples(*[st.integers(1, 3)] * 4),
+       tolerances=st.tuples(*[st.sampled_from([150.0, 250.0, 1e4])] * 3),
+       shared_groups=st.booleans(),
+       budget=st.integers(1, 3000))
+def test_teacher_matches_reference_property(seed, n_servers, replicas, tolerances,
+                                            shared_groups, budget):
+    rng = np.random.default_rng(seed)
+    delay = np.triu(rng.integers(1, 9, size=(n_servers, n_servers)) * 50.0, 1)
+    capacity = rng.choice([0.5, 1.0, 2.0, 3.0], size=(n_servers, 2),
+                          p=[0.05, 0.25, 0.35, 0.35])
+    topo = netmodel.Topology(
+        servers=[netmodel.ServerNode(s, float(capacity[s, 0]), float(capacity[s, 1]),
+                                     netmodel.Tier.CORE, s // 2 if shared_groups else s)
+                 for s in range(n_servers)],
+        delay=delay + delay.T, seed=0)
+    sfc = simple_sfc(replicas)
+    sfc.tolerance = dict(zip(netmodel.ADJACENT_PAIRS, tolerances))
+
+    got = _teacher_or_none(placer.place_teacher, topo, sfc, budget)
+    expected = _teacher_or_none(reference_place_teacher, topo, sfc, budget)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert list(got.assignment.items()) == list(expected.assignment.items())
+        _assert_counters_exact(topo, sfc, got, budget)
+
+
+@pytest.mark.parametrize("config", ["desk.json", "medium.json"])
+def test_teacher_matches_reference_on_shipped_configs(config):
+    with open(os.path.join(REPO_ROOT, "configs", config), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    cfg = netmodel.config_from_json(netmodel.GenConfig, doc["gen"], "gen")
+    for i in range(40):
+        topo = netmodel.generate_topology(cfg, i)
+        sfc = netmodel.build_sfc(cfg, i)
+        got = placer.place_teacher(topo, sfc, budget=doc["teacher_budget"])
+        expected = reference_place_teacher(topo, sfc, budget=doc["teacher_budget"])
+        assert list(got.assignment.items()) == list(expected.assignment.items()), i
+        _assert_counters_exact(topo, sfc, got, doc["teacher_budget"])
+
