@@ -51,8 +51,8 @@ def main() -> int:
     print(f"\n=== experiment summary ({out}) ===")
     a1, a2 = report["functional_range"]
     print(f"stage 1: fold trees grew to depths {report['stage1']['fold_depths']}, "
-          f"best invalid rate {report['stage1']['best_rate']:.3f} "
-          f"at depth {report['stage1']['best_h']}")
+          f"PSO picked depth {report['stage1']['best_h']} "
+          f"(regret {report['stage1']['regret']:.3g} over the exact objective curve)")
     print(f"stage 2: functional range [{a1}, {a2}], optimal depth h* = {report['h_star']}")
     print(f"stage 3: final tree depth {report['model_depth']}, "
           f"{report['model_nodes']} nodes")

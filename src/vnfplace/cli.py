@@ -2,10 +2,11 @@
 
 Subcommands map to workflow stages: ``generate`` (topologies, heuristic
 placements, dataset), ``optimize`` (depth search and final models), and
-``compare`` (held-out head-to-head report: ``comparison.json``, with both
-trees' node counts and whether they are identical, and one
-``diff_hist_<a>_vs_<b>.csv`` per non-empty ``delay_differences`` entry; any
-other ``diff_hist_*.csv`` in the output directory is deleted).
+``compare`` (held-out head-to-head report on the features ``generate``
+wrote to ``test.csv``: ``comparison.json``, with both trees' node counts and
+whether they are identical, and one ``diff_hist_<a>_vs_<b>.csv`` per
+non-empty ``delay_differences`` entry; any other ``diff_hist_*.csv`` in the
+output directory is deleted).
 ``teach``, ``train`` and ``evaluate`` are aliases. All state lives in files
 under the configured output directory, each written atomically; progress
 goes to stderr only, so reruns with the same config and seed are
@@ -14,8 +15,9 @@ byte-identical.
 ``split.json`` carries a fingerprint of the settings ``generate`` read, and
 ``optimize`` and ``compare`` refuse artifacts generated under others. The
 models carry one of the split's fingerprint plus the settings ``optimize``
-read, and ``compare`` refuses models optimized under others. ``optimize``
-removes the models of an earlier run before it can fail.
+read, and ``compare`` refuses models optimized under others or on another
+feature width. ``optimize`` removes everything an earlier ``optimize`` or
+``compare`` wrote before it can fail.
 
 Exit codes: 0 success, 2 config error, 3 infeasibility or pipeline
 failure, 4 an upstream artifact that is missing, does not parse, lacks
@@ -26,7 +28,7 @@ other settings (the message names the file).
 from __future__ import annotations
 
 import argparse
-import fnmatch
+import glob
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -49,24 +51,27 @@ def _log(msg: str):
     print(msg, file=sys.stderr)
 
 
+#: Artifact file names by key: what ``generate`` writes, then what ``optimize``
+#: and ``compare`` write (besides ``diff_hist_*.csv``).
+GENERATED = {"batch": "batch.json", "placements": "placements.json",
+             "split": "split.json", "train": "train.csv", "test": "test.csv"}
+DOWNSTREAM = {"report": "pipeline_report.json", "stage1_curve": "stage1_curve.csv",
+              "stage1_trace": "stage1_trace.csv", "stage2_curve": "stage2_curve.csv",
+              "model_baseline": "model_baseline.json",
+              "model_optimized": "model_optimized.json", "comparison": "comparison.json",
+              "cp_delays": "per_cp_delay.csv", "pair_delays": "pair_delay.csv"}
+
+
 def _paths(cfg: RunConfig) -> dict[str, str]:
-    out = cfg.output_dir
-    return {
-        "batch": os.path.join(out, "batch.json"),
-        "placements": os.path.join(out, "placements.json"),
-        "split": os.path.join(out, "split.json"),
-        "train": os.path.join(out, "train.csv"),
-        "test": os.path.join(out, "test.csv"),
-        "report": os.path.join(out, "pipeline_report.json"),
-        "stage1_curve": os.path.join(out, "stage1_curve.csv"),
-        "stage1_trace": os.path.join(out, "stage1_trace.csv"),
-        "stage2_curve": os.path.join(out, "stage2_curve.csv"),
-        "model_baseline": os.path.join(out, "model_baseline.json"),
-        "model_optimized": os.path.join(out, "model_optimized.json"),
-        "comparison": os.path.join(out, "comparison.json"),
-        "cp_delays": os.path.join(out, "per_cp_delay.csv"),
-        "pair_delays": os.path.join(out, "pair_delay.csv"),
-    }
+    return {key: os.path.join(cfg.output_dir, name)
+            for key, name in {**GENERATED, **DOWNSTREAM}.items()}
+
+
+def _remove_histograms(out_dir: str, keep=()):
+    """Delete every ``diff_hist_*.csv`` in ``out_dir`` not named in ``keep``."""
+    for path in glob.glob(os.path.join(glob.escape(out_dir), "diff_hist_*.csv")):
+        if os.path.basename(path) not in keep:
+            os.remove(path)
 
 
 def _require(path: str) -> str:
@@ -151,11 +156,14 @@ def _check_fingerprint(doc: dict, expected: str, path: str, stage: str, fields) 
             f"than this config's; rerun {stage}")
 
 
-def _load_context(cfg: RunConfig, which: str):
-    """Rebuild a split's (topology, sfc) context and its teacher rows, each as
-    (placement, mean path delay). Artifacts that ``generate`` wrote under other
-    settings than ``cfg``'s raise ArtifactError."""
+def _load_split(cfg: RunConfig, which: str):
+    """Read a split's dataset and rebuild its (topology, sfc) context and its
+    teacher rows, each as (placement, mean path delay), aligned with the
+    dataset's rows. Artifacts that ``generate`` wrote under other settings
+    than ``cfg``'s, or a dataset of another row count than the split's, raise
+    ArtifactError."""
     paths = _paths(cfg)
+    ds = features.load_dataset(_require(paths[which]))
     topologies, sfcs, _ = netmodel.load_batch(_require(paths["batch"]))
     rows = netmodel.load_json(_require(paths["placements"]), lambda rows: {
         r["index"]: (placer.placement_from_row(r), float(np.mean(r["cp_delays"])))
@@ -165,18 +173,22 @@ def _load_context(cfg: RunConfig, which: str):
         idx = split[which]
         _check_fingerprint(split, generate_fingerprint(cfg), paths["split"], "generate",
                            GENERATE_FIELDS)
+        if len(idx) != ds.n_samples:
+            raise netmodel.ArtifactError(
+                f"{paths[which]} holds {ds.n_samples} rows but {paths['split']} lists "
+                f"{len(idx)} {which} rows; rerun generate")
         return ([topologies[i] for i in idx], [sfcs[i] for i in idx],
                 [rows[i] for i in idx])
-    return netmodel.load_json(_require(paths["split"]), pick)
+    return (ds, *netmodel.load_json(_require(paths["split"]), pick))
 
 
 def cmd_optimize(cfg: RunConfig, workers: int) -> int:
     paths = _paths(cfg)
-    for key in ("model_baseline", "model_optimized"):
+    for key in DOWNSTREAM:  # none left to describe models a failed run did not write
         if os.path.exists(paths[key]):
-            os.remove(paths[key])  # never left for compare by a failed run
-    ds = features.load_dataset(_require(paths["train"]))
-    topos, sfcs, teacher = _load_context(cfg, "train")
+            os.remove(paths[key])
+    _remove_histograms(cfg.output_dir)
+    ds, topos, sfcs, teacher = _load_split(cfg, "train")
     teacher_avg = [avg for _, avg in teacher]
     ctx = swarm.make_context(topos, sfcs, teacher_avg)
     if ds.n_samples < cfg.folds:
@@ -212,22 +224,25 @@ def cmd_optimize(cfg: RunConfig, workers: int) -> int:
 
 def cmd_compare(cfg: RunConfig, workers: int) -> int:
     paths = _paths(cfg)
-    topos, sfcs, teacher = _load_context(cfg, "test")
+    ds, topos, sfcs, teacher = _load_split(cfg, "test")
 
     def load_model(key):
         def build(doc):
             model = tree.DecisionTree.from_json(doc)
             _check_fingerprint(doc, optimize_fingerprint(cfg), paths[key], "optimize",
                                OPTIMIZE_FIELDS + GENERATE_FIELDS)
+            if model.n_features != ds.n_features:
+                raise netmodel.ArtifactError(
+                    f"{paths[key]} was fitted on {model.n_features} features but "
+                    f"{paths['test']} holds {ds.n_features}; rerun optimize")
             return model
         return netmodel.load_json(_require(paths[key]), build)
 
     optimized, baseline = load_model("model_optimized"), load_model("model_baseline")
-    X = np.array([features.extract_features(t, s) for t, s in zip(topos, sfcs)])
 
     def predicted(model):
         return [swarm.placement_from_labels(s, labels)
-                for s, labels in zip(sfcs, model.predict(X))]
+                for s, labels in zip(sfcs, model.predict(ds.features))]
 
     results = [
         evaluation.evaluate_strategy("heuristic", topos, sfcs, [p for p, _ in teacher]),
@@ -247,9 +262,7 @@ def cmd_compare(cfg: RunConfig, workers: int) -> int:
                   if entry["n_samples"]}
     for name, entry in histograms.items():
         evaluation.save_diff_histogram_csv(entry, os.path.join(cfg.output_dir, name))
-    for name in os.listdir(cfg.output_dir):
-        if fnmatch.fnmatch(name, "diff_hist_*.csv") and name not in histograms:
-            os.remove(os.path.join(cfg.output_dir, name))  # left by an earlier run
+    _remove_histograms(cfg.output_dir, keep=histograms)  # left by an earlier run
     if report["baseline_equals_optimized"]:
         _log(f"baseline and optimized trees are identical "
              f"({optimized.node_count()} nodes)")

@@ -5,8 +5,10 @@ Feature order (fixed for a given configuration, mirrored in the schema file):
   2. per-server cpu capacity, mem capacity        (2 * n_servers)
   3. tolerance per adjacent type pair             (3)
   4. upper triangle of the delay matrix, row-major (n_servers*(n_servers-1)/2)
-  5. per-instance dependency level                (n_instances)
-Labels are one server id per instance. No scaling: trees are scale-invariant.
+Instances are taken in id order. A value that is the same in every row of a
+configuration, such as an instance's chain position, is not a feature: no
+split can use it. Labels are one server id per instance. No scaling: trees
+are scale-invariant.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netmodel import (
-    ADJACENT_PAIRS, SfcSpec, Topology, VnfType, load_json, save_csv, save_json,
+    ADJACENT_PAIRS, SfcSpec, Topology, load_json, save_csv, save_json,
 )
 from .placer import Placement
 
@@ -37,13 +39,11 @@ def feature_names(n_servers: int, n_instances: int) -> list[str]:
     for i in range(n_servers):
         for j in range(i + 1, n_servers):
             names.append(f"delay_{i}_{j}")
-    for i in range(n_instances):
-        names.append(f"inst{i}_dep_level")
     return names
 
 
 def feature_width(n_servers: int, n_instances: int) -> int:
-    return 3 * n_instances + 2 * n_servers + 3 + n_servers * (n_servers - 1) // 2
+    return 2 * n_instances + 2 * n_servers + 3 + n_servers * (n_servers - 1) // 2
 
 
 def extract_features(topo: Topology, sfc: SfcSpec) -> np.ndarray:
@@ -58,8 +58,6 @@ def extract_features(topo: Topology, sfc: SfcSpec) -> np.ndarray:
         parts.append(sfc.tolerance[pair])
     iu = np.triu_indices(topo.n_servers, k=1)
     parts += list(topo.delay[iu])
-    for i in inst:
-        parts.append(float(sfc.dependency_level[i.vnf_type]))
     vec = np.array(parts, dtype=float)
     assert vec.size == feature_width(topo.n_servers, len(inst))
     return vec
@@ -136,7 +134,6 @@ def empty_dataset(n_servers: int, n_instances: int) -> Dataset:
 
 @dataclass
 class FoldSplit:
-    b: int
     folds: list[tuple[np.ndarray, np.ndarray]]  # (train indices, validation indices)
 
 
@@ -155,7 +152,7 @@ def kfold(ds: Dataset, b: int, seed: int) -> FoldSplit:
         train = np.array([i for i in perm if i not in vset], dtype=int)
         # train order follows the shuffle; validation sorted for stable reporting
         folds.append((train, np.sort(v)))
-    return FoldSplit(b=b, folds=folds)
+    return FoldSplit(folds=folds)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from typing import get_args, get_origin, get_type_hints
 
@@ -40,9 +40,6 @@ CHAIN: tuple[VnfType, ...] = (VnfType.HSS, VnfType.MME, VnfType.SGW, VnfType.PGW
 ADJACENT_PAIRS: tuple[tuple[VnfType, VnfType], ...] = tuple(
     (CHAIN[i], CHAIN[i + 1]) for i in range(len(CHAIN) - 1)
 )
-
-#: Chain position per type, used as the dependency-level feature.
-DEPENDENCY_LEVEL: dict[VnfType, int] = {t: i for i, t in enumerate(CHAIN)}
 
 
 #: Replicas per chain type, in chain order; a JSON object keyed by type name.
@@ -121,7 +118,6 @@ class ServerNode:
     cpu_capacity: float
     mem_capacity: float
     tier: Tier
-    host_group: int
 
     def __post_init__(self):
         if self.cpu_capacity < 0 or self.mem_capacity < 0:
@@ -134,7 +130,6 @@ class Topology:
 
     servers: list[ServerNode]
     delay: np.ndarray
-    seed: int
 
     def __post_init__(self):
         n = len(self.servers)
@@ -179,14 +174,12 @@ class VnfInstance:
 
 @dataclass
 class SfcSpec:
-    """The service chain to place: instances, replica counts, tolerances, dependency levels."""
+    """The service chain to place: instances, replica counts per type and a
+    delay tolerance per adjacent type pair. The chain order is ``CHAIN``."""
 
     instances: list[VnfInstance]
     replica_counts: dict[VnfType, int]
     tolerance: dict[tuple[VnfType, VnfType], float]
-    dependency_level: dict[VnfType, int] = field(
-        default_factory=lambda: dict(DEPENDENCY_LEVEL)
-    )
 
     def __post_init__(self):
         if sum(self.replica_counts.values()) != len(self.instances):
@@ -313,7 +306,7 @@ def generate_topology(cfg: GenConfig, index: int) -> Topology:
     mem = cfg.mem_capacity.sample(rng, n)
     servers = [
         ServerNode(id=i, cpu_capacity=float(cpu[i]), mem_capacity=float(mem[i]),
-                   tier=tiers[i], host_group=i)
+                   tier=tiers[i])
         for i in range(n)
     ]
     delay = np.zeros((n, n))
@@ -322,7 +315,7 @@ def generate_topology(cfg: GenConfig, index: int) -> Topology:
             dist = cfg.intra_tier_delay if tiers[i] == tiers[j] else cfg.cross_tier_delay
             d = float(dist.sample(rng))
             delay[i, j] = delay[j, i] = d
-    return Topology(servers=servers, delay=delay, seed=cfg.base_seed)
+    return Topology(servers=servers, delay=delay)
 
 
 def build_sfc(cfg: GenConfig, index: int) -> SfcSpec:
@@ -405,14 +398,12 @@ def load_json(path, build=lambda doc: doc):
 
 def topology_to_json(topo: Topology) -> dict:
     return {
-        "seed": topo.seed,
         "servers": [
             {
                 "id": s.id,
                 "cpu_capacity": s.cpu_capacity,
                 "mem_capacity": s.mem_capacity,
                 "tier": s.tier.value,
-                "host_group": s.host_group,
             }
             for s in topo.servers
         ],
@@ -427,12 +418,10 @@ def topology_from_json(d: dict) -> Topology:
             cpu_capacity=float(s["cpu_capacity"]),
             mem_capacity=float(s["mem_capacity"]),
             tier=Tier(s["tier"]),
-            host_group=int(s["host_group"]),
         )
         for s in d["servers"]
     ]
-    return Topology(servers=servers, delay=np.array(d["delay"], dtype=float),
-                    seed=int(d["seed"]))
+    return Topology(servers=servers, delay=np.array(d["delay"], dtype=float))
 
 
 def sfc_to_json(sfc: SfcSpec) -> dict:
@@ -449,7 +438,6 @@ def sfc_to_json(sfc: SfcSpec) -> dict:
         ],
         "replica_counts": {t.value: c for t, c in sfc.replica_counts.items()},
         "tolerance": {f"{a.value}-{b.value}": v for (a, b), v in sfc.tolerance.items()},
-        "dependency_level": {t.value: v for t, v in sfc.dependency_level.items()},
     }
 
 
@@ -472,7 +460,6 @@ def sfc_from_json(d: dict) -> SfcSpec:
         instances=instances,
         replica_counts={VnfType(t): int(c) for t, c in d["replica_counts"].items()},
         tolerance=tolerance,
-        dependency_level={VnfType(t): int(v) for t, v in d["dependency_level"].items()},
     )
 
 

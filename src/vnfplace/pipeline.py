@@ -8,13 +8,15 @@ the table is computed once per depth from the lower search bound up to the
 deepest fold tree (or the upper bound, if that is lower), and every deeper
 depth reads that last entry.
 
-Stage 1 runs PSO over the initial depth bounds for the depth minimizing
-invalid predictions and reads the per-depth invalid-rate curve over the same
-bounds. Stage 2 detects the functional range (below-threshold plus steady
-state) and picks the depth minimizing the full delay-plus-penalty objective
-over it, with a plateau rule preferring the smallest depth within a relative
-epsilon of the minimum. Stage 3 fits the full training set once, unbounded;
-the final model is its truncation at that depth.
+Stage 1 reads the per-depth invalid-rate and full delay-plus-penalty
+objective curves over the initial depth bounds, and runs PSO on that
+objective over the same bounds; the exact curve grades PSO's depth by its
+regret, the objective there minus the curve's minimum. Stage 2 detects the
+functional range (below-threshold plus steady state) from the invalid-rate
+curve and picks the depth minimizing the objective over it, with a plateau
+rule preferring the smallest depth within a relative epsilon of the minimum.
+Stage 3 fits the full training set once, unbounded; the final model is its
+truncation at that depth.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .swarm import (
     fold_results,
     invalid_rate,
     objective_full,
-    objective_invalid_only,
     pso_minimize,
 )
 
@@ -90,20 +91,22 @@ def depth_table(ds: Dataset, ctx: EvalContext, folds: FoldSplit,
 @dataclass
 class Stage1Result:
     curve: dict[int, float]  # depth -> invalid rate over all validation rows
+    objective: dict[int, float]  # depth -> full objective
     trace: PsoTrace
     best_h: int
-    best_rate: float
+    regret: float  # objective at best_h minus its minimum over the interval
 
 
 def stage1(table: dict[int, list[ObjectiveResult]], folds: FoldSplit,
            pso_params: PsoParams) -> Stage1Result:
-    """Invalid-minimizing PSO over the table's depth interval, plus the
-    invalid-rate curve over that interval."""
+    """The invalid-rate and full-objective curves over the table's depth
+    interval, and PSO on that objective over the interval, graded by it."""
     curve = {h: invalid_rate(res, folds) for h, res in table.items()}
-    best_h, trace = pso_minimize(lambda h: objective_invalid_only(table[h]),
-                                 min(table), max(table), pso_params)
-    return Stage1Result(curve=curve, trace=trace, best_h=best_h,
-                        best_rate=curve[best_h])
+    objective = {h: objective_full(res) for h, res in table.items()}
+    best_h, trace = pso_minimize(objective.__getitem__, min(table), max(table),
+                                 pso_params)
+    return Stage1Result(curve=curve, objective=objective, trace=trace, best_h=best_h,
+                        regret=objective[best_h] - min(objective.values()))
 
 
 def detect_functional_range(curve: dict[int, float], threshold: float,
@@ -142,11 +145,11 @@ class Stage2Result:
     curve: dict[int, float]  # depth -> full objective
 
 
-def stage2(frange: FunctionalRange, table: dict[int, list[ObjectiveResult]],
+def stage2(frange: FunctionalRange, objective: dict[int, float],
            settings: PipelineSettings) -> Stage2Result:
-    """Pick the optimal depth inside the functional range under the full
-    objective; the range is small, so every depth in it is evaluated."""
-    curve = {h: objective_full(table[h]) for h in range(frange.a1, frange.a2 + 1)}
+    """Pick the optimal depth inside the functional range from the full
+    objective curve over it."""
+    curve = {h: objective[h] for h in range(frange.a1, frange.a2 + 1)}
     best = min(curve.values())
     # plateau rule: the objective flattens once extra depth stops changing the
     # fitted trees, so prefer the start of the trailing plateau (every depth
@@ -193,7 +196,7 @@ class PipelineReport:
                 "curve": {str(k): v for k, v in sorted(self.stage1.curve.items())},
                 "fold_depths": self.fold_depths,
                 "best_h": self.stage1.best_h,
-                "best_rate": self.stage1.best_rate,
+                "regret": self.stage1.regret,
                 "trace": {
                     "best_h": self.stage1.trace.best_h,
                     "best_objective": self.stage1.trace.best_objective,
@@ -221,7 +224,7 @@ def run_pipeline(ds: Dataset, ctx: EvalContext, folds: FoldSplit,
     s1 = stage1(table, folds, pso_params)
     frange = detect_functional_range(s1.curve, settings.error_threshold,
                                      settings.steady_window)
-    s2 = stage2(frange, table, settings)
+    s2 = stage2(frange, s1.objective, settings)
     model, full = stage3_build(ds, s2.h_star)
     report = PipelineReport(
         settings=settings,

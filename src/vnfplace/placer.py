@@ -14,9 +14,9 @@ cannot beat the best complete assignment. On the first 100 topologies of
 lower mean path delay than the default budget of 1000 on 43 of them (every
 one of those searches ends within 2,597 nodes).
 
-The validator checks capacity, per-pair delay tolerance and anti-location;
-it enforces the dependency constraint through the per-pair tolerance check
-(see ``validate_placement``).
+The validator checks capacity, per-pair delay tolerance and anti-location
+(replicas of one type on distinct servers); it enforces the dependency
+constraint through the per-pair tolerance check (see ``validate_placement``).
 """
 
 from __future__ import annotations
@@ -143,15 +143,15 @@ def validate_placement(topo: Topology, sfc: SfcSpec, p: Placement) -> Validation
         if server_delay(topo, p.server_of(a), p.server_of(b)) > tol:
             violations.append(("delay_tolerance", (a, b)))
 
-    # (3) anti-location: same-type replicas on distinct host groups
+    # (3) anti-location: same-type replicas on distinct servers
     for t in CHAIN:
-        groups: dict[int, int] = {}
+        hosted: dict[int, int] = {}
         for inst in sfc.replicas(t):
-            g = topo.servers[p.server_of(inst.id)].host_group
-            if g in groups:
-                violations.append(("anti_location", (groups[g], inst.id)))
+            sid = p.server_of(inst.id)
+            if sid in hosted:
+                violations.append(("anti_location", (hosted[sid], inst.id)))
             else:
-                groups[g] = inst.id
+                hosted[sid] = inst.id
 
     return ValidationReport(valid=not violations, violations=violations)
 
@@ -163,7 +163,7 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
     server is its summed delay to every replica of the previous chain type,
     and a server is a candidate when each of those delays is within the
     pair's tolerance, it has the capacity left and no same-type replica
-    already sits in its host group. Children are tried by lowest incremental
+    already sits on it. Children are tried by lowest incremental
     cost, then lowest server id, and a branch whose partial cost cannot beat
     the best complete assignment is cut. Every replica of a type has the
     same upstream, so a layer's (cost, server) order depends only on where
@@ -180,7 +180,6 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
              for layer, replicas in enumerate(layers)
              for rank, inst in enumerate(replicas)]
     rows = topo.delay.tolist()
-    group = [s.host_group for s in topo.servers]
     cpu_left = [s.cpu_capacity for s in topo.servers]
     mem_left = [s.mem_capacity for s in topo.servers]
     assignment: dict[int, int] = {}
@@ -218,7 +217,7 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
             candidates, used = layer_order(layer), ()
         for inc, sid in candidates:
             if (inst.cpu_demand > cpu_left[sid] or inst.mem_demand > mem_left[sid]
-                    or group[sid] in used):
+                    or sid in used):
                 continue
             if cost + inc >= best_cost:
                 break  # candidates sorted: no cheaper child remains
@@ -229,7 +228,7 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
             assignment[inst.id] = sid
             cpu_left[sid] -= inst.cpu_demand
             mem_left[sid] -= inst.mem_demand
-            search(k + 1, cost + inc, candidates, used + (group[sid],))
+            search(k + 1, cost + inc, candidates, used + (sid,))
             cpu_left[sid] += inst.cpu_demand
             mem_left[sid] += inst.mem_demand
             del assignment[inst.id]

@@ -139,11 +139,6 @@ def objective_full(results: list[ObjectiveResult]) -> float:
     return float(np.mean([r.o_pso for r in results]))
 
 
-def objective_invalid_only(results: list[ObjectiveResult]) -> float:
-    """Cross-validated mean invalid-prediction count, delay ignored."""
-    return float(np.mean([r.ip for r in results]))
-
-
 def invalid_rate(results: list[ObjectiveResult], folds: FoldSplit) -> float:
     """Invalid predictions as a fraction of all validation rows."""
     total_rows = sum(len(v) for _, v in folds.folds)

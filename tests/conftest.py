@@ -72,10 +72,10 @@ def line_topology(delays, tiers=None):
     tiers = tiers or netmodel.tier_assignment(n)
     servers = [
         netmodel.ServerNode(id=i, cpu_capacity=100.0, mem_capacity=100.0,
-                            tier=tiers[i], host_group=i)
+                            tier=tiers[i])
         for i in range(n)
     ]
-    return netmodel.Topology(servers=servers, delay=mat, seed=0)
+    return netmodel.Topology(servers=servers, delay=mat)
 
 
 def simple_sfc(replicas=(1, 1, 1, 1), tolerance=1e6, cpu=1.0, mem=1.0):

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 
 from vnfplace import placer
-from vnfplace.netmodel import CHAIN, DEPENDENCY_LEVEL
+from vnfplace.netmodel import CHAIN
 from vnfplace.placer import InfeasiblePlacement, Placement
 
 
@@ -175,7 +175,7 @@ def reference_valid(topo, sfc, p):
         if not all(within(x, y) for x in ups for y in downs):
             return False
     for replicas in by_type:
-        groups = [topo.servers[a[i.id]].host_group for i in replicas]
+        groups = [topo.servers[a[i.id]].id for i in replicas]
         if len(set(groups)) != len(groups):
             return False
     return all(
@@ -203,7 +203,7 @@ def reference_place_teacher(topo, sfc, budget=1000):
     by_id = {i.id: i for i in sfc.instances}
     upstream: list[list[int]] = []  # per order position: already-placed dependent ids
     for k, inst in enumerate(order):
-        pos = DEPENDENCY_LEVEL[inst.vnf_type]
+        pos = CHAIN.index(inst.vnf_type)
         prev_type = CHAIN[pos - 1] if pos > 0 else None
         upstream.append(
             [i.id for i in order[:k] if prev_type is not None and i.vnf_type == prev_type]
@@ -222,14 +222,14 @@ def reference_place_teacher(topo, sfc, budget=1000):
         inst = order[k]
         out = []
         used_groups = {
-            topo.servers[assignment[i.id]].host_group
+            topo.servers[assignment[i.id]].id
             for i in order[:k]
             if i.vnf_type == inst.vnf_type
         }
         for s in topo.servers:
             if inst.cpu_demand > cpu_left[s.id] or inst.mem_demand > mem_left[s.id]:
                 continue
-            if s.host_group in used_groups:
+            if s.id in used_groups:
                 continue
             cost = 0.0
             ok = True

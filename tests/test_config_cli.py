@@ -324,6 +324,15 @@ def _drop_fingerprint(text):
     return json.dumps({k: v for k, v in json.loads(text).items() if k != "config_fingerprint"})
 
 
+def _drop_last_row(text):
+    return "".join(text.splitlines(keepends=True)[:-1])
+
+
+def _widen_model(text):
+    doc = json.loads(text)
+    return json.dumps(dict(doc, n_features=doc["n_features"] + 6))
+
+
 @pytest.mark.parametrize("name, stage, edit, says", [
     pytest.param("batch.json", "optimize", _truncate, "is not valid JSON",
                  id="batch.json-optimize"),
@@ -348,6 +357,13 @@ def _drop_fingerprint(text):
     # written before split.json carried the fingerprint
     pytest.param("split.json", "optimize", _drop_fingerprint, "rerun generate",
                  id="split.json-optimize-no-fingerprint"),
+    pytest.param("train.csv", "optimize", _drop_last_row, "rerun generate",
+                 id="train.csv-optimize-row-missing"),
+    pytest.param("test.csv", "compare", _drop_last_row, "rerun generate",
+                 id="test.csv-compare-row-missing"),
+    # fitted on the wider feature rows of an earlier version
+    pytest.param("model_optimized.json", "compare", _widen_model, "rerun optimize",
+                 id="model_optimized.json-compare-other-width"),
 ])
 def test_cli_truncated_artifact_exits_4(cli_run, tmp_path, monkeypatch, capsys,
                                         name, stage, edit, says):
@@ -367,12 +383,18 @@ def test_cli_compare_refuses_models_of_other_optimize_settings(cli_run, tmp_path
     shutil.copytree(cli_run / "out", tmp_path / "out")
     models = {p.name: p.read_bytes() for p in (tmp_path / "out").glob("model_*.json")}
     assert sorted(models) == ["model_baseline.json", "model_optimized.json"]
+    downstream = ["pipeline_report.json", "stage1_curve.csv", "stage1_trace.csv",
+                  "stage2_curve.csv", "comparison.json", "per_cp_delay.csv",
+                  "pair_delay.csv", "diff_hist_*.csv"]
+    assert all(list((tmp_path / "out").glob(name)) for name in downstream)
     doc = quick_config()
     train_rows = len(json.loads((tmp_path / "out" / "split.json").read_text())["train"])
     doc["folds"] = train_rows + 1
     path = write_config(tmp_path / "cfg.json", doc)
     assert _run("optimize", "--config", path) == 3
     assert not list((tmp_path / "out").glob("model_*.json"))
+    for name in downstream:
+        assert not list((tmp_path / "out").glob(name)), name
     capsys.readouterr()
     assert _run("compare", "--config", path) == 4
     assert "model_optimized.json" in capsys.readouterr().err

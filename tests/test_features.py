@@ -9,15 +9,15 @@ from vnfplace.features import Dataset, DatasetSchemaError
 
 
 def test_feature_width_desk_config():
-    assert features.feature_width(15, 6) == 156
-    assert len(features.feature_names(15, 6)) == 156
+    assert features.feature_width(15, 6) == 150
+    assert len(features.feature_names(15, 6)) == 150
 
 
 @given(n_servers=st.integers(3, 40), n_instances=st.integers(4, 12))
 def test_feature_width_formula(n_servers, n_instances):
     expected = (
         2 * n_instances + 2 * n_servers + 3
-        + n_servers * (n_servers - 1) // 2 + n_instances
+        + n_servers * (n_servers - 1) // 2
     )
     assert features.feature_width(n_servers, n_instances) == expected
     assert len(features.feature_names(n_servers, n_instances)) == expected
@@ -28,7 +28,7 @@ def test_extract_features_deterministic(small_batch):
     a = features.extract_features(topos[0], sfcs[0])
     b = features.extract_features(topos[0], sfcs[0])
     assert np.array_equal(a, b)
-    assert a.size == 156
+    assert a.size == 150
 
 
 def test_zero_delay_matrix_gives_zero_delay_features():
@@ -50,7 +50,6 @@ def test_feature_values_match_sources(small_batch):
     assert vec[col["inst0_cpu_demand"]] == sfc.instances[0].cpu_demand
     assert vec[col["srv3_mem_capacity"]] == topo.servers[3].mem_capacity
     assert vec[col["delay_2_7"]] == topo.delay[2, 7]
-    assert vec[col["inst5_dep_level"]] == 3  # PGW is last in the chain
 
 
 def test_build_dataset_labels_match_teacher(small_batch):
@@ -74,7 +73,7 @@ def test_build_dataset_rejects_mixed_configs(small_batch):
 def test_empty_dataset_has_schema():
     ds = features.empty_dataset(15, 6)
     assert ds.n_samples == 0
-    assert ds.n_features == 156
+    assert ds.n_features == 150
 
 
 @settings(max_examples=30, deadline=None)

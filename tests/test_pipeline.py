@@ -99,17 +99,14 @@ def test_settings_validation():
 
 
 class _CurveStage2:
-    """Run stage2 against a hand-written objective curve: one fold per depth
-    whose objective is the curve value."""
+    """Run stage2 against a hand-written objective curve over its whole range."""
 
     def __init__(self, curve):
         self.curve = curve
 
     def run(self, settings):
-        frange = FunctionalRange(min(self.curve), max(self.curve))
-        table = {h: [ObjectiveResult(avg_delay_cp=v, ip=0, reg_term=0.0, o_pso=v)]
-                 for h, v in self.curve.items()}
-        return stage2(frange, table, settings)
+        return stage2(FunctionalRange(min(self.curve), max(self.curve)), self.curve,
+                      settings)
 
 
 # [DERIVED] plateau rule by hand: curve flat at 100.0 from depth 29 onward,
@@ -180,7 +177,8 @@ def test_full_pipeline_on_small_batch(small_dataset, tmp_path):
     assert model.to_json() == tree.fit(ds.features, ds.labels, report.h_star).to_json()
     assert fr.a1 <= report.h_star <= fr.a2
     assert report.stage1.curve[fr.a1] <= settings.error_threshold
-    assert set(report.stage2.curve) == set(range(fr.a1, fr.a2 + 1))
+    assert report.stage2.curve == {h: report.stage1.objective[h]
+                                   for h in range(fr.a1, fr.a2 + 1)}
     assert model.tree_depth() <= report.h_star
     assert report.model_depth == model.tree_depth()
     assert report.model_nodes == model.node_count()
@@ -190,6 +188,7 @@ def test_full_pipeline_on_small_batch(small_dataset, tmp_path):
     doc = json.loads(path.read_text())
     assert doc["functional_range"] == [fr.a1, fr.a2]
     assert doc["h_star"] == report.h_star
+    assert doc["stage1"]["regret"] == report.stage1.regret
     assert doc["config_echo"] == {"note": "test"}
     assert path.read_text().endswith("\n")
 
@@ -203,3 +202,27 @@ def test_pipeline_deterministic(small_dataset):
                                       PipelineSettings())
     assert r1.to_json() == r2.to_json()
     assert m1.to_json() == m2.to_json()
+
+
+def test_stage1_pso_graded_by_the_exact_objective_curve(small_dataset):
+    ds, ctx = small_dataset
+    folds = features.kfold(ds, 5, seed=0)
+    trees = [pipeline.fit_unbounded(ds.subset(t)) for t, _ in folds.folds]
+    table = pipeline.depth_table(ds, ctx, folds, trees, 2, 40)
+    s1 = pipeline.stage1(table, folds, PsoParams(seed=7))
+    exact = {h: swarm.objective_full(res) for h, res in table.items()}
+    assert s1.objective == exact
+    assert s1.curve == {h: swarm.invalid_rate(res, folds) for h, res in table.items()}
+    assert s1.regret == 0.0 and exact[s1.best_h] == min(exact.values())
+    assert s1.trace.best_h[-1] == s1.best_h
+
+
+def test_stage1_regret_of_a_missed_minimum():
+    # objective 100 + h except 0 at depth 37: a swarm of two moved once
+    # evaluates at most four depths; with seed 0 it misses 37 and ends at 25
+    table = {h: [ObjectiveResult(avg_delay_cp=0.0, ip=0, reg_term=0.0,
+                                 o_pso=0.0 if h == 37 else 100.0 + h)]
+             for h in range(2, 101)}
+    folds = features.FoldSplit(folds=[(np.arange(3), np.arange(3, 5))])
+    s1 = pipeline.stage1(table, folds, PsoParams(swarm_size=2, iterations=1, seed=0))
+    assert (s1.best_h, s1.regret) == (25, 125.0)
