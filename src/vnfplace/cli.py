@@ -5,8 +5,7 @@ placements, dataset), ``optimize`` (depth search and final models), and
 ``compare`` (held-out head-to-head report on the features ``generate``
 wrote to ``test.csv``: ``comparison.json``, with both trees' node counts and
 whether they are identical, and one ``diff_hist_<a>_vs_<b>.csv`` per
-non-empty ``delay_differences`` entry; any other ``diff_hist_*.csv`` in the
-output directory is deleted).
+non-empty ``delay_differences`` entry).
 ``teach``, ``train`` and ``evaluate`` are aliases. All state lives in files
 under the configured output directory, each written atomically; progress
 goes to stderr only, so reruns with the same config and seed are
@@ -16,8 +15,10 @@ byte-identical.
 ``optimize`` and ``compare`` refuse artifacts generated under others. The
 models carry one of the split's fingerprint plus the settings ``optimize``
 read, and ``compare`` refuses models optimized under others or on another
-feature width. ``optimize`` removes everything an earlier ``optimize`` or
-``compare`` wrote before it can fail.
+feature width. Before it can fail, ``generate`` and ``optimize`` remove
+everything ``optimize`` and ``compare`` write, and ``compare`` removes what it
+writes, every ``diff_hist_*.csv`` included, so that no artifact is left to
+describe inputs that have since changed.
 
 Exit codes: 0 success, 2 config error, 3 infeasibility or pipeline
 failure, 4 an upstream artifact that is missing, does not parse, lacks
@@ -31,7 +32,6 @@ import argparse
 import glob
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -67,11 +67,16 @@ def _paths(cfg: RunConfig) -> dict[str, str]:
             for key, name in {**GENERATED, **DOWNSTREAM}.items()}
 
 
-def _remove_histograms(out_dir: str, keep=()):
-    """Delete every ``diff_hist_*.csv`` in ``out_dir`` not named in ``keep``."""
-    for path in glob.glob(os.path.join(glob.escape(out_dir), "diff_hist_*.csv")):
-        if os.path.basename(path) not in keep:
-            os.remove(path)
+def _remove_outputs(cfg: RunConfig, keys) -> None:
+    """Delete the artifacts named by ``keys`` and every ``diff_hist_*.csv`` in
+    the output directory, so that none is left to describe a run that fails
+    before it writes its own."""
+    paths = _paths(cfg)
+    for key in keys:
+        if os.path.exists(paths[key]):
+            os.remove(paths[key])
+    for path in glob.glob(os.path.join(glob.escape(cfg.output_dir), "diff_hist_*.csv")):
+        os.remove(path)
 
 
 def _require(path: str) -> str:
@@ -94,12 +99,14 @@ def _gen_one(args) -> tuple[int, netmodel.Topology, netmodel.SfcSpec, dict | Non
 
 def cmd_generate(cfg: RunConfig, workers: int) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
+    _remove_outputs(cfg, DOWNSTREAM)
     paths = _paths(cfg)
     n = cfg.gen.n_topologies
     _log(f"generating {n} topologies ({cfg.gen.n_servers} servers, "
          f"{cfg.gen.n_instances} instances) with {workers} worker(s)")
     work = [(cfg.gen, i, cfg.teacher_budget) for i in range(n)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: its import is costly
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_gen_one, work, chunksize=16))
     else:
@@ -183,11 +190,8 @@ def _load_split(cfg: RunConfig, which: str):
 
 
 def cmd_optimize(cfg: RunConfig, workers: int) -> int:
+    _remove_outputs(cfg, DOWNSTREAM)
     paths = _paths(cfg)
-    for key in DOWNSTREAM:  # none left to describe models a failed run did not write
-        if os.path.exists(paths[key]):
-            os.remove(paths[key])
-    _remove_histograms(cfg.output_dir)
     ds, topos, sfcs, teacher = _load_split(cfg, "train")
     teacher_avg = [avg for _, avg in teacher]
     ctx = swarm.make_context(topos, sfcs, teacher_avg)
@@ -223,6 +227,7 @@ def cmd_optimize(cfg: RunConfig, workers: int) -> int:
 
 
 def cmd_compare(cfg: RunConfig, workers: int) -> int:
+    _remove_outputs(cfg, ("comparison", "cp_delays", "pair_delays"))
     paths = _paths(cfg)
     ds, topos, sfcs, teacher = _load_split(cfg, "test")
 
@@ -262,7 +267,6 @@ def cmd_compare(cfg: RunConfig, workers: int) -> int:
                   if entry["n_samples"]}
     for name, entry in histograms.items():
         evaluation.save_diff_histogram_csv(entry, os.path.join(cfg.output_dir, name))
-    _remove_histograms(cfg.output_dir, keep=histograms)  # left by an earlier run
     if report["baseline_equals_optimized"]:
         _log(f"baseline and optimized trees are identical "
              f"({optimized.node_count()} nodes)")

@@ -8,6 +8,7 @@ config and its index, independent of generation order.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 from dataclasses import MISSING, dataclass, fields, is_dataclass
@@ -298,7 +299,14 @@ def _rng(cfg: GenConfig, index: int, stream: int) -> np.random.Generator:
 
 
 def generate_topology(cfg: GenConfig, index: int) -> Topology:
-    """Generate the index-th topology of a batch, deterministically."""
+    """Generate the index-th topology of a batch, deterministically.
+
+    The stream draws the capacities, then one delay per server pair (i, j),
+    i < j, in row-major order: intra-tier pairs from ``intra_tier_delay``,
+    the others from ``cross_tier_delay``. Each run of consecutive pairs that
+    share a distribution is one sized draw, which yields the same doubles as
+    one scalar draw per pair.
+    """
     rng = _rng(cfg, index, STREAM_TOPOLOGY)
     n = cfg.n_servers
     tiers = tier_assignment(n)
@@ -309,12 +317,17 @@ def generate_topology(cfg: GenConfig, index: int) -> Topology:
                    tier=tiers[i])
         for i in range(n)
     ]
+    rows, cols = np.triu_indices(n, 1)
+    tier = np.array([t.value for t in tiers])
+    upper = np.empty(len(rows))
+    start = 0
+    for intra, run in itertools.groupby((tier[rows] == tier[cols]).tolist()):
+        m = sum(1 for _ in run)
+        dist = cfg.intra_tier_delay if intra else cfg.cross_tier_delay
+        upper[start:start + m] = dist.sample(rng, m)
+        start += m
     delay = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist = cfg.intra_tier_delay if tiers[i] == tiers[j] else cfg.cross_tier_delay
-            d = float(dist.sample(rng))
-            delay[i, j] = delay[j, i] = d
+    delay[rows, cols] = delay[cols, rows] = upper
     return Topology(servers=servers, delay=delay)
 
 
@@ -363,11 +376,56 @@ def _write_atomic(path, write):
 
 
 def save_json(doc, path):
-    """Write a JSON artifact: sorted keys, one-space indent, final newline."""
+    """Write a JSON artifact: the text of ``json.dump(doc, fh, sort_keys=True,
+    indent=1)`` (sorted keys, one-space indent) and a final newline.
+
+    With an indent, ``json.dump`` runs the pure-Python encoder on every value.
+    Here each container that holds no container is one call of the C encoder,
+    whose item separator carries the line break and indent, and the pieces
+    are streamed to the file rather than joined into one string.
+    """
     def write(fh):
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.writelines(_json_pieces(doc, "\n"))
         fh.write("\n")
     _write_atomic(path, write)
+
+
+def _json_pieces(obj, close: str):
+    """Yield the text of ``obj`` as ``json.dump(..., sort_keys=True, indent=1)``
+    writes it where ``close`` (a line break and indent) precedes the closing
+    bracket of ``obj``."""
+    if isinstance(obj, dict):
+        children, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        children, brackets = obj, "[]"
+    else:
+        children = ()
+    if not children:  # a scalar, "{}" or "[]"
+        yield json.dumps(obj)
+        return
+    line = close + " "
+    if not any(isinstance(c, (dict, list, tuple)) for c in children):
+        text = json.dumps(obj, sort_keys=True, separators=("," + line, ": "))
+        yield text[0] + line + text[1:-1] + close + text[-1]
+        return
+    entries = (((_json_key(k) + ": ", v) for k, v in sorted(obj.items()))
+               if brackets == "{}" else (("", v) for v in obj))
+    sep = brackets[0]
+    for prefix, v in entries:
+        yield sep + line + prefix
+        yield from _json_pieces(v, line)
+        sep = ","
+    yield close + brackets[1]
+
+
+def _json_key(k) -> str:
+    """The JSON string json writes for the dict key ``k``: a number, bool or
+    None key becomes the string of its JSON text."""
+    if isinstance(k, str):
+        return json.dumps(k)
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(json.dumps(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 def save_csv(path, header, rows):

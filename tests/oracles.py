@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from vnfplace import placer
+from vnfplace import netmodel, placer
 from vnfplace.netmodel import CHAIN
 from vnfplace.placer import InfeasiblePlacement, Placement
 
@@ -183,6 +183,23 @@ def reference_valid(topo, sfc, p):
         for path in itertools.product(*by_type)
         for x, y in zip(path, path[1:])
     )
+
+
+def reference_generate_topology(cfg, index):
+    """The topology generator as first written: one scalar delay draw per
+    server pair, row by row. ``netmodel.generate_topology`` must return the
+    same capacities and the same delay matrix, bit for bit."""
+    rng = np.random.default_rng([cfg.base_seed, index, netmodel.STREAM_TOPOLOGY])
+    n = cfg.n_servers
+    tiers = netmodel.tier_assignment(n)
+    cpu = cfg.cpu_capacity.sample(rng, n)
+    mem = cfg.mem_capacity.sample(rng, n)
+    delay = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist = cfg.intra_tier_delay if tiers[i] == tiers[j] else cfg.cross_tier_delay
+            delay[i, j] = delay[j, i] = float(dist.sample(rng))
+    return cpu, mem, delay
 
 
 def reference_place_teacher(topo, sfc, budget=1000):

@@ -3,6 +3,8 @@ import glob
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -444,6 +446,31 @@ def test_cli_compare_removes_stale_histograms(cli_run, tmp_path, monkeypatch):
     assert sorted(p.name for p in out.glob("diff_hist_*.csv")) == sorted(
         f"diff_hist_{k}.csv" for k, e in diffs.items() if e["n_samples"])
     assert (out / "notes.csv").read_text() == "kept\n"
+
+
+def test_cli_stages_remove_stale_outputs_before_they_can_fail(cli_run, tmp_path,
+                                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    out = tmp_path / "out"
+    assert list(out.glob("diff_hist_*.csv"))
+    path = write_config(tmp_path / "cfg.json", quick_config())
+    assert _run("compare", "--config", path, "--seed", "5") == 4
+    left = {p.name for p in out.iterdir()}
+    assert not left & {"comparison.json", "per_cp_delay.csv", "pair_delay.csv"}
+    assert not list(out.glob("diff_hist_*.csv"))
+    assert {"pipeline_report.json", "model_optimized.json"} <= left
+    assert _run("generate", "--config", path, "--workers", "1", "--seed", "5") == 0
+    assert not {p.name for p in out.iterdir()} & set(cli.DOWNSTREAM.values())
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, vnfplace.cli; print('concurrent.futures.process' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_cli_compare_flags_identical_trees(cli_run, tmp_path, monkeypatch, capsys):

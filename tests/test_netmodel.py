@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import counts, line_topology
+from oracles import reference_generate_topology
 from vnfplace import netmodel
 from vnfplace.netmodel import ConfigError, Dist, GenConfig, Tier, VnfType
 
@@ -100,6 +103,34 @@ def test_generated_topology_invariants_property(n_servers, base_seed, index):
     assert sum(sfc.replica_counts.values()) == sfc.n_instances
 
 
+def _dists():
+    bound = st.floats(min_value=0, max_value=2000)
+    return st.one_of(
+        st.tuples(bound, bound).map(lambda ab: Dist("uniform", min(ab), max(ab))),
+        bound.map(lambda a: Dist("uniform", a, a)),
+        st.tuples(st.floats(min_value=-500, max_value=2000), bound).map(
+            lambda ms: Dist("normal", *ms)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_servers=st.integers(min_value=4, max_value=30),
+    base_seed=st.integers(min_value=0, max_value=2**31),
+    index=st.integers(min_value=0, max_value=10**6),
+    intra=_dists(),
+    cross=_dists(),
+)
+def test_generate_topology_matches_scalar_draws(n_servers, base_seed, index, intra, cross):
+    cfg = GenConfig(n_servers=n_servers, replica_counts=counts(1, 1, 1, 1),
+                    intra_tier_delay=intra, cross_tier_delay=cross, base_seed=base_seed)
+    topo = netmodel.generate_topology(cfg, index)
+    cpu, mem, delay = reference_generate_topology(cfg, index)
+    assert topo.delay.tobytes() == delay.tobytes()
+    assert [s.cpu_capacity for s in topo.servers] == cpu.tolist()
+    assert [s.mem_capacity for s in topo.servers] == mem.tolist()
+
+
 def test_normal_dist_clipped_at_zero():
     d = Dist("normal", 0.0, 5.0)
     rng = np.random.default_rng(0)
@@ -146,3 +177,20 @@ def test_failed_write_keeps_previous_artifact(tmp_path):
         netmodel.save_csv(path, ["x"], ([1 / x] for x in (1, 0)))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+#: Keys of one dict are mutually comparable, as ``sort_keys`` needs.
+_KEYS = [st.text(), st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans()),
+         st.none()]
+_DOCS = st.recursive(_SCALARS, lambda children: st.one_of(
+    st.lists(children), st.lists(children).map(tuple),
+    *(st.dictionaries(keys, children) for keys in _KEYS)), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCS)
+def test_save_json_writes_what_json_dump_writes(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "save_json_property.json"
+    netmodel.save_json(doc, path)
+    assert path.read_bytes() == (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
