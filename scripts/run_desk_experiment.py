@@ -65,6 +65,10 @@ def main() -> int:
     print(f"\nwin table over {wt['compared_cells']} (row, path) cells: "
           + ", ".join(f"{k}={v}" for k, v in wt["wins"].items())
           + f", ties={wt['ties']}")
+    nodes = comparison["node_counts"]
+    print(f"tree node counts: baseline {nodes['baseline_tree']}, optimized "
+          f"{nodes['optimized_tree']}; baseline_equals_optimized = "
+          f"{comparison['baseline_equals_optimized']}")
     return 0
 
 

@@ -2,10 +2,13 @@
 
 Subcommands map to workflow stages: ``generate`` (topologies, heuristic
 placements, dataset), ``optimize`` (depth search and final models), and
-``compare`` (held-out head-to-head report on the features ``generate``
-wrote to ``test.csv``: ``comparison.json``, with both trees' node counts and
-whether they are identical, and one ``diff_hist_<a>_vs_<b>.csv`` per
-non-empty ``delay_differences`` entry).
+``compare`` (held-out head-to-head report on ``test.csv``: ``comparison.json``,
+with both trees' node counts and whether they are identical, and one
+``diff_hist_<a>_vs_<b>.csv`` per non-empty ``delay_differences`` entry).
+A placement is a dataset label row, one server id per instance id, so
+``optimize`` and ``compare`` read the teacher's placements from the labels of
+``train.csv`` and ``test.csv``; they read ``batch.json`` and ``split.json``
+besides, never ``placements.json``.
 ``teach``, ``train`` and ``evaluate`` are aliases. All state lives in files
 under the configured output directory, each written atomically; progress
 goes to stderr only, so reruns with the same config and seed are
@@ -22,7 +25,8 @@ describe inputs that have since changed.
 
 Exit codes: 0 success, 2 config error, 3 infeasibility or pipeline
 failure, 4 an upstream artifact that is missing, does not parse, lacks
-what the stage reads, holds a non-finite feature, or was generated under
+what the stage reads, holds a non-finite feature or a label that is not a
+server id, numbers its instances out of list order, or was generated under
 other settings (the message names the file).
 """
 
@@ -85,16 +89,16 @@ def _require(path: str) -> str:
     return path
 
 
-def _gen_one(args) -> tuple[int, netmodel.Topology, netmodel.SfcSpec, dict | None]:
+def _gen_one(args) -> tuple[int, netmodel.Topology, netmodel.SfcSpec,
+                            placer.TeacherPlacement | None, dict | None]:
     gen_cfg, index, budget = args
     topo = netmodel.generate_topology(gen_cfg, index)
     sfc = netmodel.build_sfc(gen_cfg, index)
     try:
         p = placer.place_teacher(topo, sfc, budget=budget)
-        row = placer.placement_row(index, topo, sfc, p)
     except placer.InfeasiblePlacement:
-        row = None
-    return index, topo, sfc, row
+        return index, topo, sfc, None, None
+    return index, topo, sfc, p, placer.placement_row(index, topo, sfc, p)
 
 
 def cmd_generate(cfg: RunConfig, workers: int) -> int:
@@ -115,7 +119,8 @@ def cmd_generate(cfg: RunConfig, workers: int) -> int:
 
     topologies = [d[1] for d in done]
     sfcs = [d[2] for d in done]
-    rows = [d[3] for d in done if d[3] is not None]
+    teacher = [d[3] for d in done]
+    rows = [d[4] for d in done if d[4] is not None]
     n_infeasible = n - len(rows)
     if n and n_infeasible / n > cfg.max_infeasible_fraction:
         _log(f"error: {n_infeasible}/{n} topologies had no feasible placement "
@@ -139,11 +144,9 @@ def cmd_generate(cfg: RunConfig, workers: int) -> int:
                         "config_fingerprint": generate_fingerprint(cfg)},
                        paths["split"])
 
-    placement_by_index = {r["index"]: placer.placement_from_row(r) for r in rows}
     for name, idx in [("train", train_idx), ("test", test_idx)]:
-        ds = features.build_dataset(
-            [(topologies[i], sfcs[i], placement_by_index[i]) for i in idx]
-        )
+        ds = features.build_dataset([(topologies[i], sfcs[i], teacher[i].servers)
+                                     for i in idx])
         features.save_dataset(ds, paths[name])
 
     valid = sum(1 for r in rows if r["valid"])
@@ -164,17 +167,15 @@ def _check_fingerprint(doc: dict, expected: str, path: str, stage: str, fields) 
 
 
 def _load_split(cfg: RunConfig, which: str):
-    """Read a split's dataset and rebuild its (topology, sfc) context and its
-    teacher rows, each as (placement, mean path delay), aligned with the
-    dataset's rows. Artifacts that ``generate`` wrote under other settings
-    than ``cfg``'s, or a dataset of another row count than the split's, raise
-    ArtifactError."""
+    """Read a split's dataset, whose label rows are the teacher's placements,
+    and the topology and sfc of each of its rows from ``batch.json``: returns
+    (dataset, topologies, sfcs), aligned by row. Artifacts that ``generate``
+    wrote under other settings than ``cfg``'s, or a dataset of another row
+    count than the split's or another label count than the chains' instance
+    count, raise ArtifactError."""
     paths = _paths(cfg)
     ds = features.load_dataset(_require(paths[which]))
     topologies, sfcs, _ = netmodel.load_batch(_require(paths["batch"]))
-    rows = netmodel.load_json(_require(paths["placements"]), lambda rows: {
-        r["index"]: (placer.placement_from_row(r), float(np.mean(r["cp_delays"])))
-        for r in rows})
 
     def pick(split):
         idx = split[which]
@@ -184,16 +185,20 @@ def _load_split(cfg: RunConfig, which: str):
             raise netmodel.ArtifactError(
                 f"{paths[which]} holds {ds.n_samples} rows but {paths['split']} lists "
                 f"{len(idx)} {which} rows; rerun generate")
-        return ([topologies[i] for i in idx], [sfcs[i] for i in idx],
-                [rows[i] for i in idx])
+        if any(sfcs[i].n_instances != ds.n_outputs for i in idx):
+            raise netmodel.ArtifactError(
+                f"{paths[which]} holds {ds.n_outputs} labels per row, not one per "
+                f"instance of the chains in {paths['batch']}; rerun generate")
+        return [topologies[i] for i in idx], [sfcs[i] for i in idx]
     return (ds, *netmodel.load_json(_require(paths["split"]), pick))
 
 
 def cmd_optimize(cfg: RunConfig, workers: int) -> int:
     _remove_outputs(cfg, DOWNSTREAM)
     paths = _paths(cfg)
-    ds, topos, sfcs, teacher = _load_split(cfg, "train")
-    teacher_avg = [avg for _, avg in teacher]
+    ds, topos, sfcs = _load_split(cfg, "train")
+    teacher_avg = [float(np.mean(placer.path_delays(t, p, s)))
+                   for t, s, p in zip(topos, sfcs, ds.labels.tolist())]
     ctx = swarm.make_context(topos, sfcs, teacher_avg)
     if ds.n_samples < cfg.folds:
         _log(f"pipeline failed: {ds.n_samples} training rows cannot fill "
@@ -229,7 +234,7 @@ def cmd_optimize(cfg: RunConfig, workers: int) -> int:
 def cmd_compare(cfg: RunConfig, workers: int) -> int:
     _remove_outputs(cfg, ("comparison", "cp_delays", "pair_delays"))
     paths = _paths(cfg)
-    ds, topos, sfcs, teacher = _load_split(cfg, "test")
+    ds, topos, sfcs = _load_split(cfg, "test")
 
     def load_model(key):
         def build(doc):
@@ -245,15 +250,10 @@ def cmd_compare(cfg: RunConfig, workers: int) -> int:
 
     optimized, baseline = load_model("model_optimized"), load_model("model_baseline")
 
-    def predicted(model):
-        return [swarm.placement_from_labels(s, labels)
-                for s, labels in zip(sfcs, model.predict(ds.features))]
-
-    results = [
-        evaluation.evaluate_strategy("heuristic", topos, sfcs, [p for p, _ in teacher]),
-        evaluation.evaluate_strategy("baseline_tree", topos, sfcs, predicted(baseline)),
-        evaluation.evaluate_strategy("optimized_tree", topos, sfcs, predicted(optimized)),
-    ]
+    results = [evaluation.evaluate_strategy(name, topos, sfcs, labels.tolist())
+               for name, labels in [("heuristic", ds.labels),
+                                    ("baseline_tree", baseline.predict(ds.features)),
+                                    ("optimized_tree", optimized.predict(ds.features))]]
     report = evaluation.comparison_report(results, cfg.histogram_bin_width_us)
     report["node_counts"] = {"baseline_tree": baseline.node_count(),
                              "optimized_tree": optimized.node_count()}

@@ -1,8 +1,10 @@
 """Head-to-head comparison of placement strategies on a held-out batch.
 
-Each strategy gives one placement per test row; ``evaluate_strategy``
-validates it and keeps its per-path and per-pair delays, none when it is
-invalid (invalid rows are excluded from delay aggregates). The comparison
+Each strategy gives one placement per test row: a sequence of server ids
+indexed by instance id, such as a label row of ``test.csv`` (the teacher's)
+or a tree's predicted one. ``evaluate_strategy`` validates each and keeps
+its per-path and per-pair delays, none when it is invalid (invalid rows are
+excluded from delay aggregates). The comparison
 then walks once over the (row, path) cells where every strategy is valid.
 That walk feeds the win table, where a cell goes to the strategy with
 strictly least delay and exact ties to a separate ties column; each pair
@@ -63,8 +65,7 @@ def evaluate_strategy(name: str, topologies: list[Topology], sfcs: list[SfcSpec]
     outcomes = []
     for topo, sfc, p in zip(topologies, sfcs, placements, strict=True):
         if validate_placement(topo, sfc, p).valid:
-            pair_delays = [server_delay(topo, p.server_of(a), p.server_of(b))
-                           for a, b in dependent_pairs(sfc)]
+            pair_delays = [server_delay(topo, p[a], p[b]) for a, b in dependent_pairs(sfc)]
             outcomes.append(RowOutcome(True, path_delays(topo, p, sfc), pair_delays))
         else:
             outcomes.append(RowOutcome(False, [], []))

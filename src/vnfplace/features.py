@@ -5,10 +5,11 @@ Feature order (fixed for a given configuration, mirrored in the schema file):
   2. per-server cpu capacity, mem capacity        (2 * n_servers)
   3. tolerance per adjacent type pair             (3)
   4. upper triangle of the delay matrix, row-major (n_servers*(n_servers-1)/2)
-Instances are taken in id order. A value that is the same in every row of a
-configuration, such as an instance's chain position, is not a feature: no
-split can use it. Labels are one server id per instance. No scaling: trees
-are scale-invariant.
+Instances are taken in id order, which is their list order (``SfcSpec``
+requires it). A value that is the same in every row of a configuration, such
+as an instance's chain position, is not a feature: no split can use it. A
+row's labels are its placement: one server id per instance, indexed by
+instance id. No scaling: trees are scale-invariant.
 """
 
 from __future__ import annotations
@@ -48,9 +49,8 @@ def feature_width(n_servers: int, n_instances: int) -> int:
 
 def extract_features(topo: Topology, sfc: SfcSpec) -> np.ndarray:
     """One fixed-width feature vector for a (topology, chain) snapshot."""
-    inst = sorted(sfc.instances, key=lambda i: i.id)
     parts = []
-    for i in inst:
+    for i in sfc.instances:
         parts += [i.cpu_demand, i.mem_demand]
     for s in topo.servers:
         parts += [s.cpu_capacity, s.mem_capacity]
@@ -59,7 +59,7 @@ def extract_features(topo: Topology, sfc: SfcSpec) -> np.ndarray:
     iu = np.triu_indices(topo.n_servers, k=1)
     parts += list(topo.delay[iu])
     vec = np.array(parts, dtype=float)
-    assert vec.size == feature_width(topo.n_servers, len(inst))
+    assert vec.size == feature_width(topo.n_servers, sfc.n_instances)
     return vec
 
 
@@ -105,7 +105,8 @@ class Dataset:
 
 
 def build_dataset(pairs: list[tuple[Topology, SfcSpec, Placement]]) -> Dataset:
-    """One row per (topology, chain, teacher placement) triple."""
+    """One row per (topology, chain, teacher placement) triple; the placement
+    is the row's labels."""
     if not pairs:
         raise ValueError("build_dataset requires a configuration; got no pairs")
     topo0, sfc0, _ = pairs[0]
@@ -119,8 +120,7 @@ def build_dataset(pairs: list[tuple[Topology, SfcSpec, Placement]]) -> Dataset:
         if topo.n_servers != n_servers or sfc.n_instances != n_inst:
             raise ValueError(f"row {r}: mixed configurations are not allowed")
         X[r] = extract_features(topo, sfc)
-        for i, inst in enumerate(sorted(sfc.instances, key=lambda x: x.id)):
-            Y[r, i] = p.server_of(inst.id)
+        Y[r] = p
     return Dataset(X, Y, cols, label_cols, n_servers)
 
 
@@ -178,8 +178,10 @@ def save_dataset(ds: Dataset, path: str):
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset ``save_dataset`` wrote. A file that breaks its schema or
-    holds a non-finite feature raises DatasetSchemaError naming file and line."""
+    """Read a dataset ``save_dataset`` wrote. A file that breaks its schema,
+    holds a non-finite feature or a label that is not a server id below the
+    schema's ``n_servers`` raises DatasetSchemaError naming file, line and,
+    for a bad value, column."""
     try:
         feature_cols, label_cols, n_servers = load_json(schema_path(path), lambda s: (
             list(s["feature_cols"]), list(s["label_cols"]), int(s["n_servers"])))
@@ -210,6 +212,10 @@ def load_dataset(path: str) -> Dataset:
                     raise DatasetSchemaError(
                         f"{path}:{lineno}: column {col!r} is not an integer label: {v!r}"
                     ) from None
+                if not 0 <= labels[-1] < n_servers:
+                    raise DatasetSchemaError(
+                        f"{path}:{lineno}: column {col!r} is not a server id below "
+                        f"{n_servers}: {v!r}")
             Y.append(labels)
     nf_total = len(feature_cols)
     X_arr = np.array(X, dtype=float).reshape(len(X), nf_total)

@@ -176,13 +176,17 @@ class VnfInstance:
 @dataclass
 class SfcSpec:
     """The service chain to place: instances, replica counts per type and a
-    delay tolerance per adjacent type pair. The chain order is ``CHAIN``."""
+    delay tolerance per adjacent type pair. The chain order is ``CHAIN``.
+    Each instance's id is its position in ``instances``, so a placement can
+    be a sequence of server ids indexed by instance id."""
 
     instances: list[VnfInstance]
     replica_counts: dict[VnfType, int]
     tolerance: dict[tuple[VnfType, VnfType], float]
 
     def __post_init__(self):
+        if any(inst.id != i for i, inst in enumerate(self.instances)):
+            raise ValueError("instance ids must be 0, 1, ... in list order")
         if sum(self.replica_counts.values()) != len(self.instances):
             raise ValueError("sum of replica counts must equal number of instances")
         if set(self.tolerance) != set(ADJACENT_PAIRS):

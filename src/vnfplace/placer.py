@@ -14,14 +14,18 @@ cannot beat the best complete assignment. On the first 100 topologies of
 lower mean path delay than the default budget of 1000 on 43 of them (every
 one of those searches ends within 2,597 nodes).
 
-The validator checks capacity, per-pair delay tolerance and anti-location
-(replicas of one type on distinct servers); it enforces the dependency
-constraint through the per-pair tolerance check (see ``validate_placement``).
+A placement is a sequence of server ids indexed by instance id, the same
+row a dataset stores as labels and a tree predicts. The validator checks
+that it names one server per instance, capacity, per-pair delay tolerance
+and anti-location (replicas of one type on distinct servers); it enforces
+the dependency constraint through the per-pair tolerance check (see
+``validate_placement``).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .netmodel import (
@@ -33,6 +37,8 @@ from .netmodel import (
 )
 
 ComputationalPath = tuple[int, ...]
+#: The server id of each instance, indexed by instance id: a dataset label row.
+Placement = Sequence[int]
 
 
 class InfeasiblePlacement(Exception):
@@ -40,20 +46,11 @@ class InfeasiblePlacement(Exception):
 
 
 @dataclass(frozen=True)
-class Placement:
-    """Assignment of every instance id to a server id."""
-
-    assignment: dict[int, int]
-
-    def server_of(self, instance_id: int) -> int:
-        return self.assignment[instance_id]
-
-
-@dataclass(frozen=True)
-class TeacherPlacement(Placement):
+class TeacherPlacement:
     """A teacher placement with its search counters: the nodes expanded and
     whether the node budget cut the search short."""
 
+    servers: tuple[int, ...]
     nodes: int
     budget_exhausted: bool
 
@@ -84,7 +81,7 @@ def cp_delay(topo: Topology, p: Placement, cp: ComputationalPath) -> float:
     """Sum of inter-server delays over the adjacent hops of one path."""
     total = 0.0
     for a, b in zip(cp, cp[1:]):
-        total += server_delay(topo, p.server_of(a), p.server_of(b))
+        total += server_delay(topo, p[a], p[b])
     return total
 
 
@@ -101,33 +98,29 @@ def avg_cp_delay(topo: Topology, p: Placement, sfc: SfcSpec) -> float:
 
 def total_pair_delay(topo: Topology, p: Placement, sfc: SfcSpec) -> float:
     """Summed delay over all dependent instance pairs (the heuristic's objective)."""
-    return sum(
-        server_delay(topo, p.server_of(a), p.server_of(b))
-        for a, b in dependent_pairs(sfc)
-    )
+    return sum(server_delay(topo, p[a], p[b]) for a, b in dependent_pairs(sfc))
 
 
 def validate_placement(topo: Topology, sfc: SfcSpec, p: Placement) -> ValidationReport:
     """Check capacity, delay tolerance and anti-location; list every violation.
 
-    Dependency (every computational path realizable hop by hop within the
-    tolerance) needs no pass of its own: each path hop is a dependent pair
-    and each dependent pair lies on some path, so a path breaks exactly
-    when some pair exceeds its tolerance.
+    A sequence whose length is not the instance count is one ``"missing"``
+    violation, (its length, the instance count), and a server id out of
+    range one ``"capacity"`` violation, (instance id, server id); either
+    ends the check. Dependency (every computational path realizable hop by
+    hop within the tolerance) needs no pass of its own: each path hop is a
+    dependent pair and each dependent pair lies on some path, so a path
+    breaks exactly when some pair exceeds its tolerance.
     """
+    if len(p) != sfc.n_instances:
+        return ValidationReport(False, [("missing", (len(p), sfc.n_instances))])
     violations: list[tuple[str, tuple]] = []
-    by_id = {i.id: i for i in sfc.instances}
-
-    missing = [i.id for i in sfc.instances if i.id not in p.assignment]
-    if missing:
-        violations.append(("missing", tuple(missing)))
-        return ValidationReport(valid=False, violations=violations)
 
     # (1) capacity: summed demand per server within capacity
     cpu_used = {s.id: 0.0 for s in topo.servers}
     mem_used = {s.id: 0.0 for s in topo.servers}
     for inst in sfc.instances:
-        sid = p.server_of(inst.id)
+        sid = p[inst.id]
         if not (0 <= sid < topo.n_servers):
             violations.append(("capacity", (inst.id, sid)))
             return ValidationReport(valid=False, violations=violations)
@@ -139,15 +132,15 @@ def validate_placement(topo: Topology, sfc: SfcSpec, p: Placement) -> Validation
 
     # (2) delay tolerance over every dependent pair (inclusive bound)
     for a, b in dependent_pairs(sfc):
-        tol = sfc.tolerance[(by_id[a].vnf_type, by_id[b].vnf_type)]
-        if server_delay(topo, p.server_of(a), p.server_of(b)) > tol:
+        tol = sfc.tolerance[(sfc.instances[a].vnf_type, sfc.instances[b].vnf_type)]
+        if server_delay(topo, p[a], p[b]) > tol:
             violations.append(("delay_tolerance", (a, b)))
 
     # (3) anti-location: same-type replicas on distinct servers
     for t in CHAIN:
         hosted: dict[int, int] = {}
         for inst in sfc.replicas(t):
-            sid = p.server_of(inst.id)
+            sid = p[inst.id]
             if sid in hosted:
                 violations.append(("anti_location", (hosted[sid], inst.id)))
             else:
@@ -182,9 +175,9 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
     rows = topo.delay.tolist()
     cpu_left = [s.cpu_capacity for s in topo.servers]
     mem_left = [s.mem_capacity for s in topo.servers]
-    assignment: dict[int, int] = {}
+    assignment = [-1] * sfc.n_instances
     best_cost = float("inf")
-    best_assignment: dict[int, int] | None = None
+    best_assignment: tuple[int, ...] | None = None
     nodes = 0
     exhausted = False
 
@@ -210,7 +203,7 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
         if k == len(order):
             if cost < best_cost:
                 best_cost = cost
-                best_assignment = dict(assignment)
+                best_assignment = tuple(assignment)
             return
         layer, inst, first = order[k]
         if first:
@@ -231,15 +224,13 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
             search(k + 1, cost + inc, candidates, used + (sid,))
             cpu_left[sid] += inst.cpu_demand
             mem_left[sid] += inst.mem_demand
-            del assignment[inst.id]
 
     search(0, 0.0, [], ())
     if best_assignment is None:
         raise InfeasiblePlacement(
             f"no valid assignment found within a budget of {budget} nodes"
         )
-    return TeacherPlacement(assignment=best_assignment, nodes=nodes,
-                            budget_exhausted=exhausted)
+    return TeacherPlacement(best_assignment, nodes, exhausted)
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +238,11 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
 
 
 def placement_row(index: int, topo: Topology, sfc: SfcSpec, p: TeacherPlacement) -> dict:
-    report = validate_placement(topo, sfc, p)
     return {
         "index": index,
-        "assignment": {str(k): v for k, v in p.assignment.items()},
-        "valid": report.valid,
-        "cp_delays": path_delays(topo, p, sfc),
+        "assignment": {str(i): s for i, s in enumerate(p.servers)},
+        "valid": validate_placement(topo, sfc, p.servers).valid,
+        "cp_delays": path_delays(topo, p.servers, sfc),
         "teacher_nodes": p.nodes,
         "budget_exhausted": p.budget_exhausted,
     }
-
-
-def placement_from_row(row: dict) -> Placement:
-    return Placement(assignment={int(k): int(v) for k, v in row["assignment"].items()})

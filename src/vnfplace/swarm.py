@@ -20,7 +20,7 @@ import numpy as np
 from . import tree as tree_mod
 from .features import Dataset, FoldSplit
 from .netmodel import SfcSpec, Topology
-from .placer import Placement, avg_cp_delay, validate_placement
+from .placer import avg_cp_delay, validate_placement
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,9 @@ class PsoParams:
 
 @dataclass(frozen=True)
 class ObjectiveResult:
-    avg_delay_cp: float
+    """One fold's invalid prediction count and objective value."""
+
     ip: int
-    reg_term: float
     o_pso: float
 
 
@@ -91,12 +91,6 @@ def make_context(topologies, sfcs, teacher_avg_delays) -> EvalContext:
     return EvalContext(list(topologies), list(sfcs), ceiling)
 
 
-def placement_from_labels(sfc: SfcSpec, labels) -> Placement:
-    """Interpret a predicted label row (one server id per instance, by id order)."""
-    inst = sorted(sfc.instances, key=lambda i: i.id)
-    return Placement(assignment={i.id: int(s) for i, s in zip(inst, labels)})
-
-
 def fold_results(
     h: int,
     ds: Dataset,
@@ -116,21 +110,18 @@ def fold_results(
         raise ValueError("context must carry one (topology, sfc) per dataset row")
     out = []
     for (_, val_idx), t in zip(folds.folds, trees, strict=True):
-        pred = t.predict(ds.features[val_idx], max_depth=h)
+        pred = t.predict(ds.features[val_idx], max_depth=h).tolist()
         ip = 0
         delays = []
-        for row, labels in zip(val_idx, pred):
+        for row, p in zip(val_idx, pred):
             topo = ctx.topologies[row]
             sfc = ctx.sfcs[row]
-            p = placement_from_labels(sfc, labels)
             if validate_placement(topo, sfc, p).valid:
                 delays.append(avg_cp_delay(topo, p, sfc))
             else:
                 ip += 1
         avg = float(np.mean(delays)) if delays else ctx.delay_ceiling
-        reg = reg_term(ip)
-        out.append(ObjectiveResult(avg_delay_cp=avg, ip=ip, reg_term=reg,
-                                   o_pso=avg + reg))
+        out.append(ObjectiveResult(ip=ip, o_pso=avg + reg_term(ip)))
     return out
 
 

@@ -39,7 +39,8 @@ def desk_gen_config():
 
 @pytest.fixture(scope="session")
 def small_batch(desk_gen_config):
-    """120 desk-config topologies with teacher placements, shared across tests."""
+    """120 desk-config topologies with teacher placements (server tuples),
+    shared across tests."""
     import dataclasses
     cfg = dataclasses.replace(desk_gen_config, n_topologies=120)
     topos, sfcs, placements = [], [], []
@@ -48,7 +49,7 @@ def small_batch(desk_gen_config):
         s = netmodel.build_sfc(cfg, i)
         topos.append(t)
         sfcs.append(s)
-        placements.append(placer.place_teacher(t, s))
+        placements.append(placer.place_teacher(t, s).servers)
     return cfg, topos, sfcs, placements
 
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from vnfplace import netmodel, placer
 from vnfplace.netmodel import CHAIN
-from vnfplace.placer import InfeasiblePlacement, Placement
+from vnfplace.placer import InfeasiblePlacement
 
 
 def brute_force_placement(topo, sfc):
@@ -18,7 +18,7 @@ def brute_force_placement(topo, sfc):
     ids = [i.id for i in sorted(sfc.instances, key=lambda x: x.id)]
     best, best_cost = None, float("inf")
     for assign in itertools.product(range(topo.n_servers), repeat=len(ids)):
-        p = Placement(assignment=dict(zip(ids, assign)))
+        p = assign
         if not placer.validate_placement(topo, sfc, p).valid:
             continue
         cost = placer.total_pair_delay(topo, p, sfc)
@@ -158,7 +158,7 @@ def reference_valid(topo, sfc, p):
     definitions: capacity, delay tolerance over every dependent pair,
     anti-location, and dependency (every computational path within the
     tolerance hop by hop)."""
-    a = p.assignment
+    a = dict(enumerate(p))
     if any(i.id not in a or not 0 <= a[i.id] < topo.n_servers for i in sfc.instances):
         return False
     for s in topo.servers:
@@ -205,8 +205,8 @@ def reference_generate_topology(cfg, index):
 def reference_place_teacher(topo, sfc, budget=1000):
     """The teacher search as first written: it rebuilds every search node's
     candidate list from scratch, one server and one upstream replica at a time.
-    ``placer.place_teacher`` must return the same assignment, in the same
-    insertion order, or raise ``InfeasiblePlacement`` exactly when this does.
+    ``placer.place_teacher`` must return the same servers, or raise
+    ``InfeasiblePlacement`` exactly when this does.
 
     Place the chain on the topology, minimizing total dependent-pair delay.
 
@@ -289,4 +289,4 @@ def reference_place_teacher(topo, sfc, budget=1000):
         raise InfeasiblePlacement(
             f"no valid assignment found within a budget of {budget} nodes"
         )
-    return Placement(assignment=best_assignment)
+    return tuple(best_assignment[i.id] for i in sfc.instances)

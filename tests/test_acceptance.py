@@ -80,7 +80,7 @@ def test_criterion_3_teacher_soundness(desk_run):
         rows = {r["index"]: r for r in json.load(fh)}
     n_valid = 0
     for i in range(500):
-        p = placer.placement_from_row(rows[i])
+        p = [rows[i]["assignment"][str(k)] for k in range(sfcs[i].n_instances)]
         if placer.validate_placement(topos[i], sfcs[i], p).valid:
             n_valid += 1
     assert n_valid == 500
@@ -92,7 +92,7 @@ def test_criterion_3_teacher_soundness(desk_run):
         sfc = netmodel.build_sfc(cfg, i)
         opt, opt_cost = brute_force_placement(topo, sfc)
         assert opt is not None
-        p = placer.place_teacher(topo, sfc)
+        p = placer.place_teacher(topo, sfc).servers
         cost = placer.total_pair_delay(topo, p, sfc)
         # co-locatable instances can reach a zero-delay optimum: ratio 1 iff matched
         ratios.append(cost / opt_cost if opt_cost > 0 else (1.0 if cost == 0 else np.inf))

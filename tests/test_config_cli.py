@@ -335,6 +335,21 @@ def _widen_model(text):
     return json.dumps(dict(doc, n_features=doc["n_features"] + 6))
 
 
+def _set_first_label(value):
+    """Set the last label cell of the first data row to ``value``."""
+    def edit(text):
+        header, first, rest = text.split("\n", 2)
+        return "\n".join([header, first.rsplit(",", 1)[0] + f",{value}", rest])
+    return edit
+
+
+def _permute_instance_ids(text):
+    doc = json.loads(text)
+    first, second = doc["sfcs"][0]["instances"][:2]
+    first["id"], second["id"] = second["id"], first["id"]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("name, stage, edit, says", [
     pytest.param("batch.json", "optimize", _truncate, "is not valid JSON",
                  id="batch.json-optimize"),
@@ -366,6 +381,12 @@ def _widen_model(text):
     # fitted on the wider feature rows of an earlier version
     pytest.param("model_optimized.json", "compare", _widen_model, "rerun optimize",
                  id="model_optimized.json-compare-other-width"),
+    pytest.param("train.csv", "optimize", _set_first_label(-1), "is not a server id",
+                 id="train.csv-optimize-label-out-of-range"),
+    pytest.param("test.csv", "compare", _set_first_label(99), "is not a server id",
+                 id="test.csv-compare-label-out-of-range"),
+    pytest.param("batch.json", "optimize", _permute_instance_ids, "is malformed",
+                 id="batch.json-optimize-permuted-instance-ids"),
 ])
 def test_cli_truncated_artifact_exits_4(cli_run, tmp_path, monkeypatch, capsys,
                                         name, stage, edit, says):
@@ -377,6 +398,23 @@ def test_cli_truncated_artifact_exits_4(cli_run, tmp_path, monkeypatch, capsys,
     assert _run(stage, "--config", path) == 4
     err = capsys.readouterr().err
     assert name in err and says in err
+
+
+def test_cli_dataset_of_another_label_width_exits_4(cli_run, tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    schema_path = tmp_path / "out" / "train.schema.json"
+    schema = json.loads(schema_path.read_text())
+    schema["label_cols"] = schema["label_cols"][:-1]
+    schema_path.write_text(json.dumps(schema))
+    csv_path = tmp_path / "out" / "train.csv"
+    csv_path.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                for line in csv_path.read_text().splitlines()))
+    path = write_config(tmp_path / "cfg.json", quick_config())
+    assert _run("optimize", "--config", path) == 4
+    err = capsys.readouterr().err
+    assert "train.csv holds 5 labels per row" in err and "rerun generate" in err
 
 
 def test_cli_compare_refuses_models_of_other_optimize_settings(cli_run, tmp_path,
@@ -409,6 +447,34 @@ def test_cli_compare_refuses_models_of_other_optimize_settings(cli_run, tmp_path
     assert "rerun optimize" in err
     assert _run("compare", "--config", write_config(tmp_path / "same.json",
                                                     quick_config())) == 0
+
+
+def test_cli_dataset_labels_are_the_teacher_placements(cli_run):
+    out = cli_run / "out"
+    assignments = {r["index"]: r["assignment"]
+                   for r in json.loads((out / "placements.json").read_text())}
+    split = json.loads((out / "split.json").read_text())
+    for which in ("train", "test"):
+        schema = json.loads((out / f"{which}.schema.json").read_text())
+        with open(out / f"{which}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == len(split[which])
+        for index, row in zip(split[which], rows):
+            labels = [int(v) for v in row[len(schema["feature_cols"]):]]
+            assert {str(i): s for i, s in enumerate(labels)} == assignments[index]
+
+
+def test_cli_optimize_and_compare_do_not_read_placements(cli_run, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    (tmp_path / "out" / "placements.json").unlink()
+    path = write_config(tmp_path / "cfg.json", quick_config())
+    assert _run("optimize", "--config", path) == 0
+    assert _run("compare", "--config", path) == 0
+    names = sorted(p.name for p in (cli_run / "out").iterdir() if p.name != "placements.json")
+    assert names == sorted(p.name for p in (tmp_path / "out").iterdir())
+    for name in names:
+        assert (cli_run / "out" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
 
 def test_cli_generate_records_teacher_counters(cli_run):

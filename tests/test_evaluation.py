@@ -13,7 +13,6 @@ from vnfplace.evaluation import (
     delay_difference_stats,
     win_ratios,
 )
-from vnfplace.placer import Placement
 
 
 def _result(name, rows):
@@ -125,8 +124,8 @@ def test_delay_difference_empty_when_no_common_valid():
 def test_evaluate_strategy_end_to_end():
     topo = line_topology([100.0, 50.0, 25.0])
     sfc = simple_sfc()
-    good = Placement(assignment={0: 0, 1: 1, 2: 2, 3: 3})
-    bad = Placement(assignment={0: 0, 1: 0, 2: 0, 3: 0})  # dependency ok...
+    good = [0, 1, 2, 3]
+    bad = [0, 0, 0, 0]  # dependency ok...
 
     res = evaluation.evaluate_strategy("good", [topo], [sfc], [good])
     assert res.ip_rate == 0.0

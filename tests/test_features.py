@@ -58,7 +58,7 @@ def test_build_dataset_labels_match_teacher(small_batch):
     assert ds.n_samples == 20
     p7 = placements[7]
     inst = sorted(sfcs[7].instances, key=lambda i: i.id)
-    assert list(ds.labels[7]) == [p7.server_of(i.id) for i in inst]
+    assert list(ds.labels[7]) == [p7[i.id] for i in inst]
 
 
 def test_build_dataset_rejects_mixed_configs(small_batch):

@@ -78,6 +78,14 @@ def test_sfc_instance_and_path_counts(replicas, n_inst, n_cps):
     assert sfc.n_paths == n_cps
 
 
+def test_sfc_instance_ids_are_list_positions():
+    sfc = netmodel.build_sfc(GenConfig(n_servers=30, replica_counts=counts(1, 2, 2, 1)), 0)
+    assert [i.id for i in sfc.instances] == list(range(6))
+    swapped = [sfc.instances[1], sfc.instances[0], *sfc.instances[2:]]
+    with pytest.raises(ValueError, match="instance ids"):
+        netmodel.SfcSpec(swapped, sfc.replica_counts, sfc.tolerance)
+
+
 def test_server_delay_reads_matrix():
     topo = line_topology([100.0, 250.0, 50.0])
     assert netmodel.server_delay(topo, 3, 3) == 0

@@ -220,8 +220,7 @@ def test_stage1_pso_graded_by_the_exact_objective_curve(small_dataset):
 def test_stage1_regret_of_a_missed_minimum():
     # objective 100 + h except 0 at depth 37: a swarm of two moved once
     # evaluates at most four depths; with seed 0 it misses 37 and ends at 25
-    table = {h: [ObjectiveResult(avg_delay_cp=0.0, ip=0, reg_term=0.0,
-                                 o_pso=0.0 if h == 37 else 100.0 + h)]
+    table = {h: [ObjectiveResult(ip=0, o_pso=0.0 if h == 37 else 100.0 + h)]
              for h in range(2, 101)}
     folds = features.FoldSplit(folds=[(np.arange(3), np.arange(3, 5))])
     s1 = pipeline.stage1(table, folds, PsoParams(swarm_size=2, iterations=1, seed=0))

@@ -11,7 +11,7 @@ from conftest import REPO_ROOT, line_topology, simple_sfc, tiny_config
 from oracles import brute_force_placement, reference_place_teacher, reference_valid
 from vnfplace import netmodel, placer
 from vnfplace.netmodel import Dist
-from vnfplace.placer import InfeasiblePlacement, Placement
+from vnfplace.placer import InfeasiblePlacement
 
 
 def test_enumerate_cps_counts():
@@ -30,10 +30,10 @@ def test_enumerate_cps_order_is_lexicographic():
 def test_cp_delay_sums_hops():
     topo = line_topology([100.0, 200.0, 300.0])
     sfc = simple_sfc()
-    p = Placement(assignment={0: 0, 1: 1, 2: 2, 3: 3})
+    p = [0, 1, 2, 3]
     (cp,) = placer.enumerate_cps(sfc)
     assert placer.cp_delay(topo, p, cp) == 600.0
-    co = Placement(assignment={0: 1, 1: 1, 2: 1, 3: 1})
+    co = [1, 1, 1, 1]
     assert placer.cp_delay(topo, co, cp) == 0.0
 
 
@@ -42,10 +42,10 @@ def test_cp_delay_matches_independent_recompute():
     topo = netmodel.generate_topology(cfg, 0)
     sfc = netmodel.build_sfc(cfg, 0)
     rng = np.random.default_rng(3)
-    p = Placement(assignment={i.id: int(rng.integers(0, 6)) for i in sfc.instances})
+    p = [int(rng.integers(0, 6)) for _ in sfc.instances]
     for cp in placer.enumerate_cps(sfc):
         expected = sum(
-            topo.delay[p.server_of(a), p.server_of(b)] for a, b in zip(cp, cp[1:])
+            topo.delay[p[a], p[b]] for a, b in zip(cp, cp[1:])
         )
         assert placer.cp_delay(topo, p, cp) == pytest.approx(expected, abs=0)
 
@@ -54,13 +54,13 @@ def test_avg_cp_delay_is_mean():
     # two MME and two SGW replicas on a line topology give four distinct CPs
     topo = line_topology([100.0, 100.0, 100.0, 100.0, 100.0])
     sfc = simple_sfc((1, 2, 2, 1))
-    p = Placement(assignment={0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5})
+    p = [0, 1, 2, 3, 4, 5]
     cps = placer.enumerate_cps(sfc)
     delays = [placer.cp_delay(topo, p, cp) for cp in cps]
     assert placer.avg_cp_delay(topo, p, sfc) == pytest.approx(np.mean(delays), abs=0)
 
     one_cp = simple_sfc((1, 1, 1, 1))
-    q = Placement(assignment={0: 0, 1: 2, 2: 3, 3: 5})
+    q = [0, 2, 3, 5]
     (cp,) = placer.enumerate_cps(one_cp)
     assert placer.avg_cp_delay(topo, q, one_cp) == placer.cp_delay(topo, q, cp)
 
@@ -74,7 +74,7 @@ def test_teacher_output_is_valid(small_batch):
 def test_anti_location_violation_detected():
     topo = line_topology([100.0, 100.0, 100.0])
     sfc = simple_sfc((1, 2, 1, 1))  # ids: HSS=0, MME=1,2, SGW=3, PGW=4
-    p = Placement(assignment={0: 0, 1: 1, 2: 1, 3: 2, 4: 3})
+    p = [0, 1, 1, 2, 3]
     report = placer.validate_placement(topo, sfc, p)
     assert not report.valid
     assert ("anti_location", (1, 2)) in report.violations
@@ -83,7 +83,7 @@ def test_anti_location_violation_detected():
 def test_tolerance_boundary_is_inclusive():
     topo = line_topology([500.0, 500.0, 500.0])
     sfc = simple_sfc(tolerance=500.0)
-    p = Placement(assignment={0: 0, 1: 1, 2: 2, 3: 3})
+    p = [0, 1, 2, 3]
     assert placer.validate_placement(topo, sfc, p).valid
     tight = simple_sfc(tolerance=499.999)
     report = placer.validate_placement(topo, tight, p)
@@ -95,7 +95,7 @@ def test_tolerance_boundary_is_inclusive():
 def test_capacity_violation_detected():
     topo = line_topology([100.0, 100.0, 100.0])
     sfc = simple_sfc(cpu=60.0)  # two instances exceed cpu capacity 100
-    p = Placement(assignment={0: 0, 1: 0, 2: 1, 3: 2})
+    p = [0, 0, 1, 2]
     report = placer.validate_placement(topo, sfc, p)
     assert not report.valid
     assert ("capacity", (0,)) in report.violations
@@ -104,7 +104,7 @@ def test_capacity_violation_detected():
 def test_validator_lists_every_violation():
     topo = line_topology([900.0, 900.0, 900.0])
     sfc = simple_sfc((1, 2, 1, 1), tolerance=100.0, cpu=80.0)
-    p = Placement(assignment={0: 0, 1: 0, 2: 0, 3: 1, 4: 2})
+    p = [0, 0, 0, 1, 2]
     report = placer.validate_placement(topo, sfc, p)
     kinds = {k for k, _ in report.violations}
     assert kinds == {"capacity", "delay_tolerance", "anti_location"}
@@ -122,19 +122,19 @@ def test_validator_matches_four_family_reference_property(desk_gen_config, index
     topo = netmodel.generate_topology(cfg, index)
     sfc = netmodel.build_sfc(cfg, index)
     try:
-        labels = [s for _, s in sorted(placer.place_teacher(topo, sfc).assignment.items())]
+        labels = list(placer.place_teacher(topo, sfc).servers)
     except InfeasiblePlacement:
         labels = list(range(sfc.n_instances))
     for pos, server in changes:
         labels[pos] = server
-    p = Placement(assignment=dict(enumerate(labels)))
+    p = labels
     assert placer.validate_placement(topo, sfc, p).valid == reference_valid(topo, sfc, p)
 
 
 def test_teacher_on_fully_feasible_instance():
     topo = line_topology([10.0, 10.0, 10.0])
     sfc = simple_sfc()
-    p = placer.place_teacher(topo, sfc)
+    p = placer.place_teacher(topo, sfc).servers
     assert placer.validate_placement(topo, sfc, p).valid
 
 
@@ -146,7 +146,7 @@ def test_teacher_matches_brute_force_on_tiny_instances():
         sfc = netmodel.build_sfc(cfg, i)
         opt, opt_cost = brute_force_placement(topo, sfc)
         assert opt is not None
-        p = placer.place_teacher(topo, sfc)
+        p = placer.place_teacher(topo, sfc).servers
         cost = placer.total_pair_delay(topo, p, sfc)
         assert cost >= opt_cost - 1e-9
         if cost <= 1.10 * opt_cost:
@@ -164,7 +164,8 @@ def test_teacher_search_not_cut_short_is_optimal():
         p = placer.place_teacher(topo, sfc)
         if not p.budget_exhausted:
             finished += 1
-            assert placer.total_pair_delay(topo, p, sfc) == pytest.approx(opt_cost, abs=1e-9)
+            assert placer.total_pair_delay(topo, p.servers, sfc) == pytest.approx(
+                opt_cost, abs=1e-9)
     assert finished == 10
 
 
@@ -175,7 +176,7 @@ def test_teacher_skips_undersized_server():
     topo = netmodel.Topology(servers=servers, delay=topo.delay)
     sfc = simple_sfc(cpu=1.0, mem=1.0)
     p = placer.place_teacher(topo, sfc)
-    assert 1 not in p.assignment.values()
+    assert 1 not in p.servers
 
 
 def test_teacher_raises_when_infeasible():
@@ -188,7 +189,7 @@ def test_teacher_raises_when_infeasible():
 def test_teacher_deterministic(small_batch):
     cfg, topos, sfcs, placements = small_batch
     again = placer.place_teacher(topos[5], sfcs[5])
-    assert again.assignment == placements[5].assignment
+    assert again.servers == placements[5]
 
 
 @settings(max_examples=20, deadline=None)
@@ -203,7 +204,7 @@ def test_teacher_valid_or_infeasible_property(seed):
         opt, _ = brute_force_placement(topo, sfc)
         assert opt is None
     else:
-        assert placer.validate_placement(topo, sfc, p).valid
+        assert placer.validate_placement(topo, sfc, p.servers).valid
 
 
 def test_cp_count_law_cross_check(small_batch):
@@ -223,8 +224,8 @@ def _assert_counters_exact(topo, sfc, got, budget):
     else:
         for b in (got.nodes, budget + 1000):
             again = placer.place_teacher(topo, sfc, budget=b)
-            assert ((again.assignment, again.nodes, again.budget_exhausted)
-                    == (got.assignment, got.nodes, False))
+            assert ((again.servers, again.nodes, again.budget_exhausted)
+                    == (got.servers, got.nodes, False))
 
 
 def _teacher_or_none(place, topo, sfc, budget):
@@ -261,7 +262,7 @@ def test_teacher_matches_reference_property(seed, n_servers, replicas, tolerance
     expected = _teacher_or_none(reference_place_teacher, topo, sfc, budget)
     assert (got is None) == (expected is None)
     if got is not None:
-        assert list(got.assignment.items()) == list(expected.assignment.items())
+        assert got.servers == expected
         _assert_counters_exact(topo, sfc, got, budget)
 
 
@@ -275,6 +276,6 @@ def test_teacher_matches_reference_on_shipped_configs(config):
         sfc = netmodel.build_sfc(cfg, i)
         got = placer.place_teacher(topo, sfc, budget=doc["teacher_budget"])
         expected = reference_place_teacher(topo, sfc, budget=doc["teacher_budget"])
-        assert list(got.assignment.items()) == list(expected.assignment.items()), i
+        assert got.servers == expected, i
         _assert_counters_exact(topo, sfc, got, doc["teacher_budget"])
 

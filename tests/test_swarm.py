@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -33,13 +34,14 @@ def test_reg_term_rejects_negative():
 
 
 def test_placement_from_labels_by_id_order(small_batch):
+    """A label row is the placement: entry k is the server of instance id k."""
     cfg, topos, sfcs, _ = small_batch
-    sfc = sfcs[0]
+    topo, sfc = topos[0], sfcs[0]
     labels = [3, 1, 4, 1, 5, 9]
-    p = swarm.placement_from_labels(sfc, labels)
-    inst = sorted(sfc.instances, key=lambda i: i.id)
-    for i, s in zip(inst, labels):
-        assert p.server_of(i.id) == s
+    assert [i.id for i in sfc.instances] == list(range(len(labels)))
+    for cp in placer.enumerate_cps(sfc):
+        assert placer.cp_delay(topo, labels, cp) == sum(
+            topo.delay[labels[a], labels[b]] for a, b in zip(cp, cp[1:]))
 
 
 def test_make_context_ceiling_is_percentile():
@@ -56,7 +58,8 @@ def test_context_alignment_enforced(small_batch):
 
 def reference_fold_results(h, ds, ctx, folds):
     """Slow reference: a fresh depth-h fit per fold, every validation row
-    validated by hand. Returns (invalid count, mean valid delay) per fold."""
+    validated by hand. Returns (invalid count, mean valid delay + penalty)
+    per fold."""
     out = []
     for train_idx, val_idx in folds.folds:
         sub = ds.subset(train_idx)
@@ -65,12 +68,13 @@ def reference_fold_results(h, ds, ctx, folds):
         ip = 0
         delays = []
         for row, labels in zip(val_idx, pred):
-            p = swarm.placement_from_labels(ctx.sfcs[row], labels)
+            p = [int(s) for s in labels]
             if placer.validate_placement(ctx.topologies[row], ctx.sfcs[row], p).valid:
                 delays.append(placer.avg_cp_delay(ctx.topologies[row], p, ctx.sfcs[row]))
             else:
                 ip += 1
-        out.append((ip, float(np.mean(delays)) if delays else ctx.delay_ceiling))
+        avg = float(np.mean(delays)) if delays else ctx.delay_ceiling
+        out.append((ip, avg + reg_term(ip)))
     return out
 
 
@@ -83,11 +87,7 @@ def test_fold_results_against_manual_recompute(small_dataset):
     folds = features.kfold(ds, 4, seed=0)
     res = swarm.fold_results(6, ds, ctx, folds, unbounded_fold_trees(ds, folds))
     assert len(res) == 4
-    for (ip, avg), r in zip(reference_fold_results(6, ds, ctx, folds), res):
-        assert r.ip == ip
-        assert r.avg_delay_cp == pytest.approx(avg, rel=1e-12)
-        assert r.o_pso == pytest.approx(r.avg_delay_cp + r.reg_term, rel=1e-12)
-        assert r.reg_term == pytest.approx(reg_term(ip), abs=0)
+    assert [(r.ip, r.o_pso) for r in res] == reference_fold_results(6, ds, ctx, folds)
 
 
 def test_depth_table_matches_fresh_fits(small_dataset):
@@ -107,7 +107,7 @@ def test_depth_table_matches_fresh_fits(small_dataset):
         table = pipeline.depth_table(ds, ctx, folds, trees, lo, hi)
         assert sorted(table) == list(range(lo, hi + 1))
         for h, res in table.items():
-            assert [(r.ip, r.avg_delay_cp) for r in res] == expected[h]
+            assert [(r.ip, r.o_pso) for r in res] == expected[h]
 
 
 def test_invalid_rate_bounds_and_decrease(small_dataset):
@@ -120,15 +120,21 @@ def test_invalid_rate_bounds_and_decrease(small_dataset):
     assert rates[-1] <= rates[0]
 
 
-def test_zero_valid_fold_uses_ceiling():
-    ds = features.empty_dataset(4, 6)
-    # a context whose ceiling we can see reflected when every row is invalid
-    ctx = swarm.make_context([], [], [10.0, 20.0, 30.0])
-    res = swarm.ObjectiveResult(avg_delay_cp=ctx.delay_ceiling, ip=5,
-                                reg_term=reg_term(5),
-                                o_pso=ctx.delay_ceiling + reg_term(5))
-    assert res.avg_delay_cp == ctx.delay_ceiling  # construction sanity
-    # end-to-end: labels pointing at out-of-range servers are always invalid
+def test_zero_valid_fold_uses_ceiling(small_dataset):
+    """A fold whose every prediction is invalid scores the delay ceiling plus
+    the penalty of its validation row count."""
+    ds, ctx = small_dataset
+    n = 40
+    ds = ds.subset(np.arange(n))
+    # every instance demands more cpu than any server has: all placements fail
+    heavy = [dataclasses.replace(s, instances=[
+        dataclasses.replace(i, cpu_demand=1e9) for i in s.instances])
+        for s in ctx.sfcs[:n]]
+    ctx = EvalContext(ctx.topologies[:n], heavy, ctx.delay_ceiling)
+    folds = features.kfold(ds, 4, seed=0)
+    res = swarm.fold_results(8, ds, ctx, folds, unbounded_fold_trees(ds, folds))
+    assert [(r.ip, r.o_pso) for r in res] == [
+        (len(v), ctx.delay_ceiling + reg_term(len(v))) for _, v in folds.folds]
 
 
 def test_depth_validation(small_dataset):
