@@ -310,6 +310,9 @@ def _apply_seed(cfg: RunConfig, seed: int) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.workers is not None and args.workers < 1:
+        _log(f"config error: --workers must be >= 1, got {args.workers}")
+        return EXIT_CONFIG
     try:
         cfg = load_run_config(args.config)
         if args.seed is not None:
@@ -317,7 +320,7 @@ def main(argv=None) -> int:
     except ValueError as e:  # ConfigError, or a seed a config dataclass rejects
         _log(f"config error: {e}")
         return EXIT_CONFIG
-    workers = args.workers if args.workers else (os.cpu_count() or 1)
+    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     try:
         return COMMANDS[args.command](cfg, workers)
     except netmodel.ArtifactError as e:

@@ -5,7 +5,8 @@ incremental cost (summed delay to the replicas of the previous chain type),
 then lowest server id, and backtracks within a node budget, keeping the best
 complete assignment found so far (branch and bound). Every replica of a type
 has the same upstream, so each layer's candidate order is computed once per
-placement of the layer before it and shared by the layer's replicas. The
+distinct placement of the layer before it within one call and shared by
+the layer's replicas; nothing the search builds outlives the call. The
 first descent is the plain greedy placement and the remaining budget buys
 improvement. A search the budget cuts short is not certified optimal; one
 it does not is optimal for total dependent-pair delay, since a cut branch
@@ -160,32 +161,38 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
     cost, then lowest server id, and a branch whose partial cost cannot beat
     the best complete assignment is cut. Every replica of a type has the
     same upstream, so a layer's (cost, server) order depends only on where
-    the previous layer sits: it is computed once per placement of that
-    layer, when the search enters the layer's first replica, and shared by
-    the layer's replicas.
+    the previous layer sits: it is computed once per distinct placement of
+    that layer within the call, when the search first enters the layer's
+    first replica under it, and shared by the layer's replicas. Nothing the
+    search builds outlives the call.
     ``budget`` caps the number of expanded nodes; the best complete
     assignment seen is returned with the nodes expanded and
     ``budget_exhausted``, which is true exactly when a larger budget would
     expand another node.
     """
     layers = [sfc.replicas(t) for t in CHAIN]
-    order = [(layer, inst, rank == 0)
+    # each layer's tolerance to its upstream (layer 0 has none to check)
+    tolerance = [0.0] + [sfc.tolerance[pair] for pair in ADJACENT_PAIRS]
+    # (layer, instance id, cpu demand, mem demand, first replica of its layer)
+    order = [(layer, inst.id, inst.cpu_demand, inst.mem_demand, rank == 0)
              for layer, replicas in enumerate(layers)
              for rank, inst in enumerate(replicas)]
+    last = len(order) - 1
     rows = topo.delay.tolist()
     cpu_left = [s.cpu_capacity for s in topo.servers]
     mem_left = [s.mem_capacity for s in topo.servers]
     assignment = [-1] * sfc.n_instances
+    # (layer, *previous layer's servers in replica order) -> the layer's order;
+    # ordered, because costs are summed in upstream order
+    orders: dict[tuple[int, ...], list[tuple[float, int]]] = {}
     best_cost = float("inf")
     best_assignment: tuple[int, ...] | None = None
     nodes = 0
     exhausted = False
 
-    def layer_order(layer: int) -> list[tuple[float, int]]:
-        if layer == 0:
-            return [(0.0, s) for s in range(len(rows))]
-        upstream = [rows[assignment[i.id]] for i in layers[layer - 1]]
-        tol = sfc.tolerance[ADJACENT_PAIRS[layer - 1]]
+    def layer_order(layer: int, prev: tuple[int, ...]) -> list[tuple[float, int]]:
+        upstream = [rows[s] for s in prev]
+        tol = tolerance[layer]
         out = []
         for s in range(len(rows)):
             cost = 0.0
@@ -200,17 +207,16 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
 
     def search(k: int, cost: float, candidates, used: tuple[int, ...]):
         nonlocal best_cost, best_assignment, nodes, exhausted
-        if k == len(order):
-            if cost < best_cost:
-                best_cost = cost
-                best_assignment = tuple(assignment)
-            return
-        layer, inst, first = order[k]
+        layer, iid, cpu, mem, first = order[k]
         if first:
-            candidates, used = layer_order(layer), ()
+            # entering a layer, ``used`` holds the previous layer's servers
+            key = (layer,) + used
+            candidates = orders.get(key)
+            if candidates is None:
+                candidates = orders[key] = layer_order(layer, used)
+            used = ()
         for inc, sid in candidates:
-            if (inst.cpu_demand > cpu_left[sid] or inst.mem_demand > mem_left[sid]
-                    or sid in used):
+            if cpu > cpu_left[sid] or mem > mem_left[sid] or sid in used:
                 continue
             if cost + inc >= best_cost:
                 break  # candidates sorted: no cheaper child remains
@@ -218,14 +224,21 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
                 exhausted = True  # this child would be expanded under a larger budget
                 return
             nodes += 1
-            assignment[inst.id] = sid
-            cpu_left[sid] -= inst.cpu_demand
-            mem_left[sid] -= inst.mem_demand
+            assignment[iid] = sid
+            if k == last:
+                # a complete assignment; the next candidate costs no less and
+                # fails the bound check above
+                best_cost = cost + inc
+                best_assignment = tuple(assignment)
+                return
+            cpu_left[sid] -= cpu
+            mem_left[sid] -= mem
             search(k + 1, cost + inc, candidates, used + (sid,))
-            cpu_left[sid] += inst.cpu_demand
-            mem_left[sid] += inst.mem_demand
+            cpu_left[sid] += cpu
+            mem_left[sid] += mem
 
     search(0, 0.0, [], ())
+    del search  # it refers to itself through its closure cell: free the cycle now
     if best_assignment is None:
         raise InfeasiblePlacement(
             f"no valid assignment found within a budget of {budget} nodes"

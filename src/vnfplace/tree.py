@@ -245,6 +245,7 @@ def fit(X: np.ndarray, Y: np.ndarray, max_depth: int) -> DecisionTree:
         return node
 
     grow(np.arange(X.shape[0]), 0)
+    del grow  # it refers to itself through its closure cell: free the cycle now
     return DecisionTree(
         n_features=X.shape[1],
         n_outputs=n_out,

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import sys
@@ -29,6 +30,19 @@ def tiny_config(seed=7, n_servers=4, replicas=(1, 1, 1, 1)):
         n_topologies=200,
         base_seed=seed,
     )
+
+
+def garbage_after(call):
+    """Run ``call`` with the cycle collector off and return the number of
+    objects a full collection then frees: what ``call`` left reachable only
+    through reference cycles."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 @pytest.fixture(scope="session")

@@ -174,6 +174,15 @@ def test_cli_malformed_config_or_seed_exits_2(tmp_path, capsys, patch, argv):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_workers_below_one_exits_2(tmp_path, monkeypatch, capsys, workers):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path / "cfg.json", quick_config(n_topologies=4))
+    assert _run("generate", "--config", path, "--workers", workers) == 2
+    assert "config error: --workers" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_cli_optimize_before_generate_exits_4(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = write_config(tmp_path / "cfg.json", quick_config())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REPO_ROOT, line_topology, simple_sfc, tiny_config
+from conftest import REPO_ROOT, garbage_after, line_topology, simple_sfc, tiny_config
 from oracles import brute_force_placement, reference_place_teacher, reference_valid
 from vnfplace import netmodel, placer
 from vnfplace.netmodel import Dist
@@ -279,3 +279,25 @@ def test_teacher_matches_reference_on_shipped_configs(config):
         assert got.servers == expected, i
         _assert_counters_exact(topo, sfc, got, doc["teacher_budget"])
 
+
+
+def test_teacher_leaves_no_garbage_cycle(desk_gen_config):
+    tight = dataclasses.replace(desk_gen_config, tolerance=Dist("uniform", 100.0, 300.0))
+    # (config, row, budget): feasible rows that use up the budget, one the
+    # search finishes within its budget, and a row with no feasible placement
+    cases = [(desk_gen_config, 0, 1000), (desk_gen_config, 1, 1000),
+             (desk_gen_config, 1, 100_000), (tight, 0, 1000), (tight, 85, 1000)]
+    outcomes = []
+
+    def place(topo, sfc, budget):
+        try:
+            p = placer.place_teacher(topo, sfc, budget=budget)
+        except InfeasiblePlacement:
+            outcomes.append("infeasible")
+        else:
+            outcomes.append("exhausted" if p.budget_exhausted else "finished")
+
+    for cfg, index, budget in cases:
+        topo, sfc = netmodel.generate_topology(cfg, index), netmodel.build_sfc(cfg, index)
+        assert garbage_after(lambda: place(topo, sfc, budget)) == 0, (index, budget)
+    assert outcomes == ["exhausted", "exhausted", "finished", "exhausted", "infeasible"]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import garbage_after
 from oracles import reference_fit, reference_predict, stump_oracle
 from vnfplace import tree
 from vnfplace.tree import DecisionTree
@@ -233,3 +234,13 @@ def test_fit_matches_reference_property(problem):
     natural = tree.fit(X, Y, max_depth=X.shape[0]).tree_depth()
     for h in range(1, natural + 2):
         assert tree.fit(X, Y, max_depth=h).to_json() == reference_fit(X, Y, h)
+
+
+def test_fit_leaves_no_garbage_cycle():
+    rng = np.random.default_rng(5)
+    X = rng.random((500, 150))
+    Y = rng.integers(0, 5, size=(500, 6))
+    tree.fit(X[:20], Y[:20], 2)  # numpy leaves garbage of its own on first use
+    fitted = []
+    assert garbage_after(lambda: fitted.append(tree.fit(X, Y, 100))) == 0
+    assert fitted[0].node_count() > 100
