@@ -27,7 +27,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--workers", type=int, default=None)
     ap.add_argument("--skip-generate", action="store_true",
-                    help="reuse an existing batch instead of regenerating")
+                    help="run only optimize and compare, on an earlier generate's "
+                         "datasets and split")
     args = ap.parse_args()
 
     common = ["--config", args.config]

@@ -7,26 +7,27 @@ with both trees' node counts and whether they are identical, and one
 ``diff_hist_<a>_vs_<b>.csv`` per non-empty ``delay_differences`` entry).
 A placement is a dataset label row, one server id per instance id, so
 ``optimize`` and ``compare`` read the teacher's placements from the labels of
-``train.csv`` and ``test.csv``; they read ``batch.json`` and ``split.json``
-besides, never ``placements.json``.
-``teach``, ``train`` and ``evaluate`` are aliases. All state lives in files
-under the configured output directory, each written atomically; progress
-goes to stderr only, so reruns with the same config and seed are
-byte-identical.
+``train.csv`` and ``test.csv``, regenerate each row's topology and chain
+from the config's ``gen`` section, and read ``split.json`` besides, never
+``placements.json``. All state lives in files under the configured output
+directory, each written atomically; progress goes to stderr only, so reruns
+with the same config and seed are byte-identical.
 
 ``split.json`` carries a fingerprint of the settings ``generate`` read, and
 ``optimize`` and ``compare`` refuse artifacts generated under others. The
 models carry one of the split's fingerprint plus the settings ``optimize``
 read, and ``compare`` refuses models optimized under others or on another
-feature width. Before it can fail, ``generate`` and ``optimize`` remove
-everything ``optimize`` and ``compare`` write, and ``compare`` removes what it
-writes, every ``diff_hist_*.csv`` included, so that no artifact is left to
-describe inputs that have since changed.
+feature width. A dataset row whose features differ from those of its
+regenerated topology and chain is refused too. Before it can fail,
+``generate`` and ``optimize`` remove everything ``optimize`` and ``compare``
+write, and ``compare`` removes what it writes, every ``diff_hist_*.csv``
+included, so that no artifact is left to describe inputs that have since
+changed.
 
 Exit codes: 0 success, 2 config error, 3 infeasibility or pipeline
 failure, 4 an upstream artifact that is missing, does not parse, lacks
 what the stage reads, holds a non-finite feature or a label that is not a
-server id, numbers its instances out of list order, or was generated under
+server id, holds a row that does not regenerate, or was generated under
 other settings (the message names the file).
 """
 
@@ -57,11 +58,9 @@ def _log(msg: str):
 
 #: Artifact file names by key: what ``generate`` writes, then what ``optimize``
 #: and ``compare`` write (besides ``diff_hist_*.csv``).
-GENERATED = {"batch": "batch.json", "placements": "placements.json",
-             "split": "split.json", "train": "train.csv", "test": "test.csv"}
-DOWNSTREAM = {"report": "pipeline_report.json", "stage1_curve": "stage1_curve.csv",
-              "stage1_trace": "stage1_trace.csv", "stage2_curve": "stage2_curve.csv",
-              "model_baseline": "model_baseline.json",
+GENERATED = {"placements": "placements.json", "split": "split.json",
+             "train": "train.csv", "test": "test.csv"}
+DOWNSTREAM = {"report": "pipeline_report.json", "model_baseline": "model_baseline.json",
               "model_optimized": "model_optimized.json", "comparison": "comparison.json",
               "cp_delays": "per_cp_delay.csv", "pair_delays": "pair_delay.csv"}
 
@@ -138,7 +137,6 @@ def cmd_generate(cfg: RunConfig, workers: int) -> int:
              f"split empty (train={len(train_idx)}, test={len(test_idx)})")
         return EXIT_PIPELINE
 
-    netmodel.save_batch(paths["batch"], topologies, sfcs, cfg.gen)
     netmodel.save_json(rows, paths["placements"])
     netmodel.save_json({"train": train_idx, "test": test_idx, "seed": cfg.seed,
                         "config_fingerprint": generate_fingerprint(cfg)},
@@ -168,14 +166,15 @@ def _check_fingerprint(doc: dict, expected: str, path: str, stage: str, fields) 
 
 def _load_split(cfg: RunConfig, which: str):
     """Read a split's dataset, whose label rows are the teacher's placements,
-    and the topology and sfc of each of its rows from ``batch.json``: returns
-    (dataset, topologies, sfcs), aligned by row. Artifacts that ``generate``
-    wrote under other settings than ``cfg``'s, or a dataset of another row
-    count than the split's or another label count than the chains' instance
-    count, raise ArtifactError."""
+    and regenerate the topology and sfc of each of its rows from ``cfg.gen``:
+    returns (dataset, topologies, sfcs), aligned by row. In this order, a
+    split generated under other settings than ``cfg``'s, a dataset of another
+    row count than the split's or another label count than the chains'
+    instance count, and a row whose features differ from its regenerated
+    snapshot's (numpy's streams may change between versions) raise
+    ArtifactError."""
     paths = _paths(cfg)
     ds = features.load_dataset(_require(paths[which]))
-    topologies, sfcs, _ = netmodel.load_batch(_require(paths["batch"]))
 
     def pick(split):
         idx = split[which]
@@ -185,11 +184,17 @@ def _load_split(cfg: RunConfig, which: str):
             raise netmodel.ArtifactError(
                 f"{paths[which]} holds {ds.n_samples} rows but {paths['split']} lists "
                 f"{len(idx)} {which} rows; rerun generate")
-        if any(sfcs[i].n_instances != ds.n_outputs for i in idx):
+        if ds.n_outputs != cfg.gen.n_instances:
             raise netmodel.ArtifactError(
                 f"{paths[which]} holds {ds.n_outputs} labels per row, not one per "
-                f"instance of the chains in {paths['batch']}; rerun generate")
-        return [topologies[i] for i in idx], [sfcs[i] for i in idx]
+                f"instance of the {cfg.gen.n_instances}-instance chains; rerun generate")
+        topologies, sfcs = netmodel.load_batch(cfg.gen, idx)
+        for r, (topo, sfc) in enumerate(zip(topologies, sfcs)):
+            if not np.array_equal(features.extract_features(topo, sfc), ds.features[r]):
+                raise netmodel.ArtifactError(
+                    f"{paths[which]}:{r + 2}: the features differ from those of "
+                    f"snapshot {idx[r]} regenerated from the gen settings; rerun generate")
+        return topologies, sfcs
     return (ds, *netmodel.load_json(_require(paths["split"]), pick))
 
 
@@ -214,14 +219,6 @@ def cmd_optimize(cfg: RunConfig, workers: int) -> int:
         _log(f"pipeline failed: {e}")
         return EXIT_PIPELINE
     pipeline.save_report(report, paths["report"])
-    netmodel.save_csv(paths["stage1_curve"], ["depth", "invalid_rate"],
-                      ([d, repr(v)] for d, v in sorted(report.stage1.curve.items())))
-    t = report.stage1.trace
-    netmodel.save_csv(paths["stage1_trace"], ["iteration", "best_h", "best_objective"],
-                      ([i, h, repr(v)]
-                       for i, (h, v) in enumerate(zip(t.best_h, t.best_objective))))
-    netmodel.save_csv(paths["stage2_curve"], ["depth", "objective"],
-                      ([d, repr(v)] for d, v in sorted(report.stage2.curve.items())))
     fingerprint = optimize_fingerprint(cfg)
     for key, m in [("model_optimized", model),
                    ("model_baseline", full.truncate(cfg.baseline_depth))]:
@@ -275,14 +272,7 @@ def cmd_compare(cfg: RunConfig, workers: int) -> int:
     return 0
 
 
-COMMANDS = {
-    "generate": cmd_generate,
-    "teach": cmd_generate,
-    "optimize": cmd_optimize,
-    "train": cmd_optimize,
-    "compare": cmd_compare,
-    "evaluate": cmd_compare,
-}
+COMMANDS = {"generate": cmd_generate, "optimize": cmd_optimize, "compare": cmd_compare}
 
 
 def build_parser() -> argparse.ArgumentParser:

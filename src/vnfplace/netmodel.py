@@ -3,6 +3,17 @@
 All randomness flows through numpy's PCG64 seeded with integer sequences
 ``[base_seed, index, stream]`` so every artifact is a pure function of the
 config and its index, independent of generation order.
+
+No batch file is stored: ``generate`` writes each snapshot only as its
+dataset feature row, and ``optimize`` and ``compare`` regenerate the
+snapshots of their split's rows with ``load_batch``. numpy does not promise
+the same ``Generator`` streams across versions (NEP 19), so they check each
+regenerated snapshot's features against its dataset row. That check covers
+the whole snapshot: every value generation draws (demands, capacities,
+tolerances, delays) is a feature column written with ``repr``, which reads
+back bit-exactly, and the rest (ids, types, replica indices, tiers) follows
+from the replica counts and ``n_servers`` that ``split.json``'s fingerprint
+pins.
 """
 
 from __future__ import annotations
@@ -357,6 +368,14 @@ def build_sfc(cfg: GenConfig, index: int) -> SfcSpec:
     return SfcSpec(instances=instances, replica_counts=counts, tolerance=tolerance)
 
 
+def load_batch(gen: GenConfig, indices) -> tuple[list[Topology], list[SfcSpec]]:
+    """Regenerate the topologies and chains of the rows ``indices`` of the
+    batch that ``gen`` describes, in that order."""
+    indices = list(indices)
+    return ([generate_topology(gen, i) for i in indices],
+            [build_sfc(gen, i) for i in indices])
+
+
 # ---------------------------------------------------------------------------
 # Persistence
 
@@ -456,87 +475,3 @@ def load_json(path, build=lambda doc: doc):
         except (LookupError, TypeError, ValueError) as e:
             raise ArtifactError(
                 f"{path} is malformed: {type(e).__name__}: {e}") from None
-
-
-def topology_to_json(topo: Topology) -> dict:
-    return {
-        "servers": [
-            {
-                "id": s.id,
-                "cpu_capacity": s.cpu_capacity,
-                "mem_capacity": s.mem_capacity,
-                "tier": s.tier.value,
-            }
-            for s in topo.servers
-        ],
-        "delay": topo.delay.tolist(),
-    }
-
-
-def topology_from_json(d: dict) -> Topology:
-    servers = [
-        ServerNode(
-            id=int(s["id"]),
-            cpu_capacity=float(s["cpu_capacity"]),
-            mem_capacity=float(s["mem_capacity"]),
-            tier=Tier(s["tier"]),
-        )
-        for s in d["servers"]
-    ]
-    return Topology(servers=servers, delay=np.array(d["delay"], dtype=float))
-
-
-def sfc_to_json(sfc: SfcSpec) -> dict:
-    return {
-        "instances": [
-            {
-                "id": i.id,
-                "vnf_type": i.vnf_type.value,
-                "cpu_demand": i.cpu_demand,
-                "mem_demand": i.mem_demand,
-                "replica_index": i.replica_index,
-            }
-            for i in sfc.instances
-        ],
-        "replica_counts": {t.value: c for t, c in sfc.replica_counts.items()},
-        "tolerance": {f"{a.value}-{b.value}": v for (a, b), v in sfc.tolerance.items()},
-    }
-
-
-def sfc_from_json(d: dict) -> SfcSpec:
-    instances = [
-        VnfInstance(
-            id=int(i["id"]),
-            vnf_type=VnfType(i["vnf_type"]),
-            cpu_demand=float(i["cpu_demand"]),
-            mem_demand=float(i["mem_demand"]),
-            replica_index=int(i["replica_index"]),
-        )
-        for i in d["instances"]
-    ]
-    tolerance = {}
-    for key, v in d["tolerance"].items():
-        a, b = key.split("-")
-        tolerance[(VnfType(a), VnfType(b))] = float(v)
-    return SfcSpec(
-        instances=instances,
-        replica_counts={VnfType(t): int(c) for t, c in d["replica_counts"].items()},
-        tolerance=tolerance,
-    )
-
-
-def save_batch(path, topologies: list[Topology], sfcs: list[SfcSpec], cfg: GenConfig):
-    """Persist a generated batch as one JSON file."""
-    save_json({
-        "config": config_to_json(cfg),
-        "topologies": [topology_to_json(t) for t in topologies],
-        "sfcs": [sfc_to_json(s) for s in sfcs],
-    }, path)
-
-
-def load_batch(path) -> tuple[list[Topology], list[SfcSpec], GenConfig]:
-    def build(doc):
-        cfg = config_from_json(GenConfig, doc["config"], f"{path} config")
-        topologies = [topology_from_json(t) for t in doc["topologies"]]
-        return topologies, [sfc_from_json(s) for s in doc["sfcs"]], cfg
-    return load_json(path, build)

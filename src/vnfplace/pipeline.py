@@ -182,6 +182,7 @@ class PipelineReport:
     settings: PipelineSettings
     stage1: Stage1Result
     fold_depths: list[int]  # natural depth of each fold tree
+    distinct_depths: int  # depths whose fold results were computed
     functional_range: FunctionalRange
     stage2: Stage2Result
     h_star: int
@@ -195,6 +196,7 @@ class PipelineReport:
             "stage1": {
                 "curve": {str(k): v for k, v in sorted(self.stage1.curve.items())},
                 "fold_depths": self.fold_depths,
+                "distinct_depths": self.distinct_depths,
                 "best_h": self.stage1.best_h,
                 "regret": self.stage1.regret,
                 "trace": {
@@ -230,6 +232,8 @@ def run_pipeline(ds: Dataset, ctx: EvalContext, folds: FoldSplit,
         settings=settings,
         stage1=s1,
         fold_depths=[t.tree_depth() for t in trees],
+        # depth_table computes one entry per depth, shared beyond the deepest tree
+        distinct_depths=len({id(res) for res in table.values()}),
         functional_range=frange,
         stage2=s2,
         h_star=s2.h_star,

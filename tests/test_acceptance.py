@@ -5,7 +5,6 @@ log doubles as an acceptance report. The heavyweight criteria (7 and 9)
 share one full desk-scale workflow run through the CLI.
 """
 
-import csv
 import json
 import os
 import timeit
@@ -16,6 +15,7 @@ import pytest
 from conftest import tiny_config
 from oracles import brute_force_placement, stump_oracle
 from vnfplace import cli, netmodel, placer, tree
+from vnfplace.config import load_run_config
 from vnfplace.pipeline import detect_functional_range
 from vnfplace.swarm import PsoParams, pso_minimize, reg_term
 
@@ -23,9 +23,8 @@ DESK_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__fil
                            "configs", "desk.json")
 
 ARTIFACTS = [
-    "batch.json", "placements.json", "split.json", "train.csv", "test.csv",
-    "pipeline_report.json", "stage1_curve.csv", "stage1_trace.csv",
-    "stage2_curve.csv", "model_baseline.json", "model_optimized.json",
+    "placements.json", "split.json", "train.csv", "test.csv",
+    "pipeline_report.json", "model_baseline.json", "model_optimized.json",
     "comparison.json", "per_cp_delay.csv", "pair_delay.csv",
 ]
 
@@ -75,7 +74,7 @@ def test_criterion_2_functional_range_fixture():
 # -- Criterion 3: teacher soundness -------------------------------------------
 
 def test_criterion_3_teacher_soundness(desk_run):
-    topos, sfcs, _ = netmodel.load_batch(desk_run / "batch.json")
+    topos, sfcs = netmodel.load_batch(load_run_config(DESK_CONFIG).gen, range(500))
     with open(desk_run / "placements.json", encoding="utf-8") as fh:
         rows = {r["index"]: r for r in json.load(fh)}
     n_valid = 0
@@ -194,10 +193,11 @@ def _spearman(x, y):
 
 
 def test_criterion_7_end_to_end_pipeline(desk_run):
-    with open(desk_run / "stage1_curve.csv", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    depths = [int(r[0]) for r in rows]
-    rates = [float(r[1]) for r in rows]
+    with open(desk_run / "pipeline_report.json", encoding="utf-8") as fh:
+        report = json.load(fh)
+    curve = sorted((int(d), r) for d, r in report["stage1"]["curve"].items())
+    depths = [d for d, _ in curve]
+    rates = [r for _, r in curve]
     assert min(rates) == 0.0  # curve reaches zero within the search bound
     first_zero = rates.index(0.0)
     rho = _spearman(depths[: first_zero + 1], rates[: first_zero + 1])
@@ -211,9 +211,6 @@ def test_criterion_7_end_to_end_pipeline(desk_run):
     assert opt["ip_rate"] <= 0.10
     assert opt["mean_cp_delay"] is not None and base["mean_cp_delay"] is not None
     assert opt["mean_cp_delay"] <= base["mean_cp_delay"] + 1e-9
-
-    with open(desk_run / "pipeline_report.json", encoding="utf-8") as fh:
-        report = json.load(fh)
     print(f"\n[criterion 7] PASS pre-plateau Spearman = {rho:.3f}; curve hits 0 "
           f"at depth {depths[first_zero]}; functional range "
           f"{report['functional_range']}, h* = {report['h_star']}; held-out "

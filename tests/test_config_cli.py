@@ -10,7 +10,7 @@ import pytest
 
 from dataclasses import replace
 
-from vnfplace import cli, config
+from vnfplace import cli, config, netmodel
 from vnfplace.config import (
     GENERATE_FIELDS, OPTIMIZE_FIELDS, RunConfig, generate_fingerprint, load_run_config,
     optimize_fingerprint, run_config_from_json,
@@ -249,17 +249,16 @@ def cli_run(tmp_path_factory):
 
 
 EXPECTED_ARTIFACTS = [
-    "batch.json", "placements.json", "split.json", "train.csv", "test.csv",
-    "pipeline_report.json", "stage1_curve.csv", "stage1_trace.csv",
-    "stage2_curve.csv", "model_baseline.json", "model_optimized.json",
-    "comparison.json", "per_cp_delay.csv", "pair_delay.csv",
+    "placements.json", "split.json", "train.csv", "train.schema.json", "test.csv",
+    "test.schema.json", "pipeline_report.json", "model_baseline.json",
+    "model_optimized.json", "comparison.json", "per_cp_delay.csv", "pair_delay.csv",
 ]
 
 
 def test_cli_workflow_produces_artifacts(cli_run):
     out = cli_run / "out"
-    for name in EXPECTED_ARTIFACTS:
-        assert (out / name).exists(), name
+    assert sorted(p.name for p in out.iterdir() if not p.name.startswith("diff_hist_")) \
+        == sorted(EXPECTED_ARTIFACTS)
     comparison = json.loads((out / "comparison.json").read_text())
     names = [s["name"] for s in comparison["strategies"]]
     assert names == ["heuristic", "baseline_tree", "optimized_tree"]
@@ -295,7 +294,7 @@ def test_cli_parallel_generation_matches_serial(cli_run, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfgpath = write_config(tmp_path / "cfg.json", quick_config())
     assert _run("generate", "--config", str(cfgpath), "--workers", "4") == 0
-    for name in ("batch.json", "placements.json", "split.json", "train.csv", "test.csv"):
+    for name in ("placements.json", "split.json", "train.csv", "test.csv"):
         assert (cli_run / "out" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
 
@@ -304,24 +303,23 @@ def test_cli_seed_override_changes_data(cli_run, tmp_path, monkeypatch):
     cfgpath = write_config(tmp_path / "cfg.json", quick_config())
     assert _run("generate", "--config", str(cfgpath), "--workers", "1",
                 "--seed", "123") == 0
-    assert ((cli_run / "out" / "batch.json").read_bytes()
-            != (tmp_path / "out" / "batch.json").read_bytes())
+    assert ((cli_run / "out" / "train.csv").read_bytes()
+            != (tmp_path / "out" / "train.csv").read_bytes())
     split = json.loads((tmp_path / "out" / "split.json").read_text())
     assert split["seed"] == 123
 
 
-def test_cli_aliases_map_to_same_commands():
-    assert cli.COMMANDS["teach"] is cli.COMMANDS["generate"]
-    assert cli.COMMANDS["train"] is cli.COMMANDS["optimize"]
-    assert cli.COMMANDS["evaluate"] is cli.COMMANDS["compare"]
+def test_cli_former_aliases_exit_2(tmp_path):
+    path = write_config(tmp_path / "cfg.json", quick_config())
+    assert sorted(cli.COMMANDS) == ["compare", "generate", "optimize"]
+    for alias in ("teach", "train", "evaluate"):
+        with pytest.raises(SystemExit) as exit_info:
+            _run(alias, "--config", path)
+        assert exit_info.value.code == 2, alias
 
 
 def _truncate(text):
     return text[:100]
-
-
-def _malformed_batch_config(text):
-    return json.dumps(dict(json.loads(text), config=5))
 
 
 def _non_finite_features(text):
@@ -352,24 +350,26 @@ def _set_first_label(value):
     return edit
 
 
-def _permute_instance_ids(text):
-    doc = json.loads(text)
-    first, second = doc["sfcs"][0]["instances"][:2]
-    first["id"], second["id"] = second["id"], first["id"]
-    return json.dumps(doc)
+def _shift_delay(row):
+    """Add 1 us to the delay_0_1 cell of data row ``row`` (0-based, negative
+    from the end)."""
+    def edit(text):
+        header, *rows = text.splitlines()
+        col = header.split(",").index("delay_0_1")
+        cells = rows[row].split(",")
+        cells[col] = repr(float(cells[col]) + 1.0)
+        rows[row] = ",".join(cells)
+        return "\n".join([header, *rows]) + "\n"
+    return edit
 
 
 @pytest.mark.parametrize("name, stage, edit, says", [
-    pytest.param("batch.json", "optimize", _truncate, "is not valid JSON",
-                 id="batch.json-optimize"),
     pytest.param("split.json", "optimize", _truncate, "is not valid JSON",
                  id="split.json-optimize"),
     pytest.param("model_optimized.json", "compare", _truncate, "is not valid JSON",
                  id="model_optimized.json-compare"),
     pytest.param("split.json", "optimize", lambda _: "{}", "is malformed",
                  id="split.json-optimize-no-key"),
-    pytest.param("batch.json", "optimize", _malformed_batch_config, "is malformed",
-                 id="batch.json-optimize-bad-config"),
     pytest.param("train.schema.json", "optimize", lambda _: '{"feature_cols": []}',
                  "is malformed", id="train.schema.json-optimize-no-key"),
     pytest.param("model_optimized.json", "compare", lambda _: '{"nodes": []}',
@@ -394,8 +394,11 @@ def _permute_instance_ids(text):
                  id="train.csv-optimize-label-out-of-range"),
     pytest.param("test.csv", "compare", _set_first_label(99), "is not a server id",
                  id="test.csv-compare-label-out-of-range"),
-    pytest.param("batch.json", "optimize", _permute_instance_ids, "is malformed",
-                 id="batch.json-optimize-permuted-instance-ids"),
+    # a feature that its regenerated topology does not reproduce
+    pytest.param("train.csv", "optimize", _shift_delay(0), "rerun generate",
+                 id="train.csv-optimize-delay-changed"),
+    pytest.param("test.csv", "compare", _shift_delay(-1), "rerun generate",
+                 id="test.csv-compare-delay-changed"),
 ])
 def test_cli_truncated_artifact_exits_4(cli_run, tmp_path, monkeypatch, capsys,
                                         name, stage, edit, says):
@@ -426,14 +429,36 @@ def test_cli_dataset_of_another_label_width_exits_4(cli_run, tmp_path, monkeypat
     assert "train.csv holds 5 labels per row" in err and "rerun generate" in err
 
 
+def test_cli_refuses_rows_that_regenerate_differently(cli_run, tmp_path, monkeypatch,
+                                                     capsys):
+    """A changed numpy stream regenerates other data than the datasets hold;
+    here one delay of the last training row's topology."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    last = json.loads((tmp_path / "out" / "split.json").read_text())["train"][-1]
+    generate_topology = netmodel.generate_topology
+
+    def perturbed(gen, index):
+        topo = generate_topology(gen, index)
+        if index == last:
+            topo.delay[0, 1] = topo.delay[1, 0] = topo.delay[0, 1] + 1.0
+        return topo
+
+    monkeypatch.setattr(netmodel, "generate_topology", perturbed)
+    path = write_config(tmp_path / "cfg.json", quick_config())
+    assert _run("optimize", "--config", path) == 4
+    err = capsys.readouterr().err
+    assert "train.csv" in err and "rerun generate" in err
+    assert not (tmp_path / "out" / "pipeline_report.json").exists()
+
+
 def test_cli_compare_refuses_models_of_other_optimize_settings(cli_run, tmp_path,
                                                                monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     shutil.copytree(cli_run / "out", tmp_path / "out")
     models = {p.name: p.read_bytes() for p in (tmp_path / "out").glob("model_*.json")}
     assert sorted(models) == ["model_baseline.json", "model_optimized.json"]
-    downstream = ["pipeline_report.json", "stage1_curve.csv", "stage1_trace.csv",
-                  "stage2_curve.csv", "comparison.json", "per_cp_delay.csv",
+    downstream = ["pipeline_report.json", "comparison.json", "per_cp_delay.csv",
                   "pair_delay.csv", "diff_hist_*.csv"]
     assert all(list((tmp_path / "out").glob(name)) for name in downstream)
     doc = quick_config()

@@ -225,3 +225,22 @@ def test_stage1_regret_of_a_missed_minimum():
     folds = features.FoldSplit(folds=[(np.arange(3), np.arange(3, 5))])
     s1 = pipeline.stage1(table, folds, PsoParams(swarm_size=2, iterations=1, seed=0))
     assert (s1.best_h, s1.regret) == (25, 125.0)
+
+
+@pytest.mark.parametrize("bounds", [(2, 100), (2, 5), (60, 100)])
+def test_report_counts_the_distinct_depths_evaluated(small_dataset, monkeypatch, bounds):
+    ds, ctx = small_dataset
+    folds = features.kfold(ds, 5, seed=0)
+    depths = []
+
+    def counted(h, *args):
+        depths.append(h)
+        return swarm.fold_results(h, *args)
+
+    monkeypatch.setattr(pipeline, "fold_results", counted)
+    settings = PipelineSettings(error_threshold=1.0, initial_bounds=bounds)
+    report, _, _ = pipeline.run_pipeline(ds, ctx, folds, PsoParams(seed=7), settings)
+    lo, hi = bounds
+    expected = min(max(max(report.fold_depths), lo), hi) - lo + 1
+    assert report.to_json()["stage1"]["distinct_depths"] == expected == len(set(depths))
+    assert len(depths) == len(set(depths))
