@@ -41,7 +41,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import evaluation, features, netmodel, pipeline, placer, swarm, tree
+from . import features, netmodel, placer
 from .config import (
     GENERATE_FIELDS, OPTIMIZE_FIELDS, RunConfig, generate_fingerprint, load_run_config,
     optimize_fingerprint,
@@ -199,6 +199,7 @@ def _load_split(cfg: RunConfig, which: str):
 
 
 def cmd_optimize(cfg: RunConfig, workers: int) -> int:
+    from . import pipeline, swarm  # each stage imports only the layers it runs
     _remove_outputs(cfg, DOWNSTREAM)
     paths = _paths(cfg)
     ds, topos, sfcs = _load_split(cfg, "train")
@@ -229,6 +230,7 @@ def cmd_optimize(cfg: RunConfig, workers: int) -> int:
 
 
 def cmd_compare(cfg: RunConfig, workers: int) -> int:
+    from . import evaluation, tree
     _remove_outputs(cfg, ("comparison", "cp_delays", "pair_delays"))
     paths = _paths(cfg)
     ds, topos, sfcs = _load_split(cfg, "test")

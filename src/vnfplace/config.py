@@ -3,8 +3,11 @@
 The JSON keys of each section are exactly the fields of its dataclass
 (``RunConfig``, ``GenConfig``, ``Dist``, ``PsoParams``, ``PipelineSettings``),
 and an absent key takes the field's default, so the defaults live only in
-those dataclasses. ``netmodel.config_from_json`` reads a document by the
-field types and rejects anything else with ``ConfigError``.
+those dataclasses. Every section is defined here except ``GenConfig`` and
+``Dist``, which ``netmodel``'s generators use; so this module imports only
+``netmodel``, and loading a config loads no stage layer.
+``netmodel.config_from_json`` reads a document by the field types and rejects
+anything else with ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -14,8 +17,47 @@ import json
 from dataclasses import dataclass, field
 
 from .netmodel import ConfigError, GenConfig, config_from_json, config_to_json
-from .pipeline import PipelineSettings
-from .swarm import PsoParams
+
+
+@dataclass(frozen=True)
+class PsoParams:
+    swarm_size: int = 10
+    iterations: int = 30
+    inertia: float = 0.7
+    cognitive: float = 1.5
+    social: float = 1.5
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.swarm_size < 2:
+            raise ValueError("swarm_size must be >= 2")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
+        if not (0 < self.inertia <= 1):
+            raise ValueError("inertia must be in (0, 1]")
+        if self.cognitive <= 0 or self.social <= 0:
+            raise ValueError("cognitive and social weights must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
+
+@dataclass(frozen=True)
+class PipelineSettings:
+    error_threshold: float = 0.075
+    steady_window: int = 10
+    plateau_epsilon: float = 0.001
+    initial_bounds: tuple[int, int] = (2, 100)
+
+    def __post_init__(self):
+        if not (0 < self.error_threshold <= 1):
+            raise ValueError("error_threshold must be in (0, 1]")
+        if self.steady_window < 1:
+            raise ValueError("steady_window must be >= 1")
+        if self.plateau_epsilon < 0:
+            raise ValueError("plateau_epsilon must be >= 0")
+        lo, hi = self.initial_bounds
+        if not (1 <= lo < hi):
+            raise ValueError("initial_bounds require 1 <= lo < hi")
 
 
 @dataclass(frozen=True)

@@ -172,9 +172,9 @@ def save_dataset(ds: Dataset, path: str):
         "label_cols": ds.label_cols,
         "n_servers": ds.n_servers,
     }, schema_path(path))
+    # csv writes a float as str(), its shortest repr, which reads back bit-exactly
     save_csv(path, ds.feature_cols + ds.label_cols,
-             ([repr(float(v)) for v in ds.features[r]] + [int(v) for v in ds.labels[r]]
-              for r in range(ds.n_samples)))
+             (x.tolist() + y.tolist() for x, y in zip(ds.features, ds.labels)))
 
 
 def load_dataset(path: str) -> Dataset:

@@ -148,7 +148,7 @@ class Topology:
         self.delay = np.asarray(self.delay, dtype=float)
         if self.delay.shape != (n, n):
             raise ValueError(f"delay matrix shape {self.delay.shape} != ({n}, {n})")
-        if not np.allclose(self.delay, self.delay.T, rtol=0, atol=0):
+        if not np.array_equal(self.delay, self.delay.T):
             raise ValueError("delay matrix must be symmetric")
         if np.any(np.diag(self.delay) != 0):
             raise ValueError("delay matrix diagonal must be zero")

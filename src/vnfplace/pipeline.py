@@ -24,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import tree as tree_mod
+from .config import PipelineSettings, PsoParams
 from .features import Dataset, FoldSplit
 from .netmodel import config_to_json, save_json
 from .swarm import (
     EvalContext,
     ObjectiveResult,
-    PsoParams,
     PsoTrace,
     fold_results,
     invalid_rate,
@@ -50,25 +50,6 @@ class FunctionalRange:
     def __post_init__(self):
         if self.a1 > self.a2:
             raise ValueError("functional range requires a1 <= a2")
-
-
-@dataclass(frozen=True)
-class PipelineSettings:
-    error_threshold: float = 0.075
-    steady_window: int = 10
-    plateau_epsilon: float = 0.001
-    initial_bounds: tuple[int, int] = (2, 100)
-
-    def __post_init__(self):
-        if not (0 < self.error_threshold <= 1):
-            raise ValueError("error_threshold must be in (0, 1]")
-        if self.steady_window < 1:
-            raise ValueError("steady_window must be >= 1")
-        if self.plateau_epsilon < 0:
-            raise ValueError("plateau_epsilon must be >= 0")
-        lo, hi = self.initial_bounds
-        if not (1 <= lo < hi):
-            raise ValueError("initial_bounds require 1 <= lo < hi")
 
 
 def fit_unbounded(ds: Dataset) -> tree_mod.DecisionTree:

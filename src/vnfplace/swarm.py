@@ -18,31 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tree as tree_mod
+from .config import PsoParams
 from .features import Dataset, FoldSplit
 from .netmodel import SfcSpec, Topology
 from .placer import avg_cp_delay, validate_placement
-
-
-@dataclass(frozen=True)
-class PsoParams:
-    swarm_size: int = 10
-    iterations: int = 30
-    inertia: float = 0.7
-    cognitive: float = 1.5
-    social: float = 1.5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.swarm_size < 2:
-            raise ValueError("swarm_size must be >= 2")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not (0 < self.inertia <= 1):
-            raise ValueError("inertia must be in (0, 1]")
-        if self.cognitive <= 0 or self.social <= 0:
-            raise ValueError("cognitive and social weights must be > 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -86,9 +65,20 @@ class EvalContext:
             raise ValueError("topologies and sfcs must align")
 
 
+def percentile_99(values) -> float:
+    """``float(np.percentile(values, 99))`` bit for bit, without the
+    ``numpy.ma`` import that ``np.percentile`` makes on its first call: the
+    same linear interpolation between the order statistics around
+    (n - 1) * 0.99, in numpy's operation order."""
+    x = np.sort(np.asarray(values, dtype=float)).tolist()
+    v = (len(x) - 1) * 0.99
+    i = int(v)  # no values: IndexError below, as numpy's
+    lo, hi, t = x[i], x[min(i + 1, len(x) - 1)], v - i
+    return hi - (hi - lo) * (1 - t) if t >= 0.5 else lo + (hi - lo) * t
+
+
 def make_context(topologies, sfcs, teacher_avg_delays) -> EvalContext:
-    ceiling = float(np.percentile(np.asarray(teacher_avg_delays, dtype=float), 99))
-    return EvalContext(list(topologies), list(sfcs), ceiling)
+    return EvalContext(list(topologies), list(sfcs), percentile_99(teacher_avg_delays))
 
 
 def fold_results(

@@ -146,6 +146,13 @@ def load_model(path) -> DecisionTree:
     return load_json(path, DecisionTree.from_json)
 
 
+def distinct_sorted(col: np.ndarray) -> np.ndarray:
+    """``np.unique(col)``, without the ``numpy.ma`` import that ``np.unique``
+    makes on its first call (about 13 ms of a process's start-up)."""
+    s = np.sort(col)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+
 def _majority(y_enc: np.ndarray, n_classes: int) -> int:
     counts = np.bincount(y_enc, minlength=n_classes)
     return int(counts.argmax())  # argmax takes the first max: smallest class wins ties
@@ -207,7 +214,7 @@ def fit(X: np.ndarray, Y: np.ndarray, max_depth: int) -> DecisionTree:
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     n_out = Y.shape[1]
-    classes = [np.unique(Y[:, o]) for o in range(n_out)]
+    classes = [distinct_sorted(Y[:, o]) for o in range(n_out)]
     Yenc = np.empty_like(Y)
     for o in range(n_out):
         Yenc[:, o] = np.searchsorted(classes[o], Y[:, o])

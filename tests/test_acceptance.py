@@ -15,9 +15,9 @@ import pytest
 from conftest import tiny_config
 from oracles import brute_force_placement, stump_oracle
 from vnfplace import cli, netmodel, placer, tree
-from vnfplace.config import load_run_config
+from vnfplace.config import PsoParams, load_run_config
 from vnfplace.pipeline import detect_functional_range
-from vnfplace.swarm import PsoParams, pso_minimize, reg_term
+from vnfplace.swarm import pso_minimize, reg_term
 
 DESK_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "configs", "desk.json")

@@ -95,6 +95,27 @@ def test_server_delay_reads_matrix():
         netmodel.server_delay(topo, 0, 9)
 
 
+@pytest.mark.parametrize("entries", [
+    {(0, 1): np.nan, (1, 0): np.nan},  # symmetric, but NaN equals nothing
+    {(0, 2): np.nan},
+    {(1, 2): np.nextafter(250.0, np.inf)},  # one ulp above its mirror
+    {(2, 0): np.inf},
+], ids=["nan-both", "nan-one", "asymmetric", "inf-one"])
+def test_topology_rejects_nan_or_asymmetric_delays(entries):
+    topo = line_topology([100.0, 250.0])
+    delay = topo.delay.copy()
+    for ij, value in entries.items():
+        delay[ij] = value
+    with pytest.raises(ValueError, match="symmetric"):
+        netmodel.Topology(servers=topo.servers, delay=delay)
+
+
+def test_topology_accepts_negative_zero_mirrored_by_zero():
+    delay = np.array([[0.0, -0.0], [0.0, 0.0]])
+    topo = line_topology([1.0])
+    assert netmodel.Topology(servers=topo.servers, delay=delay).n_servers == 2
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n_servers=st.integers(min_value=6, max_value=20),

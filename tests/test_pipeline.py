@@ -5,14 +5,9 @@ import pytest
 
 from conftest import line_topology, simple_sfc
 from vnfplace import features, pipeline, swarm, tree
-from vnfplace.pipeline import (
-    FunctionalRange,
-    PipelineSettings,
-    RangeNotFound,
-    detect_functional_range,
-    stage2,
-)
-from vnfplace.swarm import ObjectiveResult, PsoParams
+from vnfplace.config import PipelineSettings, PsoParams
+from vnfplace.pipeline import FunctionalRange, RangeNotFound, detect_functional_range, stage2
+from vnfplace.swarm import ObjectiveResult
 
 
 def reference_curve():

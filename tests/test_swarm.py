@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from vnfplace import features, pipeline, placer, swarm
 from vnfplace import tree as tree_mod
-from vnfplace.swarm import EvalContext, PsoParams, reg_term
+from vnfplace.config import PsoParams
+from vnfplace.swarm import EvalContext, reg_term
 
 
 # [DERIVED] 1000*log2(ip+1) by hand: log2(1)=0, log2(2)=1, log2(4)=2,
@@ -48,6 +49,21 @@ def test_make_context_ceiling_is_percentile():
     delays = list(range(1, 101))
     ctx = swarm.make_context([], [], delays)
     assert ctx.delay_ceiling == pytest.approx(np.percentile(delays, 99), abs=0)
+
+
+_delays = st.floats(1.0, 1e4, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(_delays, min_size=1, max_size=300),
+    # ties: every value drawn from a pool of a few
+    st.lists(_delays, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=300)),
+))
+def test_percentile_99_equals_numpy_bit_for_bit(values):
+    got, want = swarm.percentile_99(values), float(np.percentile(values, 99))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_context_alignment_enforced(small_batch):

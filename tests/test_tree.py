@@ -201,6 +201,17 @@ def test_tree_invariants_property(seed, depth):
         assert set(np.unique(pred[:, o])) <= set(t.classes[o].tolist())
 
 
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(int, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+                  elements=st.integers(-20, 20)))
+def test_distinct_sorted_equals_np_unique(Y):
+    """Negative labels, duplicates and single rows included, on column views
+    as ``fit`` passes them."""
+    for o in range(Y.shape[1]):
+        got, want = tree.distinct_sorted(Y[:, o]), np.unique(Y[:, o])
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @st.composite
 def tie_heavy_problems(draw):
     """Small (X, Y) full of exact ties: each fresh column takes 2-4 levels,
