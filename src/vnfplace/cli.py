@@ -168,11 +168,11 @@ def _load_split(cfg: RunConfig, which: str):
     """Read a split's dataset, whose label rows are the teacher's placements,
     and regenerate the topology and sfc of each of its rows from ``cfg.gen``:
     returns (dataset, topologies, sfcs), aligned by row. In this order, a
-    split generated under other settings than ``cfg``'s, a dataset of another
-    row count than the split's or another label count than the chains'
-    instance count, and a row whose features differ from its regenerated
-    snapshot's (numpy's streams may change between versions) raise
-    ArtifactError."""
+    split generated under other settings than ``cfg``'s, a split that lists
+    no rows of ``which``, a dataset of another row count than the split's or
+    another label count than the chains' instance count, and a row whose
+    features differ from its regenerated snapshot's (numpy's streams may
+    change between versions) raise ArtifactError."""
     paths = _paths(cfg)
     ds = features.load_dataset(_require(paths[which]))
 
@@ -180,6 +180,9 @@ def _load_split(cfg: RunConfig, which: str):
         idx = split[which]
         _check_fingerprint(split, generate_fingerprint(cfg), paths["split"], "generate",
                            GENERATE_FIELDS)
+        if not idx:
+            raise netmodel.ArtifactError(
+                f"{paths['split']} lists no {which} rows; rerun generate")
         if len(idx) != ds.n_samples:
             raise netmodel.ArtifactError(
                 f"{paths[which]} holds {ds.n_samples} rows but {paths['split']} lists "
@@ -219,13 +222,13 @@ def cmd_optimize(cfg: RunConfig, workers: int) -> int:
     except pipeline.RangeNotFound as e:
         _log(f"pipeline failed: {e}")
         return EXIT_PIPELINE
-    pipeline.save_report(report, paths["report"])
+    netmodel.save_json(report, paths["report"])
     fingerprint = optimize_fingerprint(cfg)
     for key, m in [("model_optimized", model),
                    ("model_baseline", full.truncate(cfg.baseline_depth))]:
         netmodel.save_json(dict(m.to_json(), config_fingerprint=fingerprint), paths[key])
-    _log(f"functional range [{report.functional_range.a1}, "
-         f"{report.functional_range.a2}], optimal depth {report.h_star}")
+    a1, a2 = report["functional_range"]
+    _log(f"functional range [{a1}, {a2}], optimal depth {report['h_star']}")
     return 0
 
 

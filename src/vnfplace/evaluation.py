@@ -16,7 +16,7 @@ Each histogram CSV is written from its entry in the report.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,63 +96,45 @@ def _common_cells(results: list[StrategyResult]) -> np.ndarray:
     return np.array(cells, dtype=float).reshape(len(cells), len(results))
 
 
-@dataclass
-class WinTable:
-    strategies: list[str]
-    wins: dict[str, int]
-    ties: int
-    compared_cells: int
-    # Per pair (a, b), a before b in strategy order, over the same cells:
-    # (wins_a, wins_b, ties), and delay_a - delay_b per cell.
-    pairwise: dict[tuple[str, str], tuple[int, int, int]] = field(default_factory=dict)
-    differences: dict[tuple[str, str], list[float]] = field(default_factory=dict)
+def win_ratios(results: list[StrategyResult]) -> tuple[dict, dict[str, list[float]]]:
+    """Per-(row, path) least-delay wins, over cells valid for all strategies.
 
-
-def win_ratios(results: list[StrategyResult]) -> WinTable:
-    """Per-(row, path) least-delay wins, over cells valid for all strategies."""
+    Returns the report's ``win_table`` section and each pair's per-cell
+    differences delay_a - delay_b, both keyed ``<a>_vs_<b>`` for a before b
+    in strategy order.
+    """
     cells = _common_cells(results)
     names = [r.name for r in results]
     least = cells == cells.min(axis=1, keepdims=True)
     sole = least.sum(axis=1) == 1
-    table = WinTable(strategies=names,
-                     wins={n: int((least[:, k] & sole).sum()) for k, n in enumerate(names)},
-                     ties=int((~sole).sum()), compared_cells=len(cells))
+    pairwise, differences = {}, {}
     for a, b in itertools.combinations(range(len(names)), 2):
         da, db = cells[:, a], cells[:, b]
-        key = (names[a], names[b])
-        table.pairwise[key] = (int((da < db).sum()), int((db < da).sum()),
-                               int((da == db).sum()))
-        table.differences[key] = (da - db).tolist()
-    return table
+        key = f"{names[a]}_vs_{names[b]}"
+        pairwise[key] = {"wins_a": int((da < db).sum()), "wins_b": int((db < da).sum()),
+                         "ties": int((da == db).sum())}
+        differences[key] = (da - db).tolist()
+    table = {"wins": {n: int((least[:, k] & sole).sum()) for k, n in enumerate(names)},
+             "ties": int((~sole).sum()), "compared_cells": len(cells),
+             "pairwise": pairwise}
+    return table, differences
 
 
-@dataclass
-class DiffStats:
-    samples: list[float]
-    mean: float
-    bin_width: float
-    bin_edges: list[float]
-    bin_counts: list[int]
-    empty: bool = False
-
-
-def delay_difference_stats(samples: list[float], bin_width: float = 5.0) -> DiffStats:
-    """Mean and fixed-width histogram of per-cell delay differences."""
+def delay_difference_stats(samples: list[float], bin_width: float = 5.0) -> dict:
+    """The report's ``delay_differences`` entry for one pair: the mean (None
+    without samples) and fixed-width histogram of its per-cell differences."""
     if not samples:
-        return DiffStats([], float("nan"), bin_width, [], [], empty=True)
+        return {"mean": None, "n_samples": 0, "bin_width": bin_width,
+                "bin_edges": [], "bin_counts": []}
     lo = np.floor(min(samples) / bin_width) * bin_width
     hi = np.ceil(max(samples) / bin_width) * bin_width
     if hi <= lo:
         hi = lo + bin_width
     edges = np.arange(lo, hi + bin_width / 2, bin_width)
     counts, edges = np.histogram(samples, bins=edges)
-    return DiffStats(
-        samples=samples,
-        mean=float(np.mean(samples)),
-        bin_width=bin_width,
-        bin_edges=[float(e) for e in edges],
-        bin_counts=[int(c) for c in counts],
-    )
+    return {"mean": float(np.mean(samples)), "n_samples": len(samples),
+            "bin_width": bin_width, "bin_edges": [float(e) for e in edges],
+            "bin_counts": [int(c) for c in counts]}
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +144,7 @@ def delay_difference_stats(samples: list[float], bin_width: float = 5.0) -> Diff
 def comparison_report(results: list[StrategyResult],
                       bin_width: float = 5.0) -> dict:
     """Per-strategy aggregates, the win table and each pair's differences."""
-    table = win_ratios(results)
-    diffs = {}
-    for (na, nb), samples in table.differences.items():
-        d = delay_difference_stats(samples, bin_width)
-        diffs[f"{na}_vs_{nb}"] = {
-            "mean": None if d.empty else d.mean,
-            "n_samples": len(d.samples),
-            "bin_width": d.bin_width,
-            "bin_edges": d.bin_edges,
-            "bin_counts": d.bin_counts,
-        }
+    table, differences = win_ratios(results)
     return {
         "strategies": [
             {
@@ -184,16 +156,9 @@ def comparison_report(results: list[StrategyResult],
             }
             for r in results
         ],
-        "win_table": {
-            "wins": table.wins,
-            "ties": table.ties,
-            "compared_cells": table.compared_cells,
-            "pairwise": {
-                f"{a}_vs_{b}": {"wins_a": wa, "wins_b": wb, "ties": t}
-                for (a, b), (wa, wb, t) in table.pairwise.items()
-            },
-        },
-        "delay_differences": diffs,
+        "win_table": table,
+        "delay_differences": {key: delay_difference_stats(samples, bin_width)
+                              for key, samples in differences.items()},
     }
 
 

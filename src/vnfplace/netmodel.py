@@ -11,7 +11,7 @@ the same ``Generator`` streams across versions (NEP 19), so they check each
 regenerated snapshot's features against its dataset row. That check covers
 the whole snapshot: every value generation draws (demands, capacities,
 tolerances, delays) is a feature column written with ``repr``, which reads
-back bit-exactly, and the rest (ids, types, replica indices, tiers) follows
+back bit-exactly, and the rest (ids, types, replica indices) follows
 from the replica counts and ``n_servers`` that ``split.json``'s fingerprint
 pins.
 """
@@ -129,7 +129,6 @@ class ServerNode:
     id: int
     cpu_capacity: float
     mem_capacity: float
-    tier: Tier
 
     def __post_init__(self):
         if self.cpu_capacity < 0 or self.mem_capacity < 0:
@@ -328,8 +327,7 @@ def generate_topology(cfg: GenConfig, index: int) -> Topology:
     cpu = cfg.cpu_capacity.sample(rng, n)
     mem = cfg.mem_capacity.sample(rng, n)
     servers = [
-        ServerNode(id=i, cpu_capacity=float(cpu[i]), mem_capacity=float(mem[i]),
-                   tier=tiers[i])
+        ServerNode(id=i, cpu_capacity=float(cpu[i]), mem_capacity=float(mem[i]))
         for i in range(n)
     ]
     rows, cols = np.triu_indices(n, 1)

@@ -13,7 +13,7 @@ undefined mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,18 +30,6 @@ class ObjectiveResult:
 
     ip: int
     o_pso: float
-
-
-@dataclass
-class PsoTrace:
-    """Per-iteration global best; the objective sequence is non-increasing."""
-
-    best_h: list[int] = field(default_factory=list)
-    best_objective: list[float] = field(default_factory=list)
-
-    def record(self, h: int, value: float):
-        self.best_h.append(h)
-        self.best_objective.append(value)
 
 
 def reg_term(ip: int) -> float:
@@ -91,8 +79,8 @@ def fold_results(
     """Evaluate depth h on every fold; one ObjectiveResult per fold.
 
     ``trees`` holds one tree per fold, fitted on that fold's training rows
-    at any depth of at least h: predictions come from traversal truncated
-    at h, which is exact for top-down CART (see ``DecisionTree.truncate``).
+    at any depth of at least h: predictions come from its truncation at h,
+    which is exact for top-down CART (see ``DecisionTree.truncate``).
     """
     if h < 1:
         raise ValueError("depth must be >= 1")
@@ -100,7 +88,7 @@ def fold_results(
         raise ValueError("context must carry one (topology, sfc) per dataset row")
     out = []
     for (_, val_idx), t in zip(folds.folds, trees, strict=True):
-        pred = t.predict(ds.features[val_idx], max_depth=h).tolist()
+        pred = t.truncate(h).predict(ds.features[val_idx]).tolist()
         ip = 0
         delays = []
         for row, p in zip(val_idx, pred):
@@ -126,12 +114,15 @@ def invalid_rate(results: list[ObjectiveResult], folds: FoldSplit) -> float:
     return sum(r.ip for r in results) / total_rows
 
 
-def pso_minimize(f, lo: int, hi: int, params: PsoParams) -> tuple[int, PsoTrace]:
+def pso_minimize(f, lo: int, hi: int, params: PsoParams) -> tuple[int, dict]:
     """Global-best PSO over the integer interval [lo, hi].
 
     Particles move in the continuous interval; evaluation rounds to the
     nearest integer and clamps to the bounds, with results memoized per
-    integer. Returns the best integer over all evaluations plus the trace.
+    integer. Returns the best integer over all evaluations plus the trace:
+    the global best after the initial swarm and after each iteration, as
+    ``{"best_h": [...], "best_objective": [...]}``, whose objective sequence
+    never increases.
     """
     if lo >= hi:
         raise ValueError("bounds require lo < hi")
@@ -157,8 +148,7 @@ def pso_minimize(f, lo: int, hi: int, params: PsoParams) -> tuple[int, PsoTrace]
         if val < gbest_val:
             gbest_h, gbest_val = h, val
 
-    trace = PsoTrace()
-    trace.record(gbest_h, gbest_val)
+    trace = {"best_h": [gbest_h], "best_objective": [gbest_val]}
     for _ in range(params.iterations):
         r1 = rng.uniform(size=n)
         r2 = rng.uniform(size=n)
@@ -174,5 +164,6 @@ def pso_minimize(f, lo: int, hi: int, params: PsoParams) -> tuple[int, PsoTrace]
                 pbest_x[i] = x[i]
             if val < gbest_val:
                 gbest_h, gbest_val = h, val
-        trace.record(gbest_h, gbest_val)
+        trace["best_h"].append(gbest_h)
+        trace["best_objective"].append(gbest_val)
     return gbest_h, trace

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netmodel import load_json, save_json
+from .netmodel import load_json
 
 #: Impurity differences below this are treated as exact ties.
 _TIE_TOL = 1e-12
@@ -45,13 +45,9 @@ class DecisionTree:
     def tree_depth(self) -> int:
         return int(self.depth.max())
 
-    def predict(self, X: np.ndarray, max_depth: int | None = None) -> np.ndarray:
-        """Per-row root-to-leaf traversal, optionally truncated at ``max_depth``.
-
-        Truncating at depth d yields exactly the predictions of a tree fitted
-        with max_depth=d, because CART grows top-down and the depth limit
-        only stops recursion.
-        """
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Per-row root-to-leaf traversal; ``truncate`` first to predict at a
+        shallower depth."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
@@ -62,9 +58,7 @@ class DecisionTree:
         out = np.empty((X.shape[0], self.n_outputs), dtype=int)
         for r in range(X.shape[0]):
             node = 0
-            while self.feature[node] >= 0 and (
-                max_depth is None or self.depth[node] < max_depth
-            ):
+            while self.feature[node] >= 0:
                 if X[r, self.feature[node]] <= self.threshold[node]:
                     node = self.left[node]
                 else:
@@ -136,10 +130,6 @@ class DecisionTree:
             majority=np.array([n["majority"] for n in nodes], dtype=int),
             max_depth_fit=int(d["max_depth_fit"]),
         )
-
-
-def save_model(tree: DecisionTree, path):
-    save_json(tree.to_json(), path)
 
 
 def load_model(path) -> DecisionTree:

@@ -76,7 +76,7 @@ def small_dataset(small_batch):
     return ds, ctx
 
 
-def line_topology(delays, tiers=None):
+def line_topology(delays):
     """Hand-built topology: server i and i+1 separated by delays[i]; all other
     pairs get the summed chain distance. Capacities are ample."""
     n = len(delays) + 1
@@ -84,12 +84,8 @@ def line_topology(delays, tiers=None):
     for i in range(n):
         for j in range(i + 1, n):
             mat[i, j] = mat[j, i] = sum(delays[i:j])
-    tiers = tiers or netmodel.tier_assignment(n)
-    servers = [
-        netmodel.ServerNode(id=i, cpu_capacity=100.0, mem_capacity=100.0,
-                            tier=tiers[i])
-        for i in range(n)
-    ]
+    servers = [netmodel.ServerNode(id=i, cpu_capacity=100.0, mem_capacity=100.0)
+               for i in range(n)]
     return netmodel.Topology(servers=servers, delay=mat)
 
 

@@ -67,8 +67,8 @@ def test_criterion_2_functional_range_fixture():
         else:
             curve[d] = 0.0  # flat zero from depth 25
     fr = detect_functional_range(curve, threshold=0.075, steady_window=10)
-    assert (fr.a1, fr.a2) == (20, 35)
-    print(f"\n[criterion 2] PASS functional range = [{fr.a1}, {fr.a2}]")
+    assert fr == (20, 35)
+    print(f"\n[criterion 2] PASS functional range = [{fr[0]}, {fr[1]}]")
 
 
 # -- Criterion 3: teacher soundness -------------------------------------------
@@ -168,7 +168,7 @@ def test_criterion_6_pso_correctness():
     for seed in range(30):
         h, trace = pso_minimize(lambda h: (h - 17) ** 2, 2, 100,
                                 PsoParams(swarm_size=10, iterations=30, seed=seed))
-        for a, b in zip(trace.best_objective, trace.best_objective[1:]):
+        for a, b in zip(trace["best_objective"], trace["best_objective"][1:]):
             assert b <= a
         hits += h == 17
     assert hits == 30

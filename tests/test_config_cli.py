@@ -267,6 +267,14 @@ def test_cli_workflow_produces_artifacts(cli_run):
     assert a1 <= report["h_star"] <= a2
 
 
+def test_cli_pipeline_report_sections(cli_run):
+    """The report holds each stage's results and the config once, as
+    ``config_echo``: no copy of its ``pipeline`` section besides."""
+    report = json.loads((cli_run / "out" / "pipeline_report.json").read_text())
+    assert sorted(report) == ["config_echo", "functional_range", "h_star", "model_depth",
+                              "model_nodes", "stage1", "stage2"]
+
+
 def test_cli_split_respects_test_fraction(cli_run):
     split = json.loads((cli_run / "out" / "split.json").read_text())
     n = len(split["train"]) + len(split["test"])
@@ -410,6 +418,22 @@ def test_cli_truncated_artifact_exits_4(cli_run, tmp_path, monkeypatch, capsys,
     assert _run(stage, "--config", path) == 4
     err = capsys.readouterr().err
     assert name in err and says in err
+
+
+@pytest.mark.parametrize("stage, which", [("optimize", "train"), ("compare", "test")])
+def test_cli_split_without_rows_exits_4(cli_run, tmp_path, monkeypatch, capsys, stage,
+                                        which):
+    """A split that keeps its fingerprint but lists no rows of the stage's
+    dataset, next to a header-only CSV, is refused, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    split_path = tmp_path / "out" / "split.json"
+    split_path.write_text(json.dumps(dict(json.loads(split_path.read_text()), **{which: []})))
+    csv_path = tmp_path / "out" / f"{which}.csv"
+    csv_path.write_text(csv_path.read_text().split("\n", 1)[0] + "\n")
+    path = write_config(tmp_path / "cfg.json", quick_config())
+    assert _run(stage, "--config", path) == 4
+    assert f"split.json lists no {which} rows; rerun generate" in capsys.readouterr().err
 
 
 def test_cli_dataset_of_another_label_width_exits_4(cli_run, tmp_path, monkeypatch,

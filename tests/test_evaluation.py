@@ -26,7 +26,11 @@ def _result(name, rows):
 
 def _differences(a, b):
     """Per common-valid cell: delay_a - delay_b, from the one cell walk."""
-    return win_ratios([a, b]).differences[(a.name, b.name)]
+    return win_ratios([a, b])[1][f"{a.name}_vs_{b.name}"]
+
+
+def _pair(wins_a, wins_b, ties):
+    return {"wins_a": wins_a, "wins_b": wins_b, "ties": ties}
 
 
 # [DERIVED] by hand: per-cell strict minimum over 3 strategies across
@@ -36,30 +40,30 @@ def test_win_ratios_hand_case():
     a = _result("A", [[1.0, 5.0], [3.0, 2.0]])
     b = _result("B", [[2.0, 4.0], [4.0, 6.0]])
     c = _result("C", [[3.0, 6.0], [3.0, 7.0]])
-    table = win_ratios([a, b, c])
-    assert table.compared_cells == 4
-    assert table.wins == {"A": 2, "B": 1, "C": 0}
-    assert table.ties == 1
-    assert table.pairwise[("A", "B")] == (3, 1, 0)
-    assert table.pairwise[("A", "C")] == (3, 0, 1)
+    table, _ = win_ratios([a, b, c])
+    assert table["compared_cells"] == 4
+    assert table["wins"] == {"A": 2, "B": 1, "C": 0}
+    assert table["ties"] == 1
+    assert table["pairwise"]["A_vs_B"] == _pair(3, 1, 0)
+    assert table["pairwise"]["A_vs_C"] == _pair(3, 0, 1)
 
 
 def test_invalid_rows_excluded_from_cells():
     a = _result("A", [[1.0], None, [2.0]])
     b = _result("B", [[2.0], [1.0], None])
-    table = win_ratios([a, b])
-    assert table.compared_cells == 1
-    assert table.wins == {"A": 1, "B": 0}
+    table, _ = win_ratios([a, b])
+    assert table["compared_cells"] == 1
+    assert table["wins"] == {"A": 1, "B": 0}
 
 
 def test_pairwise_counts_use_cells_valid_for_every_strategy():
     a = _result("A", [[1.0], [2.0]])
     b = _result("B", [[2.0], [1.0]])
     c = _result("C", [[3.0], None])
-    table = win_ratios([a, b, c])
-    assert table.compared_cells == 1
-    assert table.pairwise[("A", "B")] == (1, 0, 0)
-    assert table.differences[("A", "B")] == [-1.0]
+    table, differences = win_ratios([a, b, c])
+    assert table["compared_cells"] == 1
+    assert table["pairwise"]["A_vs_B"] == _pair(1, 0, 0)
+    assert differences["A_vs_B"] == [-1.0]
 
 
 def test_win_ratios_pair_consistent_with_table():
@@ -72,10 +76,10 @@ def test_win_ratios_pair_consistent_with_table():
     wb = sum(y < x for x, y in cells)
     t = sum(x == y for x, y in cells)
     assert wa + wb + t == 80
-    table = win_ratios([a, b])
-    assert table.pairwise[("A", "B")] == (wa, wb, t)
-    assert table.wins["A"] == wa and table.wins["B"] == wb
-    assert table.ties == t
+    table, _ = win_ratios([a, b])
+    assert table["pairwise"]["A_vs_B"] == _pair(wa, wb, t)
+    assert table["wins"]["A"] == wa and table["wins"]["B"] == wb
+    assert table["ties"] == t
 
 
 def test_misaligned_inputs_rejected():
@@ -95,30 +99,32 @@ def test_misaligned_inputs_rejected():
 def test_delay_difference_stats_hand_case():
     a = _result("A", [[1.0, 5.0], [3.0, 8.0]])
     b = _result("B", [[2.0, 4.0], [6.0, 6.0]])
-    d = delay_difference_stats(_differences(a, b), bin_width=5.0)
-    assert sorted(d.samples) == [-3.0, -1.0, 1.0, 2.0]
-    assert d.mean == pytest.approx(-0.25, abs=0)
-    assert d.bin_edges == [-5.0, 0.0, 5.0]
-    assert d.bin_counts == [2, 2]
-    assert not d.empty
+    samples = _differences(a, b)
+    assert sorted(samples) == [-3.0, -1.0, 1.0, 2.0]
+    d = delay_difference_stats(samples, bin_width=5.0)
+    assert d == {"mean": -0.25, "n_samples": 4, "bin_width": 5.0,
+                 "bin_edges": [-5.0, 0.0, 5.0], "bin_counts": [2, 2]}
 
 
 def test_delay_difference_counts_cover_all_samples():
     rng = np.random.default_rng(9)
     a = _result("A", [list(rng.uniform(0, 400, 4)) for _ in range(30)])
     b = _result("B", [list(rng.uniform(0, 400, 4)) for _ in range(30)])
-    d = delay_difference_stats(_differences(a, b), bin_width=5.0)
-    assert sum(d.bin_counts) == len(d.samples) == 120
-    assert d.bin_edges[0] <= min(d.samples)
-    assert d.bin_edges[-1] >= max(d.samples)
-    assert all(e2 - e1 == pytest.approx(5.0) for e1, e2 in zip(d.bin_edges, d.bin_edges[1:]))
+    samples = _differences(a, b)
+    d = delay_difference_stats(samples, bin_width=5.0)
+    edges = d["bin_edges"]
+    assert sum(d["bin_counts"]) == d["n_samples"] == len(samples) == 120
+    assert edges[0] <= min(samples)
+    assert edges[-1] >= max(samples)
+    assert all(e2 - e1 == pytest.approx(5.0) for e1, e2 in zip(edges, edges[1:]))
 
 
 def test_delay_difference_empty_when_no_common_valid():
     a = _result("A", [None, [1.0]])
     b = _result("B", [[2.0], None])
-    d = delay_difference_stats(_differences(a, b))
-    assert d.empty and d.samples == [] and math.isnan(d.mean)
+    assert _differences(a, b) == []
+    assert delay_difference_stats([]) == {"mean": None, "n_samples": 0, "bin_width": 5.0,
+                                          "bin_edges": [], "bin_counts": []}
 
 
 def test_evaluate_strategy_end_to_end():

@@ -1,12 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 
 from conftest import line_topology, simple_sfc
 from vnfplace import features, pipeline, swarm, tree
 from vnfplace.config import PipelineSettings, PsoParams
-from vnfplace.pipeline import FunctionalRange, RangeNotFound, detect_functional_range, stage2
+from vnfplace.pipeline import RangeNotFound, detect_functional_range, stage2
 from vnfplace.swarm import ObjectiveResult
 
 
@@ -30,20 +28,18 @@ def reference_curve():
 
 
 def test_functional_range_on_reference_curve():
-    fr = detect_functional_range(reference_curve(), 0.075, 10)
-    assert (fr.a1, fr.a2) == (20, 35)
+    assert detect_functional_range(reference_curve(), 0.075, 10) == (20, 35)
 
 
 def test_threshold_is_inclusive():
     curve = {d: (0.075 if d >= 10 else 0.5) for d in range(2, 40)}
-    fr = detect_functional_range(curve, 0.075, 10)
-    assert fr.a1 == 10
+    a1, _ = detect_functional_range(curve, 0.075, 10)
+    assert a1 == 10
 
 
 def test_range_clamped_to_curve_end():
     curve = {d: 0.0 for d in range(2, 12)}
-    fr = detect_functional_range(curve, 0.075, 10)
-    assert (fr.a1, fr.a2) == (2, 11)
+    assert detect_functional_range(curve, 0.075, 10) == (2, 11)
 
 
 def test_steady_requires_no_improvement_in_window():
@@ -54,12 +50,12 @@ def test_steady_requires_no_improvement_in_window():
             curve[d] = max(0.0, 0.07 - 0.001 * ((d - 2) // 5))
         else:
             curve[d] = 0.0
-    fr = detect_functional_range(curve, 0.075, 10)
-    assert fr.a1 == 2
+    a1, a2 = detect_functional_range(curve, 0.075, 10)
+    assert a1 == 2
     # improvements recur within every 10-depth window until the curve
     # bottoms out, so the steady point is the first depth of the final flat
     first_flat = min(d for d in curve if curve[d] == 0.0)
-    assert fr.a2 == min(first_flat + 10, 80)
+    assert a2 == min(first_flat + 10, 80)
 
 
 def test_range_not_found():
@@ -73,11 +69,6 @@ def test_range_not_found():
 def test_curve_must_be_contiguous():
     with pytest.raises(ValueError, match="contiguous"):
         detect_functional_range({2: 0.0, 4: 0.0}, 0.075, 10)
-
-
-def test_functional_range_validation():
-    with pytest.raises(ValueError):
-        FunctionalRange(a1=5, a2=3)
 
 
 def test_settings_validation():
@@ -100,8 +91,7 @@ class _CurveStage2:
         self.curve = curve
 
     def run(self, settings):
-        return stage2(FunctionalRange(min(self.curve), max(self.curve)), self.curve,
-                      settings)
+        return stage2((min(self.curve), max(self.curve)), self.curve, settings)
 
 
 # [DERIVED] plateau rule by hand: curve flat at 100.0 from depth 29 onward,
@@ -109,24 +99,22 @@ class _CurveStage2:
 # start at 29, so h* = 29.
 def test_stage2_plateau_picks_start_of_trailing_plateau():
     curve = {d: (100.0 if d >= 29 else 200.0 - 3.0 * (d - 20)) for d in range(20, 36)}
-    res = _CurveStage2(curve).run(PipelineSettings())
-    assert res.h_star == 29
-    assert res.curve == curve
+    assert _CurveStage2(curve).run(PipelineSettings()) == (29, curve)
 
 
 def test_stage2_convex_curve_falls_back_to_argmin():
     # objective dips at 27 then rises again: no trailing plateau near the min
     curve = {d: 100.0 + (d - 27) ** 2 for d in range(20, 36)}
-    res = _CurveStage2(curve).run(PipelineSettings())
-    assert res.h_star == 27
+    h_star, _ = _CurveStage2(curve).run(PipelineSettings())
+    assert h_star == 27
 
 
 def test_stage2_epsilon_widens_plateau():
     curve = {20: 150.0, 21: 100.4, 22: 100.2, 23: 100.0}
-    res = _CurveStage2(curve).run(PipelineSettings(plateau_epsilon=0.005))
-    assert res.h_star == 21
-    res_tight = _CurveStage2(curve).run(PipelineSettings(plateau_epsilon=0.0))
-    assert res_tight.h_star == 23
+    h_star, _ = _CurveStage2(curve).run(PipelineSettings(plateau_epsilon=0.005))
+    assert h_star == 21
+    h_tight, _ = _CurveStage2(curve).run(PipelineSettings(plateau_epsilon=0.0))
+    assert h_tight == 23
 
 
 def _hopeless_problem():
@@ -157,35 +145,28 @@ def test_stage1_raises_when_threshold_unreachable():
                               settings)
 
 
-def test_full_pipeline_on_small_batch(small_dataset, tmp_path):
+def test_full_pipeline_on_small_batch(small_dataset):
     ds, ctx = small_dataset
     folds = features.kfold(ds, 5, seed=0)
     settings = PipelineSettings()
     report, model, _ = pipeline.run_pipeline(
         ds, ctx, folds, PsoParams(seed=7), settings, config_echo={"note": "test"}
     )
-    fr = report.functional_range
+    a1, a2 = report["functional_range"]
     lo, hi = settings.initial_bounds
-    assert lo <= fr.a1 <= fr.a2 <= hi
-    assert set(report.stage1.curve) == set(range(lo, hi + 1))
-    assert len(report.fold_depths) == 5
-    assert model.to_json() == tree.fit(ds.features, ds.labels, report.h_star).to_json()
-    assert fr.a1 <= report.h_star <= fr.a2
-    assert report.stage1.curve[fr.a1] <= settings.error_threshold
-    assert report.stage2.curve == {h: report.stage1.objective[h]
-                                   for h in range(fr.a1, fr.a2 + 1)}
-    assert model.tree_depth() <= report.h_star
-    assert report.model_depth == model.tree_depth()
-    assert report.model_nodes == model.node_count()
-    # report serialization round-trips through JSON
-    path = tmp_path / "report.json"
-    pipeline.save_report(report, path)
-    doc = json.loads(path.read_text())
-    assert doc["functional_range"] == [fr.a1, fr.a2]
-    assert doc["h_star"] == report.h_star
-    assert doc["stage1"]["regret"] == report.stage1.regret
-    assert doc["config_echo"] == {"note": "test"}
-    assert path.read_text().endswith("\n")
+    assert lo <= a1 <= a2 <= hi
+    curve = report["stage1"]["curve"]
+    assert set(curve) == {str(h) for h in range(lo, hi + 1)}
+    assert len(report["stage1"]["fold_depths"]) == 5
+    h_star = report["h_star"]
+    assert model.to_json() == tree.fit(ds.features, ds.labels, h_star).to_json()
+    assert a1 <= h_star <= a2
+    assert curve[str(a1)] <= settings.error_threshold
+    assert set(report["stage2"]["curve"]) == {str(h) for h in range(a1, a2 + 1)}
+    assert model.tree_depth() <= h_star
+    assert report["model_depth"] == model.tree_depth()
+    assert report["model_nodes"] == model.node_count()
+    assert report["config_echo"] == {"note": "test"}
 
 
 def test_pipeline_deterministic(small_dataset):
@@ -195,7 +176,7 @@ def test_pipeline_deterministic(small_dataset):
                                       PipelineSettings())
     r2, m2, _ = pipeline.run_pipeline(ds, ctx, folds, PsoParams(seed=7),
                                       PipelineSettings())
-    assert r1.to_json() == r2.to_json()
+    assert r1 == r2
     assert m1.to_json() == m2.to_json()
 
 
@@ -204,12 +185,12 @@ def test_stage1_pso_graded_by_the_exact_objective_curve(small_dataset):
     folds = features.kfold(ds, 5, seed=0)
     trees = [pipeline.fit_unbounded(ds.subset(t)) for t, _ in folds.folds]
     table = pipeline.depth_table(ds, ctx, folds, trees, 2, 40)
-    s1 = pipeline.stage1(table, folds, PsoParams(seed=7))
+    s1, objective = pipeline.stage1(table, folds, PsoParams(seed=7))
     exact = {h: swarm.objective_full(res) for h, res in table.items()}
-    assert s1.objective == exact
-    assert s1.curve == {h: swarm.invalid_rate(res, folds) for h, res in table.items()}
-    assert s1.regret == 0.0 and exact[s1.best_h] == min(exact.values())
-    assert s1.trace.best_h[-1] == s1.best_h
+    assert objective == exact
+    assert s1["curve"] == {h: swarm.invalid_rate(res, folds) for h, res in table.items()}
+    assert s1["regret"] == 0.0 and exact[s1["best_h"]] == min(exact.values())
+    assert s1["trace"]["best_h"][-1] == s1["best_h"]
 
 
 def test_stage1_regret_of_a_missed_minimum():
@@ -218,8 +199,8 @@ def test_stage1_regret_of_a_missed_minimum():
     table = {h: [ObjectiveResult(ip=0, o_pso=0.0 if h == 37 else 100.0 + h)]
              for h in range(2, 101)}
     folds = features.FoldSplit(folds=[(np.arange(3), np.arange(3, 5))])
-    s1 = pipeline.stage1(table, folds, PsoParams(swarm_size=2, iterations=1, seed=0))
-    assert (s1.best_h, s1.regret) == (25, 125.0)
+    s1, _ = pipeline.stage1(table, folds, PsoParams(swarm_size=2, iterations=1, seed=0))
+    assert (s1["best_h"], s1["regret"]) == (25, 125.0)
 
 
 @pytest.mark.parametrize("bounds", [(2, 100), (2, 5), (60, 100)])
@@ -236,6 +217,6 @@ def test_report_counts_the_distinct_depths_evaluated(small_dataset, monkeypatch,
     settings = PipelineSettings(error_threshold=1.0, initial_bounds=bounds)
     report, _, _ = pipeline.run_pipeline(ds, ctx, folds, PsoParams(seed=7), settings)
     lo, hi = bounds
-    expected = min(max(max(report.fold_depths), lo), hi) - lo + 1
-    assert report.to_json()["stage1"]["distinct_depths"] == expected == len(set(depths))
+    expected = min(max(max(report["stage1"]["fold_depths"]), lo), hi) - lo + 1
+    assert report["stage1"]["distinct_depths"] == expected == len(set(depths))
     assert len(depths) == len(set(depths))

@@ -172,7 +172,7 @@ def test_teacher_search_not_cut_short_is_optimal():
 def test_teacher_skips_undersized_server():
     topo = line_topology([10.0, 10.0, 10.0])
     servers = list(topo.servers)
-    servers[1] = netmodel.ServerNode(1, 0.5, 0.5, servers[1].tier)
+    servers[1] = netmodel.ServerNode(1, 0.5, 0.5)
     topo = netmodel.Topology(servers=servers, delay=topo.delay)
     sfc = simple_sfc(cpu=1.0, mem=1.0)
     p = placer.place_teacher(topo, sfc)
@@ -251,8 +251,7 @@ def test_teacher_matches_reference_property(seed, n_servers, replicas, tolerance
     capacity = rng.choice([0.5, 1.0, 2.0, 3.0], size=(n_servers, 2),
                           p=[0.05, 0.25, 0.35, 0.35])
     topo = netmodel.Topology(
-        servers=[netmodel.ServerNode(s, float(capacity[s, 0]), float(capacity[s, 1]),
-                                     netmodel.Tier.CORE)
+        servers=[netmodel.ServerNode(s, float(capacity[s, 0]), float(capacity[s, 1]))
                  for s in range(n_servers)],
         delay=delay + delay.T)
     sfc = simple_sfc(replicas)

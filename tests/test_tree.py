@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import garbage_after
 from oracles import reference_fit, reference_predict, stump_oracle
-from vnfplace import tree
+from vnfplace import netmodel, tree
 from vnfplace.tree import DecisionTree
 
 
@@ -95,7 +95,7 @@ def test_truncated_prediction_equals_shallow_fit():
         Xq = rng.normal(size=(40, X.shape[1]))
         for d in (1, 2, 4, 7):
             shallow = tree.fit(X, Y, max_depth=d)
-            assert np.array_equal(deep.predict(Xq, max_depth=d), shallow.predict(Xq))
+            assert np.array_equal(deep.truncate(d).predict(Xq), shallow.predict(Xq))
 
 
 def test_majority_tie_goes_to_smallest_label():
@@ -137,12 +137,12 @@ def test_model_round_trip(tmp_path):
     X, Y = random_problem(rng, n=70, nf=4, n_out=3)
     t = tree.fit(X, Y, max_depth=6)
     path = tmp_path / "model.json"
-    tree.save_model(t, path)
+    netmodel.save_json(t.to_json(), path)
     back = tree.load_model(path)
     Xq = rng.normal(size=(30, 4))
     assert np.array_equal(t.predict(Xq), back.predict(Xq))
-    assert np.array_equal(t.predict(Xq, max_depth=2), back.predict(Xq, max_depth=2))
-    tree.save_model(back, tmp_path / "again.json")
+    assert np.array_equal(t.truncate(2).predict(Xq), back.truncate(2).predict(Xq))
+    netmodel.save_json(back.to_json(), tmp_path / "again.json")
     assert (tmp_path / "model.json").read_bytes() == (tmp_path / "again.json").read_bytes()
 
 
