@@ -57,22 +57,20 @@ def depth_table(ds: Dataset, ctx: EvalContext, folds: FoldSplit,
 
 
 def stage1(table: dict[int, list[ObjectiveResult]], folds: FoldSplit,
-           pso_params: PsoParams) -> tuple[dict, dict[int, float]]:
+           pso_params: PsoParams
+           ) -> tuple[dict[int, float], dict[int, float], int, float, dict]:
     """The invalid-rate and full-objective curves over the table's depth
     interval, and PSO on that objective over the interval, graded by it.
 
-    Returns the entries of the report's ``stage1`` section that it computes
-    (the invalid-rate ``curve`` by depth, PSO's ``best_h``, its ``regret``,
-    the objective there minus its minimum over the interval, and its
-    ``trace``) and the objective curve by depth.
+    Returns the invalid-rate and objective curves by depth, PSO's best depth,
+    its regret (the objective there minus its minimum over the interval) and
+    its trace.
     """
+    curve = {h: invalid_rate(res, folds) for h, res in table.items()}
     objective = {h: objective_full(res) for h, res in table.items()}
     best_h, trace = pso_minimize(objective.__getitem__, min(table), max(table),
                                  pso_params)
-    section = {"curve": {h: invalid_rate(res, folds) for h, res in table.items()},
-               "best_h": best_h, "regret": objective[best_h] - min(objective.values()),
-               "trace": trace}
-    return section, objective
+    return curve, objective, best_h, objective[best_h] - min(objective.values()), trace
 
 
 def detect_functional_range(curve: dict[int, float], threshold: float,
@@ -152,17 +150,22 @@ def run_pipeline(ds: Dataset, ctx: EvalContext, folds: FoldSplit,
     the final model and the unbounded full-training-set tree it truncates."""
     trees = [fit_unbounded(ds.subset(train_idx)) for train_idx, _ in folds.folds]
     table = depth_table(ds, ctx, folds, trees, *settings.initial_bounds)
-    s1, objective = stage1(table, folds, pso_params)
-    frange = detect_functional_range(s1["curve"], settings.error_threshold,
+    curve, objective, best_h, regret, trace = stage1(table, folds, pso_params)
+    frange = detect_functional_range(curve, settings.error_threshold,
                                      settings.steady_window)
     h_star, s2_curve = stage2(frange, objective, settings)
     model, full = stage3_build(ds, h_star)
     report = {
-        "stage1": dict(s1, curve=_by_depth(s1["curve"]),
-                       fold_depths=[t.tree_depth() for t in trees],
-                       # depth_table computes one entry per depth, shared
-                       # beyond the deepest tree
-                       distinct_depths=len({id(res) for res in table.values()})),
+        "stage1": {
+            "curve": _by_depth(curve),
+            "best_h": best_h,
+            "regret": regret,
+            "trace": trace,
+            "fold_depths": [t.tree_depth() for t in trees],
+            # depth_table computes one entry per depth, shared beyond the
+            # deepest tree
+            "distinct_depths": len({id(res) for res in table.values()}),
+        },
         "functional_range": list(frange),
         "stage2": {"curve": _by_depth(s2_curve)},
         "h_star": h_star,

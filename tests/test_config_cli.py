@@ -265,12 +265,7 @@ def test_cli_workflow_produces_artifacts(cli_run):
     report = json.loads((out / "pipeline_report.json").read_text())
     a1, a2 = report["functional_range"]
     assert a1 <= report["h_star"] <= a2
-
-
-def test_cli_pipeline_report_sections(cli_run):
-    """The report holds each stage's results and the config once, as
-    ``config_echo``: no copy of its ``pipeline`` section besides."""
-    report = json.loads((cli_run / "out" / "pipeline_report.json").read_text())
+    # the config appears once, as config_echo: no copy of its pipeline section
     assert sorted(report) == ["config_echo", "functional_range", "h_star", "model_depth",
                               "model_nodes", "stage1", "stage2"]
 

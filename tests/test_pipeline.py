@@ -152,6 +152,8 @@ def test_full_pipeline_on_small_batch(small_dataset):
     report, model, _ = pipeline.run_pipeline(
         ds, ctx, folds, PsoParams(seed=7), settings, config_echo={"note": "test"}
     )
+    trees = [pipeline.fit_unbounded(ds.subset(t)) for t, _ in folds.folds]
+    table = pipeline.depth_table(ds, ctx, folds, trees, *settings.initial_bounds)
     a1, a2 = report["functional_range"]
     lo, hi = settings.initial_bounds
     assert lo <= a1 <= a2 <= hi
@@ -162,7 +164,8 @@ def test_full_pipeline_on_small_batch(small_dataset):
     assert model.to_json() == tree.fit(ds.features, ds.labels, h_star).to_json()
     assert a1 <= h_star <= a2
     assert curve[str(a1)] <= settings.error_threshold
-    assert set(report["stage2"]["curve"]) == {str(h) for h in range(a1, a2 + 1)}
+    assert report["stage2"]["curve"] == {str(h): swarm.objective_full(table[h])
+                                         for h in range(a1, a2 + 1)}
     assert model.tree_depth() <= h_star
     assert report["model_depth"] == model.tree_depth()
     assert report["model_nodes"] == model.node_count()
@@ -185,12 +188,13 @@ def test_stage1_pso_graded_by_the_exact_objective_curve(small_dataset):
     folds = features.kfold(ds, 5, seed=0)
     trees = [pipeline.fit_unbounded(ds.subset(t)) for t, _ in folds.folds]
     table = pipeline.depth_table(ds, ctx, folds, trees, 2, 40)
-    s1, objective = pipeline.stage1(table, folds, PsoParams(seed=7))
+    curve, objective, best_h, regret, trace = pipeline.stage1(table, folds,
+                                                              PsoParams(seed=7))
     exact = {h: swarm.objective_full(res) for h, res in table.items()}
     assert objective == exact
-    assert s1["curve"] == {h: swarm.invalid_rate(res, folds) for h, res in table.items()}
-    assert s1["regret"] == 0.0 and exact[s1["best_h"]] == min(exact.values())
-    assert s1["trace"]["best_h"][-1] == s1["best_h"]
+    assert curve == {h: swarm.invalid_rate(res, folds) for h, res in table.items()}
+    assert regret == 0.0 and exact[best_h] == min(exact.values())
+    assert trace["best_h"][-1] == best_h
 
 
 def test_stage1_regret_of_a_missed_minimum():
@@ -199,8 +203,9 @@ def test_stage1_regret_of_a_missed_minimum():
     table = {h: [ObjectiveResult(ip=0, o_pso=0.0 if h == 37 else 100.0 + h)]
              for h in range(2, 101)}
     folds = features.FoldSplit(folds=[(np.arange(3), np.arange(3, 5))])
-    s1, _ = pipeline.stage1(table, folds, PsoParams(swarm_size=2, iterations=1, seed=0))
-    assert (s1["best_h"], s1["regret"]) == (25, 125.0)
+    _, _, best_h, regret, _ = pipeline.stage1(
+        table, folds, PsoParams(swarm_size=2, iterations=1, seed=0))
+    assert (best_h, regret) == (25, 125.0)
 
 
 @pytest.mark.parametrize("bounds", [(2, 100), (2, 5), (60, 100)])
