@@ -24,11 +24,12 @@ write, and ``compare`` removes what it writes, every ``diff_hist_*.csv``
 included, so that no artifact is left to describe inputs that have since
 changed.
 
-Exit codes: 0 success, 2 config error, 3 infeasibility or pipeline
-failure, 4 an upstream artifact that is missing, does not parse, lacks
-what the stage reads, holds a non-finite feature or a label that is not a
-server id, holds a row that does not regenerate, or was generated under
-other settings (the message names the file).
+Exit codes: 0 success, 2 config error (an ``output_dir`` that cannot be
+created included), 3 infeasibility or pipeline failure, 4 an upstream
+artifact that is missing, cannot be read, does not parse, lacks what the
+stage reads, holds a non-finite feature or a label that is not a server
+id, holds a row that does not regenerate, or was generated under other
+settings (the message names the file).
 """
 
 from __future__ import annotations
@@ -101,7 +102,11 @@ def _gen_one(args) -> tuple[int, netmodel.Topology, netmodel.SfcSpec,
 
 
 def cmd_generate(cfg: RunConfig, workers: int) -> int:
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as e:
+        _log(f"config error: cannot create output_dir {cfg.output_dir}: {e.strerror}")
+        return EXIT_CONFIG
     _remove_outputs(cfg, DOWNSTREAM)
     paths = _paths(cfg)
     n = cfg.gen.n_topologies
@@ -272,8 +277,9 @@ def cmd_compare(cfg: RunConfig, workers: int) -> int:
     if report["baseline_equals_optimized"]:
         _log(f"baseline and optimized trees are identical "
              f"({optimized.node_count()} nodes)")
-    for r in results:
-        _log(f"{r.name}: ip_rate={r.ip_rate:.3f} mean_cp_delay={r.mean_cp_delay:.1f}")
+    for s in report["strategies"]:
+        mean = np.nan if s["mean_cp_delay"] is None else s["mean_cp_delay"]
+        _log(f"{s['name']}: ip_rate={s['ip_rate']:.3f} mean_cp_delay={mean:.1f}")
     return 0
 
 

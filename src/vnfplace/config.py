@@ -130,6 +130,8 @@ def load_run_config(path: str) -> RunConfig:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as e:
+        raise ConfigError(f"config file {path} cannot be read: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
     return run_config_from_json(doc)

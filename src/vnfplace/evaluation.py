@@ -3,14 +3,15 @@
 Each strategy gives one placement per test row: a sequence of server ids
 indexed by instance id, such as a label row of ``test.csv`` (the teacher's)
 or a tree's predicted one. ``evaluate_strategy`` validates each and keeps
-its per-path and per-pair delays, none when it is invalid (invalid rows are
-excluded from delay aggregates). The comparison
-then walks once over the (row, path) cells where every strategy is valid.
-That walk feeds the win table, where a cell goes to the strategy with
-strictly least delay and exact ties to a separate ties column; each pair
-(a, b)'s wins and ties; and each pair's per-cell delay differences
-delay_a - delay_b, summarized as a mean plus a fixed-width histogram.
-Each histogram CSV is written from its entry in the report.
+its per-path and per-pair delays as one array row, NaN where the placement
+is invalid (invalid rows are excluded from delay aggregates). Every chain of
+a configuration has the same paths and pairs, so the comparison takes the
+(row, path) cells of the rows valid for every strategy with one mask. Those
+cells feed the win table, where a cell goes to the strategy with strictly
+least delay and exact ties to a separate ties column; each pair (a, b)'s
+wins and ties; and each pair's per-cell delay differences delay_a - delay_b,
+summarized as a mean plus a fixed-width histogram. Each histogram CSV is
+written from its entry in the report.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .netmodel import SfcSpec, Topology, save_csv
 from .placer import (
     Placement,
     dependent_pairs,
+    enumerate_cps,
     path_delays,
     server_delay,
     validate_placement,
@@ -31,69 +33,41 @@ from .placer import (
 
 
 @dataclass
-class RowOutcome:
-    valid: bool
-    cp_delays: list[float]  # empty when invalid
-    pair_delays: list[float]
-
-
-@dataclass
 class StrategyResult:
+    """One strategy's scores: ``valid`` is a per-row bool mask, ``cp_delays``
+    (rows × paths) and ``pair_delays`` (rows × pairs) are NaN on invalid rows."""
+
     name: str
-    rows: list[RowOutcome]
+    valid: np.ndarray
+    cp_delays: np.ndarray
+    pair_delays: np.ndarray
 
     @property
     def ip_rate(self) -> float:
-        if not self.rows:
+        if not len(self.valid):
             return 0.0
-        return sum(1 for r in self.rows if not r.valid) / len(self.rows)
-
-    @property
-    def mean_cp_delay(self) -> float:
-        delays = [d for r in self.rows if r.valid for d in r.cp_delays]
-        return float(np.mean(delays)) if delays else float("nan")
-
-    @property
-    def mean_pair_delay(self) -> float:
-        delays = [d for r in self.rows if r.valid for d in r.pair_delays]
-        return float(np.mean(delays)) if delays else float("nan")
+        return int((~self.valid).sum()) / len(self.valid)
 
 
 def evaluate_strategy(name: str, topologies: list[Topology], sfcs: list[SfcSpec],
                       placements: list[Placement]) -> StrategyResult:
     """Validate and score one strategy's placement of each test row."""
-    outcomes = []
-    for topo, sfc, p in zip(topologies, sfcs, placements, strict=True):
+    n = len(placements)
+    widths = (len(enumerate_cps(sfcs[0])), len(dependent_pairs(sfcs[0]))) if sfcs else (0, 0)
+    valid = np.zeros(n, dtype=bool)
+    cp, pair = np.full((n, widths[0]), np.nan), np.full((n, widths[1]), np.nan)
+    for r, (topo, sfc, p) in enumerate(zip(topologies, sfcs, placements, strict=True)):
         if validate_placement(topo, sfc, p).valid:
-            pair_delays = [server_delay(topo, p[a], p[b]) for a, b in dependent_pairs(sfc)]
-            outcomes.append(RowOutcome(True, path_delays(topo, p, sfc), pair_delays))
-        else:
-            outcomes.append(RowOutcome(False, [], []))
-    return StrategyResult(name=name, rows=outcomes)
+            valid[r] = True
+            cp[r] = path_delays(topo, p, sfc)
+            pair[r] = [server_delay(topo, p[a], p[b]) for a, b in dependent_pairs(sfc)]
+    return StrategyResult(name, valid, cp, pair)
 
 
-def _check_aligned(results: list[StrategyResult]):
-    if len(results) < 2:
-        raise ValueError("need at least two strategies to compare")
-    n = len(results[0].rows)
-    for r in results:
-        if len(r.rows) != n:
-            raise ValueError(
-                f"misaligned results: {r.name} has {len(r.rows)} rows, expected {n}"
-            )
-    for i in range(n):
-        widths = {len(r.rows[i].cp_delays) for r in results if r.rows[i].valid}
-        if len(widths) > 1:
-            raise ValueError(f"misaligned results: row {i} differs in path count")
-
-
-def _common_cells(results: list[StrategyResult]) -> np.ndarray:
-    """Delays of the (row, path) cells where every strategy is valid: one
-    array row per cell, in (row, path) order, one column per strategy."""
-    _check_aligned(results)
-    cells = [cell for rows in zip(*(r.rows for r in results)) if all(x.valid for x in rows)
-             for cell in zip(*(x.cp_delays for x in rows))]
-    return np.array(cells, dtype=float).reshape(len(cells), len(results))
+def _mean(delays: np.ndarray, valid: np.ndarray) -> float | None:
+    """The mean of the valid rows' delays, in row-major order; None without any."""
+    values = delays[valid].ravel()
+    return float(np.mean(values)) if values.size else None
 
 
 def win_ratios(results: list[StrategyResult]) -> tuple[dict, dict[str, list[float]]]:
@@ -103,7 +77,15 @@ def win_ratios(results: list[StrategyResult]) -> tuple[dict, dict[str, list[floa
     differences delay_a - delay_b, both keyed ``<a>_vs_<b>`` for a before b
     in strategy order.
     """
-    cells = _common_cells(results)
+    if len(results) < 2:
+        raise ValueError("need at least two strategies to compare")
+    shape = results[0].cp_delays.shape
+    for r in results:
+        if r.cp_delays.shape != shape:
+            raise ValueError(f"misaligned results: {r.name} has (rows, paths) "
+                             f"{r.cp_delays.shape}, expected {shape}")
+    every = np.logical_and.reduce([r.valid for r in results])
+    cells = np.stack([r.cp_delays[every].ravel() for r in results], axis=1)
     names = [r.name for r in results]
     least = cells == cells.min(axis=1, keepdims=True)
     sole = least.sum(axis=1) == 1
@@ -150,9 +132,9 @@ def comparison_report(results: list[StrategyResult],
             {
                 "name": r.name,
                 "ip_rate": r.ip_rate,
-                "mean_cp_delay": None if np.isnan(r.mean_cp_delay) else r.mean_cp_delay,
-                "mean_pair_delay": None if np.isnan(r.mean_pair_delay) else r.mean_pair_delay,
-                "n_rows": len(r.rows),
+                "mean_cp_delay": _mean(r.cp_delays, r.valid),
+                "mean_pair_delay": _mean(r.pair_delays, r.valid),
+                "n_rows": len(r.valid),
             }
             for r in results
         ],
@@ -162,24 +144,17 @@ def comparison_report(results: list[StrategyResult],
     }
 
 
-def _mean_cell(vals: list[float]) -> str:
-    return repr(float(np.mean(vals))) if vals else ""
-
-
 def save_cp_delay_csv(results: list[StrategyResult], path):
     """Plot-ready per-path mean delays (valid rows only)."""
-    n_cps = max((len(r.rows[i].cp_delays)
-                 for r in results for i in range(len(r.rows)) if r.rows[i].valid),
-                default=0)
     save_csv(path, ["strategy", "cp_index", "mean_delay_us"],
-             ([r.name, j, _mean_cell([row.cp_delays[j] for row in r.rows if row.valid])]
-              for r in results for j in range(n_cps)))
+             ([r.name, j, _mean(r.cp_delays[:, j], r.valid)]
+              for r in results for j in range(r.cp_delays.shape[1])))
 
 
 def save_pair_delay_csv(results: list[StrategyResult], sfc: SfcSpec, path):
     save_csv(path, ["strategy", "pair_index", "upstream_id", "downstream_id",
                     "mean_delay_us"],
-             ([r.name, j, a, b, _mean_cell([row.pair_delays[j] for row in r.rows if row.valid])]
+             ([r.name, j, a, b, _mean(r.pair_delays[:, j], r.valid)]
               for r in results for j, (a, b) in enumerate(dependent_pairs(sfc))))
 
 

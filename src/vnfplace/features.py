@@ -15,6 +15,7 @@ instance id. No scaling: trees are scale-invariant.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,14 +125,6 @@ def build_dataset(pairs: list[tuple[Topology, SfcSpec, Placement]]) -> Dataset:
     return Dataset(X, Y, cols, label_cols, n_servers)
 
 
-def empty_dataset(n_servers: int, n_instances: int) -> Dataset:
-    cols = feature_names(n_servers, n_instances)
-    return Dataset(
-        np.empty((0, len(cols))), np.empty((0, n_instances), dtype=int),
-        cols, [f"label_inst{i}" for i in range(n_instances)], n_servers,
-    )
-
-
 @dataclass
 class FoldSplit:
     folds: list[tuple[np.ndarray, np.ndarray]]  # (train indices, validation indices)
@@ -178,45 +171,50 @@ def save_dataset(ds: Dataset, path: str):
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset ``save_dataset`` wrote. A file that breaks its schema,
-    holds a non-finite feature or a label that is not a server id below the
-    schema's ``n_servers`` raises DatasetSchemaError naming file, line and,
-    for a bad value, column."""
+    """Read a dataset ``save_dataset`` wrote. A file that cannot be read as
+    UTF-8 text, breaks its schema, holds a non-finite feature or a label that
+    is not a server id below the schema's ``n_servers`` raises
+    DatasetSchemaError naming the file and, where it can, line and column."""
+    schema = schema_path(path)
+    if not os.path.exists(schema):
+        raise DatasetSchemaError(f"missing schema file {schema}")
+    feature_cols, label_cols, n_servers = load_json(schema, lambda s: (
+        list(s["feature_cols"]), list(s["label_cols"]), int(s["n_servers"])))
     try:
-        feature_cols, label_cols, n_servers = load_json(schema_path(path), lambda s: (
-            list(s["feature_cols"]), list(s["label_cols"]), int(s["n_servers"])))
-    except FileNotFoundError:
-        raise DatasetSchemaError(f"missing schema file {schema_path(path)}") from None
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != feature_cols + label_cols:
-            raise DatasetSchemaError(
-                f"{path}: header does not match schema (expected "
-                f"{len(feature_cols) + len(label_cols)} documented columns)"
-            )
-        X, Y = [], []
-        nf = len(feature_cols)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != nf + len(label_cols):
-                raise DatasetSchemaError(f"{path}:{lineno}: wrong column count")
-            try:
-                X.append([float(v) for v in row[:nf]])
-            except ValueError as e:
-                raise DatasetSchemaError(f"{path}:{lineno}: {e}") from None
-            labels = []
-            for col, v in zip(label_cols, row[nf:]):
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != feature_cols + label_cols:
+                raise DatasetSchemaError(
+                    f"{path}: header does not match schema (expected "
+                    f"{len(feature_cols) + len(label_cols)} documented columns)"
+                )
+            X, Y = [], []
+            nf = len(feature_cols)
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != nf + len(label_cols):
+                    raise DatasetSchemaError(f"{path}:{lineno}: wrong column count")
                 try:
-                    labels.append(int(v))
-                except ValueError:
-                    raise DatasetSchemaError(
-                        f"{path}:{lineno}: column {col!r} is not an integer label: {v!r}"
-                    ) from None
-                if not 0 <= labels[-1] < n_servers:
-                    raise DatasetSchemaError(
-                        f"{path}:{lineno}: column {col!r} is not a server id below "
-                        f"{n_servers}: {v!r}")
-            Y.append(labels)
+                    X.append([float(v) for v in row[:nf]])
+                except ValueError as e:
+                    raise DatasetSchemaError(f"{path}:{lineno}: {e}") from None
+                labels = []
+                for col, v in zip(label_cols, row[nf:]):
+                    try:
+                        labels.append(int(v))
+                    except ValueError:
+                        raise DatasetSchemaError(
+                            f"{path}:{lineno}: column {col!r} is not an integer label: {v!r}"
+                        ) from None
+                    if not 0 <= labels[-1] < n_servers:
+                        raise DatasetSchemaError(
+                            f"{path}:{lineno}: column {col!r} is not a server id below "
+                            f"{n_servers}: {v!r}")
+                Y.append(labels)
+    except OSError as e:
+        raise DatasetSchemaError(f"{path} cannot be read: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise DatasetSchemaError(f"{path} is not UTF-8 text: {e.reason}") from None
     nf_total = len(feature_cols)
     X_arr = np.array(X, dtype=float).reshape(len(X), nf_total)
     non_finite = np.argwhere(~np.isfinite(X_arr))

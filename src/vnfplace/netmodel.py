@@ -211,13 +211,6 @@ class SfcSpec:
     def n_instances(self) -> int:
         return len(self.instances)
 
-    @property
-    def n_paths(self) -> int:
-        out = 1
-        for c in self.replica_counts.values():
-            out *= c
-        return out
-
     def replicas(self, t: VnfType) -> list[VnfInstance]:
         """Replicas of a type, ordered by replica index."""
         return sorted(
@@ -397,56 +390,12 @@ def _write_atomic(path, write):
 
 
 def save_json(doc, path):
-    """Write a JSON artifact: the text of ``json.dump(doc, fh, sort_keys=True,
-    indent=1)`` (sorted keys, one-space indent) and a final newline.
-
-    With an indent, ``json.dump`` runs the pure-Python encoder on every value.
-    Here each container that holds no container is one call of the C encoder,
-    whose item separator carries the line break and indent, and the pieces
-    are streamed to the file rather than joined into one string.
-    """
-    def write(fh):
-        fh.writelines(_json_pieces(doc, "\n"))
-        fh.write("\n")
-    _write_atomic(path, write)
-
-
-def _json_pieces(obj, close: str):
-    """Yield the text of ``obj`` as ``json.dump(..., sort_keys=True, indent=1)``
-    writes it where ``close`` (a line break and indent) precedes the closing
-    bracket of ``obj``."""
-    if isinstance(obj, dict):
-        children, brackets = obj.values(), "{}"
-    elif isinstance(obj, (list, tuple)):
-        children, brackets = obj, "[]"
-    else:
-        children = ()
-    if not children:  # a scalar, "{}" or "[]"
-        yield json.dumps(obj)
-        return
-    line = close + " "
-    if not any(isinstance(c, (dict, list, tuple)) for c in children):
-        text = json.dumps(obj, sort_keys=True, separators=("," + line, ": "))
-        yield text[0] + line + text[1:-1] + close + text[-1]
-        return
-    entries = (((_json_key(k) + ": ", v) for k, v in sorted(obj.items()))
-               if brackets == "{}" else (("", v) for v in obj))
-    sep = brackets[0]
-    for prefix, v in entries:
-        yield sep + line + prefix
-        yield from _json_pieces(v, line)
-        sep = ","
-    yield close + brackets[1]
-
-
-def _json_key(k) -> str:
-    """The JSON string json writes for the dict key ``k``: a number, bool or
-    None key becomes the string of its JSON text."""
-    if isinstance(k, str):
-        return json.dumps(k)
-    if k is None or isinstance(k, (int, float)):
-        return json.dumps(json.dumps(k))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    """Write a JSON artifact: the text of ``json.dumps(doc, sort_keys=True,
+    indent=1)`` (sorted keys, one-space indent) and a final newline. The text
+    is built before the file is opened, so a document that cannot be
+    serialized raises before anything is written."""
+    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    _write_atomic(path, lambda fh: fh.write(text))
 
 
 def save_csv(path, header, rows):
@@ -461,15 +410,16 @@ def save_csv(path, header, rows):
 def load_json(path, build=lambda doc: doc):
     """Read a JSON artifact and return ``build(doc)``.
 
-    A file that does not parse, or a document ``build`` cannot use (it raises
-    LookupError, TypeError or ValueError, ConfigError included), raises
-    ArtifactError naming the file.
+    A file that cannot be read (a directory, say) or does not parse, or a
+    document ``build`` cannot use (it raises LookupError, TypeError or
+    ValueError, ConfigError included), raises ArtifactError naming the file.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             return build(json.load(fh))
-        except json.JSONDecodeError as e:
-            raise ArtifactError(f"{path} is not valid JSON: {e}") from None
-        except (LookupError, TypeError, ValueError) as e:
-            raise ArtifactError(
-                f"{path} is malformed: {type(e).__name__}: {e}") from None
+    except OSError as e:
+        raise ArtifactError(f"{path} cannot be read: {e.strerror}") from None
+    except json.JSONDecodeError as e:
+        raise ArtifactError(f"{path} is not valid JSON: {e}") from None
+    except (LookupError, TypeError, ValueError) as e:
+        raise ArtifactError(f"{path} is malformed: {type(e).__name__}: {e}") from None

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dataclasses import replace
@@ -155,6 +156,20 @@ def _run(*argv):
 
 def test_cli_missing_config_exits_2(tmp_path):
     assert _run("generate", "--config", str(tmp_path / "nope.json")) == 2
+
+
+def test_cli_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert _run("generate", "--config", str(tmp_path)) == 2
+    assert f"config error: config file {tmp_path} cannot be read" in capsys.readouterr().err
+
+
+def test_cli_output_dir_that_is_a_file_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").write_text("not a directory\n")
+    path = write_config(tmp_path / "cfg.json", quick_config(n_topologies=4))
+    assert _run("generate", "--config", path, "--workers", "1") == 2
+    assert "config error: cannot create output_dir out" in capsys.readouterr().err
+    assert (tmp_path / "out").read_text() == "not a directory\n"
 
 
 def test_cli_bad_config_exits_2(tmp_path):
@@ -415,6 +430,38 @@ def test_cli_truncated_artifact_exits_4(cli_run, tmp_path, monkeypatch, capsys,
     assert name in err and says in err
 
 
+def _bad_byte(path):
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+
+
+def _directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+@pytest.mark.parametrize("name, stage, spoil, says", [
+    pytest.param("train.csv", "optimize", _bad_byte, "is not UTF-8 text",
+                 id="train.csv-optimize-bad-byte"),
+    pytest.param("split.json", "optimize", _directory, "cannot be read",
+                 id="split.json-optimize-directory"),
+    pytest.param("split.json", "compare", _directory, "cannot be read",
+                 id="split.json-compare-directory"),
+    pytest.param("test.csv", "compare", _directory, "cannot be read",
+                 id="test.csv-compare-directory"),
+])
+def test_cli_unreadable_artifact_exits_4(cli_run, tmp_path, monkeypatch, capsys,
+                                         name, stage, spoil, says):
+    """A file that is not UTF-8 text, or a directory in an artifact's place,
+    is refused with a message naming it, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    spoil(tmp_path / "out" / name)
+    path = write_config(tmp_path / "cfg.json", quick_config())
+    assert _run(stage, "--config", path) == 4
+    err = capsys.readouterr().err
+    assert os.path.join("out", name) in err and says in err
+
+
 @pytest.mark.parametrize("stage, which", [("optimize", "train"), ("compare", "test")])
 def test_cli_split_without_rows_exits_4(cli_run, tmp_path, monkeypatch, capsys, stage,
                                         which):
@@ -610,3 +657,24 @@ def test_cli_compare_flags_identical_trees(cli_run, tmp_path, monkeypatch, capsy
     same = json.loads((tmp_path / "out" / "comparison.json").read_text())
     assert same["baseline_equals_optimized"] is True
     assert "trees are identical" in capsys.readouterr().err
+
+
+def test_cli_compare_reports_a_tree_with_no_valid_row(cli_run, tmp_path, monkeypatch,
+                                                      capsys):
+    """Trees that put every instance on server 0 break anti-location on every
+    row: the report has no mean delay for them and stderr prints nan."""
+    from vnfplace import tree
+    monkeypatch.setattr(tree.DecisionTree, "predict",
+                        lambda self, X: np.zeros((len(X), self.n_outputs), dtype=int))
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    path = write_config(tmp_path / "cfg.json", quick_config())
+    assert _run("compare", "--config", path) == 0
+    report = json.loads((tmp_path / "out" / "comparison.json").read_text())
+    trees = [s for s in report["strategies"] if s["name"] != "heuristic"]
+    assert [(s["ip_rate"], s["mean_cp_delay"], s["mean_pair_delay"]) for s in trees] == [
+        (1.0, None, None)] * 2
+    assert report["win_table"]["compared_cells"] == 0
+    err = capsys.readouterr().err
+    assert "baseline_tree: ip_rate=1.000 mean_cp_delay=nan" in err
+    assert "optimized_tree: ip_rate=1.000 mean_cp_delay=nan" in err

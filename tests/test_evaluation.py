@@ -1,27 +1,21 @@
 import csv
 import json
-import math
 
 import numpy as np
 import pytest
 
 from conftest import line_topology, simple_sfc
 from vnfplace import evaluation, netmodel, placer
-from vnfplace.evaluation import (
-    RowOutcome,
-    StrategyResult,
-    delay_difference_stats,
-    win_ratios,
-)
+from vnfplace.evaluation import StrategyResult, delay_difference_stats, win_ratios
 
 
 def _result(name, rows):
-    """rows: list of None (invalid) or list of cp delays."""
-    return StrategyResult(
-        name=name,
-        rows=[RowOutcome(False, [], []) if r is None else RowOutcome(True, list(r), list(r))
-              for r in rows],
-    )
+    """rows: list of None (invalid) or list of cp delays, which also serve as
+    the pair delays; every list has the same length."""
+    width = max(len(r) for r in rows if r is not None)
+    delays = np.array([[np.nan] * width if r is None else r for r in rows], dtype=float)
+    return StrategyResult(name, np.array([r is not None for r in rows]), delays,
+                          delays.copy())
 
 
 def _differences(a, b):
@@ -87,9 +81,6 @@ def test_misaligned_inputs_rejected():
     b = _result("B", [[1.0]])
     with pytest.raises(ValueError, match="misaligned"):
         win_ratios([a, b])
-    c = _result("C", [[1.0, 2.0], [2.0]])
-    with pytest.raises(ValueError, match="path count"):
-        win_ratios([a, c])
     with pytest.raises(ValueError):
         win_ratios([a])
 
@@ -135,19 +126,28 @@ def test_evaluate_strategy_end_to_end():
 
     res = evaluation.evaluate_strategy("good", [topo], [sfc], [good])
     assert res.ip_rate == 0.0
-    assert res.mean_cp_delay == pytest.approx(175.0, abs=0)
-    assert res.rows[0].pair_delays == [100.0, 50.0, 25.0]
+    assert res.valid.tolist() == [True]
+    assert res.cp_delays.tolist() == [[175.0]]
+    assert res.pair_delays.tolist() == [[100.0, 50.0, 25.0]]
 
     overload = simple_sfc(cpu=60.0)
     res2 = evaluation.evaluate_strategy("bad", [topo], [overload], [bad])
     assert res2.ip_rate == 1.0
-    assert math.isnan(res2.mean_cp_delay)
+    assert res2.valid.tolist() == [False]
+    assert res2.cp_delays.shape == (1, 1) and res2.pair_delays.shape == (1, 3)
+    assert np.isnan(res2.cp_delays).all() and np.isnan(res2.pair_delays).all()
+    strategies = evaluation.comparison_report([res, res2])["strategies"]
+    assert strategies[0]["mean_cp_delay"] == 175.0
+    assert strategies[1]["mean_cp_delay"] is None
+    assert strategies[1]["mean_pair_delay"] is None
 
 
 def test_strategy_result_aggregates():
     r = _result("A", [[10.0, 20.0], None, [30.0, 40.0]])
     assert r.ip_rate == pytest.approx(1 / 3)
-    assert r.mean_cp_delay == pytest.approx(25.0)
+    strategy = evaluation.comparison_report([r, r])["strategies"][0]
+    assert strategy["mean_cp_delay"] == pytest.approx(25.0)
+    assert strategy["n_rows"] == 3
 
 
 def test_comparison_report_schema_and_persistence(tmp_path):
@@ -178,8 +178,8 @@ def test_csv_outputs(tmp_path):
 
     sfc = simple_sfc((1, 2, 2, 1))
     n_pairs = len(placer.dependent_pairs(sfc))
-    four = _result("A", [[1.0] * 4])
-    four.rows[0].pair_delays = list(range(n_pairs))
+    four = StrategyResult("A", np.array([True]), np.ones((1, 4)),
+                          np.arange(n_pairs, dtype=float)[None])
     evaluation.save_pair_delay_csv([four, four], sfc, tmp_path / "pair.csv")
     with open(tmp_path / "pair.csv", newline="") as fh:
         rows = list(csv.reader(fh))

@@ -70,12 +70,6 @@ def test_build_dataset_rejects_mixed_configs(small_batch):
         )
 
 
-def test_empty_dataset_has_schema():
-    ds = features.empty_dataset(15, 6)
-    assert ds.n_samples == 0
-    assert ds.n_features == 150
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(5, 60),
@@ -121,7 +115,9 @@ def test_dataset_round_trip(tmp_path, small_batch):
 
 
 def test_empty_dataset_round_trip(tmp_path):
-    ds = features.empty_dataset(6, 4)
+    cols = features.feature_names(6, 4)
+    ds = Dataset(np.empty((0, len(cols))), np.empty((0, 4), dtype=int), cols,
+                 [f"label_inst{i}" for i in range(4)], 6)
     path = str(tmp_path / "empty.csv")
     features.save_dataset(ds, path)
     with open(path) as fh:

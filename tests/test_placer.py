@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -210,7 +211,7 @@ def test_teacher_valid_or_infeasible_property(seed):
 def test_cp_count_law_cross_check(small_batch):
     cfg, topos, sfcs, _ = small_batch
     for sfc in sfcs[:20]:
-        assert len(placer.enumerate_cps(sfc)) == sfc.n_paths
+        assert len(placer.enumerate_cps(sfc)) == math.prod(sfc.replica_counts.values())
 
 
 def _assert_counters_exact(topo, sfc, got, budget):
