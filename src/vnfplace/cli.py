@@ -25,11 +25,12 @@ included, so that no artifact is left to describe inputs that have since
 changed.
 
 Exit codes: 0 success, 2 config error (an ``output_dir`` that cannot be
-created included), 3 infeasibility or pipeline failure, 4 an upstream
-artifact that is missing, cannot be read, does not parse, lacks what the
-stage reads, holds a non-finite feature or a label that is not a server
-id, holds a row that does not regenerate, or was generated under other
-settings (the message names the file).
+created, or an output path of the stage that is a directory, included), 3
+infeasibility or pipeline failure, 4 an upstream artifact that is missing,
+cannot be read, does not parse, lacks what the stage reads, holds a
+non-finite feature or a label that is not a server id, holds a row that
+does not regenerate, or was generated under other settings (the message
+names the file).
 """
 
 from __future__ import annotations
@@ -71,16 +72,20 @@ def _paths(cfg: RunConfig) -> dict[str, str]:
             for key, name in {**GENERATED, **DOWNSTREAM}.items()}
 
 
-def _remove_outputs(cfg: RunConfig, keys) -> None:
+def _remove_outputs(cfg: RunConfig, keys, written=()) -> None:
     """Delete the artifacts named by ``keys`` and every ``diff_hist_*.csv`` in
     the output directory, so that none is left to describe a run that fails
-    before it writes its own."""
+    before it writes its own. If one of them, or an artifact that ``written``
+    names, is a directory, raise ConfigError naming it and delete nothing."""
     paths = _paths(cfg)
-    for key in keys:
-        if os.path.exists(paths[key]):
-            os.remove(paths[key])
-    for path in glob.glob(os.path.join(glob.escape(cfg.output_dir), "diff_hist_*.csv")):
-        os.remove(path)
+    doomed = [paths[key] for key in keys] + glob.glob(
+        os.path.join(glob.escape(cfg.output_dir), "diff_hist_*.csv"))
+    for path in doomed + [paths[key] for key in written]:
+        if os.path.isdir(path):
+            raise netmodel.ConfigError(f"output path {path} is a directory")
+    for path in doomed:
+        if os.path.exists(path):
+            os.remove(path)
 
 
 def _require(path: str) -> str:
@@ -107,7 +112,7 @@ def cmd_generate(cfg: RunConfig, workers: int) -> int:
     except OSError as e:
         _log(f"config error: cannot create output_dir {cfg.output_dir}: {e.strerror}")
         return EXIT_CONFIG
-    _remove_outputs(cfg, DOWNSTREAM)
+    _remove_outputs(cfg, DOWNSTREAM, written=GENERATED)
     paths = _paths(cfg)
     n = cfg.gen.n_topologies
     _log(f"generating {n} topologies ({cfg.gen.n_servers} servers, "
@@ -324,6 +329,9 @@ def main(argv=None) -> int:
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     try:
         return COMMANDS[args.command](cfg, workers)
+    except netmodel.ConfigError as e:  # an output path that is a directory
+        _log(f"config error: {e}")
+        return EXIT_CONFIG
     except netmodel.ArtifactError as e:
         _log(str(e))
         return EXIT_MISSING

@@ -21,15 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import SfcSpec, Topology, save_csv
-from .placer import (
-    Placement,
-    dependent_pairs,
-    enumerate_cps,
-    path_delays,
-    server_delay,
-    validate_placement,
-)
+from .netmodel import SfcSpec, Topology, chain_structure, save_csv, server_delay
+from .placer import Placement, path_delays, validate_placement
 
 
 @dataclass
@@ -53,14 +46,14 @@ def evaluate_strategy(name: str, topologies: list[Topology], sfcs: list[SfcSpec]
                       placements: list[Placement]) -> StrategyResult:
     """Validate and score one strategy's placement of each test row."""
     n = len(placements)
-    widths = (len(enumerate_cps(sfcs[0])), len(dependent_pairs(sfcs[0]))) if sfcs else (0, 0)
+    _, pairs, paths = chain_structure(sfcs[0].counts) if sfcs else ((), (), ())
     valid = np.zeros(n, dtype=bool)
-    cp, pair = np.full((n, widths[0]), np.nan), np.full((n, widths[1]), np.nan)
+    cp, pair = np.full((n, len(paths)), np.nan), np.full((n, len(pairs)), np.nan)
     for r, (topo, sfc, p) in enumerate(zip(topologies, sfcs, placements, strict=True)):
         if validate_placement(topo, sfc, p).valid:
             valid[r] = True
             cp[r] = path_delays(topo, p, sfc)
-            pair[r] = [server_delay(topo, p[a], p[b]) for a, b in dependent_pairs(sfc)]
+            pair[r] = [server_delay(topo, p[a], p[b]) for a, b, _ in pairs]
     return StrategyResult(name, valid, cp, pair)
 
 
@@ -155,7 +148,8 @@ def save_pair_delay_csv(results: list[StrategyResult], sfc: SfcSpec, path):
     save_csv(path, ["strategy", "pair_index", "upstream_id", "downstream_id",
                     "mean_delay_us"],
              ([r.name, j, a, b, _mean(r.pair_delays[:, j], r.valid)]
-              for r in results for j, (a, b) in enumerate(dependent_pairs(sfc))))
+              for r in results
+              for j, (a, b, _) in enumerate(chain_structure(sfc.counts).pairs)))
 
 
 def save_diff_histogram_csv(entry: dict, path):

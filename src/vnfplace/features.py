@@ -5,11 +5,11 @@ Feature order (fixed for a given configuration, mirrored in the schema file):
   2. per-server cpu capacity, mem capacity        (2 * n_servers)
   3. tolerance per adjacent type pair             (3)
   4. upper triangle of the delay matrix, row-major (n_servers*(n_servers-1)/2)
-Instances are taken in id order, which is their list order (``SfcSpec``
-requires it). A value that is the same in every row of a configuration, such
-as an instance's chain position, is not a feature: no split can use it. A
-row's labels are its placement: one server id per instance, indexed by
-instance id. No scaling: trees are scale-invariant.
+Instances and servers are taken in id order, the order of ``SfcSpec``'s
+demands and ``Topology``'s capacities. A value that is the same in every row
+of a configuration, such as an instance's chain position, is not a feature:
+no split can use it. A row's labels are its placement: one server id per
+instance, indexed by instance id. No scaling: trees are scale-invariant.
 """
 
 from __future__ import annotations
@@ -51,12 +51,11 @@ def feature_width(n_servers: int, n_instances: int) -> int:
 def extract_features(topo: Topology, sfc: SfcSpec) -> np.ndarray:
     """One fixed-width feature vector for a (topology, chain) snapshot."""
     parts = []
-    for i in sfc.instances:
-        parts += [i.cpu_demand, i.mem_demand]
-    for s in topo.servers:
-        parts += [s.cpu_capacity, s.mem_capacity]
-    for pair in ADJACENT_PAIRS:
-        parts.append(sfc.tolerance[pair])
+    for cpu, mem in zip(sfc.cpu_demand, sfc.mem_demand):
+        parts += [cpu, mem]
+    for cpu, mem in zip(topo.cpu, topo.mem):
+        parts += [cpu, mem]
+    parts += sfc.tolerance
     iu = np.triu_indices(topo.n_servers, k=1)
     parts += list(topo.delay[iu])
     vec = np.array(parts, dtype=float)

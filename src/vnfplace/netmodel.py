@@ -11,20 +11,21 @@ the same ``Generator`` streams across versions (NEP 19), so they check each
 regenerated snapshot's features against its dataset row. That check covers
 the whole snapshot: every value generation draws (demands, capacities,
 tolerances, delays) is a feature column written with ``repr``, which reads
-back bit-exactly, and the rest (ids, types, replica indices) follows
-from the replica counts and ``n_servers`` that ``split.json``'s fingerprint
-pins.
+back bit-exactly, and the rest (the chain's layers, dependent pairs and
+computational paths) follows from the replica counts and ``n_servers``
+that ``split.json``'s fingerprint pins.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import os
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
-from typing import get_args, get_origin, get_type_hints
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -124,42 +125,33 @@ def _value_to_json(tp, v):
     return list(v) if isinstance(v, tuple) else v
 
 
-@dataclass(frozen=True)
-class ServerNode:
-    id: int
-    cpu_capacity: float
-    mem_capacity: float
-
-    def __post_init__(self):
-        if self.cpu_capacity < 0 or self.mem_capacity < 0:
-            raise ValueError(f"server {self.id}: capacities must be non-negative")
-
-
 @dataclass
 class Topology:
-    """A set of servers plus their symmetric inter-server delay matrix (microseconds)."""
+    """Each server's cpu and mem capacity by server id, plus the servers'
+    symmetric inter-server delay matrix (microseconds)."""
 
-    servers: list[ServerNode]
+    cpu: list[float]
+    mem: list[float]
     delay: np.ndarray
 
     def __post_init__(self):
-        n = len(self.servers)
+        n = len(self.cpu)
         self.delay = np.asarray(self.delay, dtype=float)
-        if self.delay.shape != (n, n):
-            raise ValueError(f"delay matrix shape {self.delay.shape} != ({n}, {n})")
+        if len(self.mem) != n or self.delay.shape != (n, n):
+            raise ValueError(f"{n} cpu capacities, {len(self.mem)} mem capacities and "
+                             f"a delay matrix of shape {self.delay.shape} disagree")
+        if any(c < 0 for c in (*self.cpu, *self.mem)):
+            raise ValueError("capacities must be non-negative")
         if not np.array_equal(self.delay, self.delay.T):
             raise ValueError("delay matrix must be symmetric")
         if np.any(np.diag(self.delay) != 0):
             raise ValueError("delay matrix diagonal must be zero")
         if np.any(self.delay < 0):
             raise ValueError("delays must be non-negative")
-        ids = [s.id for s in self.servers]
-        if ids != list(range(n)):
-            raise ValueError("server ids must be 0..n-1 in order")
 
     @property
     def n_servers(self) -> int:
-        return len(self.servers)
+        return len(self.cpu)
 
 
 def server_delay(topo: Topology, a: int, b: int) -> float:
@@ -170,53 +162,58 @@ def server_delay(topo: Topology, a: int, b: int) -> float:
     return float(topo.delay[a, b])
 
 
-@dataclass(frozen=True)
-class VnfInstance:
-    id: int
-    vnf_type: VnfType
-    cpu_demand: float
-    mem_demand: float
-    replica_index: int
+class ChainStructure(NamedTuple):
+    """What every chain with the same replica counts shares: ``layers[k]``,
+    the id range of the k-th chain type; ``pairs``, each dependent (upstream,
+    downstream, adjacent-pair index) by pair, then upstream, then downstream
+    id; and ``paths``, every computational path in lexicographic order."""
 
-    def __post_init__(self):
-        if self.cpu_demand < 0 or self.mem_demand < 0:
-            raise ValueError(f"instance {self.id}: demands must be non-negative")
+    layers: tuple[range, ...]
+    pairs: tuple[tuple[int, int, int], ...]
+    paths: tuple[tuple[int, ...], ...]
+
+
+@functools.cache
+def chain_structure(counts: tuple[int, ...]) -> ChainStructure:
+    """The layers, dependent pairs and computational paths of a chain with
+    ``counts`` replicas per type in ``CHAIN`` order, its instance ids
+    running through the types in that order."""
+    starts = list(itertools.accumulate(counts, initial=0))
+    layers = tuple(range(a, b) for a, b in zip(starts, starts[1:]))
+    pairs = tuple((a, b, k) for k, (up, down) in enumerate(zip(layers, layers[1:]))
+                  for a in up for b in down)
+    return ChainStructure(layers, pairs, tuple(itertools.product(*layers)))
 
 
 @dataclass
 class SfcSpec:
-    """The service chain to place: instances, replica counts per type and a
-    delay tolerance per adjacent type pair. The chain order is ``CHAIN``.
-    Each instance's id is its position in ``instances``, so a placement can
-    be a sequence of server ids indexed by instance id."""
+    """The service chain to place: the replicas per type in ``CHAIN`` order,
+    each instance's cpu and mem demand by instance id, and one delay
+    tolerance per ``ADJACENT_PAIRS`` entry. Instance ids run through the
+    types in chain order (see ``chain_structure``), so a placement can be a
+    sequence of server ids indexed by instance id."""
 
-    instances: list[VnfInstance]
-    replica_counts: dict[VnfType, int]
-    tolerance: dict[tuple[VnfType, VnfType], float]
+    counts: tuple[int, ...]
+    cpu_demand: list[float]
+    mem_demand: list[float]
+    tolerance: list[float]
 
     def __post_init__(self):
-        if any(inst.id != i for i, inst in enumerate(self.instances)):
-            raise ValueError("instance ids must be 0, 1, ... in list order")
-        if sum(self.replica_counts.values()) != len(self.instances):
-            raise ValueError("sum of replica counts must equal number of instances")
-        if set(self.tolerance) != set(ADJACENT_PAIRS):
-            raise ValueError("tolerance must cover exactly the adjacent type pairs")
-        if any(t <= 0 for t in self.tolerance.values()):
+        if len(self.counts) != len(CHAIN) or any(c < 1 for c in self.counts):
+            raise ValueError(f"counts {self.counts} must give each chain type a replica")
+        n = sum(self.counts)
+        if len(self.cpu_demand) != n or len(self.mem_demand) != n:
+            raise ValueError(f"{n} instances need {n} cpu and mem demands")
+        if any(d < 0 for d in (*self.cpu_demand, *self.mem_demand)):
+            raise ValueError("demands must be non-negative")
+        if len(self.tolerance) != len(ADJACENT_PAIRS):
+            raise ValueError("tolerance must hold one value per adjacent type pair")
+        if any(t <= 0 for t in self.tolerance):
             raise ValueError("tolerances must be positive")
-        keys = {(i.vnf_type, i.replica_index) for i in self.instances}
-        if len(keys) != len(self.instances):
-            raise ValueError("(vnf_type, replica_index) must be unique")
 
     @property
     def n_instances(self) -> int:
-        return len(self.instances)
-
-    def replicas(self, t: VnfType) -> list[VnfInstance]:
-        """Replicas of a type, ordered by replica index."""
-        return sorted(
-            (i for i in self.instances if i.vnf_type == t),
-            key=lambda i: i.replica_index,
-        )
+        return len(self.cpu_demand)
 
 
 @dataclass(frozen=True)
@@ -283,10 +280,6 @@ class GenConfig:
             raise ConfigError("base_seed must be >= 0")
 
     @property
-    def counts(self) -> dict[VnfType, int]:
-        return dict(self.replica_counts)
-
-    @property
     def n_instances(self) -> int:
         return sum(dict(self.replica_counts).values())
 
@@ -317,12 +310,8 @@ def generate_topology(cfg: GenConfig, index: int) -> Topology:
     rng = _rng(cfg, index, STREAM_TOPOLOGY)
     n = cfg.n_servers
     tiers = tier_assignment(n)
-    cpu = cfg.cpu_capacity.sample(rng, n)
-    mem = cfg.mem_capacity.sample(rng, n)
-    servers = [
-        ServerNode(id=i, cpu_capacity=float(cpu[i]), mem_capacity=float(mem[i]))
-        for i in range(n)
-    ]
+    cpu = cfg.cpu_capacity.sample(rng, n).tolist()
+    mem = cfg.mem_capacity.sample(rng, n).tolist()
     rows, cols = np.triu_indices(n, 1)
     tier = np.array([t.value for t in tiers])
     upper = np.empty(len(rows))
@@ -334,29 +323,19 @@ def generate_topology(cfg: GenConfig, index: int) -> Topology:
         start += m
     delay = np.zeros((n, n))
     delay[rows, cols] = delay[cols, rows] = upper
-    return Topology(servers=servers, delay=delay)
+    return Topology(cpu, mem, delay)
 
 
 def build_sfc(cfg: GenConfig, index: int) -> SfcSpec:
-    """Build the index-th service-chain spec of a batch, deterministically."""
+    """Build the index-th service-chain spec of a batch, deterministically:
+    each instance's cpu then mem demand in id order, then the tolerances."""
     rng = _rng(cfg, index, STREAM_SFC)
-    counts = cfg.counts
-    instances: list[VnfInstance] = []
-    next_id = 0
-    for t in CHAIN:
-        for r in range(counts[t]):
-            instances.append(
-                VnfInstance(
-                    id=next_id,
-                    vnf_type=t,
-                    cpu_demand=float(cfg.cpu_demand.sample(rng)),
-                    mem_demand=float(cfg.mem_demand.sample(rng)),
-                    replica_index=r,
-                )
-            )
-            next_id += 1
-    tolerance = {pair: float(cfg.tolerance.sample(rng)) for pair in ADJACENT_PAIRS}
-    return SfcSpec(instances=instances, replica_counts=counts, tolerance=tolerance)
+    cpu, mem = [], []
+    for _ in range(cfg.n_instances):
+        cpu.append(float(cfg.cpu_demand.sample(rng)))
+        mem.append(float(cfg.mem_demand.sample(rng)))
+    tolerance = [float(cfg.tolerance.sample(rng)) for _ in ADJACENT_PAIRS]
+    return SfcSpec(tuple(c for _, c in cfg.replica_counts), cpu, mem, tolerance)
 
 
 def load_batch(gen: GenConfig, indices) -> tuple[list[Topology], list[SfcSpec]]:

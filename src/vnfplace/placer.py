@@ -20,22 +20,17 @@ row a dataset stores as labels and a tree predicts. The validator checks
 that it names one server per instance, capacity, per-pair delay tolerance
 and anti-location (replicas of one type on distinct servers); it enforces
 the dependency constraint through the per-pair tolerance check (see
-``validate_placement``).
+``validate_placement``). The search, the validator and the path delays
+walk the layers, dependent pairs and paths of ``netmodel.chain_structure``,
+which every chain with the same replica counts shares.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .netmodel import (
-    ADJACENT_PAIRS,
-    CHAIN,
-    SfcSpec,
-    Topology,
-    server_delay,
-)
+from .netmodel import SfcSpec, Topology, chain_structure, server_delay
 
 ComputationalPath = tuple[int, ...]
 #: The server id of each instance, indexed by instance id: a dataset label row.
@@ -62,22 +57,6 @@ class ValidationReport:
     violations: list[tuple[str, tuple]] = field(default_factory=list)
 
 
-def dependent_pairs(sfc: SfcSpec) -> list[tuple[int, int]]:
-    """All (upstream, downstream) instance-id pairs over adjacent chain types."""
-    pairs = []
-    for ta, tb in ADJACENT_PAIRS:
-        for a in sfc.replicas(ta):
-            for b in sfc.replicas(tb):
-                pairs.append((a.id, b.id))
-    return pairs
-
-
-def enumerate_cps(sfc: SfcSpec) -> list[ComputationalPath]:
-    """Every computational path: one replica per type, lexicographic in replica index."""
-    per_type = [[i.id for i in sfc.replicas(t)] for t in CHAIN]
-    return [tuple(p) for p in itertools.product(*per_type)]
-
-
 def cp_delay(topo: Topology, p: Placement, cp: ComputationalPath) -> float:
     """Sum of inter-server delays over the adjacent hops of one path."""
     total = 0.0
@@ -87,19 +66,14 @@ def cp_delay(topo: Topology, p: Placement, cp: ComputationalPath) -> float:
 
 
 def path_delays(topo: Topology, p: Placement, sfc: SfcSpec) -> list[float]:
-    """Delay of every computational path, in ``enumerate_cps`` order."""
-    return [cp_delay(topo, p, cp) for cp in enumerate_cps(sfc)]
+    """Delay of every computational path, in ``chain_structure`` order."""
+    return [cp_delay(topo, p, cp) for cp in chain_structure(sfc.counts).paths]
 
 
 def avg_cp_delay(topo: Topology, p: Placement, sfc: SfcSpec) -> float:
     """Arithmetic mean of path delay over all computational paths."""
     delays = path_delays(topo, p, sfc)
     return sum(delays) / len(delays)
-
-
-def total_pair_delay(topo: Topology, p: Placement, sfc: SfcSpec) -> float:
-    """Summed delay over all dependent instance pairs (the heuristic's objective)."""
-    return sum(server_delay(topo, p[a], p[b]) for a, b in dependent_pairs(sfc))
 
 
 def validate_placement(topo: Topology, sfc: SfcSpec, p: Placement) -> ValidationReport:
@@ -118,34 +92,30 @@ def validate_placement(topo: Topology, sfc: SfcSpec, p: Placement) -> Validation
     violations: list[tuple[str, tuple]] = []
 
     # (1) capacity: summed demand per server within capacity
-    cpu_used = {s.id: 0.0 for s in topo.servers}
-    mem_used = {s.id: 0.0 for s in topo.servers}
-    for inst in sfc.instances:
-        sid = p[inst.id]
+    cpu_used = [0.0] * topo.n_servers
+    mem_used = [0.0] * topo.n_servers
+    for iid, sid in enumerate(p):
         if not (0 <= sid < topo.n_servers):
-            violations.append(("capacity", (inst.id, sid)))
-            return ValidationReport(valid=False, violations=violations)
-        cpu_used[sid] += inst.cpu_demand
-        mem_used[sid] += inst.mem_demand
-    for s in topo.servers:
-        if cpu_used[s.id] > s.cpu_capacity or mem_used[s.id] > s.mem_capacity:
-            violations.append(("capacity", (s.id,)))
+            return ValidationReport(False, [("capacity", (iid, sid))])
+        cpu_used[sid] += sfc.cpu_demand[iid]
+        mem_used[sid] += sfc.mem_demand[iid]
+    for sid in range(topo.n_servers):
+        if cpu_used[sid] > topo.cpu[sid] or mem_used[sid] > topo.mem[sid]:
+            violations.append(("capacity", (sid,)))
 
     # (2) delay tolerance over every dependent pair (inclusive bound)
-    for a, b in dependent_pairs(sfc):
-        tol = sfc.tolerance[(sfc.instances[a].vnf_type, sfc.instances[b].vnf_type)]
-        if server_delay(topo, p[a], p[b]) > tol:
+    layers, pairs, _ = chain_structure(sfc.counts)
+    for a, b, k in pairs:
+        if server_delay(topo, p[a], p[b]) > sfc.tolerance[k]:
             violations.append(("delay_tolerance", (a, b)))
 
     # (3) anti-location: same-type replicas on distinct servers
-    for t in CHAIN:
+    for layer in layers:
         hosted: dict[int, int] = {}
-        for inst in sfc.replicas(t):
-            sid = p[inst.id]
-            if sid in hosted:
-                violations.append(("anti_location", (hosted[sid], inst.id)))
-            else:
-                hosted[sid] = inst.id
+        for iid in layer:
+            first = hosted.setdefault(p[iid], iid)
+            if first != iid:
+                violations.append(("anti_location", (first, iid)))
 
     return ValidationReport(valid=not violations, violations=violations)
 
@@ -170,17 +140,16 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
     ``budget_exhausted``, which is true exactly when a larger budget would
     expand another node.
     """
-    layers = [sfc.replicas(t) for t in CHAIN]
     # each layer's tolerance to its upstream (layer 0 has none to check)
-    tolerance = [0.0] + [sfc.tolerance[pair] for pair in ADJACENT_PAIRS]
+    tolerance = [0.0, *sfc.tolerance]
     # (layer, instance id, cpu demand, mem demand, first replica of its layer)
-    order = [(layer, inst.id, inst.cpu_demand, inst.mem_demand, rank == 0)
-             for layer, replicas in enumerate(layers)
-             for rank, inst in enumerate(replicas)]
+    order = [(layer, iid, sfc.cpu_demand[iid], sfc.mem_demand[iid], iid == ids.start)
+             for layer, ids in enumerate(chain_structure(sfc.counts).layers)
+             for iid in ids]
     last = len(order) - 1
     rows = topo.delay.tolist()
-    cpu_left = [s.cpu_capacity for s in topo.servers]
-    mem_left = [s.mem_capacity for s in topo.servers]
+    cpu_left = list(topo.cpu)
+    mem_left = list(topo.mem)
     assignment = [-1] * sfc.n_instances
     # (layer, *previous layer's servers in replica order) -> the layer's order;
     # ordered, because costs are summed in upstream order

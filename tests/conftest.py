@@ -84,21 +84,10 @@ def line_topology(delays):
     for i in range(n):
         for j in range(i + 1, n):
             mat[i, j] = mat[j, i] = sum(delays[i:j])
-    servers = [netmodel.ServerNode(id=i, cpu_capacity=100.0, mem_capacity=100.0)
-               for i in range(n)]
-    return netmodel.Topology(servers=servers, delay=mat)
+    return netmodel.Topology([100.0] * n, [100.0] * n, mat)
 
 
 def simple_sfc(replicas=(1, 1, 1, 1), tolerance=1e6, cpu=1.0, mem=1.0):
-    cfg_counts = dict(zip(netmodel.CHAIN, replicas))
-    instances = []
-    next_id = 0
-    for t in netmodel.CHAIN:
-        for r in range(cfg_counts[t]):
-            instances.append(netmodel.VnfInstance(next_id, t, cpu, mem, r))
-            next_id += 1
-    return netmodel.SfcSpec(
-        instances=instances,
-        replica_counts=cfg_counts,
-        tolerance={p: tolerance for p in netmodel.ADJACENT_PAIRS},
-    )
+    n = sum(replicas)
+    return netmodel.SfcSpec(tuple(replicas), [cpu] * n, [mem] * n,
+                            [tolerance] * len(netmodel.ADJACENT_PAIRS))

@@ -9,19 +9,50 @@ from vnfplace.netmodel import CHAIN
 from vnfplace.placer import InfeasiblePlacement
 
 
+def instance_types(counts):
+    """The chain position of each instance, by instance id: ids run through
+    the chain's types in order, ``counts[k]`` of the k-th."""
+    types = []
+    for k, c in enumerate(counts):
+        for _ in range(c):
+            types.append(k)
+    return types
+
+
+def reference_chain_structure(counts):
+    """The layers, dependent pairs and computational paths of a chain,
+    grouped from ``instance_types`` and put in order by sorting: layers as
+    id lists, pairs as (upstream, downstream, adjacent-pair index) by pair,
+    then upstream, then downstream, and paths lexicographically."""
+    types = instance_types(counts)
+    by_type = [[i for i, t in enumerate(types) if t == k] for k in range(len(counts))]
+    pairs = sorted((types[a], a, b) for a in range(len(types)) for b in range(len(types))
+                   if types[b] == types[a] + 1)
+    paths = [[]]
+    for ids in by_type:
+        paths = [path + [i] for path in paths for i in ids]
+    return by_type, [(a, b, k) for k, a, b in pairs], sorted(tuple(p) for p in paths)
+
+
+def total_pair_delay(topo, p, sfc):
+    """Summed delay over all dependent instance pairs: the teacher's objective."""
+    types = instance_types(sfc.counts)
+    return sum(float(topo.delay[p[a], p[b]])
+               for a in range(len(types)) for b in range(len(types))
+               if types[b] == types[a] + 1)
+
+
 def brute_force_placement(topo, sfc):
     """Exhaustive search over all server assignments.
 
     Returns (best placement, best total dependent-pair delay), or (None, inf)
     when no valid assignment exists. Only usable on tiny instances.
     """
-    ids = [i.id for i in sorted(sfc.instances, key=lambda x: x.id)]
     best, best_cost = None, float("inf")
-    for assign in itertools.product(range(topo.n_servers), repeat=len(ids)):
-        p = assign
+    for p in itertools.product(range(topo.n_servers), repeat=sfc.n_instances):
         if not placer.validate_placement(topo, sfc, p).valid:
             continue
-        cost = placer.total_pair_delay(topo, p, sfc)
+        cost = total_pair_delay(topo, p, sfc)
         if cost < best_cost:
             best, best_cost = p, cost
     return best, best_cost
@@ -158,25 +189,28 @@ def reference_valid(topo, sfc, p):
     definitions: capacity, delay tolerance over every dependent pair,
     anti-location, and dependency (every computational path within the
     tolerance hop by hop)."""
+    types = instance_types(sfc.counts)
+    ids = range(len(types))
     a = dict(enumerate(p))
-    if any(i.id not in a or not 0 <= a[i.id] < topo.n_servers for i in sfc.instances):
+    if any(i not in a or not 0 <= a[i] < topo.n_servers for i in ids):
         return False
-    for s in topo.servers:
-        hosted = [i for i in sfc.instances if a[i.id] == s.id]
-        if (sum(i.cpu_demand for i in hosted) > s.cpu_capacity
-                or sum(i.mem_demand for i in hosted) > s.mem_capacity):
+    for s in range(topo.n_servers):
+        hosted = [i for i in ids if a[i] == s]
+        if (sum(sfc.cpu_demand[i] for i in hosted) > topo.cpu[s]
+                or sum(sfc.mem_demand[i] for i in hosted) > topo.mem[s]):
             return False
-    by_type = [[i for i in sfc.instances if i.vnf_type == t] for t in CHAIN]
+    by_type = [[i for i in ids if types[i] == k] for k in range(len(CHAIN))]
 
     def within(x, y):
-        return topo.delay[a[x.id], a[y.id]] <= sfc.tolerance[(x.vnf_type, y.vnf_type)]
+        # the tolerance of the adjacent pair that starts at x's type
+        return topo.delay[a[x], a[y]] <= sfc.tolerance[types[x]]
 
     for ups, downs in zip(by_type, by_type[1:]):
         if not all(within(x, y) for x in ups for y in downs):
             return False
     for replicas in by_type:
-        groups = [topo.servers[a[i.id]].id for i in replicas]
-        if len(set(groups)) != len(groups):
+        servers = [a[i] for i in replicas]
+        if len(set(servers)) != len(servers):
             return False
     return all(
         within(x, y)
@@ -215,16 +249,12 @@ def reference_place_teacher(topo, sfc, budget=1000):
     complete assignment are pruned. ``budget`` caps the number of expanded
     nodes; the best complete assignment seen is returned.
     """
-    order = [i for t in CHAIN for i in sfc.replicas(t)]
+    types = instance_types(sfc.counts)
+    order = [i for k in range(len(CHAIN)) for i in range(len(types)) if types[i] == k]
     n_inst = len(order)
-    by_id = {i.id: i for i in sfc.instances}
     upstream: list[list[int]] = []  # per order position: already-placed dependent ids
     for k, inst in enumerate(order):
-        pos = CHAIN.index(inst.vnf_type)
-        prev_type = CHAIN[pos - 1] if pos > 0 else None
-        upstream.append(
-            [i.id for i in order[:k] if prev_type is not None and i.vnf_type == prev_type]
-        )
+        upstream.append([i for i in order[:k] if types[i] == types[inst] - 1])
 
     delay = topo.delay
     best_cost = float("inf")
@@ -232,33 +262,28 @@ def reference_place_teacher(topo, sfc, budget=1000):
     nodes = 0
 
     assignment: dict[int, int] = {}
-    cpu_left = [s.cpu_capacity for s in topo.servers]
-    mem_left = [s.mem_capacity for s in topo.servers]
+    cpu_left = list(topo.cpu)
+    mem_left = list(topo.mem)
 
     def candidates(k: int) -> list[tuple[float, int]]:
         inst = order[k]
         out = []
-        used_groups = {
-            topo.servers[assignment[i.id]].id
-            for i in order[:k]
-            if i.vnf_type == inst.vnf_type
-        }
-        for s in topo.servers:
-            if inst.cpu_demand > cpu_left[s.id] or inst.mem_demand > mem_left[s.id]:
+        used = {assignment[i] for i in order[:k] if types[i] == types[inst]}
+        for s in range(topo.n_servers):
+            if sfc.cpu_demand[inst] > cpu_left[s] or sfc.mem_demand[inst] > mem_left[s]:
                 continue
-            if s.id in used_groups:
+            if s in used:
                 continue
             cost = 0.0
             ok = True
             for uid in upstream[k]:
-                d = delay[assignment[uid], s.id]
-                tol = sfc.tolerance[(by_id[uid].vnf_type, inst.vnf_type)]
-                if d > tol:
+                d = delay[assignment[uid], s]
+                if d > sfc.tolerance[types[uid]]:
                     ok = False
                     break
                 cost += d
             if ok:
-                out.append((cost, s.id))
+                out.append((cost, s))
         out.sort()
         return out
 
@@ -276,17 +301,17 @@ def reference_place_teacher(topo, sfc, budget=1000):
             if cost + inc >= best_cost:
                 break  # candidates sorted: no cheaper child remains
             nodes += 1
-            assignment[inst.id] = sid
-            cpu_left[sid] -= inst.cpu_demand
-            mem_left[sid] -= inst.mem_demand
+            assignment[inst] = sid
+            cpu_left[sid] -= sfc.cpu_demand[inst]
+            mem_left[sid] -= sfc.mem_demand[inst]
             search(k + 1, cost + inc)
-            cpu_left[sid] += inst.cpu_demand
-            mem_left[sid] += inst.mem_demand
-            del assignment[inst.id]
+            cpu_left[sid] += sfc.cpu_demand[inst]
+            mem_left[sid] += sfc.mem_demand[inst]
+            del assignment[inst]
 
     search(0, 0.0)
     if best_assignment is None:
         raise InfeasiblePlacement(
             f"no valid assignment found within a budget of {budget} nodes"
         )
-    return tuple(best_assignment[i.id] for i in sfc.instances)
+    return tuple(best_assignment[i] for i in range(n_inst))

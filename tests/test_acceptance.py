@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
-from oracles import brute_force_placement, stump_oracle
+from oracles import brute_force_placement, stump_oracle, total_pair_delay
 from vnfplace import cli, netmodel, placer, tree
 from vnfplace.config import PsoParams, load_run_config
 from vnfplace.pipeline import detect_functional_range
@@ -92,7 +92,7 @@ def test_criterion_3_teacher_soundness(desk_run):
         opt, opt_cost = brute_force_placement(topo, sfc)
         assert opt is not None
         p = placer.place_teacher(topo, sfc).servers
-        cost = placer.total_pair_delay(topo, p, sfc)
+        cost = total_pair_delay(topo, p, sfc)
         # co-locatable instances can reach a zero-delay optimum: ratio 1 iff matched
         ratios.append(cost / opt_cost if opt_cost > 0 else (1.0 if cost == 0 else np.inf))
     ratios = np.array(ratios)
@@ -112,7 +112,7 @@ def test_criterion_4_cp_law():
     cases = [((1, 2, 2, 1), 4), ((2, 3, 3, 2), 36), ((1, 1, 1, 1), 1),
              ((3, 1, 2, 2), 12), ((2, 2, 2, 2), 16)]
     for replicas, expected in cases:
-        got = len(placer.enumerate_cps(simple_sfc(replicas)))
+        got = len(netmodel.chain_structure(simple_sfc(replicas).counts).paths)
         assert got == expected == int(np.prod(replicas))
     print("\n[criterion 4] PASS CP counts equal replica products "
           f"for {len(cases)} replica mixes (incl. 4 and 36)")

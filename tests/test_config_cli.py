@@ -158,6 +158,47 @@ def test_cli_missing_config_exits_2(tmp_path):
     assert _run("generate", "--config", str(tmp_path / "nope.json")) == 2
 
 
+def _refuses_output_directory(tmp_path, capsys, stage, name):
+    """Run ``stage`` in ``tmp_path`` with a directory in the place of its
+    output ``out/<name>``: it exits 2 naming the path, and leaves the
+    directory, and every other file of ``out``, as they were."""
+    target = tmp_path / "out" / name
+    if target.exists():
+        target.unlink()
+    target.mkdir(parents=True)
+    (target / "keep").write_text("kept\n")
+    before = sorted(p.name for p in (tmp_path / "out").iterdir())
+    path = write_config(tmp_path / "cfg.json", quick_config(n_topologies=4))
+    assert _run(stage, "--config", path, "--workers", "1") == 2
+    err = capsys.readouterr().err
+    assert f"config error: output path {os.path.join('out', name)} is a directory" in err
+    assert (target / "keep").read_text() == "kept\n"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == before
+
+
+@pytest.mark.parametrize("name", ["comparison.json", "placements.json"])
+def test_cli_generate_output_path_that_is_a_directory_exits_2(tmp_path, monkeypatch,
+                                                               capsys, name):
+    monkeypatch.chdir(tmp_path)
+    _refuses_output_directory(tmp_path, capsys, "generate", name)
+
+
+def test_cli_optimize_output_path_that_is_a_directory_exits_2(cli_run, tmp_path,
+                                                              monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    _refuses_output_directory(tmp_path, capsys, "optimize", "model_optimized.json")
+
+
+@pytest.mark.parametrize("name", ["comparison.json",
+                                  "diff_hist_heuristic_vs_optimized_tree.csv"])
+def test_cli_compare_output_path_that_is_a_directory_exits_2(cli_run, tmp_path,
+                                                             monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    _refuses_output_directory(tmp_path, capsys, "compare", name)
+
+
 def test_cli_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
     assert _run("generate", "--config", str(tmp_path)) == 2
     assert f"config error: config file {tmp_path} cannot be read" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import line_topology, simple_sfc
-from vnfplace import evaluation, netmodel, placer
+from vnfplace import evaluation, netmodel
 from vnfplace.evaluation import StrategyResult, delay_difference_stats, win_ratios
 
 
@@ -177,7 +177,7 @@ def test_csv_outputs(tmp_path):
     assert rows[4] == ["B", "1", "5.0"]
 
     sfc = simple_sfc((1, 2, 2, 1))
-    n_pairs = len(placer.dependent_pairs(sfc))
+    n_pairs = len(netmodel.chain_structure(sfc.counts).pairs)
     four = StrategyResult("A", np.array([True]), np.ones((1, 4)),
                           np.arange(n_pairs, dtype=float)[None])
     evaluation.save_pair_delay_csv([four, four], sfc, tmp_path / "pair.csv")

@@ -47,8 +47,10 @@ def test_feature_values_match_sources(small_batch):
     vec = features.extract_features(topo, sfc)
     names = features.feature_names(15, 6)
     col = {n: i for i, n in enumerate(names)}
-    assert vec[col["inst0_cpu_demand"]] == sfc.instances[0].cpu_demand
-    assert vec[col["srv3_mem_capacity"]] == topo.servers[3].mem_capacity
+    assert vec[col["inst0_cpu_demand"]] == sfc.cpu_demand[0]
+    assert vec[col["inst5_mem_demand"]] == sfc.mem_demand[5]
+    assert vec[col["srv3_mem_capacity"]] == topo.mem[3]
+    assert vec[col["tolerance_MME_SGW"]] == sfc.tolerance[1]
     assert vec[col["delay_2_7"]] == topo.delay[2, 7]
 
 
@@ -56,9 +58,7 @@ def test_build_dataset_labels_match_teacher(small_batch):
     cfg, topos, sfcs, placements = small_batch
     ds = features.build_dataset(list(zip(topos, sfcs, placements))[:20])
     assert ds.n_samples == 20
-    p7 = placements[7]
-    inst = sorted(sfcs[7].instances, key=lambda i: i.id)
-    assert list(ds.labels[7]) == [p7[i.id] for i in inst]
+    assert list(ds.labels[7]) == list(placements[7])
 
 
 def test_build_dataset_rejects_mixed_configs(small_batch):

@@ -30,8 +30,8 @@ _LATER_LAYERS = {"vnfplace.tree", "vnfplace.swarm", "vnfplace.pipeline", "vnfpla
 
 #: Modules each stage must leave unloaded.
 UNLOADED = {
-    "import": _LATER_LAYERS,
-    "generate": _LATER_LAYERS,
+    "import": {"numpy.ma"} | _LATER_LAYERS,
+    "generate": {"numpy.ma"} | _LATER_LAYERS,
     "optimize": {"numpy.ma", "vnfplace.evaluation"},
     "compare": {"numpy.ma", "vnfplace.swarm", "vnfplace.pipeline"},
 }

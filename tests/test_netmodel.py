@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import counts, line_topology
-from oracles import reference_generate_topology
+from oracles import reference_chain_structure, reference_generate_topology
 from vnfplace import netmodel
 from vnfplace.netmodel import ConfigError, Dist, GenConfig, Tier, VnfType
 
@@ -27,10 +28,8 @@ def test_generation_is_deterministic():
     a = netmodel.generate_topology(cfg, 3)
     b = netmodel.generate_topology(cfg, 3)
     assert np.array_equal(a.delay, b.delay)
-    assert a.servers == b.servers
-    sa = netmodel.build_sfc(cfg, 3)
-    sb = netmodel.build_sfc(cfg, 3)
-    assert sa.instances == sb.instances and sa.tolerance == sb.tolerance
+    assert (a.cpu, a.mem) == (b.cpu, b.mem)
+    assert netmodel.build_sfc(cfg, 3) == netmodel.build_sfc(cfg, 3)
 
 
 def test_batch_topologies_are_distinct():
@@ -75,16 +74,53 @@ def test_tier_split_ratio():
 def test_sfc_instance_and_path_counts(replicas, n_inst, n_cps):
     cfg = GenConfig(n_servers=30, replica_counts=counts(*replicas))
     sfc = netmodel.build_sfc(cfg, 0)
-    assert sfc.n_instances == n_inst
-    assert math.prod(sfc.replica_counts.values()) == n_cps
+    assert sfc.counts == replicas
+    assert sfc.n_instances == len(sfc.mem_demand) == n_inst
+    assert len(netmodel.chain_structure(sfc.counts).paths) == n_cps
 
 
-def test_sfc_instance_ids_are_list_positions():
+@pytest.mark.parametrize("change, says", [
+    ({"counts": (1, 2, 2)}, "counts"),
+    ({"counts": (1, 0, 2, 1)}, "counts"),
+    ({"cpu_demand": [1.0] * 5}, "demands"),
+    ({"mem_demand": [1.0] * 7}, "demands"),
+    ({"cpu_demand": [1.0] * 5 + [-1.0]}, "non-negative"),
+    ({"tolerance": [900.0] * 4}, "one value per adjacent type pair"),
+    ({"tolerance": [900.0, 0.0, 900.0]}, "positive"),
+], ids=["short-counts", "zero-count", "short-cpu", "long-mem", "negative-demand",
+        "long-tolerance", "zero-tolerance"])
+def test_sfc_rejects_arrays_of_wrong_length_or_sign(change, says):
+    """A chain's demands have one entry per instance of its counts and are
+    non-negative, and its tolerances one positive entry per adjacent pair."""
     sfc = netmodel.build_sfc(GenConfig(n_servers=30, replica_counts=counts(1, 2, 2, 1)), 0)
-    assert [i.id for i in sfc.instances] == list(range(6))
-    swapped = [sfc.instances[1], sfc.instances[0], *sfc.instances[2:]]
-    with pytest.raises(ValueError, match="instance ids"):
-        netmodel.SfcSpec(swapped, sfc.replica_counts, sfc.tolerance)
+    with pytest.raises(ValueError, match=says):
+        dataclasses.replace(sfc, **change)
+
+
+@pytest.mark.parametrize("cpu, mem", [([1.0] * 2, [1.0] * 3), ([1.0] * 3, [1.0] * 4),
+                                      ([1.0, -0.5, 1.0], [1.0] * 3),
+                                      ([1.0] * 3, [1.0, 1.0, -2.0])],
+                         ids=["short-cpu", "long-mem", "negative-cpu", "negative-mem"])
+def test_topology_rejects_capacities_of_wrong_length_or_sign(cpu, mem):
+    """A topology holds one non-negative cpu and mem capacity per row of its
+    delay matrix."""
+    delay = line_topology([100.0, 250.0]).delay
+    with pytest.raises(ValueError, match="disagree|non-negative"):
+        netmodel.Topology(cpu, mem, delay)
+
+
+@settings(max_examples=100, deadline=None)
+@given(replicas=st.tuples(*[st.integers(1, 4)] * 4))
+def test_chain_structure_matches_grouped_ids_property(replicas):
+    """Layers, pairs and paths equal an enumeration that groups the instance
+    ids by type with its own loop and orders pairs and paths by sorting."""
+    layers, pairs, paths = netmodel.chain_structure(replicas)
+    ref_layers, ref_pairs, ref_paths = reference_chain_structure(replicas)
+    assert [list(ids) for ids in layers] == ref_layers
+    assert list(pairs) == ref_pairs
+    assert list(paths) == ref_paths
+    assert len(paths) == math.prod(replicas)
+    assert len(pairs) == sum(a * b for a, b in zip(replicas, replicas[1:]))
 
 
 def test_server_delay_reads_matrix():
@@ -108,13 +144,13 @@ def test_topology_rejects_nan_or_asymmetric_delays(entries):
     for ij, value in entries.items():
         delay[ij] = value
     with pytest.raises(ValueError, match="symmetric"):
-        netmodel.Topology(servers=topo.servers, delay=delay)
+        netmodel.Topology(topo.cpu, topo.mem, delay)
 
 
 def test_topology_accepts_negative_zero_mirrored_by_zero():
     delay = np.array([[0.0, -0.0], [0.0, 0.0]])
     topo = line_topology([1.0])
-    assert netmodel.Topology(servers=topo.servers, delay=delay).n_servers == 2
+    assert netmodel.Topology(topo.cpu, topo.mem, delay).n_servers == 2
 
 
 @settings(max_examples=25, deadline=None)
@@ -130,7 +166,9 @@ def test_generated_topology_invariants_property(n_servers, base_seed, index):
     assert np.all(np.diag(topo.delay) == 0)
     assert np.all(topo.delay >= 0)
     sfc = netmodel.build_sfc(cfg, index)
-    assert sum(sfc.replica_counts.values()) == sfc.n_instances
+    assert sum(sfc.counts) == sfc.n_instances == len(sfc.mem_demand)
+    assert min(sfc.cpu_demand + sfc.mem_demand + topo.cpu + topo.mem) >= 0
+    assert len(sfc.tolerance) == 3 and min(sfc.tolerance) > 0
 
 
 def _dists():
@@ -157,8 +195,8 @@ def test_generate_topology_matches_scalar_draws(n_servers, base_seed, index, int
     topo = netmodel.generate_topology(cfg, index)
     cpu, mem, delay = reference_generate_topology(cfg, index)
     assert topo.delay.tobytes() == delay.tobytes()
-    assert [s.cpu_capacity for s in topo.servers] == cpu.tolist()
-    assert [s.mem_capacity for s in topo.servers] == mem.tolist()
+    assert topo.cpu == cpu.tolist() and topo.mem == mem.tolist()
+    assert {type(c) for c in topo.cpu + topo.mem} == {float}
 
 
 def test_normal_dist_clipped_at_zero():
@@ -189,7 +227,7 @@ def test_load_batch_regenerates_the_indexed_rows():
     for i, topo, sfc in zip(idx, topos, sfcs):
         expected = netmodel.generate_topology(cfg, i)
         assert np.array_equal(topo.delay, expected.delay)
-        assert topo.servers == expected.servers
+        assert (topo.cpu, topo.mem) == (expected.cpu, expected.mem)
         assert netmodel.build_sfc(cfg, i) == sfc
 
 

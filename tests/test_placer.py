@@ -9,30 +9,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REPO_ROOT, garbage_after, line_topology, simple_sfc, tiny_config
-from oracles import brute_force_placement, reference_place_teacher, reference_valid
+from oracles import (
+    brute_force_placement, reference_place_teacher, reference_valid, total_pair_delay,
+)
 from vnfplace import netmodel, placer
-from vnfplace.netmodel import Dist
+from vnfplace.netmodel import Dist, chain_structure
 from vnfplace.placer import InfeasiblePlacement
 
 
-def test_enumerate_cps_counts():
-    assert len(placer.enumerate_cps(simple_sfc((1, 2, 2, 1)))) == 4
-    assert len(placer.enumerate_cps(simple_sfc((2, 3, 3, 2)))) == 36
-    assert len(placer.enumerate_cps(simple_sfc((1, 1, 1, 1)))) == 1
+def test_chain_structure_path_counts():
+    assert len(chain_structure((1, 2, 2, 1)).paths) == 4
+    assert len(chain_structure((2, 3, 3, 2)).paths) == 36
+    assert len(chain_structure((1, 1, 1, 1)).paths) == 1
 
 
-def test_enumerate_cps_order_is_lexicographic():
-    sfc = simple_sfc((1, 2, 2, 1))
-    cps = placer.enumerate_cps(sfc)
+def test_chain_structure_order_is_lexicographic():
+    layers, pairs, paths = chain_structure((1, 2, 2, 1))
     # instance ids: HSS=0, MME=1,2, SGW=3,4, PGW=5
-    assert cps == [(0, 1, 3, 5), (0, 1, 4, 5), (0, 2, 3, 5), (0, 2, 4, 5)]
+    assert layers == (range(0, 1), range(1, 3), range(3, 5), range(5, 6))
+    assert paths == ((0, 1, 3, 5), (0, 1, 4, 5), (0, 2, 3, 5), (0, 2, 4, 5))
+    assert pairs == ((0, 1, 0), (0, 2, 0), (1, 3, 1), (1, 4, 1), (2, 3, 1), (2, 4, 1),
+                     (3, 5, 2), (4, 5, 2))
+    assert chain_structure((1, 2, 2, 1)) is chain_structure((1, 2, 2, 1))
 
 
 def test_cp_delay_sums_hops():
     topo = line_topology([100.0, 200.0, 300.0])
     sfc = simple_sfc()
     p = [0, 1, 2, 3]
-    (cp,) = placer.enumerate_cps(sfc)
+    (cp,) = chain_structure(sfc.counts).paths
     assert placer.cp_delay(topo, p, cp) == 600.0
     co = [1, 1, 1, 1]
     assert placer.cp_delay(topo, co, cp) == 0.0
@@ -43,8 +48,8 @@ def test_cp_delay_matches_independent_recompute():
     topo = netmodel.generate_topology(cfg, 0)
     sfc = netmodel.build_sfc(cfg, 0)
     rng = np.random.default_rng(3)
-    p = [int(rng.integers(0, 6)) for _ in sfc.instances]
-    for cp in placer.enumerate_cps(sfc):
+    p = [int(rng.integers(0, 6)) for _ in range(sfc.n_instances)]
+    for cp in chain_structure(sfc.counts).paths:
         expected = sum(
             topo.delay[p[a], p[b]] for a, b in zip(cp, cp[1:])
         )
@@ -56,13 +61,13 @@ def test_avg_cp_delay_is_mean():
     topo = line_topology([100.0, 100.0, 100.0, 100.0, 100.0])
     sfc = simple_sfc((1, 2, 2, 1))
     p = [0, 1, 2, 3, 4, 5]
-    cps = placer.enumerate_cps(sfc)
+    cps = chain_structure(sfc.counts).paths
     delays = [placer.cp_delay(topo, p, cp) for cp in cps]
     assert placer.avg_cp_delay(topo, p, sfc) == pytest.approx(np.mean(delays), abs=0)
 
     one_cp = simple_sfc((1, 1, 1, 1))
     q = [0, 2, 3, 5]
-    (cp,) = placer.enumerate_cps(one_cp)
+    (cp,) = chain_structure(one_cp.counts).paths
     assert placer.avg_cp_delay(topo, q, one_cp) == placer.cp_delay(topo, q, cp)
 
 
@@ -148,7 +153,7 @@ def test_teacher_matches_brute_force_on_tiny_instances():
         opt, opt_cost = brute_force_placement(topo, sfc)
         assert opt is not None
         p = placer.place_teacher(topo, sfc).servers
-        cost = placer.total_pair_delay(topo, p, sfc)
+        cost = total_pair_delay(topo, p, sfc)
         assert cost >= opt_cost - 1e-9
         if cost <= 1.10 * opt_cost:
             within += 1
@@ -165,16 +170,16 @@ def test_teacher_search_not_cut_short_is_optimal():
         p = placer.place_teacher(topo, sfc)
         if not p.budget_exhausted:
             finished += 1
-            assert placer.total_pair_delay(topo, p.servers, sfc) == pytest.approx(
+            assert total_pair_delay(topo, p.servers, sfc) == pytest.approx(
                 opt_cost, abs=1e-9)
     assert finished == 10
 
 
 def test_teacher_skips_undersized_server():
     topo = line_topology([10.0, 10.0, 10.0])
-    servers = list(topo.servers)
-    servers[1] = netmodel.ServerNode(1, 0.5, 0.5)
-    topo = netmodel.Topology(servers=servers, delay=topo.delay)
+    cpu, mem = list(topo.cpu), list(topo.mem)
+    cpu[1] = mem[1] = 0.5
+    topo = netmodel.Topology(cpu, mem, topo.delay)
     sfc = simple_sfc(cpu=1.0, mem=1.0)
     p = placer.place_teacher(topo, sfc)
     assert 1 not in p.servers
@@ -211,7 +216,7 @@ def test_teacher_valid_or_infeasible_property(seed):
 def test_cp_count_law_cross_check(small_batch):
     cfg, topos, sfcs, _ = small_batch
     for sfc in sfcs[:20]:
-        assert len(placer.enumerate_cps(sfc)) == math.prod(sfc.replica_counts.values())
+        assert len(chain_structure(sfc.counts).paths) == math.prod(sfc.counts)
 
 
 def _assert_counters_exact(topo, sfc, got, budget):
@@ -251,12 +256,10 @@ def test_teacher_matches_reference_property(seed, n_servers, replicas, tolerance
     delay = np.triu(rng.integers(1, 9, size=(n_servers, n_servers)) * 50.0, 1)
     capacity = rng.choice([0.5, 1.0, 2.0, 3.0], size=(n_servers, 2),
                           p=[0.05, 0.25, 0.35, 0.35])
-    topo = netmodel.Topology(
-        servers=[netmodel.ServerNode(s, float(capacity[s, 0]), float(capacity[s, 1]))
-                 for s in range(n_servers)],
-        delay=delay + delay.T)
+    topo = netmodel.Topology(capacity[:, 0].tolist(), capacity[:, 1].tolist(),
+                             delay + delay.T)
     sfc = simple_sfc(replicas)
-    sfc.tolerance = dict(zip(netmodel.ADJACENT_PAIRS, tolerances))
+    sfc.tolerance = list(tolerances)
 
     got = _teacher_or_none(placer.place_teacher, topo, sfc, budget)
     expected = _teacher_or_none(reference_place_teacher, topo, sfc, budget)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from vnfplace import features, pipeline, placer, swarm
 from vnfplace import tree as tree_mod
 from vnfplace.config import PsoParams
+from vnfplace.netmodel import chain_structure
 from vnfplace.swarm import EvalContext, reg_term
 
 
@@ -39,8 +40,8 @@ def test_placement_from_labels_by_id_order(small_batch):
     cfg, topos, sfcs, _ = small_batch
     topo, sfc = topos[0], sfcs[0]
     labels = [3, 1, 4, 1, 5, 9]
-    assert [i.id for i in sfc.instances] == list(range(len(labels)))
-    for cp in placer.enumerate_cps(sfc):
+    assert sfc.n_instances == len(labels)
+    for cp in chain_structure(sfc.counts).paths:
         assert placer.cp_delay(topo, labels, cp) == sum(
             topo.delay[labels[a], labels[b]] for a, b in zip(cp, cp[1:]))
 
@@ -143,9 +144,8 @@ def test_zero_valid_fold_uses_ceiling(small_dataset):
     n = 40
     ds = ds.subset(np.arange(n))
     # every instance demands more cpu than any server has: all placements fail
-    heavy = [dataclasses.replace(s, instances=[
-        dataclasses.replace(i, cpu_demand=1e9) for i in s.instances])
-        for s in ctx.sfcs[:n]]
+    heavy = [dataclasses.replace(s, cpu_demand=[1e9] * s.n_instances)
+             for s in ctx.sfcs[:n]]
     ctx = EvalContext(ctx.topologies[:n], heavy, ctx.delay_ceiling)
     folds = features.kfold(ds, 4, seed=0)
     res = swarm.fold_results(8, ds, ctx, folds, unbounded_fold_trees(ds, folds))
