@@ -3,8 +3,9 @@
 Subcommands map to workflow stages: ``generate`` (topologies, heuristic
 placements, dataset), ``optimize`` (depth search and final models), and
 ``compare`` (held-out head-to-head report on ``test.csv``: ``comparison.json``,
-with both trees' node counts and whether they are identical, and one
-``diff_hist_<a>_vs_<b>.csv`` per non-empty ``delay_differences`` entry).
+its only output, with every strategy's mean delay per path and per dependent
+pair, and both trees' node counts and whether they are identical). Each
+stage writes a fixed set of file names.
 A placement is a dataset label row, one server id per instance id, so
 ``optimize`` and ``compare`` read the teacher's placements from the labels of
 ``train.csv`` and ``test.csv``, regenerate each row's topology and chain
@@ -20,23 +21,21 @@ read, and ``compare`` refuses models optimized under others or on another
 feature width. A dataset row whose features differ from those of its
 regenerated topology and chain is refused too. Before it can fail,
 ``generate`` and ``optimize`` remove everything ``optimize`` and ``compare``
-write, and ``compare`` removes what it writes, every ``diff_hist_*.csv``
-included, so that no artifact is left to describe inputs that have since
-changed.
+write, and ``compare`` removes what it writes, so that no artifact is left to
+describe inputs that have since changed.
 
 Exit codes: 0 success, 2 config error (an ``output_dir`` that cannot be
 created, or an output path of the stage that is a directory, included), 3
 infeasibility or pipeline failure, 4 an upstream artifact that is missing,
 cannot be read, does not parse, lacks what the stage reads, holds a
 non-finite feature or a label that is not a server id, holds a row that
-does not regenerate, or was generated under other settings (the message
-names the file).
+does not regenerate or a model whose nodes ``predict`` cannot walk, or was
+generated under other settings (the message names the file).
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
 import os
 import sys
 from dataclasses import replace
@@ -59,12 +58,11 @@ def _log(msg: str):
 
 
 #: Artifact file names by key: what ``generate`` writes, then what ``optimize``
-#: and ``compare`` write (besides ``diff_hist_*.csv``).
+#: and ``compare`` write.
 GENERATED = {"placements": "placements.json", "split": "split.json",
              "train": "train.csv", "test": "test.csv"}
 DOWNSTREAM = {"report": "pipeline_report.json", "model_baseline": "model_baseline.json",
-              "model_optimized": "model_optimized.json", "comparison": "comparison.json",
-              "cp_delays": "per_cp_delay.csv", "pair_delays": "pair_delay.csv"}
+              "model_optimized": "model_optimized.json", "comparison": "comparison.json"}
 
 
 def _paths(cfg: RunConfig) -> dict[str, str]:
@@ -73,13 +71,12 @@ def _paths(cfg: RunConfig) -> dict[str, str]:
 
 
 def _remove_outputs(cfg: RunConfig, keys, written=()) -> None:
-    """Delete the artifacts named by ``keys`` and every ``diff_hist_*.csv`` in
-    the output directory, so that none is left to describe a run that fails
-    before it writes its own. If one of them, or an artifact that ``written``
-    names, is a directory, raise ConfigError naming it and delete nothing."""
+    """Delete the artifacts named by ``keys``, so that none is left to
+    describe a run that fails before it writes its own. If one of them, or an
+    artifact that ``written`` names, is a directory, raise ConfigError naming
+    it and delete nothing."""
     paths = _paths(cfg)
-    doomed = [paths[key] for key in keys] + glob.glob(
-        os.path.join(glob.escape(cfg.output_dir), "diff_hist_*.csv"))
+    doomed = [paths[key] for key in keys]
     for path in doomed + [paths[key] for key in written]:
         if os.path.isdir(path):
             raise netmodel.ConfigError(f"output path {path} is a directory")
@@ -216,7 +213,7 @@ def cmd_optimize(cfg: RunConfig, workers: int) -> int:
     _remove_outputs(cfg, DOWNSTREAM)
     paths = _paths(cfg)
     ds, topos, sfcs = _load_split(cfg, "train")
-    teacher_avg = [float(np.mean(placer.path_delays(t, p, s)))
+    teacher_avg = [placer.avg_cp_delay(t, p, s)
                    for t, s, p in zip(topos, sfcs, ds.labels.tolist())]
     ctx = swarm.make_context(topos, sfcs, teacher_avg)
     if ds.n_samples < cfg.folds:
@@ -244,7 +241,7 @@ def cmd_optimize(cfg: RunConfig, workers: int) -> int:
 
 def cmd_compare(cfg: RunConfig, workers: int) -> int:
     from . import evaluation, tree
-    _remove_outputs(cfg, ("comparison", "cp_delays", "pair_delays"))
+    _remove_outputs(cfg, ("comparison",))
     paths = _paths(cfg)
     ds, topos, sfcs = _load_split(cfg, "test")
 
@@ -267,18 +264,12 @@ def cmd_compare(cfg: RunConfig, workers: int) -> int:
                                     ("baseline_tree", baseline.predict(ds.features)),
                                     ("optimized_tree", optimized.predict(ds.features))]]
     report = evaluation.comparison_report(results, cfg.histogram_bin_width_us)
+    report["pairs"] = [[a, b] for a, b, _ in netmodel.chain_structure(sfcs[0].counts).pairs]
     report["node_counts"] = {"baseline_tree": baseline.node_count(),
                              "optimized_tree": optimized.node_count()}
     report["baseline_equals_optimized"] = (
         baseline.to_json()["nodes"] == optimized.to_json()["nodes"])
     netmodel.save_json(report, paths["comparison"])
-    evaluation.save_cp_delay_csv(results, paths["cp_delays"])
-    evaluation.save_pair_delay_csv(results, sfcs[0], paths["pair_delays"])
-    histograms = {f"diff_hist_{key}.csv": entry
-                  for key, entry in report["delay_differences"].items()
-                  if entry["n_samples"]}
-    for name, entry in histograms.items():
-        evaluation.save_diff_histogram_csv(entry, os.path.join(cfg.output_dir, name))
     if report["baseline_equals_optimized"]:
         _log(f"baseline and optimized trees are identical "
              f"({optimized.node_count()} nodes)")
@@ -301,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override every seed in the config")
         p.add_argument("--workers", type=int, default=None,
-                       help="parallel workers for generation (default: all cores)")
+                       help="parallel workers for generate (default: all cores); "
+                            "optimize and compare accept the option and ignore it")
     return ap
 
 

@@ -10,8 +10,9 @@ a configuration has the same paths and pairs, so the comparison takes the
 cells feed the win table, where a cell goes to the strategy with strictly
 least delay and exact ties to a separate ties column; each pair (a, b)'s
 wins and ties; and each pair's per-cell delay differences delay_a - delay_b,
-summarized as a mean plus a fixed-width histogram. Each histogram CSV is
-written from its entry in the report.
+summarized as a mean plus a fixed-width histogram. Each strategy's entry
+also holds its mean delay per path and per dependent pair over its own valid
+rows, in ``chain_structure`` order.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import SfcSpec, Topology, chain_structure, save_csv, server_delay
+from .netmodel import SfcSpec, Topology, chain_structure, server_delay
 from .placer import Placement, path_delays, validate_placement
 
 
@@ -113,7 +114,7 @@ def delay_difference_stats(samples: list[float], bin_width: float = 5.0) -> dict
 
 
 # ---------------------------------------------------------------------------
-# Report assembly and persistence
+# Report assembly
 
 
 def comparison_report(results: list[StrategyResult],
@@ -127,6 +128,8 @@ def comparison_report(results: list[StrategyResult],
                 "ip_rate": r.ip_rate,
                 "mean_cp_delay": _mean(r.cp_delays, r.valid),
                 "mean_pair_delay": _mean(r.pair_delays, r.valid),
+                "mean_cp_delay_by_path": [_mean(col, r.valid) for col in r.cp_delays.T],
+                "mean_pair_delay_by_pair": [_mean(col, r.valid) for col in r.pair_delays.T],
                 "n_rows": len(r.valid),
             }
             for r in results
@@ -135,26 +138,3 @@ def comparison_report(results: list[StrategyResult],
         "delay_differences": {key: delay_difference_stats(samples, bin_width)
                               for key, samples in differences.items()},
     }
-
-
-def save_cp_delay_csv(results: list[StrategyResult], path):
-    """Plot-ready per-path mean delays (valid rows only)."""
-    save_csv(path, ["strategy", "cp_index", "mean_delay_us"],
-             ([r.name, j, _mean(r.cp_delays[:, j], r.valid)]
-              for r in results for j in range(r.cp_delays.shape[1])))
-
-
-def save_pair_delay_csv(results: list[StrategyResult], sfc: SfcSpec, path):
-    save_csv(path, ["strategy", "pair_index", "upstream_id", "downstream_id",
-                    "mean_delay_us"],
-             ([r.name, j, a, b, _mean(r.pair_delays[:, j], r.valid)]
-              for r in results
-              for j, (a, b, _) in enumerate(chain_structure(sfc.counts).pairs)))
-
-
-def save_diff_histogram_csv(entry: dict, path):
-    """One ``delay_differences`` entry of the report as a table of bins."""
-    edges = entry["bin_edges"]
-    save_csv(path, ["bin_lo_us", "bin_hi_us", "count"],
-             ([repr(lo), repr(hi), c]
-              for lo, hi, c in zip(edges, edges[1:], entry["bin_counts"])))

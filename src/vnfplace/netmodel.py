@@ -208,8 +208,8 @@ class SfcSpec:
             raise ValueError("demands must be non-negative")
         if len(self.tolerance) != len(ADJACENT_PAIRS):
             raise ValueError("tolerance must hold one value per adjacent type pair")
-        if any(t <= 0 for t in self.tolerance):
-            raise ValueError("tolerances must be positive")
+        if any(t < 0 for t in self.tolerance):
+            raise ValueError("tolerances must be non-negative")
 
     @property
     def n_instances(self) -> int:

@@ -113,23 +113,43 @@ class DecisionTree:
 
     @staticmethod
     def from_json(d: dict) -> "DecisionTree":
+        """The tree ``to_json`` wrote. A node structure that ``predict`` could
+        not walk, or that ``to_json`` does not write, raises ValueError: no
+        node; a root not at depth 0; an internal node whose children are not
+        later nodes one level deeper; a leaf with a child or a threshold; a
+        feature below -1 or not below ``n_features``; a majority row of
+        other than ``n_outputs`` labels."""
         nodes = d["nodes"]
-        feature = np.array([n["feature"] for n in nodes], dtype=int)
-        threshold = np.array(
-            [np.nan if n["threshold"] is None else n["threshold"] for n in nodes]
-        )
-        return DecisionTree(
+        t = DecisionTree(
             n_features=int(d["n_features"]),
             n_outputs=int(d["n_outputs"]),
             classes=[np.array(c, dtype=int) for c in d["classes"]],
-            feature=feature,
-            threshold=threshold,
+            feature=np.array([n["feature"] for n in nodes], dtype=int),
+            threshold=np.array(
+                [np.nan if n["threshold"] is None else n["threshold"] for n in nodes]),
             left=np.array([n["left"] for n in nodes], dtype=int),
             right=np.array([n["right"] for n in nodes], dtype=int),
             depth=np.array([n["depth"] for n in nodes], dtype=int),
             majority=np.array([n["majority"] for n in nodes], dtype=int),
             max_depth_fit=int(d["max_depth_fit"]),
         )
+        if not nodes or t.depth[0] != 0:
+            raise ValueError("a tree needs a root node at depth 0")
+        if ((t.feature < -1) | (t.feature >= t.n_features)).any():
+            raise ValueError(f"node features must be -1 or below {t.n_features}")
+        if t.majority.shape != (len(nodes), t.n_outputs):
+            raise ValueError(f"every node needs {t.n_outputs} majority labels")
+        leaf = t.feature < 0
+        if (t.left[leaf] != -1).any() or (t.right[leaf] != -1).any() \
+                or not np.isnan(t.threshold[leaf]).all():
+            raise ValueError("a leaf has -1 children and a null threshold")
+        node = np.flatnonzero(~leaf)
+        for child in (t.left[node], t.right[node]):
+            if ((child <= node) | (child >= len(nodes))).any() \
+                    or (t.depth[child] != t.depth[node] + 1).any():
+                raise ValueError("an internal node's children are later nodes "
+                                 "one level deeper")
+        return t
 
 
 def load_model(path) -> DecisionTree:

@@ -22,10 +22,11 @@ from vnfplace.swarm import pso_minimize, reg_term
 DESK_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "configs", "desk.json")
 
+#: Everything a full run writes: a fixed set of names.
 ARTIFACTS = [
-    "placements.json", "split.json", "train.csv", "test.csv",
-    "pipeline_report.json", "model_baseline.json", "model_optimized.json",
-    "comparison.json", "per_cp_delay.csv", "pair_delay.csv",
+    "placements.json", "split.json", "train.csv", "train.schema.json", "test.csv",
+    "test.schema.json", "pipeline_report.json", "model_baseline.json",
+    "model_optimized.json", "comparison.json",
 ]
 
 
@@ -245,10 +246,9 @@ def test_criterion_8_query_scaling():
 
 def test_criterion_9_determinism(desk_run, tmp_path_factory):
     second = _full_run(tmp_path_factory.mktemp("acceptance_rerun"))
-    names = list(ARTIFACTS)
-    names += sorted(p.name for p in desk_run.glob("diff_hist_*.csv"))
-    assert sorted(p.name for p in desk_run.iterdir()) == \
-        sorted(p.name for p in second.iterdir())
+    names = sorted(ARTIFACTS)
+    assert sorted(p.name for p in desk_run.iterdir()) == names
+    assert sorted(p.name for p in second.iterdir()) == names
     for name in names:
         assert (desk_run / name).read_bytes() == (second / name).read_bytes(), \
             f"{name} differs between identically-seeded runs"

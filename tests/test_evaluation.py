@@ -1,4 +1,3 @@
-import csv
 import json
 
 import numpy as np
@@ -166,28 +165,23 @@ def test_comparison_report_schema_and_persistence(tmp_path):
     assert (tmp_path / "comparison.json").read_bytes() == (tmp_path / "again.json").read_bytes()
 
 
-def test_csv_outputs(tmp_path):
-    a = _result("A", [[1.0, 5.0], None])
-    b = _result("B", [[2.0, 4.0], [6.0, 6.0]])
-    evaluation.save_cp_delay_csv([a, b], tmp_path / "cp.csv")
-    with open(tmp_path / "cp.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["strategy", "cp_index", "mean_delay_us"]
-    assert rows[1] == ["A", "0", "1.0"]
-    assert rows[4] == ["B", "1", "5.0"]
-
-    sfc = simple_sfc((1, 2, 2, 1))
-    n_pairs = len(netmodel.chain_structure(sfc.counts).pairs)
-    four = StrategyResult("A", np.array([True]), np.ones((1, 4)),
-                          np.arange(n_pairs, dtype=float)[None])
-    evaluation.save_pair_delay_csv([four, four], sfc, tmp_path / "pair.csv")
-    with open(tmp_path / "pair.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert len(rows) == 1 + 2 * n_pairs
-
-    entry = evaluation.comparison_report([a, b], bin_width=5.0)["delay_differences"]["A_vs_B"]
-    evaluation.save_diff_histogram_csv(entry, tmp_path / "hist.csv")
-    with open(tmp_path / "hist.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["bin_lo_us", "bin_hi_us", "count"]
-    assert sum(int(r[2]) for r in rows[1:]) == entry["n_samples"]
+def test_report_means_by_path_and_pair():
+    """Each strategy's per-path and per-pair means are the column means over
+    its valid rows, null where it has none."""
+    a = _result("A", [[1.0, 5.0], None, [4.0, 8.0]])
+    b = _result("B", [[2.0, 4.0], [6.0, 6.0], [3.0, 1.0]])
+    none = StrategyResult("C", np.zeros(3, dtype=bool), np.full((3, 2), np.nan),
+                          np.full((3, 3), np.nan))
+    four = StrategyResult("D", np.array([True, False, True]), a.cp_delays,
+                          np.array([[1.0, 2.0, 3.0], [np.nan] * 3, [4.0, 6.0, 9.0]]))
+    strategies = evaluation.comparison_report([a, b, none, four])["strategies"]
+    by_path = [s["mean_cp_delay_by_path"] for s in strategies]
+    by_pair = [s["mean_pair_delay_by_pair"] for s in strategies]
+    assert by_path == [[2.5, 6.5], [11 / 3, 11 / 3], [None, None], [2.5, 6.5]]
+    assert by_pair == [[2.5, 6.5], [11 / 3, 11 / 3], [None, None, None], [2.5, 4.0, 6.0]]
+    for r, s in zip([a, b, none, four], strategies):
+        for delays, means in [(r.cp_delays, s["mean_cp_delay_by_path"]),
+                              (r.pair_delays, s["mean_pair_delay_by_pair"])]:
+            rows = delays[r.valid]
+            assert means == [float(np.mean(rows[:, j])) if len(rows) else None
+                             for j in range(delays.shape[1])]

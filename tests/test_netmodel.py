@@ -86,12 +86,13 @@ def test_sfc_instance_and_path_counts(replicas, n_inst, n_cps):
     ({"mem_demand": [1.0] * 7}, "demands"),
     ({"cpu_demand": [1.0] * 5 + [-1.0]}, "non-negative"),
     ({"tolerance": [900.0] * 4}, "one value per adjacent type pair"),
-    ({"tolerance": [900.0, 0.0, 900.0]}, "positive"),
+    ({"tolerance": [900.0, -1.0, 900.0]}, "non-negative"),
 ], ids=["short-counts", "zero-count", "short-cpu", "long-mem", "negative-demand",
-        "long-tolerance", "zero-tolerance"])
+        "long-tolerance", "negative-tolerance"])
 def test_sfc_rejects_arrays_of_wrong_length_or_sign(change, says):
     """A chain's demands have one entry per instance of its counts and are
-    non-negative, and its tolerances one positive entry per adjacent pair."""
+    non-negative, and its tolerances one non-negative entry per adjacent pair
+    (0: the pair must share a server)."""
     sfc = netmodel.build_sfc(GenConfig(n_servers=30, replica_counts=counts(1, 2, 2, 1)), 0)
     with pytest.raises(ValueError, match=says):
         dataclasses.replace(sfc, **change)

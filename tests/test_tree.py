@@ -146,6 +146,32 @@ def test_model_round_trip(tmp_path):
     assert (tmp_path / "model.json").read_bytes() == (tmp_path / "again.json").read_bytes()
 
 
+def _first_leaf(doc):
+    return next(n for n in doc["nodes"] if n["feature"] < 0)
+
+
+@pytest.mark.parametrize("edit, says", [
+    (lambda d: d.update(nodes=[]), "root node"),
+    (lambda d: d["nodes"][0].update(depth=1), "root node"),
+    (lambda d: d["nodes"][0].update(left=0), "later nodes"),
+    (lambda d: d["nodes"][0].update(right=len(d["nodes"])), "later nodes"),
+    (lambda d: d["nodes"][d["nodes"][0]["left"]].update(depth=2), "later nodes"),
+    (lambda d: _first_leaf(d).update(left=0), "leaf"),
+    (lambda d: _first_leaf(d).update(threshold=0.5), "leaf"),
+    (lambda d: d["nodes"][0].update(feature=d["n_features"]), "features"),
+    (lambda d: d["nodes"][0].update(feature=-2), "features"),
+    (lambda d: [n.update(majority=n["majority"][1:]) for n in d["nodes"]], "majority"),
+], ids=["no-node", "root-depth", "cycle", "dangling", "skipped-level", "leaf-child",
+        "leaf-threshold", "wide-feature", "negative-feature", "short-majority"])
+def test_from_json_rejects_a_broken_node_structure(edit, says):
+    """A saved tree that ``predict`` could not walk to a leaf is refused."""
+    X, Y = random_problem(np.random.default_rng(31), n=70, nf=4, n_out=3)
+    doc = tree.fit(X, Y, max_depth=6).to_json()
+    edit(doc)
+    with pytest.raises(ValueError, match=says):
+        DecisionTree.from_json(doc)
+
+
 def test_fit_input_validation():
     with pytest.raises(ValueError):
         tree.fit(np.zeros((0, 3)), np.zeros((0, 1), dtype=int), max_depth=3)
