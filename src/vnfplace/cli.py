@@ -91,7 +91,7 @@ def _require(path: str) -> str:
     return path
 
 
-def _gen_one(args) -> tuple[int, netmodel.Topology, netmodel.SfcSpec,
+def _gen_one(args) -> tuple[netmodel.Topology, netmodel.SfcSpec,
                             placer.TeacherPlacement | None, dict | None]:
     gen_cfg, index, budget = args
     topo = netmodel.generate_topology(gen_cfg, index)
@@ -99,8 +99,8 @@ def _gen_one(args) -> tuple[int, netmodel.Topology, netmodel.SfcSpec,
     try:
         p = placer.place_teacher(topo, sfc, budget=budget)
     except placer.InfeasiblePlacement:
-        return index, topo, sfc, None, None
-    return index, topo, sfc, p, placer.placement_row(index, topo, sfc, p)
+        return topo, sfc, None, None
+    return topo, sfc, p, placer.placement_row(index, topo, sfc, p)
 
 
 def cmd_generate(cfg: RunConfig, workers: int) -> int:
@@ -121,12 +121,11 @@ def cmd_generate(cfg: RunConfig, workers: int) -> int:
             done = list(pool.map(_gen_one, work, chunksize=16))
     else:
         done = [_gen_one(w) for w in work]
-    done.sort(key=lambda r: r[0])
 
-    topologies = [d[1] for d in done]
-    sfcs = [d[2] for d in done]
-    teacher = [d[3] for d in done]
-    rows = [d[4] for d in done if d[4] is not None]
+    topologies = [d[0] for d in done]
+    sfcs = [d[1] for d in done]
+    teacher = [d[2] for d in done]
+    rows = [d[3] for d in done if d[3] is not None]
     n_infeasible = n - len(rows)
     if n and n_infeasible / n > cfg.max_infeasible_fraction:
         _log(f"error: {n_infeasible}/{n} topologies had no feasible placement "

@@ -172,8 +172,9 @@ def save_dataset(ds: Dataset, path: str):
 def load_dataset(path: str) -> Dataset:
     """Read a dataset ``save_dataset`` wrote. A file that cannot be read as
     UTF-8 text, breaks its schema, holds a non-finite feature or a label that
-    is not a server id below the schema's ``n_servers`` raises
-    DatasetSchemaError naming the file and, where it can, line and column."""
+    is not a server id below the schema's ``n_servers`` or does not fit an
+    int64 raises DatasetSchemaError naming the file and, where it can, line
+    and column."""
     schema = schema_path(path)
     if not os.path.exists(schema):
         raise DatasetSchemaError(f"missing schema file {schema}")
@@ -209,6 +210,9 @@ def load_dataset(path: str) -> Dataset:
                         raise DatasetSchemaError(
                             f"{path}:{lineno}: column {col!r} is not a server id below "
                             f"{n_servers}: {v!r}")
+                    if labels[-1] >= 2**63:  # the int64 label array cannot hold it
+                        raise DatasetSchemaError(f"{path}:{lineno}: column {col!r} is a "
+                                                 f"label too large for an int64: {v!r}")
                 Y.append(labels)
     except OSError as e:
         raise DatasetSchemaError(f"{path} cannot be read: {e.strerror}") from None

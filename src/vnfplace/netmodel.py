@@ -390,8 +390,9 @@ def load_json(path, build=lambda doc: doc):
     """Read a JSON artifact and return ``build(doc)``.
 
     A file that cannot be read (a directory, say) or does not parse, or a
-    document ``build`` cannot use (it raises LookupError, TypeError or
-    ValueError, ConfigError included), raises ArtifactError naming the file.
+    document ``build`` cannot use (it raises LookupError, TypeError,
+    ValueError, ConfigError included, or OverflowError on a number too large
+    for an int64 or a float), raises ArtifactError naming the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -400,5 +401,5 @@ def load_json(path, build=lambda doc: doc):
         raise ArtifactError(f"{path} cannot be read: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise ArtifactError(f"{path} is not valid JSON: {e}") from None
-    except (LookupError, TypeError, ValueError) as e:
+    except (LookupError, TypeError, ValueError, OverflowError) as e:
         raise ArtifactError(f"{path} is malformed: {type(e).__name__}: {e}") from None

@@ -1,12 +1,13 @@
 """Three-stage depth optimization.
 
-Every stage reads one per-depth table of cross-validation fold results.
-Each fold tree is fitted once with a depth bound that never binds, and its
-depth-h predictions are those of its truncation at h, which equal those of
-a fresh depth-h fit. A fold tree stops changing beyond its natural depth, so
-the table is computed once per depth from the lower search bound up to the
-deepest fold tree (or the upper bound, if that is lower), and every deeper
-depth reads that last entry.
+Every stage reads one per-depth table of cross-validated (invalid rate,
+objective) pairs. Each fold tree is fitted once with a depth bound that
+never binds and walked once over its fold's validation rows; the walk's
+level h holds the depth-h predictions, those of its truncation at h, which
+equal those of a fresh depth-h fit. A fold tree stops changing beyond its
+natural depth, so the table is computed once per depth from the lower
+search bound up to the deepest fold tree (or the upper bound, if that is
+lower), and every deeper depth reads that last entry.
 
 Stage 1 reads the per-depth invalid-rate and full delay-plus-penalty
 objective curves over the initial depth bounds, and runs PSO on that
@@ -25,14 +26,7 @@ from __future__ import annotations
 from . import tree as tree_mod
 from .config import PipelineSettings, PsoParams
 from .features import Dataset, FoldSplit
-from .swarm import (
-    EvalContext,
-    ObjectiveResult,
-    fold_results,
-    invalid_rate,
-    objective_full,
-    pso_minimize,
-)
+from .swarm import EvalContext, fold_results, pso_minimize
 
 
 class RangeNotFound(Exception):
@@ -47,17 +41,19 @@ def fit_unbounded(ds: Dataset) -> tree_mod.DecisionTree:
 
 def depth_table(ds: Dataset, ctx: EvalContext, folds: FoldSplit,
                 trees: list[tree_mod.DecisionTree], lo: int, hi: int
-                ) -> dict[int, list[ObjectiveResult]]:
-    """Fold results for every depth in [lo, hi] from one unbounded tree per
-    fold, computing each distinct result once: every depth beyond the deepest
-    fold tree shares that depth's entry."""
+                ) -> dict[int, tuple[float, float]]:
+    """(invalid rate, objective) for every depth in [lo, hi] from one walk
+    of each fold's unbounded tree over that fold's validation rows, computing
+    each distinct entry once: every depth beyond the deepest fold tree shares
+    that depth's entry."""
+    preds = [t.majority[t.descend(ds.features[val_idx])]
+             for t, (_, val_idx) in zip(trees, folds.folds, strict=True)]
     top = min(max(max(t.tree_depth() for t in trees), lo), hi)
-    computed = {h: fold_results(h, ds, ctx, folds, trees) for h in range(lo, top + 1)}
+    computed = {h: fold_results(h, ds, ctx, folds, preds) for h in range(lo, top + 1)}
     return {h: computed[min(h, top)] for h in range(lo, hi + 1)}
 
 
-def stage1(table: dict[int, list[ObjectiveResult]], folds: FoldSplit,
-           pso_params: PsoParams
+def stage1(table: dict[int, tuple[float, float]], pso_params: PsoParams
            ) -> tuple[dict[int, float], dict[int, float], int, float, dict]:
     """The invalid-rate and full-objective curves over the table's depth
     interval, and PSO on that objective over the interval, graded by it.
@@ -66,8 +62,8 @@ def stage1(table: dict[int, list[ObjectiveResult]], folds: FoldSplit,
     its regret (the objective there minus its minimum over the interval) and
     its trace.
     """
-    curve = {h: invalid_rate(res, folds) for h, res in table.items()}
-    objective = {h: objective_full(res) for h, res in table.items()}
+    curve = {h: rate for h, (rate, _) in table.items()}
+    objective = {h: obj for h, (_, obj) in table.items()}
     best_h, trace = pso_minimize(objective.__getitem__, min(table), max(table),
                                  pso_params)
     return curve, objective, best_h, objective[best_h] - min(objective.values()), trace
@@ -150,7 +146,7 @@ def run_pipeline(ds: Dataset, ctx: EvalContext, folds: FoldSplit,
     the final model and the unbounded full-training-set tree it truncates."""
     trees = [fit_unbounded(ds.subset(train_idx)) for train_idx, _ in folds.folds]
     table = depth_table(ds, ctx, folds, trees, *settings.initial_bounds)
-    curve, objective, best_h, regret, trace = stage1(table, folds, pso_params)
+    curve, objective, best_h, regret, trace = stage1(table, pso_params)
     frange = detect_functional_range(curve, settings.error_threshold,
                                      settings.steady_window)
     h_star, s2_curve = stage2(frange, objective, settings)

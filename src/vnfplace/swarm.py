@@ -1,13 +1,13 @@
 """Integer-domain particle swarm optimizer and the placement-quality objective.
 
 The objective for a candidate max depth h is, per cross-validation fold:
-fit a tree on the training rows, predict every validation row, validate
-each predicted placement against its own topology, and combine the mean
-per-path delay of the valid predictions with a logarithmic penalty of
-1000 * log2(ip + 1) on the invalid count. The reported value is the mean
-over folds. A fold with zero valid predictions contributes a data-scaled
-delay ceiling (99th percentile of teacher per-path delays) instead of an
-undefined mean.
+take the depth-h prediction of every validation row from the fold tree's
+one walk, validate each predicted placement against its own topology, and
+combine the mean per-path delay of the valid predictions with a logarithmic
+penalty of 1000 * log2(ip + 1) on the invalid count. The reported value is
+the mean over folds, next to the invalid rate over all validation rows. A
+fold with zero valid predictions contributes a data-scaled delay ceiling
+(99th percentile of teacher per-path delays) instead of an undefined mean.
 """
 
 from __future__ import annotations
@@ -17,19 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tree as tree_mod
 from .config import PsoParams
 from .features import Dataset, FoldSplit
 from .netmodel import SfcSpec, Topology
 from .placer import avg_cp_delay, validate_placement
-
-
-@dataclass(frozen=True)
-class ObjectiveResult:
-    """One fold's invalid prediction count and objective value."""
-
-    ip: int
-    o_pso: float
 
 
 def reg_term(ip: int) -> float:
@@ -74,24 +65,27 @@ def fold_results(
     ds: Dataset,
     ctx: EvalContext,
     folds: FoldSplit,
-    trees: list[tree_mod.DecisionTree],
-) -> list[ObjectiveResult]:
-    """Evaluate depth h on every fold; one ObjectiveResult per fold.
+    preds: list[np.ndarray],
+) -> tuple[float, float]:
+    """Depth h's invalid rate and objective over every fold.
 
-    ``trees`` holds one tree per fold, fitted on that fold's training rows
-    at any depth of at least h: predictions come from its truncation at h,
-    which is exact for top-down CART (see ``DecisionTree.truncate``).
+    ``preds`` holds, per fold, its validation rows' predictions at every
+    level of one walk of that fold's tree (``majority[descend(X)]``, shape
+    (levels, rows, outputs)); depth h reads level ``min(h, last)``. Returns
+    the invalid predictions as a fraction of all validation rows, and the
+    mean over folds of (mean valid path delay + ``reg_term`` of the fold's
+    invalid count).
     """
     if h < 1:
         raise ValueError("depth must be >= 1")
     if len(ctx.topologies) != ds.n_samples:
         raise ValueError("context must carry one (topology, sfc) per dataset row")
-    out = []
-    for (_, val_idx), t in zip(folds.folds, trees, strict=True):
-        pred = t.truncate(h).predict(ds.features[val_idx]).tolist()
+    total_ip = 0
+    objectives = []
+    for (_, val_idx), levels in zip(folds.folds, preds, strict=True):
         ip = 0
         delays = []
-        for row, p in zip(val_idx, pred):
+        for row, p in zip(val_idx, levels[min(h, len(levels) - 1)].tolist()):
             topo = ctx.topologies[row]
             sfc = ctx.sfcs[row]
             if validate_placement(topo, sfc, p).valid:
@@ -99,19 +93,9 @@ def fold_results(
             else:
                 ip += 1
         avg = float(np.mean(delays)) if delays else ctx.delay_ceiling
-        out.append(ObjectiveResult(ip=ip, o_pso=avg + reg_term(ip)))
-    return out
-
-
-def objective_full(results: list[ObjectiveResult]) -> float:
-    """Cross-validated mean of (average path delay + invalid penalty)."""
-    return float(np.mean([r.o_pso for r in results]))
-
-
-def invalid_rate(results: list[ObjectiveResult], folds: FoldSplit) -> float:
-    """Invalid predictions as a fraction of all validation rows."""
-    total_rows = sum(len(v) for _, v in folds.folds)
-    return sum(r.ip for r in results) / total_rows
+        total_ip += ip
+        objectives.append(avg + reg_term(ip))
+    return total_ip / sum(len(v) for _, v in folds.folds), float(np.mean(objectives))
 
 
 def pso_minimize(f, lo: int, hi: int, params: PsoParams) -> tuple[int, dict]:

@@ -5,7 +5,8 @@ Gini impurity; candidate thresholds are midpoints between consecutive
 distinct sorted feature values; ties break to the lowest feature index,
 then the lowest threshold. Leaves (and internal nodes, for depth-truncated
 prediction) store per-output majority labels with ties to the smallest
-label. Fully deterministic.
+label. Fully deterministic. ``descend`` moves every row one level per numpy
+step, so one walk of a deep tree gives every shallower depth's predictions.
 
 The split search is the exhaustive CART scan (Breiman et al., 1984) for
 all features at once: one sort per node, exact integer class counts, so
@@ -45,9 +46,12 @@ class DecisionTree:
     def tree_depth(self) -> int:
         return int(self.depth.max())
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Per-row root-to-leaf traversal; ``truncate`` first to predict at a
-        shallower depth."""
+    def descend(self, X: np.ndarray) -> np.ndarray:
+        """Each row's node after 0, 1, ..., ``tree_depth()`` steps from the
+        root, as an array of shape (tree_depth() + 1, rows); a row stays on a
+        leaf that it reaches early. Row r's depth-h prediction is
+        ``majority[descend(X)[min(h, tree_depth()), r]]``, which is that of
+        ``truncate(h)``: one level-synchronous walk yields every depth."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
@@ -55,16 +59,19 @@ class DecisionTree:
             raise ValueError(
                 f"feature width {X.shape[1]} != training width {self.n_features}"
             )
-        out = np.empty((X.shape[0], self.n_outputs), dtype=int)
-        for r in range(X.shape[0]):
-            node = 0
-            while self.feature[node] >= 0:
-                if X[r, self.feature[node]] <= self.threshold[node]:
-                    node = self.left[node]
-                else:
-                    node = self.right[node]
-            out[r] = self.majority[node]
-        return out
+        rows = np.arange(X.shape[0])
+        node = np.zeros(X.shape[0], dtype=int)
+        levels = [node]
+        for _ in range(self.tree_depth()):
+            f = self.feature[node]  # a leaf's -1 reads the last column, which it ignores
+            go_left = X[rows, f] <= self.threshold[node]
+            node = np.where(f < 0, node, np.where(go_left, self.left[node], self.right[node]))
+            levels.append(node)
+        return np.stack(levels)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Per-output majority labels at each row's leaf."""
+        return self.majority[self.descend(X)[-1]]
 
     def truncate(self, max_depth: int) -> "DecisionTree":
         """The tree ``fit`` grows on the same rows with this ``max_depth``.

@@ -462,6 +462,19 @@ def _set_first_label(value):
     return edit
 
 
+def _set_raw(path, raw):
+    """Set the JSON value at ``path`` (a list of keys and indices) to the
+    literal text ``raw``, such as ``1e400``, which ``json.dumps`` cannot write."""
+    def edit(text):
+        root = doc = json.loads(text)
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = "@raw@"
+        return json.dumps(root).replace('"@raw@"', raw)
+    return edit
+
+
 def _shift_delay(row):
     """Add 1 us to the delay_0_1 cell of data row ``row`` (0-based, negative
     from the end)."""
@@ -516,13 +529,29 @@ def _shift_delay(row):
                  id="train.csv-optimize-delay-changed"),
     pytest.param("test.csv", "compare", _shift_delay(-1), "rerun generate",
                  id="test.csv-compare-delay-changed"),
+    # numbers too large for an int64 or a float
+    pytest.param("model_optimized.json", "compare", _set_raw(["max_depth_fit"], "1e400"),
+                 "is malformed", id="model_optimized.json-compare-huge-depth"),
+    pytest.param("model_optimized.json", "compare",
+                 _set_raw(["nodes", 0, "majority", 0], str(10**30)),
+                 "is malformed", id="model_optimized.json-compare-huge-label"),
+    pytest.param("test.schema.json", "compare", _set_raw(["n_servers"], "1e400"),
+                 "is malformed", id="test.schema.json-compare-huge-n-servers"),
+    # a label inside the schema's range that no int64 holds
+    pytest.param("test.csv", "compare",
+                 {"test.schema.json": _set_raw(["n_servers"], str(10**30)),
+                  "test.csv": _set_first_label(10**25)},
+                 "is a label too large for an int64", id="test.csv-compare-huge-label"),
 ])
 def test_cli_truncated_artifact_exits_4(cli_run, tmp_path, monkeypatch, capsys,
                                         name, stage, edit, says):
+    """``edit`` rewrites the text of ``name``, or is a dict of such rewrites
+    by file name; the message must name ``name``."""
     monkeypatch.chdir(tmp_path)
     shutil.copytree(cli_run / "out", tmp_path / "out")
-    target = tmp_path / "out" / name
-    target.write_text(edit(target.read_text()))
+    for file, rewrite in (edit if isinstance(edit, dict) else {name: edit}).items():
+        target = tmp_path / "out" / file
+        target.write_text(rewrite(target.read_text()))
     path = write_config(tmp_path / "cfg.json", quick_config())
     assert _run(stage, "--config", path) == 4
     err = capsys.readouterr().err

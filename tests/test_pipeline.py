@@ -5,7 +5,6 @@ from conftest import line_topology, simple_sfc
 from vnfplace import features, pipeline, swarm, tree
 from vnfplace.config import PipelineSettings, PsoParams
 from vnfplace.pipeline import RangeNotFound, detect_functional_range, stage2
-from vnfplace.swarm import ObjectiveResult
 
 
 def reference_curve():
@@ -164,8 +163,7 @@ def test_full_pipeline_on_small_batch(small_dataset):
     assert model.to_json() == tree.fit(ds.features, ds.labels, h_star).to_json()
     assert a1 <= h_star <= a2
     assert curve[str(a1)] <= settings.error_threshold
-    assert report["stage2"]["curve"] == {str(h): swarm.objective_full(table[h])
-                                         for h in range(a1, a2 + 1)}
+    assert report["stage2"]["curve"] == {str(h): table[h][1] for h in range(a1, a2 + 1)}
     assert model.tree_depth() <= h_star
     assert report["model_depth"] == model.tree_depth()
     assert report["model_nodes"] == model.node_count()
@@ -188,11 +186,10 @@ def test_stage1_pso_graded_by_the_exact_objective_curve(small_dataset):
     folds = features.kfold(ds, 5, seed=0)
     trees = [pipeline.fit_unbounded(ds.subset(t)) for t, _ in folds.folds]
     table = pipeline.depth_table(ds, ctx, folds, trees, 2, 40)
-    curve, objective, best_h, regret, trace = pipeline.stage1(table, folds,
-                                                              PsoParams(seed=7))
-    exact = {h: swarm.objective_full(res) for h, res in table.items()}
+    curve, objective, best_h, regret, trace = pipeline.stage1(table, PsoParams(seed=7))
+    exact = {h: obj for h, (_, obj) in table.items()}
     assert objective == exact
-    assert curve == {h: swarm.invalid_rate(res, folds) for h, res in table.items()}
+    assert curve == {h: rate for h, (rate, _) in table.items()}
     assert regret == 0.0 and exact[best_h] == min(exact.values())
     assert trace["best_h"][-1] == best_h
 
@@ -200,11 +197,9 @@ def test_stage1_pso_graded_by_the_exact_objective_curve(small_dataset):
 def test_stage1_regret_of_a_missed_minimum():
     # objective 100 + h except 0 at depth 37: a swarm of two moved once
     # evaluates at most four depths; with seed 0 it misses 37 and ends at 25
-    table = {h: [ObjectiveResult(ip=0, o_pso=0.0 if h == 37 else 100.0 + h)]
-             for h in range(2, 101)}
-    folds = features.FoldSplit(folds=[(np.arange(3), np.arange(3, 5))])
+    table = {h: (0.0, 0.0 if h == 37 else 100.0 + h) for h in range(2, 101)}
     _, _, best_h, regret, _ = pipeline.stage1(
-        table, folds, PsoParams(swarm_size=2, iterations=1, seed=0))
+        table, PsoParams(swarm_size=2, iterations=1, seed=0))
     assert (best_h, regret) == (25, 125.0)
 
 

@@ -75,9 +75,9 @@ def test_context_alignment_enforced(small_batch):
 
 def reference_fold_results(h, ds, ctx, folds):
     """Slow reference: a fresh depth-h fit per fold, every validation row
-    validated by hand. Returns (invalid count, mean valid delay + penalty)
-    per fold."""
-    out = []
+    validated by hand. Returns (invalid rate over all validation rows, mean
+    over folds of mean valid delay + penalty)."""
+    ips, objectives = [], []
     for train_idx, val_idx in folds.folds:
         sub = ds.subset(train_idx)
         t = tree_mod.fit(sub.features, sub.labels, h)
@@ -91,20 +91,30 @@ def reference_fold_results(h, ds, ctx, folds):
             else:
                 ip += 1
         avg = float(np.mean(delays)) if delays else ctx.delay_ceiling
-        out.append((ip, avg + reg_term(ip)))
-    return out
+        ips.append(ip)
+        objectives.append(avg + reg_term(ip))
+    return sum(ips) / sum(len(v) for _, v in folds.folds), float(np.mean(objectives))
 
 
 def unbounded_fold_trees(ds, folds):
     return [pipeline.fit_unbounded(ds.subset(train_idx)) for train_idx, _ in folds.folds]
 
 
+def fold_predictions(ds, folds):
+    """Per fold, its validation rows' predictions at every level of one walk
+    of the fold's unbounded tree."""
+    return [t.majority[t.descend(ds.features[val_idx])]
+            for t, (_, val_idx) in zip(unbounded_fold_trees(ds, folds), folds.folds)]
+
+
 def test_fold_results_against_manual_recompute(small_dataset):
     ds, ctx = small_dataset
     folds = features.kfold(ds, 4, seed=0)
-    res = swarm.fold_results(6, ds, ctx, folds, unbounded_fold_trees(ds, folds))
-    assert len(res) == 4
-    assert [(r.ip, r.o_pso) for r in res] == reference_fold_results(6, ds, ctx, folds)
+    preds = fold_predictions(ds, folds)
+    deepest = max(len(levels) - 1 for levels in preds)
+    for h in (1, 6, deepest + 3):  # past every fold tree: each reads its last level
+        assert swarm.fold_results(h, ds, ctx, folds, preds) == \
+            reference_fold_results(h, ds, ctx, folds)
 
 
 def test_depth_table_matches_fresh_fits(small_dataset):
@@ -122,17 +132,14 @@ def test_depth_table_matches_fresh_fits(small_dataset):
     expected = {h: reference_fold_results(h, ds, ctx, folds) for h in range(2, hi + 1)}
     for lo in (2, d_max + 2):
         table = pipeline.depth_table(ds, ctx, folds, trees, lo, hi)
-        assert sorted(table) == list(range(lo, hi + 1))
-        for h, res in table.items():
-            assert [(r.ip, r.o_pso) for r in res] == expected[h]
+        assert table == {h: expected[h] for h in range(lo, hi + 1)}
 
 
 def test_invalid_rate_bounds_and_decrease(small_dataset):
     ds, ctx = small_dataset
     folds = features.kfold(ds, 5, seed=0)
-    trees = unbounded_fold_trees(ds, folds)
-    rates = [swarm.invalid_rate(swarm.fold_results(h, ds, ctx, folds, trees), folds)
-             for h in (1, 4, 10, 25)]
+    preds = fold_predictions(ds, folds)
+    rates = [swarm.fold_results(h, ds, ctx, folds, preds)[0] for h in (1, 4, 10, 25)]
     assert all(0.0 <= r <= 1.0 for r in rates)
     assert rates[-1] <= rates[0]
 
@@ -148,9 +155,10 @@ def test_zero_valid_fold_uses_ceiling(small_dataset):
              for s in ctx.sfcs[:n]]
     ctx = EvalContext(ctx.topologies[:n], heavy, ctx.delay_ceiling)
     folds = features.kfold(ds, 4, seed=0)
-    res = swarm.fold_results(8, ds, ctx, folds, unbounded_fold_trees(ds, folds))
-    assert [(r.ip, r.o_pso) for r in res] == [
-        (len(v), ctx.delay_ceiling + reg_term(len(v))) for _, v in folds.folds]
+    for fold, levels in zip(folds.folds, fold_predictions(ds, folds)):
+        one = features.FoldSplit(folds=[fold])
+        assert swarm.fold_results(8, ds, ctx, one, [levels]) == (
+            1.0, ctx.delay_ceiling + reg_term(len(fold[1])))
 
 
 def test_depth_validation(small_dataset):

@@ -204,6 +204,47 @@ def test_truncate_equals_fresh_fit_property(seed, extra):
         assert full.truncate(h).to_json() == tree.fit(X, Y, max_depth=h).to_json()
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31))
+def test_descend_levels_are_truncated_predictions_property(seed):
+    """Level h of one walk predicts what ``truncate(h)`` and the recursive
+    traversal of its JSON predict, at every depth up to one past the natural
+    one, on the fitted tree and on the tree ``from_json`` reads back. A row
+    that reaches a leaf before the last level stays on it."""
+    rng = np.random.default_rng(seed)
+    X, Y = random_problem(rng)
+    Xq = np.vstack([X, rng.normal(size=(20, X.shape[1])).round(2)])
+    fitted = tree.fit(X, Y, max_depth=X.shape[0])
+    for t in (fitted, DecisionTree.from_json(fitted.to_json())):
+        levels = t.descend(Xq)
+        depth = t.tree_depth()
+        assert levels.shape == (depth + 1, len(Xq)) and (levels[0] == 0).all()
+        for k in range(depth):
+            on_leaf = t.feature[levels[k]] < 0
+            assert np.array_equal(levels[k + 1][on_leaf], levels[k][on_leaf])
+        assert (t.feature[levels[-1]] < 0).all()
+        assert np.array_equal(t.majority[levels[-1]], t.predict(Xq))
+        for h in range(1, depth + 2):
+            shallow = t.truncate(h)
+            got = t.majority[levels[min(h, depth)]]
+            assert np.array_equal(got, shallow.predict(Xq))
+            doc = shallow.to_json()
+            assert got.tolist() == [reference_predict(doc, x) for x in Xq]
+
+
+# [DERIVED] by hand: on X = 0..3 with labels 0, 1, 2, 2 the root splits at
+# 1.5 (weighted Gini 1/4, against 1/3 at 0.5 and 2.5); its right child {2, 2}
+# is a pure leaf at depth 1, its left child splits again at 0.5.
+def test_descend_keeps_an_early_leaf():
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    t = tree.fit(X, np.array([[0], [1], [2], [2]]), max_depth=4)
+    assert t.tree_depth() == 2
+    levels = t.descend(np.array([[0.0], [3.0]]))
+    assert levels[:, 1].tolist() == [0, t.right[0], t.right[0]]
+    assert levels[2, 0] == t.left[t.left[0]]
+    assert t.predict(np.array([3.0])).tolist() == [[2]]
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**31),
