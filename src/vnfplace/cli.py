@@ -24,13 +24,15 @@ regenerated topology and chain is refused too. Before it can fail,
 write, and ``compare`` removes what it writes, so that no artifact is left to
 describe inputs that have since changed.
 
-Exit codes: 0 success, 2 config error (an ``output_dir`` that cannot be
-created, or an output path of the stage that is a directory, included), 3
-infeasibility or pipeline failure, 4 an upstream artifact that is missing,
-cannot be read, does not parse, lacks what the stage reads, holds a
-non-finite feature or a label that is not a server id, holds a row that
-does not regenerate or a model whose nodes ``predict`` cannot walk, or was
-generated under other settings (the message names the file).
+Exit codes: 0 success, 2 ``ConfigError`` (a bad config or ``--workers``,
+an ``output_dir`` that cannot be created, or an output path of the stage
+that is a directory), 3 ``PipelineError`` (data that admit no result), 4
+``ArtifactError`` (an upstream artifact that is missing, cannot be read, does
+not parse, lacks what the stage reads, holds a non-finite feature, a label
+that is not a server id, a row that does not regenerate or a model whose
+nodes ``predict`` cannot walk, or was generated under other settings; the
+message names the file). Stages raise where they find a failure, and
+``main`` alone turns each error type into its code.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ from .config import (
     GENERATE_FIELDS, OPTIMIZE_FIELDS, RunConfig, generate_fingerprint, load_run_config,
     optimize_fingerprint,
 )
-
-EXIT_CONFIG = 2
-EXIT_PIPELINE = 3
-EXIT_MISSING = 4
 
 
 def _log(msg: str):
@@ -91,6 +89,9 @@ def _require(path: str) -> str:
     return path
 
 
+CHUNK = 16  # topologies per task that ``generate`` hands a worker process
+
+
 def _gen_one(args) -> tuple[netmodel.Topology, netmodel.SfcSpec,
                             placer.TeacherPlacement | None, dict | None]:
     gen_cfg, index, budget = args
@@ -103,22 +104,24 @@ def _gen_one(args) -> tuple[netmodel.Topology, netmodel.SfcSpec,
     return topo, sfc, p, placer.placement_row(index, topo, sfc, p)
 
 
-def cmd_generate(cfg: RunConfig, workers: int) -> int:
+def cmd_generate(cfg: RunConfig, workers: int) -> None:
     try:
         os.makedirs(cfg.output_dir, exist_ok=True)
     except OSError as e:
-        _log(f"config error: cannot create output_dir {cfg.output_dir}: {e.strerror}")
-        return EXIT_CONFIG
+        raise netmodel.ConfigError(
+            f"cannot create output_dir {cfg.output_dir}: {e.strerror}") from None
     _remove_outputs(cfg, DOWNSTREAM, written=GENERATED)
     paths = _paths(cfg)
     n = cfg.gen.n_topologies
+    # a pool starts all its processes at once: no more than there are chunks
+    workers = max(1, min(workers, -(-n // CHUNK)))
     _log(f"generating {n} topologies ({cfg.gen.n_servers} servers, "
          f"{cfg.gen.n_instances} instances) with {workers} worker(s)")
     work = [(cfg.gen, i, cfg.teacher_budget) for i in range(n)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: its import is costly
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_gen_one, work, chunksize=16))
+            done = list(pool.map(_gen_one, work, chunksize=CHUNK))
     else:
         done = [_gen_one(w) for w in work]
 
@@ -128,9 +131,9 @@ def cmd_generate(cfg: RunConfig, workers: int) -> int:
     rows = [d[3] for d in done if d[3] is not None]
     n_infeasible = n - len(rows)
     if n and n_infeasible / n > cfg.max_infeasible_fraction:
-        _log(f"error: {n_infeasible}/{n} topologies had no feasible placement "
-             f"(tolerated fraction {cfg.max_infeasible_fraction})")
-        return EXIT_PIPELINE
+        raise netmodel.PipelineError(
+            f"{n_infeasible}/{n} topologies had no feasible placement "
+            f"(tolerated fraction {cfg.max_infeasible_fraction})")
 
     feasible = [r["index"] for r in rows]
     rng = np.random.default_rng(cfg.seed)
@@ -139,9 +142,9 @@ def cmd_generate(cfg: RunConfig, workers: int) -> int:
     test_idx = sorted(feasible[i] for i in perm[:n_test])
     train_idx = sorted(feasible[i] for i in perm[n_test:])
     if not train_idx or not test_idx:
-        _log(f"error: {len(feasible)} feasible topologies leave the train or test "
-             f"split empty (train={len(train_idx)}, test={len(test_idx)})")
-        return EXIT_PIPELINE
+        raise netmodel.PipelineError(
+            f"{len(feasible)} feasible topologies leave the train or test "
+            f"split empty (train={len(train_idx)}, test={len(test_idx)})")
 
     netmodel.save_json(rows, paths["placements"])
     netmodel.save_json({"train": train_idx, "test": test_idx, "seed": cfg.seed,
@@ -158,7 +161,6 @@ def cmd_generate(cfg: RunConfig, workers: int) -> int:
          f"{n_infeasible} infeasible; train={len(train_idx)} test={len(test_idx)}; "
          f"{sum(r['teacher_nodes'] for r in rows)} search nodes, budget exhausted on "
          f"{sum(r['budget_exhausted'] for r in rows)} rows")
-    return 0
 
 
 def _check_fingerprint(doc: dict, expected: str, path: str, stage: str, fields) -> None:
@@ -207,27 +209,19 @@ def _load_split(cfg: RunConfig, which: str):
     return (ds, *netmodel.load_json(_require(paths["split"]), pick))
 
 
-def cmd_optimize(cfg: RunConfig, workers: int) -> int:
+def cmd_optimize(cfg: RunConfig, workers: int) -> None:
     from . import pipeline, swarm  # each stage imports only the layers it runs
     _remove_outputs(cfg, DOWNSTREAM)
     paths = _paths(cfg)
     ds, topos, sfcs = _load_split(cfg, "train")
-    teacher_avg = [placer.avg_cp_delay(t, p, s)
-                   for t, s, p in zip(topos, sfcs, ds.labels.tolist())]
-    ctx = swarm.make_context(topos, sfcs, teacher_avg)
     if ds.n_samples < cfg.folds:
-        _log(f"pipeline failed: {ds.n_samples} training rows cannot fill "
-             f"{cfg.folds} folds")
-        return EXIT_PIPELINE
+        raise netmodel.PipelineError(
+            f"{ds.n_samples} training rows cannot fill {cfg.folds} folds")
+    ctx = swarm.make_context(topos, sfcs, ds.labels.tolist())
     folds = features.kfold(ds, cfg.folds, cfg.seed)
     _log(f"optimizing depth on {ds.n_samples} training rows, {cfg.folds} folds")
-    try:
-        report, model, full = pipeline.run_pipeline(
-            ds, ctx, folds, cfg.pso, cfg.pipeline, config_echo=cfg.to_json()
-        )
-    except pipeline.RangeNotFound as e:
-        _log(f"pipeline failed: {e}")
-        return EXIT_PIPELINE
+    report, model, full = pipeline.run_pipeline(
+        ds, ctx, folds, cfg.pso, cfg.pipeline, config_echo=cfg.to_json())
     netmodel.save_json(report, paths["report"])
     fingerprint = optimize_fingerprint(cfg)
     for key, m in [("model_optimized", model),
@@ -235,10 +229,9 @@ def cmd_optimize(cfg: RunConfig, workers: int) -> int:
         netmodel.save_json(dict(m.to_json(), config_fingerprint=fingerprint), paths[key])
     a1, a2 = report["functional_range"]
     _log(f"functional range [{a1}, {a2}], optimal depth {report['h_star']}")
-    return 0
 
 
-def cmd_compare(cfg: RunConfig, workers: int) -> int:
+def cmd_compare(cfg: RunConfig, workers: int) -> None:
     from . import evaluation, tree
     _remove_outputs(cfg, ("comparison",))
     paths = _paths(cfg)
@@ -275,7 +268,6 @@ def cmd_compare(cfg: RunConfig, workers: int) -> int:
     for s in report["strategies"]:
         mean = np.nan if s["mean_cp_delay"] is None else s["mean_cp_delay"]
         _log(f"{s['name']}: ip_rate={s['ip_rate']:.3f} mean_cp_delay={mean:.1f}")
-    return 0
 
 
 COMMANDS = {"generate": cmd_generate, "optimize": cmd_optimize, "compare": cmd_compare}
@@ -285,14 +277,17 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="vnfplace",
                                  description="VNF placement lab workflow")
     sub = ap.add_subparsers(dest="command", required=True)
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)  # the cores this process may run on
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the run-config JSON")
         p.add_argument("--seed", type=int, default=None,
                        help="override every seed in the config")
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallel workers for generate (default: all cores); "
-                            "optimize and compare accept the option and ignore it")
+        p.add_argument("--workers", type=int, default=cores,
+                       help="parallel workers for generate (default: the usable "
+                            "cores; at most one per 16 topologies); optimize and "
+                            "compare accept the option and ignore it")
     return ap
 
 
@@ -306,29 +301,25 @@ def _apply_seed(cfg: RunConfig, seed: int) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    """Run one stage; the only place a failure becomes its exit code."""
     args = build_parser().parse_args(argv)
-    if args.workers is not None and args.workers < 1:
-        _log(f"config error: --workers must be >= 1, got {args.workers}")
-        return EXIT_CONFIG
     try:
+        if args.workers < 1:
+            raise netmodel.ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg = load_run_config(args.config)
         if args.seed is not None:
             cfg = _apply_seed(cfg, args.seed)
-    except ValueError as e:  # ConfigError, or a seed a config dataclass rejects
+        COMMANDS[args.command](cfg, args.workers)
+    except netmodel.ConfigError as e:
         _log(f"config error: {e}")
-        return EXIT_CONFIG
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
-    try:
-        return COMMANDS[args.command](cfg, workers)
-    except netmodel.ConfigError as e:  # an output path that is a directory
-        _log(f"config error: {e}")
-        return EXIT_CONFIG
-    except netmodel.ArtifactError as e:
+        return 2
+    except netmodel.PipelineError as e:
+        _log(f"pipeline failed: {e}")
+        return 3
+    except netmodel.ArtifactError as e:  # its message names the file
         _log(str(e))
-        return EXIT_MISSING
-    except features.DatasetSchemaError as e:
-        _log(f"dataset error: {e}")
-        return EXIT_MISSING
+        return 4
+    return 0
 
 
 if __name__ == "__main__":

@@ -30,15 +30,15 @@ class PsoParams:
 
     def __post_init__(self):
         if self.swarm_size < 2:
-            raise ValueError("swarm_size must be >= 2")
+            raise ConfigError("swarm_size must be >= 2")
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise ConfigError("iterations must be >= 1")
         if not (0 < self.inertia <= 1):
-            raise ValueError("inertia must be in (0, 1]")
+            raise ConfigError("inertia must be in (0, 1]")
         if self.cognitive <= 0 or self.social <= 0:
-            raise ValueError("cognitive and social weights must be > 0")
+            raise ConfigError("cognitive and social weights must be > 0")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,14 @@ class PipelineSettings:
 
     def __post_init__(self):
         if not (0 < self.error_threshold <= 1):
-            raise ValueError("error_threshold must be in (0, 1]")
+            raise ConfigError("error_threshold must be in (0, 1]")
         if self.steady_window < 1:
-            raise ValueError("steady_window must be >= 1")
+            raise ConfigError("steady_window must be >= 1")
         if self.plateau_epsilon < 0:
-            raise ValueError("plateau_epsilon must be >= 0")
+            raise ConfigError("plateau_epsilon must be >= 0")
         lo, hi = self.initial_bounds
         if not (1 <= lo < hi):
-            raise ValueError("initial_bounds require 1 <= lo < hi")
+            raise ConfigError("initial_bounds require 1 <= lo < hi")
 
 
 @dataclass(frozen=True)

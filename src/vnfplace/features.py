@@ -21,13 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netmodel import (
-    ADJACENT_PAIRS, SfcSpec, Topology, load_json, save_csv, save_json,
+    ADJACENT_PAIRS, ArtifactError, SfcSpec, Topology, load_json, save_csv, save_json,
 )
 from .placer import Placement
-
-
-class DatasetSchemaError(ValueError):
-    """Dataset file does not match the documented schema."""
 
 
 def feature_names(n_servers: int, n_instances: int) -> list[str]:
@@ -138,13 +134,9 @@ def kfold(ds: Dataset, b: int, seed: int) -> FoldSplit:
     rng = np.random.default_rng(seed)
     perm = rng.permutation(ds.n_samples)
     val_folds = np.array_split(perm, b)
-    folds = []
-    for v in val_folds:
-        vset = set(v.tolist())
-        train = np.array([i for i in perm if i not in vset], dtype=int)
-        # train order follows the shuffle; validation sorted for stable reporting
-        folds.append((train, np.sort(v)))
-    return FoldSplit(folds=folds)
+    # train order follows the shuffle; validation sorted for stable reporting
+    return FoldSplit(folds=[(np.concatenate(val_folds[:k] + val_folds[k + 1:]), np.sort(v))
+                            for k, v in enumerate(val_folds)])
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +165,11 @@ def load_dataset(path: str) -> Dataset:
     """Read a dataset ``save_dataset`` wrote. A file that cannot be read as
     UTF-8 text, breaks its schema, holds a non-finite feature or a label that
     is not a server id below the schema's ``n_servers`` or does not fit an
-    int64 raises DatasetSchemaError naming the file and, where it can, line
+    int64 raises ArtifactError naming the file and, where it can, line
     and column."""
     schema = schema_path(path)
     if not os.path.exists(schema):
-        raise DatasetSchemaError(f"missing schema file {schema}")
+        raise ArtifactError(f"missing schema file {schema}")
     feature_cols, label_cols, n_servers = load_json(schema, lambda s: (
         list(s["feature_cols"]), list(s["label_cols"]), int(s["n_servers"])))
     try:
@@ -185,45 +177,43 @@ def load_dataset(path: str) -> Dataset:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != feature_cols + label_cols:
-                raise DatasetSchemaError(
+                raise ArtifactError(
                     f"{path}: header does not match schema (expected "
-                    f"{len(feature_cols) + len(label_cols)} documented columns)"
-                )
+                    f"{len(feature_cols) + len(label_cols)} documented columns)")
             X, Y = [], []
             nf = len(feature_cols)
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != nf + len(label_cols):
-                    raise DatasetSchemaError(f"{path}:{lineno}: wrong column count")
+                    raise ArtifactError(f"{path}:{lineno}: wrong column count")
                 try:
                     X.append([float(v) for v in row[:nf]])
                 except ValueError as e:
-                    raise DatasetSchemaError(f"{path}:{lineno}: {e}") from None
+                    raise ArtifactError(f"{path}:{lineno}: {e}") from None
                 labels = []
                 for col, v in zip(label_cols, row[nf:]):
                     try:
                         labels.append(int(v))
                     except ValueError:
-                        raise DatasetSchemaError(
+                        raise ArtifactError(
                             f"{path}:{lineno}: column {col!r} is not an integer label: {v!r}"
                         ) from None
                     if not 0 <= labels[-1] < n_servers:
-                        raise DatasetSchemaError(
+                        raise ArtifactError(
                             f"{path}:{lineno}: column {col!r} is not a server id below "
                             f"{n_servers}: {v!r}")
                     if labels[-1] >= 2**63:  # the int64 label array cannot hold it
-                        raise DatasetSchemaError(f"{path}:{lineno}: column {col!r} is a "
-                                                 f"label too large for an int64: {v!r}")
+                        raise ArtifactError(f"{path}:{lineno}: column {col!r} is a "
+                                            f"label too large for an int64: {v!r}")
                 Y.append(labels)
     except OSError as e:
-        raise DatasetSchemaError(f"{path} cannot be read: {e.strerror}") from None
+        raise ArtifactError(f"{path} cannot be read: {e.strerror}") from None
     except UnicodeDecodeError as e:
-        raise DatasetSchemaError(f"{path} is not UTF-8 text: {e.reason}") from None
-    nf_total = len(feature_cols)
-    X_arr = np.array(X, dtype=float).reshape(len(X), nf_total)
+        raise ArtifactError(f"{path} is not UTF-8 text: {e.reason}") from None
+    X_arr = np.array(X, dtype=float).reshape(len(X), nf)
     non_finite = np.argwhere(~np.isfinite(X_arr))
     if len(non_finite):
         r, c = non_finite[0]
-        raise DatasetSchemaError(f"{path}:{r + 2}: column {feature_cols[c]!r} "
-                                 f"is not finite: {float(X_arr[r, c])!r}")
+        raise ArtifactError(f"{path}:{r + 2}: column {feature_cols[c]!r} "
+                            f"is not finite: {float(X_arr[r, c])!r}")
     Y_arr = np.array(Y, dtype=int).reshape(len(Y), len(label_cols))
     return Dataset(X_arr, Y_arr, feature_cols, label_cols, n_servers)

@@ -354,6 +354,12 @@ class ArtifactError(Exception):
     """An artifact file is missing, is not valid JSON, or lacks what its reader needs."""
 
 
+class PipelineError(Exception):
+    """The data admit no result: too many infeasible topologies, an empty
+    split, fewer training rows than folds, or no depth that reaches the
+    error threshold."""
+
+
 def _write_atomic(path, write):
     """Call ``write(fh)`` on a temporary file beside ``path``, then move it onto
     ``path``: a write that fails leaves the previous file and no temporary one."""

@@ -26,11 +26,8 @@ from __future__ import annotations
 from . import tree as tree_mod
 from .config import PipelineSettings, PsoParams
 from .features import Dataset, FoldSplit
+from .netmodel import PipelineError
 from .swarm import EvalContext, fold_results, pso_minimize
-
-
-class RangeNotFound(Exception):
-    """No depth reaches an invalid rate at or below the error threshold."""
 
 
 def fit_unbounded(ds: Dataset) -> tree_mod.DecisionTree:
@@ -74,6 +71,7 @@ def detect_functional_range(curve: dict[int, float], threshold: float,
     """Find [a1, a2]: a1 = first depth at or below the threshold; a2 = the
     first depth from a1 on that the curve never improves upon for
     steady_window consecutive depths, plus the window (clamped to the curve).
+    A curve that never reaches the threshold raises PipelineError.
     """
     depths = sorted(curve)
     if depths != list(range(depths[0], depths[-1] + 1)):
@@ -81,7 +79,7 @@ def detect_functional_range(curve: dict[int, float], threshold: float,
     a1 = next((d for d in depths if curve[d] <= threshold), None)
     if a1 is None:
         best = min(curve.values())
-        raise RangeNotFound(
+        raise PipelineError(
             f"invalid rate never reached {threshold:.3f} at depths "
             f"{depths[0]}-{depths[-1]}: minimum {best:.3f}, first at depth "
             f"{next(d for d in depths if curve[d] == best)}"

@@ -7,7 +7,8 @@ combine the mean per-path delay of the valid predictions with a logarithmic
 penalty of 1000 * log2(ip + 1) on the invalid count. The reported value is
 the mean over folds, next to the invalid rate over all validation rows. A
 fold with zero valid predictions contributes a data-scaled delay ceiling
-(99th percentile of teacher per-path delays) instead of an undefined mean.
+instead of an undefined mean: the 99th percentile, over the training rows,
+of the mean path delay of each row's teacher placement.
 """
 
 from __future__ import annotations
@@ -56,8 +57,12 @@ def percentile_99(values) -> float:
     return hi - (hi - lo) * (1 - t) if t >= 0.5 else lo + (hi - lo) * t
 
 
-def make_context(topologies, sfcs, teacher_avg_delays) -> EvalContext:
-    return EvalContext(list(topologies), list(sfcs), percentile_99(teacher_avg_delays))
+def make_context(topologies, sfcs, labels) -> EvalContext:
+    """The context of dataset rows, given each row's topology, chain and
+    label placement (the teacher's): the delay ceiling is the 99th
+    percentile of the placements' ``avg_cp_delay``."""
+    return EvalContext(list(topologies), list(sfcs), percentile_99(
+        [avg_cp_delay(t, p, s) for t, s, p in zip(topologies, sfcs, labels, strict=True)]))
 
 
 def fold_results(

@@ -123,17 +123,23 @@ class DecisionTree:
         """The tree ``to_json`` wrote. A node structure that ``predict`` could
         not walk, or that ``to_json`` does not write, raises ValueError: no
         node; a root not at depth 0; an internal node whose children are not
-        later nodes one level deeper; a leaf with a child or a threshold; a
-        feature below -1 or not below ``n_features``; a majority row of
-        other than ``n_outputs`` labels."""
+        later nodes one level deeper, or whose threshold is not a finite
+        number; a leaf with a child or a threshold; a feature, child, depth or
+        label that is not an integer; a feature below -1 or not below
+        ``n_features``; a majority row of other than ``n_outputs`` labels."""
         nodes = d["nodes"]
+        for n in nodes:
+            if any(type(v) is not int for v in [n["feature"], n["left"], n["right"],
+                                                n["depth"], *n["majority"]]) \
+                    or type(n["threshold"]) not in (int, float, type(None)):
+                raise ValueError("node features, children, depths and labels are "
+                                 "integers, thresholds numbers or null")
         t = DecisionTree(
             n_features=int(d["n_features"]),
             n_outputs=int(d["n_outputs"]),
             classes=[np.array(c, dtype=int) for c in d["classes"]],
             feature=np.array([n["feature"] for n in nodes], dtype=int),
-            threshold=np.array(
-                [np.nan if n["threshold"] is None else n["threshold"] for n in nodes]),
+            threshold=np.array([n["threshold"] for n in nodes], dtype=float),  # null: nan
             left=np.array([n["left"] for n in nodes], dtype=int),
             right=np.array([n["right"] for n in nodes], dtype=int),
             depth=np.array([n["depth"] for n in nodes], dtype=int),
@@ -151,6 +157,8 @@ class DecisionTree:
                 or not np.isnan(t.threshold[leaf]).all():
             raise ValueError("a leaf has -1 children and a null threshold")
         node = np.flatnonzero(~leaf)
+        if not np.isfinite(t.threshold[node]).all():
+            raise ValueError("an internal node's threshold is a finite number")
         for child in (t.left[node], t.right[node]):
             if ((child <= node) | (child >= len(nodes))).any() \
                     or (t.depth[child] != t.depth[node] + 1).any():

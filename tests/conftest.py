@@ -71,8 +71,7 @@ def small_batch(desk_gen_config):
 def small_dataset(small_batch):
     cfg, topos, sfcs, placements = small_batch
     ds = features.build_dataset(list(zip(topos, sfcs, placements)))
-    delays = [placer.avg_cp_delay(t, p, s) for t, s, p in zip(topos, sfcs, placements)]
-    ctx = swarm.make_context(topos, sfcs, delays)
+    ctx = swarm.make_context(topos, sfcs, placements)
     return ds, ctx
 
 

@@ -277,8 +277,8 @@ def test_cli_optimize_teacher_ceiling_is_avg_cp_delay(tmp_path, monkeypatch):
     class Captured(Exception):
         pass
 
-    def capture(topos, sfcs, teacher_avg):
-        raise Captured(topos, sfcs, teacher_avg)
+    def capture(teacher_avg):
+        raise Captured(teacher_avg)
 
     monkeypatch.chdir(tmp_path)
     doc = quick_config(n_topologies=20)
@@ -286,12 +286,12 @@ def test_cli_optimize_teacher_ceiling_is_avg_cp_delay(tmp_path, monkeypatch):
                       replica_counts={"HSS": 2, "MME": 3, "SGW": 3, "PGW": 2})
     path = write_config(tmp_path / "cfg.json", doc)
     assert _run("generate", "--config", path, "--workers", "1") == 0
-    monkeypatch.setattr(swarm, "make_context", capture)
+    monkeypatch.setattr(swarm, "percentile_99", capture)
     with pytest.raises(Captured) as got:
         _run("optimize", "--config", path)
-    topos, sfcs, teacher_avg = got.value.args
-    labels = cli._load_split(load_run_config(path), "train")[0].labels.tolist()
-    rows = list(zip(topos, labels, sfcs))
+    teacher_avg, = got.value.args
+    ds, topos, sfcs = cli._load_split(load_run_config(path), "train")
+    rows = list(zip(topos, ds.labels.tolist(), sfcs))
     assert teacher_avg == [placer.avg_cp_delay(*row) for row in rows]
     assert teacher_avg != [float(np.mean(placer.path_delays(*row))) for row in rows]
 
@@ -401,6 +401,39 @@ def test_cli_parallel_generation_matches_serial(cli_run, tmp_path, monkeypatch):
         assert (cli_run / "out" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
 
+def test_cli_generate_pool_has_at_most_one_worker_per_chunk(tmp_path, monkeypatch, capsys):
+    """A pool starts all its processes at once, so ``generate`` sizes it at
+    one process per 16-topology chunk at most and runs one chunk in this
+    process. The fake pool maps in this process: the test starts no process."""
+    import concurrent.futures
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.chdir(tmp_path)
+    for n, pools in [(80, [5]), (10, [])]:
+        sizes.clear()
+        path = write_config(tmp_path / "cfg.json", quick_config(n_topologies=n))
+        assert _run("generate", "--config", path, "--workers", "10000") == 0
+        assert sizes == pools
+        assert f"with {pools[0] if pools else 1} worker(s)" in capsys.readouterr().err
+    default = cli.build_parser().parse_args(["generate", "--config", path]).workers
+    assert default == (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                       else os.cpu_count() or 1)
+
+
 def test_cli_seed_override_changes_data(cli_run, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfgpath = write_config(tmp_path / "cfg.json", quick_config())
@@ -499,10 +532,10 @@ def _shift_delay(row):
                  "is malformed", id="train.schema.json-optimize-no-key"),
     pytest.param("model_optimized.json", "compare", lambda _: '{"nodes": []}',
                  "is malformed", id="model_optimized.json-compare-no-key"),
-    pytest.param("train.csv", "optimize", lambda _: "", "dataset error",
+    pytest.param("train.csv", "optimize", lambda _: "", "header does not match",
                  id="train.csv-optimize-empty"),
     pytest.param("train.csv", "optimize", lambda text: text.replace("\n", "\nx", 1),
-                 "dataset error", id="train.csv-optimize-not-a-number"),
+                 "could not convert", id="train.csv-optimize-not-a-number"),
     pytest.param("train.csv", "optimize", _non_finite_features, "is not finite",
                  id="train.csv-optimize-non-finite"),
     # written before split.json carried the fingerprint
@@ -517,6 +550,14 @@ def _shift_delay(row):
                  "children are later nodes", id="model_optimized.json-compare-root-cycle"),
     pytest.param("model_optimized.json", "compare", _set_root_left(9999),
                  "children are later nodes", id="model_optimized.json-compare-root-dangling"),
+    # a node that to_json never writes
+    pytest.param("model_optimized.json", "compare", _set_raw(["nodes", 0, "threshold"], "null"),
+                 "is malformed", id="model_optimized.json-compare-null-threshold"),
+    pytest.param("model_optimized.json", "compare",
+                 _set_raw(["nodes", 0, "threshold"], "Infinity"),
+                 "is malformed", id="model_optimized.json-compare-infinite-threshold"),
+    pytest.param("model_optimized.json", "compare", _set_raw(["nodes", 0, "feature"], "0.7"),
+                 "is malformed", id="model_optimized.json-compare-float-feature"),
     # fitted on the wider feature rows of an earlier version
     pytest.param("model_optimized.json", "compare", _widen_model, "rerun optimize",
                  id="model_optimized.json-compare-other-width"),

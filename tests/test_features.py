@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import line_topology, simple_sfc
 from vnfplace import features, netmodel
-from vnfplace.features import Dataset, DatasetSchemaError
+from vnfplace.features import Dataset
+from vnfplace.netmodel import ArtifactError
 
 
 def test_feature_width_desk_config():
@@ -82,6 +83,7 @@ def test_kfold_partition_laws(n, b, seed):
     ds = Dataset(np.zeros((n, 2)), np.zeros((n, 1), dtype=int),
                  ["a", "b"], ["label_inst0"], 4)
     split = features.kfold(ds, b, seed)
+    perm = np.random.default_rng(seed).permutation(n)
     val_all = np.concatenate([v for _, v in split.folds])
     assert sorted(val_all.tolist()) == list(range(n))  # coverage, disjointness
     sizes = {len(v) for _, v in split.folds}
@@ -89,6 +91,8 @@ def test_kfold_partition_laws(n, b, seed):
     for train, val in split.folds:
         assert set(train) | set(val) == set(range(n))
         assert not set(train) & set(val)
+        held_out = set(val.tolist())  # the shuffle without the fold, in shuffle order
+        assert train.tolist() == [i for i in perm.tolist() if i not in held_out]
     again = features.kfold(ds, b, seed)
     for (t1, v1), (t2, v2) in zip(split.folds, again.folds):
         assert np.array_equal(t1, t2) and np.array_equal(v1, v2)
@@ -137,7 +141,7 @@ def test_load_reports_bad_label_column(tmp_path, small_batch):
     cells[-1] = "not_a_server"
     lines[1] = ",".join(cells)
     open(path, "w").write("\n".join(lines) + "\n")
-    with pytest.raises(DatasetSchemaError, match="label_inst5"):
+    with pytest.raises(ArtifactError, match="label_inst5"):
         features.load_dataset(path)
 
 
@@ -149,5 +153,5 @@ def test_load_rejects_wrong_header(tmp_path, small_batch):
     lines = open(path).read().splitlines()
     lines[0] = lines[0].replace("inst0_cpu_demand", "renamed")
     open(path, "w").write("\n".join(lines) + "\n")
-    with pytest.raises(DatasetSchemaError, match="header"):
+    with pytest.raises(ArtifactError, match="header"):
         features.load_dataset(path)

@@ -4,7 +4,8 @@ import pytest
 from conftest import line_topology, simple_sfc
 from vnfplace import features, pipeline, swarm, tree
 from vnfplace.config import PipelineSettings, PsoParams
-from vnfplace.pipeline import RangeNotFound, detect_functional_range, stage2
+from vnfplace.netmodel import PipelineError
+from vnfplace.pipeline import detect_functional_range, stage2
 
 
 def reference_curve():
@@ -60,7 +61,7 @@ def test_steady_requires_no_improvement_in_window():
 def test_range_not_found():
     curve = {d: 0.2 for d in range(2, 30)}
     curve[7] = curve[9] = 0.1
-    with pytest.raises(RangeNotFound,
+    with pytest.raises(PipelineError,
                        match="never reached 0.075 .*minimum 0.100, first at depth 7"):
         detect_functional_range(curve, 0.075, 10)
 
@@ -130,7 +131,7 @@ def _hopeless_problem():
     ds = features.Dataset(Xm, Y.astype(int),
                           features.feature_names(6, 4),
                           [f"label_inst{i}" for i in range(4)], 6)
-    ctx = swarm.make_context([topo] * 12, [sfc] * 12, [50.0] * 12)
+    ctx = swarm.make_context([topo] * 12, [sfc] * 12, Y.tolist())
     return ds, ctx
 
 
@@ -138,7 +139,7 @@ def test_stage1_raises_when_threshold_unreachable():
     ds, ctx = _hopeless_problem()
     folds = features.kfold(ds, 3, seed=0)
     settings = PipelineSettings(initial_bounds=(2, 40))
-    with pytest.raises(RangeNotFound,
+    with pytest.raises(PipelineError,
                        match="never reached 0.075 .*minimum 1.000, first at depth 2"):
         pipeline.run_pipeline(ds, ctx, folds, PsoParams(seed=0, iterations=3),
                               settings)

@@ -46,9 +46,10 @@ def test_placement_from_labels_by_id_order(small_batch):
             topo.delay[labels[a], labels[b]] for a, b in zip(cp, cp[1:]))
 
 
-def test_make_context_ceiling_is_percentile():
-    delays = list(range(1, 101))
-    ctx = swarm.make_context([], [], delays)
+def test_make_context_ceiling_is_percentile(small_batch):
+    _, topos, sfcs, placements = small_batch
+    ctx = swarm.make_context(topos, sfcs, placements)
+    delays = [placer.avg_cp_delay(t, p, s) for t, s, p in zip(topos, sfcs, placements)]
     assert ctx.delay_ceiling == pytest.approx(np.percentile(delays, 99), abs=0)
 
 

@@ -161,8 +161,16 @@ def _first_leaf(doc):
     (lambda d: d["nodes"][0].update(feature=d["n_features"]), "features"),
     (lambda d: d["nodes"][0].update(feature=-2), "features"),
     (lambda d: [n.update(majority=n["majority"][1:]) for n in d["nodes"]], "majority"),
+    (lambda d: d["nodes"][0].update(threshold=None), "finite"),
+    (lambda d: d["nodes"][0].update(threshold=float("inf")), "finite"),
+    (lambda d: d["nodes"][0].update(threshold="0.5"), "numbers"),
+    (lambda d: d["nodes"][0].update(feature=0.7), "integers"),
+    (lambda d: d["nodes"][0].update(left=float(d["nodes"][0]["left"])), "integers"),
+    (lambda d: d["nodes"][0].update(majority=[0.5] * d["n_outputs"]), "integers"),
 ], ids=["no-node", "root-depth", "cycle", "dangling", "skipped-level", "leaf-child",
-        "leaf-threshold", "wide-feature", "negative-feature", "short-majority"])
+        "leaf-threshold", "wide-feature", "negative-feature", "short-majority",
+        "null-threshold", "infinite-threshold", "string-threshold", "float-feature",
+        "float-child", "float-label"])
 def test_from_json_rejects_a_broken_node_structure(edit, says):
     """A saved tree that ``predict`` could not walk to a leaf is refused."""
     X, Y = random_problem(np.random.default_rng(31), n=70, nf=4, n_out=3)
