@@ -23,6 +23,7 @@ import functools
 import itertools
 import json
 import os
+import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from typing import NamedTuple, get_args, get_origin, get_type_hints
@@ -68,8 +69,9 @@ def config_from_json(cls, doc, where: str):
 
     Each field of ``cls`` is one JSON key, read by its annotated type, and an
     absent key takes the field's default. A non-object, an unknown or missing
-    key, a value of the wrong JSON type, or a value ``cls`` rejects raises
-    ConfigError naming the key path (``where``, e.g. ``config.gen.tolerance``).
+    key, a value of the wrong JSON type, a number that is NaN or infinite, or
+    a value ``cls`` rejects raises ConfigError naming the key path (``where``,
+    e.g. ``config.gen.tolerance``).
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object")
@@ -104,6 +106,8 @@ def _value_from_json(tp, v, where: str):
         return tuple(_value_from_json(a, x, f"{where}[{i}]")
                      for i, (a, x) in enumerate(zip(args, v)))
     if tp is float and type(v) in (int, float):
+        if not abs(v) <= sys.float_info.max:  # NaN, an infinity or an int no float holds
+            raise ConfigError(f"{where} must be a finite number, not {json.dumps(v)}")
         return float(v)
     if tp in (int, str) and type(v) is tp:
         return v

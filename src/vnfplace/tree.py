@@ -17,7 +17,7 @@ where a sort puts NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class DecisionTree:
     def truncate(self, max_depth: int) -> "DecisionTree":
         """The tree ``fit`` grows on the same rows with this ``max_depth``.
 
-        CART grows top-down and the depth limit only stops recursion, so the
+        CART grows top-down and the depth limit only stops growth, so the
         shallower fit is this tree with the nodes below ``max_depth`` dropped
         and the nodes at ``max_depth`` turned into leaves. Nodes are stored in
         pre-order, which dropping whole subtrees preserves.
@@ -121,12 +121,20 @@ class DecisionTree:
     @staticmethod
     def from_json(d: dict) -> "DecisionTree":
         """The tree ``to_json`` wrote. A node structure that ``predict`` could
-        not walk, or that ``to_json`` does not write, raises ValueError: no
-        node; a root not at depth 0; an internal node whose children are not
-        later nodes one level deeper, or whose threshold is not a finite
-        number; a leaf with a child or a threshold; a feature, child, depth or
-        label that is not an integer; a feature below -1 or not below
+        not walk, or that ``to_json`` does not write, raises ValueError: an
+        ``n_features``, ``n_outputs``, ``max_depth_fit`` or class label that
+        is not an integer; no node; a root not at depth 0; an internal node
+        whose children are not later nodes one level deeper, or whose
+        threshold is not a finite number; nodes that are not one tree (a node
+        other than the root that is not the child of exactly one node); a
+        leaf with a child or a threshold; a feature, child, depth or label
+        that is not an integer; a feature below -1 or not below
         ``n_features``; a majority row of other than ``n_outputs`` labels."""
+        labels = [v for c in d["classes"] for v in c]
+        if any(type(v) is not int
+               for v in [d["n_features"], d["n_outputs"], d["max_depth_fit"], *labels]):
+            raise ValueError("n_features, n_outputs, max_depth_fit and class labels "
+                             "are integers")
         nodes = d["nodes"]
         for n in nodes:
             if any(type(v) is not int for v in [n["feature"], n["left"], n["right"],
@@ -135,8 +143,8 @@ class DecisionTree:
                 raise ValueError("node features, children, depths and labels are "
                                  "integers, thresholds numbers or null")
         t = DecisionTree(
-            n_features=int(d["n_features"]),
-            n_outputs=int(d["n_outputs"]),
+            n_features=d["n_features"],
+            n_outputs=d["n_outputs"],
             classes=[np.array(c, dtype=int) for c in d["classes"]],
             feature=np.array([n["feature"] for n in nodes], dtype=int),
             threshold=np.array([n["threshold"] for n in nodes], dtype=float),  # null: nan
@@ -144,7 +152,7 @@ class DecisionTree:
             right=np.array([n["right"] for n in nodes], dtype=int),
             depth=np.array([n["depth"] for n in nodes], dtype=int),
             majority=np.array([n["majority"] for n in nodes], dtype=int),
-            max_depth_fit=int(d["max_depth_fit"]),
+            max_depth_fit=d["max_depth_fit"],
         )
         if not nodes or t.depth[0] != 0:
             raise ValueError("a tree needs a root node at depth 0")
@@ -164,6 +172,9 @@ class DecisionTree:
                     or (t.depth[child] != t.depth[node] + 1).any():
                 raise ValueError("an internal node's children are later nodes "
                                  "one level deeper")
+        if not np.array_equal(np.sort(np.concatenate((t.left[node], t.right[node]))),
+                              np.arange(1, len(nodes))):
+            raise ValueError("every node but the root is the child of exactly one node")
         return t
 
 
@@ -176,11 +187,6 @@ def distinct_sorted(col: np.ndarray) -> np.ndarray:
     makes on its first call (about 13 ms of a process's start-up)."""
     s = np.sort(col)
     return s[np.concatenate(([True], s[1:] != s[:-1]))]
-
-
-def _majority(y_enc: np.ndarray, n_classes: int) -> int:
-    counts = np.bincount(y_enc, minlength=n_classes)
-    return int(counts.argmax())  # argmax takes the first max: smallest class wins ties
 
 
 def _best_split(X: np.ndarray, Yenc: np.ndarray, n_classes: list[int]):
@@ -227,7 +233,9 @@ def _best_split(X: np.ndarray, Yenc: np.ndarray, n_classes: list[int]):
 
 
 def fit(X: np.ndarray, Y: np.ndarray, max_depth: int) -> DecisionTree:
-    """Grow a depth-bounded multi-output CART on (X, Y)."""
+    """Grow a depth-bounded multi-output CART on (X, Y) by one loop over a
+    stack of open nodes, so no depth is too deep to grow: the depth limit
+    only stops growth, as do a pure node, one row and no admissible split."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=int)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
@@ -245,39 +253,40 @@ def fit(X: np.ndarray, Y: np.ndarray, max_depth: int) -> DecisionTree:
         Yenc[:, o] = np.searchsorted(classes[o], Y[:, o])
     n_classes = [len(c) for c in classes]
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    depth: list[int] = []
-    majority: list[list[int]] = []
-
-    def grow(rows: np.ndarray, d: int) -> int:
+    feature, threshold, left, right, depth, node_rows = [], [], [], [], [], []
+    # A node is numbered when it pops. Pushing its right child under its left
+    # one numbers the nodes in pre-order, so a left child is its parent + 1.
+    stack = [(np.arange(X.shape[0]), 0, -1)]  # (rows, depth, parent of a right child)
+    while stack:
+        rows, d, parent = stack.pop()
         node = len(feature)
+        if parent >= 0:
+            right[parent] = node
         feature.append(-1)
         threshold.append(np.nan)
         left.append(-1)
         right.append(-1)
         depth.append(d)
-        majority.append(
-            [int(classes[o][_majority(Yenc[rows, o], n_classes[o])]) for o in range(n_out)]
-        )
-        pure = all((Yenc[rows, o] == Yenc[rows[0], o]).all() for o in range(n_out))
-        if d >= max_depth or len(rows) < 2 or pure:
-            return node
+        node_rows.append(rows)
+        if d >= max_depth or len(rows) < 2 or (Yenc[rows] == Yenc[rows[0]]).all():
+            continue
         split = _best_split(X[rows], Yenc[rows], n_classes)
         if split is None:
-            return node
+            continue
         f, thr, _ = split
         go_left = X[rows, f] <= thr
-        feature[node] = f
-        threshold[node] = thr
-        left[node] = grow(rows[go_left], d + 1)
-        right[node] = grow(rows[~go_left], d + 1)
-        return node
+        feature[node], threshold[node], left[node] = f, thr, node + 1
+        stack += [(rows[~go_left], d + 1, node), (rows[go_left], d + 1, -1)]
 
-    grow(np.arange(X.shape[0]), 0)
-    del grow  # it refers to itself through its closure cell: free the cycle now
+    # Count every (node, class) pair of an output at once; argmax takes the
+    # first maximum, so ties go to the smallest label.
+    n_nodes = len(depth)
+    owner = np.repeat(np.arange(n_nodes), [len(r) for r in node_rows])
+    member = np.concatenate(node_rows)
+    majority = np.empty((n_nodes, n_out), dtype=int)
+    for o, c in enumerate(n_classes):
+        counts = np.bincount(owner * c + Yenc[member, o], minlength=n_nodes * c)
+        majority[:, o] = classes[o][counts.reshape(n_nodes, c).argmax(axis=1)]
     return DecisionTree(
         n_features=X.shape[1],
         n_outputs=n_out,
@@ -287,6 +296,6 @@ def fit(X: np.ndarray, Y: np.ndarray, max_depth: int) -> DecisionTree:
         left=np.array(left, dtype=int),
         right=np.array(right, dtype=int),
         depth=np.array(depth, dtype=int),
-        majority=np.array(majority, dtype=int),
+        majority=majority,
         max_depth_fit=max_depth,
     )

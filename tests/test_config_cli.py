@@ -100,11 +100,25 @@ def test_unknown_key_rejected():
         {"seed": -1},
         {"folds": 2.9},
         {"output_dir": 5},
+        {"gen": {"cpu_capacity": {"kind": "uniform", "a": 0, "b": float("inf")}}},
+        {"gen": {"cpu_capacity": {"kind": "normal", "a": float("nan"), "b": 1}}},
+        {"pso": {"cognitive": float("nan")}},
+        {"histogram_bin_width_us": float("nan")},
+        {"histogram_bin_width_us": float("inf")},
     ],
 )
 def test_bad_values_rejected(patch):
     with pytest.raises(ConfigError):
         run_config_from_json(patch)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "int-too-large"])
+def test_non_finite_config_number_names_its_key(value):
+    """JSON's ``NaN`` and ``Infinity``, and an integer no float holds, are
+    refused where a float is read, naming the key path."""
+    with pytest.raises(ConfigError, match=r"config\.pso\.cognitive must be a finite"):
+        run_config_from_json({"pso": {"cognitive": value}})
 
 
 def test_generate_fingerprint_covers_exactly_what_generate_reads():
@@ -222,6 +236,7 @@ def test_cli_bad_config_exits_2(tmp_path):
 @pytest.mark.parametrize("patch, argv", [
     ({"gen": 5}, []),
     ({}, ["--seed", "-1"]),
+    ({"histogram_bin_width_us": float("nan")}, []),  # json.dump writes NaN
 ])
 def test_cli_malformed_config_or_seed_exits_2(tmp_path, capsys, patch, argv):
     path = write_config(tmp_path / "cfg.json", dict(quick_config(), **patch))
@@ -558,6 +573,8 @@ def _shift_delay(row):
                  "is malformed", id="model_optimized.json-compare-infinite-threshold"),
     pytest.param("model_optimized.json", "compare", _set_raw(["nodes", 0, "feature"], "0.7"),
                  "is malformed", id="model_optimized.json-compare-float-feature"),
+    pytest.param("model_optimized.json", "compare", _set_raw(["max_depth_fit"], "5.9"),
+                 "is malformed", id="model_optimized.json-compare-float-depth"),
     # fitted on the wider feature rows of an earlier version
     pytest.param("model_optimized.json", "compare", _widen_model, "rerun optimize",
                  id="model_optimized.json-compare-other-width"),

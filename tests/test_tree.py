@@ -167,12 +167,22 @@ def _first_leaf(doc):
     (lambda d: d["nodes"][0].update(feature=0.7), "integers"),
     (lambda d: d["nodes"][0].update(left=float(d["nodes"][0]["left"])), "integers"),
     (lambda d: d["nodes"][0].update(majority=[0.5] * d["n_outputs"]), "integers"),
+    (lambda d: d.update(n_features=d["n_features"] - 1.5), "n_features"),
+    (lambda d: d.update(max_depth_fit=d["max_depth_fit"] - 0.1), "max_depth_fit"),
+    (lambda d: d["classes"][0].__setitem__(0, 2.5), "class labels"),
+    (lambda d: d.update(n_outputs=True), "n_outputs"),
+    (lambda d: d["nodes"].append(dict(_first_leaf(d))), "exactly one"),
+    (lambda d: d["nodes"][1].update(right=5), "exactly one"),
 ], ids=["no-node", "root-depth", "cycle", "dangling", "skipped-level", "leaf-child",
         "leaf-threshold", "wide-feature", "negative-feature", "short-majority",
         "null-threshold", "infinite-threshold", "string-threshold", "float-feature",
-        "float-child", "float-label"])
+        "float-child", "float-label", "float-n-features", "float-max-depth",
+        "float-class", "bool-n-outputs", "unreachable-node", "two-parents"])
 def test_from_json_rejects_a_broken_node_structure(edit, says):
-    """A saved tree that ``predict`` could not walk to a leaf is refused."""
+    """A saved tree that ``predict`` could not walk to a leaf, or whose node
+    count or top-level numbers are not those ``to_json`` writes, is refused.
+    In the fitted tree, node 1 is internal with right child 3 at depth 2, and
+    node 5 is node 4's left child at depth 2."""
     X, Y = random_problem(np.random.default_rng(31), n=70, nf=4, n_out=3)
     doc = tree.fit(X, Y, max_depth=6).to_json()
     edit(doc)
@@ -320,6 +330,19 @@ def test_fit_matches_reference_property(problem):
     natural = tree.fit(X, Y, max_depth=X.shape[0]).tree_depth()
     for h in range(1, natural + 2):
         assert tree.fit(X, Y, max_depth=h).to_json() == reference_fit(X, Y, h)
+
+
+def test_fit_grows_deeper_than_the_recursion_limit():
+    """Alternating labels on one sorted feature split off one row per level:
+    a chain of natural depth n - 1, deeper than Python's default recursion
+    limit of 1,000 frames."""
+    n = 1100
+    X = np.arange(float(n))[:, None]
+    Y = (np.arange(n) % 2)[:, None]
+    full = tree.fit(X, Y, n)
+    assert full.tree_depth() == n - 1
+    assert np.array_equal(full.predict(X), Y)
+    assert full.truncate(10).to_json() == tree.fit(X, Y, 10).to_json()
 
 
 def test_fit_leaves_no_garbage_cycle():
