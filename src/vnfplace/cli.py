@@ -46,8 +46,7 @@ import numpy as np
 
 from . import features, netmodel, placer
 from .config import (
-    GENERATE_FIELDS, OPTIMIZE_FIELDS, RunConfig, generate_fingerprint, load_run_config,
-    optimize_fingerprint,
+    GENERATE_FIELDS, OPTIMIZE_FIELDS, RunConfig, fingerprints, load_run_config,
 )
 
 
@@ -148,7 +147,7 @@ def cmd_generate(cfg: RunConfig, workers: int) -> None:
 
     netmodel.save_json(rows, paths["placements"])
     netmodel.save_json({"train": train_idx, "test": test_idx, "seed": cfg.seed,
-                        "config_fingerprint": generate_fingerprint(cfg)},
+                        "config_fingerprint": fingerprints(cfg.to_json()).generate},
                        paths["split"])
 
     for name, idx in [("train", train_idx), ("test", test_idx)]:
@@ -172,21 +171,22 @@ def _check_fingerprint(doc: dict, expected: str, path: str, stage: str, fields) 
             f"than this config's; rerun {stage}")
 
 
-def _load_split(cfg: RunConfig, which: str):
+def _load_split(cfg: RunConfig, which: str, fingerprint: str):
     """Read a split's dataset, whose label rows are the teacher's placements,
     and regenerate the topology and sfc of each of its rows from ``cfg.gen``:
     returns (dataset, topologies, sfcs), aligned by row. In this order, a
-    split generated under other settings than ``cfg``'s, a split that lists
-    no rows of ``which``, a dataset of another row count than the split's or
-    another label count than the chains' instance count, and a row whose
-    features differ from its regenerated snapshot's (numpy's streams may
-    change between versions) raise ArtifactError."""
+    split that does not record ``fingerprint`` (it was generated under other
+    settings than ``cfg``'s), a split that lists no rows of ``which``, a
+    dataset of another row count than the split's or another label count
+    than the chains' instance count, and a row whose features differ from
+    its regenerated snapshot's (numpy's streams may change between versions)
+    raise ArtifactError."""
     paths = _paths(cfg)
     ds = features.load_dataset(_require(paths[which]))
 
     def pick(split):
         idx = split[which]
-        _check_fingerprint(split, generate_fingerprint(cfg), paths["split"], "generate",
+        _check_fingerprint(split, fingerprint, paths["split"], "generate",
                            GENERATE_FIELDS)
         if not idx:
             raise netmodel.ArtifactError(
@@ -213,7 +213,9 @@ def cmd_optimize(cfg: RunConfig, workers: int) -> None:
     from . import pipeline, swarm  # each stage imports only the layers it runs
     _remove_outputs(cfg, DOWNSTREAM)
     paths = _paths(cfg)
-    ds, topos, sfcs = _load_split(cfg, "train")
+    doc = cfg.to_json()
+    fingerprint = fingerprints(doc)
+    ds, topos, sfcs = _load_split(cfg, "train", fingerprint.generate)
     if ds.n_samples < cfg.folds:
         raise netmodel.PipelineError(
             f"{ds.n_samples} training rows cannot fill {cfg.folds} folds")
@@ -221,12 +223,12 @@ def cmd_optimize(cfg: RunConfig, workers: int) -> None:
     folds = features.kfold(ds, cfg.folds, cfg.seed)
     _log(f"optimizing depth on {ds.n_samples} training rows, {cfg.folds} folds")
     report, model, full = pipeline.run_pipeline(
-        ds, ctx, folds, cfg.pso, cfg.pipeline, config_echo=cfg.to_json())
+        ds, ctx, folds, cfg.pso, cfg.pipeline, config_echo=doc)
     netmodel.save_json(report, paths["report"])
-    fingerprint = optimize_fingerprint(cfg)
     for key, m in [("model_optimized", model),
                    ("model_baseline", full.truncate(cfg.baseline_depth))]:
-        netmodel.save_json(dict(m.to_json(), config_fingerprint=fingerprint), paths[key])
+        netmodel.save_json(dict(m.to_json(), config_fingerprint=fingerprint.optimize),
+                           paths[key])
     a1, a2 = report["functional_range"]
     _log(f"functional range [{a1}, {a2}], optimal depth {report['h_star']}")
 
@@ -235,12 +237,13 @@ def cmd_compare(cfg: RunConfig, workers: int) -> None:
     from . import evaluation, tree
     _remove_outputs(cfg, ("comparison",))
     paths = _paths(cfg)
-    ds, topos, sfcs = _load_split(cfg, "test")
+    fingerprint = fingerprints(cfg.to_json())
+    ds, topos, sfcs = _load_split(cfg, "test", fingerprint.generate)
 
     def load_model(key):
         def build(doc):
             model = tree.DecisionTree.from_json(doc)
-            _check_fingerprint(doc, optimize_fingerprint(cfg), paths[key], "optimize",
+            _check_fingerprint(doc, fingerprint.optimize, paths[key], "optimize",
                                OPTIMIZE_FIELDS + GENERATE_FIELDS)
             if model.n_features != ds.n_features:
                 raise netmodel.ArtifactError(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .netmodel import ConfigError, GenConfig, config_from_json, config_to_json
 
@@ -103,21 +104,23 @@ GENERATE_FIELDS = ("gen", "seed", "test_fraction", "teacher_budget",
 OPTIMIZE_FIELDS = ("folds", "pso", "pipeline", "baseline_depth")
 
 
+class Fingerprints(NamedTuple):
+    generate: str  # of the settings ``generate`` reads, recorded in split.json
+    optimize: str  # of ``generate`` plus the settings ``optimize`` reads, in the models
+
+
 def _fingerprint(doc: dict) -> str:
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def generate_fingerprint(cfg: RunConfig) -> str:
-    """sha256 of the canonical JSON of the settings ``generate`` reads."""
-    return _fingerprint({k: v for k, v in cfg.to_json().items() if k in GENERATE_FIELDS})
-
-
-def optimize_fingerprint(cfg: RunConfig) -> str:
-    """sha256 of the canonical JSON of the split's fingerprint plus the
-    settings ``optimize`` reads, recorded in the models it writes."""
-    doc = {k: v for k, v in cfg.to_json().items() if k in OPTIMIZE_FIELDS}
-    return _fingerprint(dict(doc, split=generate_fingerprint(cfg)))
+def fingerprints(doc: dict) -> Fingerprints:
+    """sha256 of the canonical JSON of the settings ``generate`` reads from
+    the config document ``doc`` (``RunConfig.to_json()``), and of that
+    fingerprint plus the settings ``optimize`` reads."""
+    split = _fingerprint({k: doc[k] for k in GENERATE_FIELDS})
+    return Fingerprints(split, _fingerprint(dict({k: doc[k] for k in OPTIMIZE_FIELDS},
+                                                 split=split)))
 
 
 def run_config_from_json(d: dict) -> RunConfig:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import SfcSpec, Topology, chain_structure, server_delay
+from .netmodel import ConfigError, SfcSpec, Topology, chain_structure, server_delay
 from .placer import Placement, path_delays, validate_placement
 
 
@@ -96,12 +96,25 @@ def win_ratios(results: list[StrategyResult]) -> tuple[dict, dict[str, list[floa
     return table, differences
 
 
+#: Most bins, less the two partial ones at its ends, that a
+#: ``delay_differences`` histogram may have: a bin width far below the
+#: differences' spread would otherwise ask for gigabytes of edges.
+MAX_HISTOGRAM_BINS = 10**6
+
+
 def delay_difference_stats(samples: list[float], bin_width: float = 5.0) -> dict:
     """The report's ``delay_differences`` entry for one pair: the mean (None
-    without samples) and fixed-width histogram of its per-cell differences."""
+    without samples) and fixed-width histogram of its per-cell differences.
+    A ``bin_width`` below the differences' spread over ``MAX_HISTOGRAM_BINS``
+    raises ConfigError."""
     if not samples:
         return {"mean": None, "n_samples": 0, "bin_width": bin_width,
                 "bin_edges": [], "bin_counts": []}
+    bins = (max(samples) - min(samples)) / bin_width
+    if bins > MAX_HISTOGRAM_BINS:
+        raise ConfigError(f"histogram_bin_width_us {bin_width:g} would need at least "
+                          f"{bins:.3g} bins for delay differences from {min(samples):g} to "
+                          f"{max(samples):g} us; at most {MAX_HISTOGRAM_BINS} are allowed")
     lo = np.floor(min(samples) / bin_width) * bin_width
     hi = np.ceil(max(samples) / bin_width) * bin_width
     if hi <= lo:

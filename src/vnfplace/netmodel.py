@@ -81,7 +81,7 @@ def config_from_json(cls, doc, where: str):
     for f in fields(cls):
         if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{where}.{f.name} is required")
-    types = get_type_hints(cls)
+    types = _field_types(cls)
     kwargs = {k: _value_from_json(types[k], v, f"{where}.{k}") for k, v in doc.items()}
     try:
         return cls(**kwargs)
@@ -114,9 +114,16 @@ def _value_from_json(tp, v, where: str):
     raise ConfigError(f"{where} must be of type {tp.__name__}, not {json.dumps(v)}")
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    """Each field's annotation of the dataclass ``cls``, resolved once: the
+    string annotations compile on every ``get_type_hints`` call."""
+    return get_type_hints(cls)
+
+
 def config_to_json(obj) -> dict:
     """The JSON object that ``config_from_json`` reads back as ``obj``."""
-    types = get_type_hints(type(obj))
+    types = _field_types(type(obj))
     return {f.name: _value_to_json(types[f.name], getattr(obj, f.name))
             for f in fields(obj)}
 

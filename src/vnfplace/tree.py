@@ -8,15 +8,24 @@ prediction) store per-output majority labels with ties to the smallest
 label. Fully deterministic. ``descend`` moves every row one level per numpy
 step, so one walk of a deep tree gives every shallower depth's predictions.
 
-The split search is the exhaustive CART scan (Breiman et al., 1984) for
-all features at once: one sort per node, exact integer class counts, so
-every tree is bit-identical to a feature-by-feature scan's (the reference
-in ``tests/oracles.py``). Features must be finite: no split may depend on
-where a sort puts NaN.
+``fit`` grows the exhaustive CART scan (Breiman et al., 1984) one level at
+a time. Each feature's rows are sorted once, at the root, and partitioned
+stably by child at every level, so each level holds every feature's rows
+grouped by node and in value order within a node. One scan then scores
+every split position of every feature of every open node of the level.
+Walking a node in value order, a row of class y raises the sum of squared
+left class counts by 2 * (its rank among the node's rows of class y) + 1,
+and the sum of total times left counts by the node's count of y, so
+int64 cumsums of those raises give every position's exact counts without a
+class axis. Each score is the same float expression, summed over outputs in
+the same order, as in a feature-by-feature scan, so every tree is
+bit-identical to that scan's (the reference in ``tests/oracles.py``).
+Features must be finite: no split may depend on where a sort puts NaN.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,53 +198,143 @@ def distinct_sorted(col: np.ndarray) -> np.ndarray:
     return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
-def _best_split(X: np.ndarray, Yenc: np.ndarray, n_classes: list[int]):
-    """Exhaustive best (feature, threshold) by mean weighted child Gini.
+#: Most elements of one (outputs, features, positions) block that a level's
+#: split search scores at once; a wide level scores its outputs in several
+#: blocks, which bounds the fit's memory.
+_BLOCK = 1 << 18
 
-    One pass: a stable argsort of every column at once orders the node's
-    rows per feature; for each output, one integer cumsum of its labels
-    gathered through that order gives the class counts left of every split
-    position, and the node's counts minus those give the right ones. Counts
-    and sums of squared counts are exact integers, and each score is the
-    same float expression, summed over outputs in the same order, as in a
-    feature-by-feature scan, so every score is bit-identical to that scan's.
-    A feature's candidate is its first position within ``_TIE_TOL`` of its
-    minimum; in feature order, a candidate replaces the best only when lower
-    by more than ``_TIE_TOL``.
 
-    Returns (feature, threshold, score) or None when no feature admits a split.
+def _best_splits(XT, code, order, counts, work):
+    """The best (feature, threshold) of each node of a level, or (-1, nan)
+    where no feature admits a split, scored for every node at once.
+
+    ``order`` holds each feature's rows of the level, grouped by node and in
+    value order within a node, and ``counts`` the (output, node, class)
+    counts. ``work`` is four scratch arrays, two of integers and two of
+    floats, that hold a block.
     """
-    n, nf = X.shape
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    valid = xs[:-1] < xs[1:]  # a threshold fits between sorted positions i and i + 1
-    idx = np.arange(1, n, dtype=float)[:, None]  # left-side sizes per split position
-    total = np.zeros((n - 1, nf))
-    for o, c in enumerate(n_classes):
-        ys = Yenc[order[:-1], o]
-        left = np.cumsum(ys[:, :, None] == np.arange(c), axis=0, dtype=np.int32)
-        right = np.bincount(Yenc[:, o], minlength=c).astype(np.int32) - left
-        left_sq = np.einsum("ijk,ijk->ij", left, left, dtype=np.int64)
-        right_sq = np.einsum("ijk,ijk->ij", right, right, dtype=np.int64)
-        total += (idx - left_sq / idx + (n - idx) - right_sq / (n - idx)) / n
-    scores = np.where(valid, total / len(n_classes), np.inf)
-    first = np.argmax(scores <= scores.min(axis=0) + _TIE_TOL, axis=0)
-    candidate = scores[first, np.arange(nf)].tolist()
-    best = None  # (score, feature)
-    for f in np.flatnonzero(valid.any(axis=0)).tolist():
-        if best is None or candidate[f] < best[0] - _TIE_TOL:
-            best = (candidate[f], f)
-    if best is None:
-        return None
-    score, f = best
-    i = first[f]
-    return f, float((xs[i, f] + xs[i + 1, f]) / 2.0), score
+    n_out, k, c = counts.shape
+    nf, m = order.shape
+    sizes = counts[0].sum(axis=1)
+    starts = np.cumsum(sizes) - sizes
+    node = np.repeat(np.arange(k), sizes)  # each position's node
+    pos = np.arange(m)
+    last = np.zeros(m, dtype=bool)  # a node's last position splits nothing
+    last[starts + sizes - 1] = True
+    xs = np.take_along_axis(XT, order, axis=1)
+    valid = np.zeros((nf, m), dtype=bool)  # a threshold fits between positions i and i + 1
+    valid[:, :-1] = xs[:, :-1] < xs[:, 1:]
+    valid[:, last] = False
+    idx = (pos - starts[node] + 1).astype(float)  # left-side sizes per split position
+    n_node = sizes[node].astype(float)
+    n_right = n_node - idx
+    right_div = np.where(last, 1.0, n_right)
+    # A row's raise of the sum of squared left counts (see the module
+    # docstring): in (node, class) group order, its rank is its position in
+    # its group, the same for every feature.
+    groups = counts.reshape(n_out, k * c)
+    group_start = np.cumsum(groups, axis=1) - groups
+    raise_sq = 2 * (pos - np.repeat(group_start.ravel(), groups.ravel()).reshape(n_out, m)) + 1
+    # Those raises, like the class counts whose cumsum is the sum of total
+    # times left counts, sum over a node to its sum of squared counts, so
+    # subtracting the previous node's sum at each node's first position
+    # restarts one cumsum at every node.
+    square = (counts ** 2).sum(axis=2)
+    row_node = np.zeros(XT.shape[1], dtype=int)
+    row_node[order[0]] = node
+    group_of = row_node * c + code + np.arange(0, n_out * k * c, k * c)[:, None]
+    bits = m.bit_length()
+    total = np.zeros((nf, m))
+    step = max(1, _BLOCK // (nf * m))
+    for o in range(0, n_out, step):
+        block = slice(o, o + step)
+        shape = (len(square[block]), nf, m)
+        left_sq, right_sq, term, right = (w[:math.prod(shape)].reshape(shape) for w in work)
+        # Each (output, feature, position)'s (node, class) group, and the
+        # count of that class in the node. Every index is in range, and
+        # "clip" writes into ``out`` without the copy that "raise" makes.
+        np.take(group_of[block], order, axis=1, out=left_sq, mode="clip")
+        np.take(groups, left_sq, out=right_sq, mode="clip")
+        # Sorting (group, position) pairs puts each group's positions in value
+        # order, as a stable sort by group would; sorting (position, raise)
+        # pairs of that order puts each position's raise back in place.
+        left_sq <<= bits
+        left_sq |= pos
+        left_sq.sort(axis=2)
+        left_sq &= (1 << bits) - 1
+        left_sq <<= bits + 1
+        left_sq |= raise_sq[block][:, None, :]
+        left_sq.sort(axis=2)
+        left_sq &= (1 << (bits + 1)) - 1
+        for part in (left_sq, right_sq):
+            part[..., starts[1:]] -= square[block][:, None, :-1]
+            np.cumsum(part, axis=2, out=part)
+        right_sq *= -2
+        right_sq += left_sq
+        right_sq += square[block][:, node][:, None, :]
+        # The score, the same float expression as a feature-by-feature scan's
+        np.divide(left_sq, idx, out=term)
+        np.subtract(idx, term, out=term)
+        term += n_right
+        np.divide(right_sq, right_div, out=right)
+        term -= right
+        term /= n_node
+        for t in term:
+            total += t
+    scores = np.where(valid, total / n_out, np.inf)
+    low = np.minimum.reduceat(scores, starts, axis=1)
+    first = np.minimum.reduceat(np.where(scores <= low[:, node] + _TIE_TOL, pos, m),
+                                starts, axis=1)
+    feature = np.full(k, -1)
+    threshold = np.full(k, np.nan)
+    for i, candidate in enumerate(np.take_along_axis(scores, first, axis=1).T.tolist()):
+        best = math.inf
+        for f, score in enumerate(candidate):
+            if score < best - _TIE_TOL:
+                best, feature[i] = score, f
+        if feature[i] >= 0:
+            f, p = feature[i], first[feature[i], i]
+            threshold[i] = (xs[f, p] + xs[f, p + 1]) / 2.0
+    return feature, threshold
+
+
+def _preorder(feature, threshold, splits, majority, classes, n_features, max_depth
+              ) -> DecisionTree:
+    """The tree of per-level node arrays, renumbered from level order into
+    pre-order: the s-th node of a level's ``splits`` has children 2s and
+    2s + 1 on the next level."""
+    below = [np.ones(len(f), dtype=int) for f in feature]  # subtree sizes
+    for d in range(len(splits) - 1, -1, -1):
+        below[d][splits[d]] += below[d + 1][0::2] + below[d + 1][1::2]
+    pre = [np.zeros(1, dtype=int)]
+    for d, split in enumerate(splits):
+        at = np.empty(len(below[d + 1]), dtype=int)
+        at[0::2] = pre[d][split] + 1
+        at[1::2] = at[0::2] + below[d + 1][0::2]
+        pre.append(at)
+    n_nodes = int(below[0][0])
+    tree = DecisionTree(n_features=n_features, n_outputs=len(classes), classes=classes,
+                        feature=np.empty(n_nodes, dtype=int), threshold=np.empty(n_nodes),
+                        left=np.full(n_nodes, -1), right=np.full(n_nodes, -1),
+                        depth=np.empty(n_nodes, dtype=int),
+                        majority=np.empty((n_nodes, len(classes)), dtype=int),
+                        max_depth_fit=max_depth)
+    for d, at in enumerate(pre):
+        tree.feature[at] = feature[d]
+        tree.threshold[at] = threshold[d]
+        tree.depth[at] = d
+        tree.majority[at] = majority[d]
+        if d < len(splits):
+            tree.left[at[splits[d]]] = pre[d + 1][0::2]
+            tree.right[at[splits[d]]] = pre[d + 1][1::2]
+    return tree
 
 
 def fit(X: np.ndarray, Y: np.ndarray, max_depth: int) -> DecisionTree:
-    """Grow a depth-bounded multi-output CART on (X, Y) by one loop over a
-    stack of open nodes, so no depth is too deep to grow: the depth limit
-    only stops growth, as do a pure node, one row and no admissible split."""
+    """Grow a depth-bounded multi-output CART on (X, Y) one level at a time:
+    the depth limit only stops growth, as do a pure node, one row and no
+    admissible split. Nodes are numbered in level order while the tree
+    grows and in pre-order at the end."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=int)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
@@ -246,56 +345,54 @@ def fit(X: np.ndarray, Y: np.ndarray, max_depth: int) -> DecisionTree:
         raise ValueError("X must be finite: NaN or infinite feature values")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
+    n, nf = X.shape
     n_out = Y.shape[1]
     classes = [distinct_sorted(Y[:, o]) for o in range(n_out)]
-    Yenc = np.empty_like(Y)
-    for o in range(n_out):
-        Yenc[:, o] = np.searchsorted(classes[o], Y[:, o])
-    n_classes = [len(c) for c in classes]
+    c = max((len(k) for k in classes), default=1)
+    labels = np.zeros((n_out, c), dtype=int)  # classes per output, padded to c
+    code = np.empty((n_out, n), dtype=int)  # each row's class index per output
+    for o, k in enumerate(classes):
+        labels[o, :len(k)] = k
+        code[o] = np.searchsorted(k, Y[:, o])
+    outs = np.arange(n_out)[:, None]
+    XT = np.ascontiguousarray(X.T)
+    size = max(nf * n, min(_BLOCK, n_out * nf * n))  # the largest block
+    work = [*np.empty((2, size), dtype=int), *np.empty((2, size))]
 
-    feature, threshold, left, right, depth, node_rows = [], [], [], [], [], []
-    # A node is numbered when it pops. Pushing its right child under its left
-    # one numbers the nodes in pre-order, so a left child is its parent + 1.
-    stack = [(np.arange(X.shape[0]), 0, -1)]  # (rows, depth, parent of a right child)
-    while stack:
-        rows, d, parent = stack.pop()
-        node = len(feature)
-        if parent >= 0:
-            right[parent] = node
-        feature.append(-1)
-        threshold.append(np.nan)
-        left.append(-1)
-        right.append(-1)
-        depth.append(d)
-        node_rows.append(rows)
-        if d >= max_depth or len(rows) < 2 or (Yenc[rows] == Yenc[rows[0]]).all():
-            continue
-        split = _best_split(X[rows], Yenc[rows], n_classes)
-        if split is None:
-            continue
-        f, thr, _ = split
-        go_left = X[rows, f] <= thr
-        feature[node], threshold[node], left[node] = f, thr, node + 1
-        stack += [(rows[~go_left], d + 1, node), (rows[go_left], d + 1, -1)]
-
-    # Count every (node, class) pair of an output at once; argmax takes the
-    # first maximum, so ties go to the smallest label.
-    n_nodes = len(depth)
-    owner = np.repeat(np.arange(n_nodes), [len(r) for r in node_rows])
-    member = np.concatenate(node_rows)
-    majority = np.empty((n_nodes, n_out), dtype=int)
-    for o, c in enumerate(n_classes):
-        counts = np.bincount(owner * c + Yenc[member, o], minlength=n_nodes * c)
-        majority[:, o] = classes[o][counts.reshape(n_nodes, c).argmax(axis=1)]
-    return DecisionTree(
-        n_features=X.shape[1],
-        n_outputs=n_out,
-        classes=classes,
-        feature=np.array(feature, dtype=int),
-        threshold=np.array(threshold),
-        left=np.array(left, dtype=int),
-        right=np.array(right, dtype=int),
-        depth=np.array(depth, dtype=int),
-        majority=majority,
-        max_depth_fit=max_depth,
-    )
+    feature, threshold, splits, majority = [], [], [], []  # one array per level
+    order = np.argsort(XT, axis=1, kind="stable")  # per feature: rows by node, then value
+    sizes = np.array([n])
+    for d in range(max_depth + 1):
+        k = len(sizes)
+        node = np.repeat(np.arange(k), sizes)
+        rows = order[0] if nf else np.arange(n)  # each position's row
+        counts = np.bincount((outs * k * c + node * c + code[:, rows]).ravel(),
+                             minlength=n_out * k * c).reshape(n_out, k, c)
+        majority.append(labels[outs, counts.argmax(axis=2)].T)  # ties: smallest label
+        feature.append(np.full(k, -1))
+        threshold.append(np.full(k, np.nan))
+        impure = (counts.max(axis=2) < sizes).any(axis=0)
+        if d == max_depth or not impure.any() or not nf:
+            break
+        in_grow = impure[node]
+        order = order[:, in_grow]
+        feature[d][impure], threshold[d][impure] = _best_splits(XT, code, order,
+                                                                counts[:, impure], work)
+        split = np.flatnonzero(feature[d] >= 0)
+        if not len(split):
+            break
+        splits.append(split)
+        # The s-th split node's rows go to children 2s (left) and 2s + 1
+        # (right) on the next level; the other nodes' rows leave the tree.
+        s = np.full(k, -1)
+        s[split] = np.arange(len(split))
+        rows, at = order[0], node[in_grow]
+        child = np.full(n, 2 * len(split))
+        child[rows] = np.where(s[at] < 0, 2 * len(split),
+                               2 * s[at] + (XT[feature[d][at], rows] > threshold[d][at]))
+        sizes = np.bincount(child[rows], minlength=2 * len(split) + 1)[:-1]
+        bits = order.shape[1].bit_length()  # (child, position) pairs sort stably by child
+        by_child = np.sort((child[order] << bits) | np.arange(order.shape[1]), axis=1)
+        order = np.take_along_axis(order, by_child[:, :sizes.sum()] & ((1 << bits) - 1),
+                                   axis=1)
+    return _preorder(feature, threshold, splits, majority, classes, nf, max_depth)

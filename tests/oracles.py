@@ -94,8 +94,9 @@ def stump_oracle(X, Y):
 
 def reference_best_split(X, Yenc, n_classes):
     """Exhaustive best (feature, threshold) by mean weighted child Gini, one
-    feature and one output at a time: the scan ``tree._best_split`` does for
-    all features at once, with the same arithmetic and tie rules.
+    feature and one output at a time: the scan ``tree.fit`` does for all
+    features and nodes of a level at once, with the same arithmetic and tie
+    rules.
 
     Returns (feature, threshold, score) or None when no feature admits a split.
     """

@@ -13,8 +13,8 @@ from dataclasses import replace
 
 from vnfplace import cli, config, netmodel
 from vnfplace.config import (
-    GENERATE_FIELDS, OPTIMIZE_FIELDS, RunConfig, generate_fingerprint, load_run_config,
-    optimize_fingerprint, run_config_from_json,
+    GENERATE_FIELDS, OPTIMIZE_FIELDS, RunConfig, fingerprints, load_run_config,
+    run_config_from_json,
 )
 from vnfplace.netmodel import ConfigError
 
@@ -121,30 +121,46 @@ def test_non_finite_config_number_names_its_key(value):
         run_config_from_json({"pso": {"cognitive": value}})
 
 
+def _fingerprints(cfg):
+    return fingerprints(cfg.to_json())
+
+
 def test_generate_fingerprint_covers_exactly_what_generate_reads():
     cfg = run_config_from_json(quick_config())
     retuned = replace(cfg, folds=3, baseline_depth=7, output_dir="elsewhere",
                       histogram_bin_width_us=2.0,
                       pso=replace(cfg.pso, swarm_size=4, seed=9),
                       pipeline=replace(cfg.pipeline, error_threshold=0.5))
-    assert generate_fingerprint(retuned) == generate_fingerprint(cfg)
+    assert _fingerprints(retuned).generate == _fingerprints(cfg).generate
     changed = {"gen": replace(cfg.gen, base_seed=cfg.gen.base_seed + 1), "seed": cfg.seed + 1,
                "test_fraction": 0.3, "teacher_budget": 999, "max_infeasible_fraction": 0.5}
     assert sorted(changed) == sorted(GENERATE_FIELDS)
     for key, value in changed.items():
-        assert generate_fingerprint(replace(cfg, **{key: value})) != generate_fingerprint(cfg), key
+        assert (_fingerprints(replace(cfg, **{key: value})).generate
+                != _fingerprints(cfg).generate), key
 
 
 def test_optimize_fingerprint_covers_the_split_and_what_optimize_reads():
     cfg = run_config_from_json(quick_config())
     retuned = replace(cfg, output_dir="elsewhere", histogram_bin_width_us=2.0)
-    assert optimize_fingerprint(retuned) == optimize_fingerprint(cfg)
+    assert _fingerprints(retuned).optimize == _fingerprints(cfg).optimize
     changed = {"folds": 3, "pso": replace(cfg.pso, swarm_size=4), "baseline_depth": 7,
                "pipeline": replace(cfg.pipeline, error_threshold=0.5)}
     assert sorted(changed) == sorted(OPTIMIZE_FIELDS)
     changed["teacher_budget"] = 999  # a generate setting: the split's fingerprint
     for key, value in changed.items():
-        assert optimize_fingerprint(replace(cfg, **{key: value})) != optimize_fingerprint(cfg), key
+        assert (_fingerprints(replace(cfg, **{key: value})).optimize
+                != _fingerprints(cfg).optimize), key
+
+
+def test_desk_fingerprints_are_pinned():
+    """The shipped desk config's fingerprints, as recorded in the split and
+    the models of every run since they were introduced: a change to how a
+    config serializes would orphan those artifacts."""
+    cfg = load_run_config(os.path.join(CONFIGS_DIR, "desk.json"))
+    assert _fingerprints(cfg) == (
+        "ab0eb46ec847d55aea1aacd5e0e3e3c5f0fbbf471084613f07250b922dc817ed",
+        "8e589dabb38bafdfdc14c67bdc325f68362047b34fcd03b2f50b93a87e9a3815")
 
 
 def test_load_missing_and_invalid_files(tmp_path):
@@ -305,7 +321,8 @@ def test_cli_optimize_teacher_ceiling_is_avg_cp_delay(tmp_path, monkeypatch):
     with pytest.raises(Captured) as got:
         _run("optimize", "--config", path)
     teacher_avg, = got.value.args
-    ds, topos, sfcs = cli._load_split(load_run_config(path), "train")
+    cfg = load_run_config(path)
+    ds, topos, sfcs = cli._load_split(cfg, "train", _fingerprints(cfg).generate)
     rows = list(zip(topos, ds.labels.tolist(), sfcs))
     assert teacher_avg == [placer.avg_cp_delay(*row) for row in rows]
     assert teacher_avg != [float(np.mean(placer.path_delays(*row))) for row in rows]
@@ -813,6 +830,31 @@ def test_cli_compare_flags_identical_trees(cli_run, tmp_path, monkeypatch, capsy
     same = json.loads((tmp_path / "out" / "comparison.json").read_text())
     assert same["baseline_equals_optimized"] is True
     assert "trees are identical" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", [1e-300, 1e-7])
+def test_cli_compare_refuses_a_histogram_of_too_many_bins(cli_run, tmp_path, monkeypatch,
+                                                           capsys, width):
+    """A bin width far below the delay differences' spread would ask numpy
+    for more histogram edges than memory holds (1e-300 overflowed its
+    arange): compare exits 2 naming the key and the bin count, and writes no
+    report."""
+    from vnfplace.evaluation import MAX_HISTOGRAM_BINS
+    report = json.loads((cli_run / "out" / "comparison.json").read_text())
+    spreads = [d["bin_edges"][-1] - d["bin_edges"][0]
+               for d in report["delay_differences"].values() if d["n_samples"]]
+    assert max(spreads) * 1e7 > MAX_HISTOGRAM_BINS
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    path = write_config(tmp_path / "cfg.json",
+                        dict(quick_config(), histogram_bin_width_us=width))
+    capsys.readouterr()
+    assert _run("compare", "--config", path) == 2
+    err = capsys.readouterr().err
+    assert f"histogram_bin_width_us {width:g} would need at least" in err
+    assert f"at most {MAX_HISTOGRAM_BINS} are allowed" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "comparison.json").exists()
 
 
 def test_cli_compare_reports_a_tree_with_no_valid_row(cli_run, tmp_path, monkeypatch,

@@ -106,6 +106,15 @@ def test_majority_tie_goes_to_smallest_label():
     assert t.predict(np.array([[1.0]]))[0, 0] == 2
 
 
+@pytest.mark.parametrize("X, Y", [
+    (np.zeros((4, 0)), np.array([[1], [2], [2], [3]])),
+    (np.arange(4.0)[:, None], np.zeros((4, 0), dtype=int)),
+], ids=["no-feature", "no-output"])
+def test_fit_without_features_or_outputs_is_one_leaf(X, Y):
+    assert tree.fit(X, Y, max_depth=3).to_json() == reference_fit(X, Y, 3)
+    assert tree.fit(X, Y, max_depth=3).node_count() == 1
+
+
 def test_pure_node_stops_growth():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     Y = np.array([[1], [1], [1], [1]])
@@ -329,6 +338,44 @@ def test_fit_matches_reference_property(problem):
     X, Y = problem
     natural = tree.fit(X, Y, max_depth=X.shape[0]).tree_depth()
     for h in range(1, natural + 2):
+        assert tree.fit(X, Y, max_depth=h).to_json() == reference_fit(X, Y, h)
+
+
+@st.composite
+def wide_problems(draw):
+    """(X, Y) of 20-80 rows and 10-40 columns, some a copy of an earlier
+    column or constant, the others of 2-6 levels or rounded normals; and
+    3-6 outputs, each with its own alphabet of 1-12 labels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(20, 80))
+    kinds = draw(st.lists(st.sampled_from(["levels", "normal", "copy", "constant"]),
+                          min_size=10, max_size=40))
+    columns = []
+    for kind in kinds:
+        if kind == "copy" and columns:
+            columns.append(columns[int(rng.integers(len(columns)))].copy())
+        elif kind == "constant":
+            columns.append(np.full(n, float(rng.integers(-3, 3))))
+        elif kind == "levels":
+            columns.append(0.5 * rng.integers(0, int(rng.integers(2, 7)), size=n))
+        else:
+            columns.append(rng.normal(size=n).round(1))
+    alphabets = draw(st.lists(st.integers(1, 12), min_size=3, max_size=6))
+    Y = np.stack([rng.choice(rng.choice(30, size=k, replace=False), size=n)
+                  for k in alphabets], axis=1)
+    return np.stack(columns, axis=1), Y
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem=wide_problems())
+def test_fit_matches_reference_on_wide_multi_output_problems_property(problem):
+    """Depth limits halfway down and one level short of the natural depth
+    stop growth with many nodes of different sizes open on the last level,
+    next to pure and one-row nodes that closed on their own: the level-wise
+    fit grows the reference scan's tree there too."""
+    X, Y = problem
+    natural = tree.fit(X, Y, max_depth=X.shape[0]).tree_depth()
+    for h in sorted({max(1, natural // 2), max(1, natural - 1)}):
         assert tree.fit(X, Y, max_depth=h).to_json() == reference_fit(X, Y, h)
 
 
