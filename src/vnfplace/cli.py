@@ -177,10 +177,10 @@ def _load_split(cfg: RunConfig, which: str, fingerprint: str):
     returns (dataset, topologies, sfcs), aligned by row. In this order, a
     split that does not record ``fingerprint`` (it was generated under other
     settings than ``cfg``'s), a split that lists no rows of ``which``, a
-    dataset of another row count than the split's or another label count
-    than the chains' instance count, and a row whose features differ from
-    its regenerated snapshot's (numpy's streams may change between versions)
-    raise ArtifactError."""
+    dataset of another row count than the split's, another label count than
+    the chains' instance count or another server count than ``cfg.gen``'s,
+    and a row whose features differ from its regenerated snapshot's (numpy's
+    streams may change between versions) raise ArtifactError."""
     paths = _paths(cfg)
     ds = features.load_dataset(_require(paths[which]))
 
@@ -199,6 +199,10 @@ def _load_split(cfg: RunConfig, which: str, fingerprint: str):
             raise netmodel.ArtifactError(
                 f"{paths[which]} holds {ds.n_outputs} labels per row, not one per "
                 f"instance of the {cfg.gen.n_instances}-instance chains; rerun generate")
+        if ds.n_servers != cfg.gen.n_servers:
+            raise netmodel.ArtifactError(
+                f"{features.schema_path(paths[which])} records {ds.n_servers} servers, "
+                f"not the {cfg.gen.n_servers} of the gen settings; rerun generate")
         topologies, sfcs = netmodel.load_batch(cfg.gen, idx)
         for r, (topo, sfc) in enumerate(zip(topologies, sfcs)):
             if not np.array_equal(features.extract_features(topo, sfc), ds.features[r]):

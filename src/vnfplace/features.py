@@ -40,10 +40,6 @@ def feature_names(n_servers: int, n_instances: int) -> list[str]:
     return names
 
 
-def feature_width(n_servers: int, n_instances: int) -> int:
-    return 2 * n_instances + 2 * n_servers + 3 + n_servers * (n_servers - 1) // 2
-
-
 def extract_features(topo: Topology, sfc: SfcSpec) -> np.ndarray:
     """One fixed-width feature vector for a (topology, chain) snapshot."""
     parts = []
@@ -54,9 +50,7 @@ def extract_features(topo: Topology, sfc: SfcSpec) -> np.ndarray:
     parts += sfc.tolerance
     iu = np.triu_indices(topo.n_servers, k=1)
     parts += list(topo.delay[iu])
-    vec = np.array(parts, dtype=float)
-    assert vec.size == feature_width(topo.n_servers, sfc.n_instances)
-    return vec
+    return np.array(parts, dtype=float)
 
 
 @dataclass
@@ -94,10 +88,6 @@ class Dataset:
     @property
     def n_outputs(self) -> int:
         return self.labels.shape[1]
-
-    def subset(self, idx) -> "Dataset":
-        return Dataset(self.features[idx], self.labels[idx],
-                       self.feature_cols, self.label_cols, self.n_servers)
 
 
 def build_dataset(pairs: list[tuple[Topology, SfcSpec, Placement]]) -> Dataset:

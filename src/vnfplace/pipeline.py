@@ -1,13 +1,13 @@
 """Three-stage depth optimization.
 
 Every stage reads one per-depth table of cross-validated (invalid rate,
-objective) pairs. Each fold tree is fitted once with a depth bound that
-never binds and walked once over its fold's validation rows; the walk's
-level h holds the depth-h predictions, those of its truncation at h, which
-equal those of a fresh depth-h fit. A fold tree stops changing beyond its
-natural depth, so the table is computed once per depth from the lower
-search bound up to the deepest fold tree (or the upper bound, if that is
-lower), and every deeper depth reads that last entry.
+objective) pairs. Each fold tree is fitted once, unbounded, and walked once
+over its fold's validation rows; the walk's level h holds the depth-h
+predictions, those of its truncation at h, which is the depth-h fit. A
+fold tree stops changing beyond its natural depth, so the table is
+computed once per depth from the lower search bound up to the deepest fold
+tree (or the upper bound, if that is lower), and every deeper depth reads
+that last entry.
 
 Stage 1 reads the per-depth invalid-rate and full delay-plus-penalty
 objective curves over the initial depth bounds, and runs PSO on that
@@ -28,12 +28,6 @@ from .config import PipelineSettings, PsoParams
 from .features import Dataset, FoldSplit
 from .netmodel import PipelineError
 from .swarm import EvalContext, fold_results, pso_minimize
-
-
-def fit_unbounded(ds: Dataset) -> tree_mod.DecisionTree:
-    """Fit with max_depth set to the row count, a bound that never binds:
-    every split leaves rows on both sides, so n rows grow at most n - 1 deep."""
-    return tree_mod.fit(ds.features, ds.labels, ds.n_samples)
 
 
 def depth_table(ds: Dataset, ctx: EvalContext, folds: FoldSplit,
@@ -126,7 +120,7 @@ def stage3_build(ds: Dataset, h_star: int
     """Fit the full training set once, unbounded; return its truncation at
     h_star (the final model) and the unbounded tree, which any other depth
     truncates."""
-    full = fit_unbounded(ds)
+    full = tree_mod.fit(ds.features, ds.labels)
     return full.truncate(h_star), full
 
 
@@ -142,7 +136,8 @@ def run_pipeline(ds: Dataset, ctx: EvalContext, folds: FoldSplit,
                  ) -> tuple[dict, tree_mod.DecisionTree, tree_mod.DecisionTree]:
     """Run the three stages; return the ``pipeline_report.json`` document,
     the final model and the unbounded full-training-set tree it truncates."""
-    trees = [fit_unbounded(ds.subset(train_idx)) for train_idx, _ in folds.folds]
+    trees = [tree_mod.fit(ds.features[train_idx], ds.labels[train_idx])
+             for train_idx, _ in folds.folds]
     table = depth_table(ds, ctx, folds, trees, *settings.initial_bounds)
     curve, objective, best_h, regret, trace = stage1(table, pso_params)
     frange = detect_functional_range(curve, settings.error_threshold,

@@ -1,4 +1,6 @@
-"""Multi-output, multi-class CART with a hard maximum-depth hyperparameter.
+"""Multi-output, multi-class CART whose one hyperparameter, the maximum
+depth, applies after the fit: ``fit`` grows until no node splits, and
+``truncate(h)`` is the tree a depth-h fit grows, because CART grows top-down.
 
 Split criterion is the unweighted mean over outputs of the weighted child
 Gini impurity; candidate thresholds are midpoints between consecutive
@@ -9,18 +11,19 @@ label. Fully deterministic. ``descend`` moves every row one level per numpy
 step, so one walk of a deep tree gives every shallower depth's predictions.
 
 ``fit`` grows the exhaustive CART scan (Breiman et al., 1984) one level at
-a time. Each feature's rows are sorted once, at the root, and partitioned
-stably by child at every level, so each level holds every feature's rows
-grouped by node and in value order within a node. One scan then scores
-every split position of every feature of every open node of the level.
-Walking a node in value order, a row of class y raises the sum of squared
-left class counts by 2 * (its rank among the node's rows of class y) + 1,
-and the sum of total times left counts by the node's count of y, so
-int64 cumsums of those raises give every position's exact counts without a
-class axis. Each score is the same float expression, summed over outputs in
-the same order, as in a feature-by-feature scan, so every tree is
-bit-identical to that scan's (the reference in ``tests/oracles.py``).
-Features must be finite: no split may depend on where a sort puts NaN.
+a time, and stores the nodes in that order. Each feature's rows are sorted
+once, at the root, and partitioned stably by child at every level, so each
+level holds every feature's rows grouped by node and in value order within
+a node. One scan then scores every split position of every feature of
+every open node of the level. Walking a node in value order, a row of
+class y raises the sum of squared left class counts by 2 * (its rank among
+the node's rows of class y) + 1, and the sum of total times left counts by
+the node's count of y, so int64 cumsums of those raises give every
+position's exact counts without a class axis. Each score is the same float
+expression, summed over outputs in the same order, as in a
+feature-by-feature scan, so every tree is bit-identical to that scan's
+(the reference in ``tests/oracles.py``). Features must be finite: no split
+may depend on where a sort puts NaN.
 """
 
 from __future__ import annotations
@@ -83,12 +86,14 @@ class DecisionTree:
         return self.majority[self.descend(X)[-1]]
 
     def truncate(self, max_depth: int) -> "DecisionTree":
-        """The tree ``fit`` grows on the same rows with this ``max_depth``.
+        """The CART grown on the same rows with this depth limit.
 
-        CART grows top-down and the depth limit only stops growth, so the
-        shallower fit is this tree with the nodes below ``max_depth`` dropped
-        and the nodes at ``max_depth`` turned into leaves. Nodes are stored in
-        pre-order, which dropping whole subtrees preserves.
+        CART grows top-down and a depth limit only stops growth, so the
+        shallower tree is this one with the nodes below ``max_depth`` dropped
+        and the nodes at ``max_depth`` turned into leaves. The kept nodes keep
+        their relative order, so any node order ``from_json`` accepts stays
+        valid: ``fit``'s level order, whose kept nodes are a prefix, and
+        pre-order alike.
         """
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
@@ -298,43 +303,12 @@ def _best_splits(XT, code, order, counts, work):
     return feature, threshold
 
 
-def _preorder(feature, threshold, splits, majority, classes, n_features, max_depth
-              ) -> DecisionTree:
-    """The tree of per-level node arrays, renumbered from level order into
-    pre-order: the s-th node of a level's ``splits`` has children 2s and
-    2s + 1 on the next level."""
-    below = [np.ones(len(f), dtype=int) for f in feature]  # subtree sizes
-    for d in range(len(splits) - 1, -1, -1):
-        below[d][splits[d]] += below[d + 1][0::2] + below[d + 1][1::2]
-    pre = [np.zeros(1, dtype=int)]
-    for d, split in enumerate(splits):
-        at = np.empty(len(below[d + 1]), dtype=int)
-        at[0::2] = pre[d][split] + 1
-        at[1::2] = at[0::2] + below[d + 1][0::2]
-        pre.append(at)
-    n_nodes = int(below[0][0])
-    tree = DecisionTree(n_features=n_features, n_outputs=len(classes), classes=classes,
-                        feature=np.empty(n_nodes, dtype=int), threshold=np.empty(n_nodes),
-                        left=np.full(n_nodes, -1), right=np.full(n_nodes, -1),
-                        depth=np.empty(n_nodes, dtype=int),
-                        majority=np.empty((n_nodes, len(classes)), dtype=int),
-                        max_depth_fit=max_depth)
-    for d, at in enumerate(pre):
-        tree.feature[at] = feature[d]
-        tree.threshold[at] = threshold[d]
-        tree.depth[at] = d
-        tree.majority[at] = majority[d]
-        if d < len(splits):
-            tree.left[at[splits[d]]] = pre[d + 1][0::2]
-            tree.right[at[splits[d]]] = pre[d + 1][1::2]
-    return tree
-
-
-def fit(X: np.ndarray, Y: np.ndarray, max_depth: int) -> DecisionTree:
-    """Grow a depth-bounded multi-output CART on (X, Y) one level at a time:
-    the depth limit only stops growth, as do a pure node, one row and no
-    admissible split. Nodes are numbered in level order while the tree
-    grows and in pre-order at the end."""
+def fit(X: np.ndarray, Y: np.ndarray) -> DecisionTree:
+    """Grow a multi-output CART on (X, Y) one level at a time until no node
+    splits: a pure node, one row and no admissible split stop growth. Nodes
+    are stored in the order they grow, level by level: the s-th node that
+    splits on a level has children 2s (left) and 2s + 1 (right) among the
+    next level's nodes. ``truncate(h)`` gives the depth-h tree."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=int)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
@@ -343,8 +317,6 @@ def fit(X: np.ndarray, Y: np.ndarray, max_depth: int) -> DecisionTree:
         raise ValueError("cannot fit on an empty dataset")
     if not np.isfinite(X).all():
         raise ValueError("X must be finite: NaN or infinite feature values")
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
     n, nf = X.shape
     n_out = Y.shape[1]
     classes = [distinct_sorted(Y[:, o]) for o in range(n_out)]
@@ -359,40 +331,49 @@ def fit(X: np.ndarray, Y: np.ndarray, max_depth: int) -> DecisionTree:
     size = max(nf * n, min(_BLOCK, n_out * nf * n))  # the largest block
     work = [*np.empty((2, size), dtype=int), *np.empty((2, size))]
 
-    feature, threshold, splits, majority = [], [], [], []  # one array per level
+    feature, threshold, majority = [], [], []  # one array per level
     order = np.argsort(XT, axis=1, kind="stable")  # per feature: rows by node, then value
     sizes = np.array([n])
-    for d in range(max_depth + 1):
+    while True:
         k = len(sizes)
         node = np.repeat(np.arange(k), sizes)
         rows = order[0] if nf else np.arange(n)  # each position's row
         counts = np.bincount((outs * k * c + node * c + code[:, rows]).ravel(),
                              minlength=n_out * k * c).reshape(n_out, k, c)
         majority.append(labels[outs, counts.argmax(axis=2)].T)  # ties: smallest label
-        feature.append(np.full(k, -1))
-        threshold.append(np.full(k, np.nan))
+        f, thr = np.full(k, -1), np.full(k, np.nan)
+        feature.append(f)
+        threshold.append(thr)
         impure = (counts.max(axis=2) < sizes).any(axis=0)
-        if d == max_depth or not impure.any() or not nf:
+        if not impure.any() or not nf:
             break
         in_grow = impure[node]
         order = order[:, in_grow]
-        feature[d][impure], threshold[d][impure] = _best_splits(XT, code, order,
-                                                                counts[:, impure], work)
-        split = np.flatnonzero(feature[d] >= 0)
+        f[impure], thr[impure] = _best_splits(XT, code, order, counts[:, impure], work)
+        split = np.flatnonzero(f >= 0)
         if not len(split):
             break
-        splits.append(split)
-        # The s-th split node's rows go to children 2s (left) and 2s + 1
-        # (right) on the next level; the other nodes' rows leave the tree.
+        # The s-th split node's rows go to the next level's nodes 2s (left)
+        # and 2s + 1 (right); the other nodes' rows leave the tree.
         s = np.full(k, -1)
         s[split] = np.arange(len(split))
         rows, at = order[0], node[in_grow]
         child = np.full(n, 2 * len(split))
         child[rows] = np.where(s[at] < 0, 2 * len(split),
-                               2 * s[at] + (XT[feature[d][at], rows] > threshold[d][at]))
+                               2 * s[at] + (XT[f[at], rows] > thr[at]))
         sizes = np.bincount(child[rows], minlength=2 * len(split) + 1)[:-1]
         bits = order.shape[1].bit_length()  # (child, position) pairs sort stably by child
         by_child = np.sort((child[order] << bits) | np.arange(order.shape[1]), axis=1)
         order = np.take_along_axis(order, by_child[:, :sizes.sum()] & ((1 << bits) - 1),
                                    axis=1)
-    return _preorder(feature, threshold, splits, majority, classes, nf, max_depth)
+    depth = np.repeat(np.arange(len(feature)), [len(f) for f in feature])
+    feature = np.concatenate(feature)
+    # After the root, nodes are children, two per split node and in the order
+    # of their parents: the j-th split node's are nodes 2j + 1 and 2j + 2.
+    left = np.full(len(feature), -1)
+    left[feature >= 0] = np.arange(1, len(feature), 2)
+    return DecisionTree(n_features=nf, n_outputs=n_out, classes=classes, feature=feature,
+                        threshold=np.concatenate(threshold), left=left,
+                        right=np.where(left < 0, -1, left + 1), depth=depth,
+                        majority=np.concatenate(majority),
+                        max_depth_fit=n)  # n rows grow at most n - 1 deep

@@ -133,9 +133,10 @@ def reference_best_split(X, Yenc, n_classes):
 
 
 def reference_fit(X, Y, max_depth):
-    """The model JSON document of the CART ``tree.fit(X, Y, max_depth)``
-    grows, built by plain recursion over ``reference_best_split``: nodes in
-    pre-order, per-output majorities with ties to the smallest label, a node
+    """The model JSON document of the depth-``max_depth`` CART, which
+    ``tree.fit(X, Y).truncate(max_depth)`` stores in ``level_order``, built
+    by plain recursion over ``reference_best_split``: nodes in pre-order,
+    per-output majorities with ties to the smallest label, a node
     a leaf at ``max_depth``, below two rows, when every output is pure, or
     when no feature admits a split."""
     X = np.asarray(X, dtype=float)
@@ -167,6 +168,22 @@ def reference_fit(X, Y, max_depth):
     grow(list(range(n)), 0)
     return {"n_features": X.shape[1], "n_outputs": n_out, "max_depth_fit": max_depth,
             "classes": classes, "nodes": nodes}
+
+
+def level_order(model_doc):
+    """A model document with its nodes renumbered breadth-first: level by
+    level, each level's nodes in the order of their parents, a left child
+    before its sibling."""
+    nodes = model_doc["nodes"]
+    order = [0]
+    for i in order:  # the loop walks the children it appends
+        if nodes[i]["feature"] >= 0:
+            order += [nodes[i]["left"], nodes[i]["right"]]
+    new = {old: k for k, old in enumerate(order)}
+    return dict(model_doc, nodes=[
+        dict(nodes[i], left=new.get(nodes[i]["left"], -1),
+             right=new.get(nodes[i]["right"], -1))
+        for i in order])
 
 
 def reference_predict(model_doc, x):

@@ -128,7 +128,7 @@ def test_criterion_5_cart_correctness():
         n = int(rng.integers(8, 50))
         X = rng.normal(size=(n, int(rng.integers(2, 7)))).round(2)
         Y = rng.integers(0, int(rng.integers(2, 5)), size=(n, int(rng.integers(1, 4))))
-        t = tree.fit(X, Y, max_depth=1)
+        t = tree.fit(X, Y).truncate(1)
         oracle = stump_oracle(X, Y)
         if t.feature[0] < 0:
             assert oracle is None or Y.ptp(axis=0).max() == 0
@@ -143,7 +143,7 @@ def test_criterion_5_cart_correctness():
     for d in range(1, 13):
         X = rng.normal(size=(120, 5))
         Y = rng.integers(0, 6, size=(120, 2))
-        assert tree.fit(X, Y, max_depth=d).tree_depth() <= d
+        assert tree.fit(X, Y).truncate(d).tree_depth() <= d
 
     for sweep in range(10):
         X = rng.normal(size=(100, 5))
@@ -152,9 +152,10 @@ def test_criterion_5_cart_correctness():
             (X[:, o % 5] > 0).astype(int) + 2 * (X[:, (o + 1) % 5] > 0.5).astype(int)
             for o in range(3)
         ], axis=1)
+        full = tree.fit(X, Y)
         prev = -1.0
         for d in range(1, 12):
-            t = tree.fit(X, Y, max_depth=d)
+            t = full.truncate(d)
             acc = float((t.predict(X) == Y).all(axis=1).mean())
             assert acc >= prev - 1e-12
             prev = acc
@@ -229,7 +230,7 @@ def test_criterion_8_query_scaling():
     for n in sizes:
         X = rng.normal(size=(n, 40))
         Y = rng.integers(0, 12, size=(n, 6))
-        t = tree.fit(X, Y, max_depth=100)
+        t = tree.fit(X, Y)
         t.predict(Xq[:100])  # warm up
         # best of 5: one timing of a few ms is at the mercy of a busy machine
         latencies.append(min(timeit.repeat(lambda: t.predict(Xq), number=1, repeat=5))

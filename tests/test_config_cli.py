@@ -698,6 +698,26 @@ def test_cli_dataset_of_another_label_width_exits_4(cli_run, tmp_path, monkeypat
     assert "train.csv holds 5 labels per row" in err and "rerun generate" in err
 
 
+@pytest.mark.parametrize("stage, which", [("optimize", "train"), ("compare", "test")])
+def test_cli_schema_of_another_server_count_exits_4(cli_run, tmp_path, monkeypatch, capsys,
+                                                    stage, which):
+    """A schema whose ``n_servers`` is not the config's admits a label that no
+    regenerated topology has a server for; the split is refused, naming the
+    schema, before a label reaches the topologies."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    schema_path = tmp_path / "out" / f"{which}.schema.json"
+    schema_path.write_text(json.dumps(dict(json.loads(schema_path.read_text()),
+                                           n_servers=100)))
+    csv_path = tmp_path / "out" / f"{which}.csv"
+    csv_path.write_text(_set_first_label(20)(csv_path.read_text()))
+    path = write_config(tmp_path / "cfg.json", quick_config())
+    assert _run(stage, "--config", path) == 4
+    err = capsys.readouterr().err
+    assert f"{which}.schema.json records 100 servers, not the 15" in err
+    assert "rerun generate" in err and "Traceback" not in err
+
+
 def test_cli_refuses_rows_that_regenerate_differently(cli_run, tmp_path, monkeypatch,
                                                      capsys):
     """A changed numpy stream regenerates other data than the datasets hold;

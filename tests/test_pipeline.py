@@ -152,7 +152,7 @@ def test_full_pipeline_on_small_batch(small_dataset):
     report, model, _ = pipeline.run_pipeline(
         ds, ctx, folds, PsoParams(seed=7), settings, config_echo={"note": "test"}
     )
-    trees = [pipeline.fit_unbounded(ds.subset(t)) for t, _ in folds.folds]
+    trees = [tree.fit(ds.features[t], ds.labels[t]) for t, _ in folds.folds]
     table = pipeline.depth_table(ds, ctx, folds, trees, *settings.initial_bounds)
     a1, a2 = report["functional_range"]
     lo, hi = settings.initial_bounds
@@ -161,7 +161,7 @@ def test_full_pipeline_on_small_batch(small_dataset):
     assert set(curve) == {str(h) for h in range(lo, hi + 1)}
     assert len(report["stage1"]["fold_depths"]) == 5
     h_star = report["h_star"]
-    assert model.to_json() == tree.fit(ds.features, ds.labels, h_star).to_json()
+    assert model.to_json() == tree.fit(ds.features, ds.labels).truncate(h_star).to_json()
     assert a1 <= h_star <= a2
     assert curve[str(a1)] <= settings.error_threshold
     assert report["stage2"]["curve"] == {str(h): table[h][1] for h in range(a1, a2 + 1)}
@@ -185,7 +185,7 @@ def test_pipeline_deterministic(small_dataset):
 def test_stage1_pso_graded_by_the_exact_objective_curve(small_dataset):
     ds, ctx = small_dataset
     folds = features.kfold(ds, 5, seed=0)
-    trees = [pipeline.fit_unbounded(ds.subset(t)) for t, _ in folds.folds]
+    trees = [tree.fit(ds.features[t], ds.labels[t]) for t, _ in folds.folds]
     table = pipeline.depth_table(ds, ctx, folds, trees, 2, 40)
     curve, objective, best_h, regret, trace = pipeline.stage1(table, PsoParams(seed=7))
     exact = {h: obj for h, (_, obj) in table.items()}

@@ -75,13 +75,12 @@ def test_context_alignment_enforced(small_batch):
 
 
 def reference_fold_results(h, ds, ctx, folds):
-    """Slow reference: a fresh depth-h fit per fold, every validation row
+    """Slow reference: each fold's tree truncated at h, every validation row
     validated by hand. Returns (invalid rate over all validation rows, mean
     over folds of mean valid delay + penalty)."""
     ips, objectives = [], []
     for train_idx, val_idx in folds.folds:
-        sub = ds.subset(train_idx)
-        t = tree_mod.fit(sub.features, sub.labels, h)
+        t = tree_mod.fit(ds.features[train_idx], ds.labels[train_idx]).truncate(h)
         pred = t.predict(ds.features[val_idx])
         ip = 0
         delays = []
@@ -98,7 +97,8 @@ def reference_fold_results(h, ds, ctx, folds):
 
 
 def unbounded_fold_trees(ds, folds):
-    return [pipeline.fit_unbounded(ds.subset(train_idx)) for train_idx, _ in folds.folds]
+    return [tree_mod.fit(ds.features[train_idx], ds.labels[train_idx])
+            for train_idx, _ in folds.folds]
 
 
 def fold_predictions(ds, folds):
@@ -119,12 +119,12 @@ def test_fold_results_against_manual_recompute(small_dataset):
 
 
 def test_depth_table_matches_fresh_fits(small_dataset):
-    """Every depth in [lo, D_max + 5] reads exactly what fresh depth-h fits give,
-    including the depths past the deepest fold tree that share its entry,
-    also when lo itself lies past it."""
+    """Every depth in [lo, D_max + 5] reads exactly what fresh fits truncated
+    at depth h give, including the depths past the deepest fold tree that
+    share its entry, also when lo itself lies past it."""
     ds, ctx = small_dataset
     n = 48  # a slice keeps the fresh fits at every depth quick
-    ds = ds.subset(np.arange(n))
+    ds = dataclasses.replace(ds, features=ds.features[:n], labels=ds.labels[:n])
     ctx = EvalContext(ctx.topologies[:n], ctx.sfcs[:n], ctx.delay_ceiling)
     folds = features.kfold(ds, 3, seed=5)
     trees = unbounded_fold_trees(ds, folds)
@@ -150,7 +150,7 @@ def test_zero_valid_fold_uses_ceiling(small_dataset):
     the penalty of its validation row count."""
     ds, ctx = small_dataset
     n = 40
-    ds = ds.subset(np.arange(n))
+    ds = dataclasses.replace(ds, features=ds.features[:n], labels=ds.labels[:n])
     # every instance demands more cpu than any server has: all placements fail
     heavy = [dataclasses.replace(s, cpu_demand=[1e9] * s.n_instances)
              for s in ctx.sfcs[:n]]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import garbage_after
-from oracles import reference_fit, reference_predict, stump_oracle
+from oracles import level_order, reference_fit, reference_predict, stump_oracle
 from vnfplace import netmodel, tree
 from vnfplace.tree import DecisionTree
 
@@ -26,7 +26,7 @@ def random_problem(rng, n=None, nf=None, n_out=None, n_classes=None):
 def test_best_split_hand_case():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     Y = np.array([[0], [0], [1], [1]])
-    t = tree.fit(X, Y, max_depth=1)
+    t = tree.fit(X, Y).truncate(1)
     assert t.feature[0] == 0
     assert t.threshold[0] == pytest.approx(1.5, abs=0)
     assert np.array_equal(t.predict(X).ravel(), [0, 0, 1, 1])
@@ -36,7 +36,7 @@ def test_root_split_matches_stump_oracle():
     rng = np.random.default_rng(202)
     for _ in range(50):
         X, Y = random_problem(rng)
-        t = tree.fit(X, Y, max_depth=1)
+        t = tree.fit(X, Y).truncate(1)
         oracle = stump_oracle(X, Y)
         if t.feature[0] < 0:
             assert oracle is None or Y.ptp(axis=0).max() == 0
@@ -50,20 +50,21 @@ def test_tie_break_lowest_feature_then_threshold():
     # duplicated feature columns force an exact tie: lowest index must win
     X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     Y = np.array([[0], [0], [1], [1]])
-    t = tree.fit(X, Y, max_depth=1)
+    t = tree.fit(X, Y).truncate(1)
     assert t.feature[0] == 0
     # two equally good thresholds within one feature: lowest must win
     X2 = np.array([[0.0], [1.0], [2.0], [3.0]])
     Y2 = np.array([[0], [1], [0], [1]])
-    t2 = tree.fit(X2, Y2, max_depth=1)
+    t2 = tree.fit(X2, Y2).truncate(1)
     assert t2.threshold[0] == pytest.approx(0.5, abs=0)
 
 
 def test_depth_bound_respected():
     rng = np.random.default_rng(7)
     X, Y = random_problem(rng, n=200, nf=5, n_out=2, n_classes=6)
+    full = tree.fit(X, Y)
     for d in (1, 2, 3, 5, 8):
-        t = tree.fit(X, Y, max_depth=d)
+        t = full.truncate(d)
         assert t.tree_depth() <= d
         assert t.max_depth_fit == d
 
@@ -71,9 +72,10 @@ def test_depth_bound_respected():
 def test_training_accuracy_monotone_in_depth():
     rng = np.random.default_rng(11)
     X, Y = random_problem(rng, n=150, nf=6, n_out=3, n_classes=4)
+    full = tree.fit(X, Y)
     prev = -1.0
     for d in range(1, 15):
-        t = tree.fit(X, Y, max_depth=d)
+        t = full.truncate(d)
         acc = float((t.predict(X) == Y).mean())
         assert acc >= prev - 1e-12
         prev = acc
@@ -83,25 +85,28 @@ def test_deep_fit_memorizes_unique_rows():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(60, 5))
     Y = rng.integers(0, 8, size=(60, 2))
-    t = tree.fit(X, Y, max_depth=100)
+    t = tree.fit(X, Y)
     assert np.array_equal(t.predict(X), Y)
 
 
 def test_truncated_prediction_equals_shallow_fit():
+    """A truncated tree predicts what the reference's depth-limited fit,
+    walked by the recursive traversal, predicts."""
     rng = np.random.default_rng(19)
     for _ in range(10):
         X, Y = random_problem(rng, n=80)
-        deep = tree.fit(X, Y, max_depth=50)
+        deep = tree.fit(X, Y)
         Xq = rng.normal(size=(40, X.shape[1]))
         for d in (1, 2, 4, 7):
-            shallow = tree.fit(X, Y, max_depth=d)
-            assert np.array_equal(deep.truncate(d).predict(Xq), shallow.predict(Xq))
+            shallow = reference_fit(X, Y, d)
+            assert deep.truncate(d).predict(Xq).tolist() == [
+                reference_predict(shallow, x) for x in Xq]
 
 
 def test_majority_tie_goes_to_smallest_label():
     X = np.array([[0.0], [0.0], [0.0], [0.0]])
     Y = np.array([[5], [2], [2], [5]])
-    t = tree.fit(X, Y, max_depth=3)
+    t = tree.fit(X, Y)
     assert t.node_count() == 1  # constant feature admits no split
     assert t.predict(np.array([[1.0]]))[0, 0] == 2
 
@@ -111,21 +116,21 @@ def test_majority_tie_goes_to_smallest_label():
     (np.arange(4.0)[:, None], np.zeros((4, 0), dtype=int)),
 ], ids=["no-feature", "no-output"])
 def test_fit_without_features_or_outputs_is_one_leaf(X, Y):
-    assert tree.fit(X, Y, max_depth=3).to_json() == reference_fit(X, Y, 3)
-    assert tree.fit(X, Y, max_depth=3).node_count() == 1
+    assert tree.fit(X, Y).truncate(3).to_json() == level_order(reference_fit(X, Y, 3))
+    assert tree.fit(X, Y).node_count() == 1
 
 
 def test_pure_node_stops_growth():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     Y = np.array([[1], [1], [1], [1]])
-    t = tree.fit(X, Y, max_depth=10)
+    t = tree.fit(X, Y)
     assert t.node_count() == 1
 
 
 def test_predict_matches_reference_traversal():
     rng = np.random.default_rng(23)
     X, Y = random_problem(rng, n=120, nf=6, n_out=2, n_classes=5)
-    t = tree.fit(X, Y, max_depth=12)
+    t = tree.fit(X, Y).truncate(12)
     doc = t.to_json()
     Xq = rng.normal(size=(50, 6))
     pred = t.predict(Xq)
@@ -136,15 +141,15 @@ def test_predict_matches_reference_traversal():
 def test_fit_is_deterministic():
     rng = np.random.default_rng(29)
     X, Y = random_problem(rng, n=90)
-    a = tree.fit(X, Y, max_depth=9)
-    b = tree.fit(X, Y, max_depth=9)
+    a = tree.fit(X, Y)
+    b = tree.fit(X, Y)
     assert a.to_json() == b.to_json()
 
 
 def test_model_round_trip(tmp_path):
     rng = np.random.default_rng(31)
     X, Y = random_problem(rng, n=70, nf=4, n_out=3)
-    t = tree.fit(X, Y, max_depth=6)
+    t = tree.fit(X, Y).truncate(6)
     path = tmp_path / "model.json"
     netmodel.save_json(t.to_json(), path)
     back = tree.load_model(path)
@@ -190,10 +195,10 @@ def _first_leaf(doc):
 def test_from_json_rejects_a_broken_node_structure(edit, says):
     """A saved tree that ``predict`` could not walk to a leaf, or whose node
     count or top-level numbers are not those ``to_json`` writes, is refused.
-    In the fitted tree, node 1 is internal with right child 3 at depth 2, and
-    node 5 is node 4's left child at depth 2."""
+    In the fitted tree, nodes 1 and 2 are internal at depth 1, with children
+    3 and 4 and children 5 and 6 at depth 2."""
     X, Y = random_problem(np.random.default_rng(31), n=70, nf=4, n_out=3)
-    doc = tree.fit(X, Y, max_depth=6).to_json()
+    doc = tree.fit(X, Y).truncate(6).to_json()
     edit(doc)
     with pytest.raises(ValueError, match=says):
         DecisionTree.from_json(doc)
@@ -201,18 +206,15 @@ def test_from_json_rejects_a_broken_node_structure(edit, says):
 
 def test_fit_input_validation():
     with pytest.raises(ValueError):
-        tree.fit(np.zeros((0, 3)), np.zeros((0, 1), dtype=int), max_depth=3)
+        tree.fit(np.zeros((0, 3)), np.zeros((0, 1), dtype=int))
     with pytest.raises(ValueError):
-        tree.fit(np.zeros((4, 3)), np.zeros((4, 1), dtype=int), max_depth=0)
-    with pytest.raises(ValueError):
-        tree.fit(np.zeros((4, 3)), np.zeros((5, 1), dtype=int), max_depth=3)
+        tree.fit(np.zeros((4, 3)), np.zeros((5, 1), dtype=int))
     for bad in (np.nan, np.inf):
         X = np.zeros((4, 3)) + np.arange(4)[:, None]
         X[2, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            tree.fit(X, np.arange(4, dtype=int)[:, None], max_depth=3)
-    t = tree.fit(np.zeros((4, 3)) + np.arange(4)[:, None],
-                 np.arange(4, dtype=int)[:, None], max_depth=3)
+            tree.fit(X, np.arange(4, dtype=int)[:, None])
+    t = tree.fit(np.zeros((4, 3)) + np.arange(4)[:, None], np.arange(4, dtype=int)[:, None])
     with pytest.raises(ValueError, match="width"):
         t.predict(np.zeros((2, 5)))
     with pytest.raises(ValueError):
@@ -221,14 +223,27 @@ def test_fit_input_validation():
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31), extra=st.integers(0, 3))
-def test_truncate_equals_fresh_fit_property(seed, extra):
-    """Truncating an unbounded fit at every depth, up to one to four past its
-    natural depth, gives the tree a fresh fit at that depth grows."""
+def test_fit_stores_nodes_level_by_level_property(seed, extra):
+    """``fit`` stores its nodes level by level, each level's children in the
+    order of their parents, so truncating at any depth, up to one to four
+    past the natural one, keeps the prefix of nodes at that depth or above
+    and turns those at that depth into leaves."""
     rng = np.random.default_rng(seed)
     X, Y = random_problem(rng)
-    full = tree.fit(X, Y, max_depth=X.shape[0])
+    full = tree.fit(X, Y)
+    assert (np.diff(full.depth) >= 0).all()
+    internal = full.feature >= 0
+    children = np.column_stack((full.left, full.right))[internal].ravel()
+    assert children.tolist() == list(range(1, full.node_count()))
     for h in range(1, full.tree_depth() + extra + 2):
-        assert full.truncate(h).to_json() == tree.fit(X, Y, max_depth=h).to_json()
+        t = full.truncate(h)
+        kept = int((full.depth <= h).sum())
+        inner = full.depth[:kept] < h
+        assert np.array_equal(t.depth, full.depth[:kept])
+        assert np.array_equal(t.majority, full.majority[:kept])
+        assert np.array_equal(t.feature, np.where(inner, full.feature[:kept], -1))
+        assert np.array_equal(t.left, np.where(inner, full.left[:kept], -1))
+        assert np.array_equal(t.right, np.where(inner, full.right[:kept], -1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,7 +256,7 @@ def test_descend_levels_are_truncated_predictions_property(seed):
     rng = np.random.default_rng(seed)
     X, Y = random_problem(rng)
     Xq = np.vstack([X, rng.normal(size=(20, X.shape[1])).round(2)])
-    fitted = tree.fit(X, Y, max_depth=X.shape[0])
+    fitted = tree.fit(X, Y)
     for t in (fitted, DecisionTree.from_json(fitted.to_json())):
         levels = t.descend(Xq)
         depth = t.tree_depth()
@@ -264,7 +279,7 @@ def test_descend_levels_are_truncated_predictions_property(seed):
 # is a pure leaf at depth 1, its left child splits again at 0.5.
 def test_descend_keeps_an_early_leaf():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
-    t = tree.fit(X, np.array([[0], [1], [2], [2]]), max_depth=4)
+    t = tree.fit(X, np.array([[0], [1], [2], [2]]))
     assert t.tree_depth() == 2
     levels = t.descend(np.array([[0.0], [3.0]]))
     assert levels[:, 1].tolist() == [0, t.right[0], t.right[0]]
@@ -280,7 +295,7 @@ def test_descend_keeps_an_early_leaf():
 def test_tree_invariants_property(seed, depth):
     rng = np.random.default_rng(seed)
     X, Y = random_problem(rng)
-    t = tree.fit(X, Y, max_depth=depth)
+    t = tree.fit(X, Y).truncate(depth)
     n = t.node_count()
     for i in range(n):
         if t.feature[i] >= 0:
@@ -334,11 +349,18 @@ def tie_heavy_problems(draw):
 @given(problem=tie_heavy_problems())
 def test_fit_matches_reference_property(problem):
     """The one-pass split search grows exactly the tree of the per-feature,
-    per-output reference scan at every depth up to one past the natural one."""
+    per-output reference scan: truncated at every depth up to one past the
+    natural one, it is the reference's depth-limited fit in level order. The
+    reference's deepest tree, read back in its pre-order, truncates to the
+    same trees."""
     X, Y = problem
-    natural = tree.fit(X, Y, max_depth=X.shape[0]).tree_depth()
+    full = tree.fit(X, Y)
+    natural = full.tree_depth()
+    preorder = DecisionTree.from_json(reference_fit(X, Y, natural + 1))
     for h in range(1, natural + 2):
-        assert tree.fit(X, Y, max_depth=h).to_json() == reference_fit(X, Y, h)
+        want = level_order(reference_fit(X, Y, h))
+        assert full.truncate(h).to_json() == want
+        assert level_order(preorder.truncate(h).to_json()) == want
 
 
 @st.composite
@@ -369,14 +391,18 @@ def wide_problems(draw):
 @settings(max_examples=30, deadline=None)
 @given(problem=wide_problems())
 def test_fit_matches_reference_on_wide_multi_output_problems_property(problem):
-    """Depth limits halfway down and one level short of the natural depth
-    stop growth with many nodes of different sizes open on the last level,
-    next to pure and one-row nodes that closed on their own: the level-wise
-    fit grows the reference scan's tree there too."""
+    """The level-wise fit is the reference scan's unbounded tree in level
+    order, and so are its truncations halfway down and one level short of
+    the natural depth, where many nodes of different sizes are cut next to
+    pure and one-row nodes that closed on their own. Every depth, at one
+    reference fit each, would take about 14 times as long here;
+    ``test_fit_matches_reference_property`` checks every depth on smaller
+    problems."""
     X, Y = problem
-    natural = tree.fit(X, Y, max_depth=X.shape[0]).tree_depth()
-    for h in sorted({max(1, natural // 2), max(1, natural - 1)}):
-        assert tree.fit(X, Y, max_depth=h).to_json() == reference_fit(X, Y, h)
+    full = tree.fit(X, Y)
+    natural = full.tree_depth()
+    for h in sorted({max(1, natural // 2), max(1, natural - 1), natural + 1}):
+        assert full.truncate(h).to_json() == level_order(reference_fit(X, Y, h))
 
 
 def test_fit_grows_deeper_than_the_recursion_limit():
@@ -386,17 +412,17 @@ def test_fit_grows_deeper_than_the_recursion_limit():
     n = 1100
     X = np.arange(float(n))[:, None]
     Y = (np.arange(n) % 2)[:, None]
-    full = tree.fit(X, Y, n)
+    full = tree.fit(X, Y)
     assert full.tree_depth() == n - 1
     assert np.array_equal(full.predict(X), Y)
-    assert full.truncate(10).to_json() == tree.fit(X, Y, 10).to_json()
+    assert full.truncate(10).to_json() == level_order(reference_fit(X, Y, 10))
 
 
 def test_fit_leaves_no_garbage_cycle():
     rng = np.random.default_rng(5)
     X = rng.random((500, 150))
     Y = rng.integers(0, 5, size=(500, 6))
-    tree.fit(X[:20], Y[:20], 2)  # numpy leaves garbage of its own on first use
+    tree.fit(X[:20], Y[:20])  # numpy leaves garbage of its own on first use
     fitted = []
-    assert garbage_after(lambda: fitted.append(tree.fit(X, Y, 100))) == 0
+    assert garbage_after(lambda: fitted.append(tree.fit(X, Y))) == 0
     assert fitted[0].node_count() > 100
