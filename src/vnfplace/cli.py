@@ -204,8 +204,9 @@ def _load_split(cfg: RunConfig, which: str, fingerprint: str):
                 f"{features.schema_path(paths[which])} records {ds.n_servers} servers, "
                 f"not the {cfg.gen.n_servers} of the gen settings; rerun generate")
         topologies, sfcs = netmodel.load_batch(cfg.gen, idx)
-        for r, (topo, sfc) in enumerate(zip(topologies, sfcs)):
-            if not np.array_equal(features.extract_features(topo, sfc), ds.features[r]):
+        regenerated = features.feature_matrix(topologies, sfcs)
+        for r, (x, row) in enumerate(zip(regenerated, ds.features)):
+            if not np.array_equal(x, row):
                 raise netmodel.ArtifactError(
                     f"{paths[which]}:{r + 2}: the features differ from those of "
                     f"snapshot {idx[r]} regenerated from the gen settings; rerun generate")

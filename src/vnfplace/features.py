@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import (
-    ADJACENT_PAIRS, ArtifactError, SfcSpec, Topology, load_json, save_csv, save_json,
-)
+from .netmodel import (ADJACENT_PAIRS, ArtifactError, SfcSpec, Topology, load_json,
+                       pair_layout, save_csv, save_json)
 from .placer import Placement
 
 
@@ -34,23 +33,31 @@ def feature_names(n_servers: int, n_instances: int) -> list[str]:
         names += [f"srv{s}_cpu_capacity", f"srv{s}_mem_capacity"]
     for a, b in ADJACENT_PAIRS:
         names.append(f"tolerance_{a.value}_{b.value}")
-    for i in range(n_servers):
-        for j in range(i + 1, n_servers):
-            names.append(f"delay_{i}_{j}")
-    return names
+    rows, cols, _ = pair_layout(n_servers)
+    return names + [f"delay_{i}_{j}" for i, j in zip(rows.tolist(), cols.tolist())]
+
+
+def feature_matrix(topos: list[Topology], sfcs: list[SfcSpec]) -> np.ndarray:
+    """The feature rows of the (topology, chain) snapshots ``zip(topos, sfcs)``,
+    in one preallocated array. A snapshot of another server or instance count
+    than the first's raises ValueError naming its row."""
+    n, n_inst = topos[0].n_servers, sfcs[0].n_instances
+    rows, cols, _ = pair_layout(n)
+    s, t, u = 2 * n_inst, 2 * (n_inst + n), 2 * (n_inst + n) + len(ADJACENT_PAIRS)
+    X = np.empty((len(topos), u + len(rows)))
+    for r, (topo, sfc) in enumerate(zip(topos, sfcs)):
+        if topo.n_servers != n or sfc.n_instances != n_inst:
+            raise ValueError(f"row {r}: mixed configurations are not allowed")
+        x = X[r]
+        x[:s:2], x[1:s:2], x[s:t:2], x[s + 1:t:2] = (
+            sfc.cpu_demand, sfc.mem_demand, topo.cpu, topo.mem)
+        x[t:u], x[u:] = sfc.tolerance, topo.delay[rows, cols]
+    return X
 
 
 def extract_features(topo: Topology, sfc: SfcSpec) -> np.ndarray:
-    """One fixed-width feature vector for a (topology, chain) snapshot."""
-    parts = []
-    for cpu, mem in zip(sfc.cpu_demand, sfc.mem_demand):
-        parts += [cpu, mem]
-    for cpu, mem in zip(topo.cpu, topo.mem):
-        parts += [cpu, mem]
-    parts += sfc.tolerance
-    iu = np.triu_indices(topo.n_servers, k=1)
-    parts += list(topo.delay[iu])
-    return np.array(parts, dtype=float)
+    """One snapshot's feature vector: the one-row case of ``feature_matrix``."""
+    return feature_matrix([topo], [sfc])[0]
 
 
 @dataclass
@@ -91,23 +98,14 @@ class Dataset:
 
 
 def build_dataset(pairs: list[tuple[Topology, SfcSpec, Placement]]) -> Dataset:
-    """One row per (topology, chain, teacher placement) triple; the placement
-    is the row's labels."""
+    """One row per (topology, chain, teacher placement) triple: the
+    snapshot's ``feature_matrix`` row, and the placement as its labels."""
     if not pairs:
         raise ValueError("build_dataset requires a configuration; got no pairs")
-    topo0, sfc0, _ = pairs[0]
-    n_servers = topo0.n_servers
-    n_inst = sfc0.n_instances
-    cols = feature_names(n_servers, n_inst)
-    label_cols = [f"label_inst{i}" for i in range(n_inst)]
-    X = np.empty((len(pairs), len(cols)))
-    Y = np.empty((len(pairs), n_inst), dtype=int)
-    for r, (topo, sfc, p) in enumerate(pairs):
-        if topo.n_servers != n_servers or sfc.n_instances != n_inst:
-            raise ValueError(f"row {r}: mixed configurations are not allowed")
-        X[r] = extract_features(topo, sfc)
-        Y[r] = p
-    return Dataset(X, Y, cols, label_cols, n_servers)
+    topos, sfcs, placements = zip(*pairs)
+    n, n_inst = topos[0].n_servers, sfcs[0].n_instances
+    return Dataset(feature_matrix(topos, sfcs), np.reshape(placements, (len(pairs), n_inst)),
+                   feature_names(n, n_inst), [f"label_inst{i}" for i in range(n_inst)], n)
 
 
 @dataclass
@@ -146,7 +144,7 @@ def save_dataset(ds: Dataset, path: str):
         "label_cols": ds.label_cols,
         "n_servers": ds.n_servers,
     }, schema_path(path))
-    # csv writes a float as str(), its shortest repr, which reads back bit-exactly
+    # str() of a float is its shortest repr, which reads back bit-exactly
     save_csv(path, ds.feature_cols + ds.label_cols,
              (x.tolist() + y.tolist() for x, y in zip(ds.features, ds.labels)))
 
@@ -161,7 +159,10 @@ def load_dataset(path: str) -> Dataset:
     if not os.path.exists(schema):
         raise ArtifactError(f"missing schema file {schema}")
     feature_cols, label_cols, n_servers = load_json(schema, lambda s: (
-        list(s["feature_cols"]), list(s["label_cols"]), int(s["n_servers"])))
+        list(s["feature_cols"]), list(s["label_cols"]), s["n_servers"]))
+    if type(n_servers) is not int:  # int() would load 15.9 as 15
+        raise ArtifactError(f"{schema} is malformed: n_servers must be an integer, "
+                            f"not {n_servers!r}")
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)

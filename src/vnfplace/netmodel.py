@@ -18,7 +18,6 @@ that ``split.json``'s fingerprint pins.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import json
@@ -309,29 +308,38 @@ def _rng(cfg: GenConfig, index: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([cfg.base_seed, index, stream])
 
 
+@functools.cache
+def pair_layout(n_servers: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The server pairs (i, j), i < j, in row-major order, once per server
+    count: ``rows`` and ``cols`` as ``np.triu_indices`` gives them (read-only:
+    every caller shares them), and each (start, stop, intra-tier) run of pairs
+    that are all intra-tier or all cross-tier in ``tier_assignment``'s tiers."""
+    rows, cols = np.triu_indices(n_servers, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    tier = np.array([t.value for t in tier_assignment(n_servers)])
+    intra = (tier[rows] == tier[cols]).tolist()
+    ends = [0, *itertools.accumulate(len(list(run)) for _, run in itertools.groupby(intra))]
+    return rows, cols, tuple((a, b, intra[a]) for a, b in zip(ends, ends[1:]))
+
+
 def generate_topology(cfg: GenConfig, index: int) -> Topology:
     """Generate the index-th topology of a batch, deterministically.
 
     The stream draws the capacities, then one delay per server pair (i, j),
     i < j, in row-major order: intra-tier pairs from ``intra_tier_delay``,
-    the others from ``cross_tier_delay``. Each run of consecutive pairs that
-    share a distribution is one sized draw, which yields the same doubles as
-    one scalar draw per pair.
+    the others from ``cross_tier_delay``. Each run of ``pair_layout``, which
+    is computed once per server count, is one sized draw, which yields the
+    same doubles as one scalar draw per pair.
     """
     rng = _rng(cfg, index, STREAM_TOPOLOGY)
     n = cfg.n_servers
-    tiers = tier_assignment(n)
     cpu = cfg.cpu_capacity.sample(rng, n).tolist()
     mem = cfg.mem_capacity.sample(rng, n).tolist()
-    rows, cols = np.triu_indices(n, 1)
-    tier = np.array([t.value for t in tiers])
+    rows, cols, runs = pair_layout(n)
     upper = np.empty(len(rows))
-    start = 0
-    for intra, run in itertools.groupby((tier[rows] == tier[cols]).tolist()):
-        m = sum(1 for _ in run)
+    for start, stop, intra in runs:
         dist = cfg.intra_tier_delay if intra else cfg.cross_tier_delay
-        upper[start:start + m] = dist.sample(rng, m)
-        start += m
+        upper[start:stop] = dist.sample(rng, stop - start)
     delay = np.zeros((n, n))
     delay[rows, cols] = delay[cols, rows] = upper
     return Topology(cpu, mem, delay)
@@ -395,12 +403,12 @@ def save_json(doc, path):
 
 
 def save_csv(path, header, rows):
-    """Write a CSV artifact in csv's default dialect (``\\r\\n`` line ends)."""
-    def write(fh):
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-    _write_atomic(path, write)
+    """Write a CSV artifact, streaming one line per row: each value's ``str``
+    joined by commas, then ``\\r\\n``. For ints, floats (``str`` is their
+    shortest repr) and names without commas, quotes or line breaks, all that
+    a dataset holds, these are the bytes of csv's default dialect."""
+    _write_atomic(path, lambda fh: fh.writelines(
+        ",".join(map(str, row)) + "\r\n" for row in itertools.chain([header], rows)))
 
 
 def load_json(path, build=lambda doc: doc):

@@ -1,10 +1,13 @@
+import dataclasses
 import gc
 import json
 import os
 import sys
+import types
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -30,6 +33,27 @@ def tiny_config(seed=7, n_servers=4, replicas=(1, 1, 1, 1)):
         n_topologies=200,
         base_seed=seed,
     )
+
+
+def dists():
+    """Uniform and normal distributions, degenerate ones included."""
+    bound = st.floats(min_value=0, max_value=2000)
+    return st.one_of(
+        st.tuples(bound, bound).map(lambda ab: Dist("uniform", min(ab), max(ab))),
+        bound.map(lambda a: Dist("uniform", a, a)),
+        st.tuples(st.floats(min_value=-500, max_value=2000), bound).map(
+            lambda ms: Dist("normal", *ms)),
+    )
+
+
+def gen_settings(n_servers, **kw):
+    """The settings of ``GenConfig(n_servers, 1-1-1-1 replicas, **kw)`` as a
+    plain namespace. Generation reads only the settings, and a namespace may
+    also hold 3 servers, fewer than GenConfig admits for a 4-instance chain."""
+    cfg = GenConfig(n_servers=max(n_servers, 4), replica_counts=counts(1, 1, 1, 1), **kw)
+    return types.SimpleNamespace(**{
+        **{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)},
+        "n_servers": n_servers, "n_instances": cfg.n_instances})
 
 
 def garbage_after(call):

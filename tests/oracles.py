@@ -254,6 +254,46 @@ def reference_generate_topology(cfg, index):
     return cpu, mem, delay
 
 
+def reference_groupby_generate_topology(cfg, index):
+    """The topology generator before its pair layout was computed once per
+    server count: every call rebuilds the upper-triangle indices and the tier
+    array, and groups the pairs into runs with ``itertools.groupby``, one
+    sized draw per run. ``netmodel.generate_topology`` must return the same
+    capacities and delay matrix, bit for bit."""
+    rng = np.random.default_rng([cfg.base_seed, index, netmodel.STREAM_TOPOLOGY])
+    n = cfg.n_servers
+    tiers = netmodel.tier_assignment(n)
+    cpu = cfg.cpu_capacity.sample(rng, n).tolist()
+    mem = cfg.mem_capacity.sample(rng, n).tolist()
+    rows, cols = np.triu_indices(n, 1)
+    tier = np.array([t.value for t in tiers])
+    upper = np.empty(len(rows))
+    start = 0
+    for intra, run in itertools.groupby((tier[rows] == tier[cols]).tolist()):
+        m = sum(1 for _ in run)
+        dist = cfg.intra_tier_delay if intra else cfg.cross_tier_delay
+        upper[start:start + m] = dist.sample(rng, m)
+        start += m
+    delay = np.zeros((n, n))
+    delay[rows, cols] = delay[cols, rows] = upper
+    return cpu, mem, delay
+
+
+def reference_extract_features(topo, sfc):
+    """One snapshot's feature row as first written: a list of Python floats
+    built value by value, with its own ``np.triu_indices``. Each row of
+    ``features.feature_matrix`` must equal it, bit for bit."""
+    parts = []
+    for cpu, mem in zip(sfc.cpu_demand, sfc.mem_demand):
+        parts += [cpu, mem]
+    for cpu, mem in zip(topo.cpu, topo.mem):
+        parts += [cpu, mem]
+    parts += sfc.tolerance
+    iu = np.triu_indices(topo.n_servers, k=1)
+    parts += list(topo.delay[iu])
+    return np.array(parts, dtype=float)
+
+
 def reference_place_teacher(topo, sfc, budget=1000):
     """The teacher search as first written: it rebuilds every search node's
     candidate list from scratch, one server and one upstream replica at a time.

@@ -718,6 +718,25 @@ def test_cli_schema_of_another_server_count_exits_4(cli_run, tmp_path, monkeypat
     assert "rerun generate" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("n_servers", [15.9, 15.0, True, "15"])
+@pytest.mark.parametrize("stage, which", [("optimize", "train"), ("compare", "test")])
+def test_cli_schema_server_count_that_is_no_integer_exits_4(cli_run, tmp_path, monkeypatch,
+                                                            capsys, stage, which, n_servers):
+    """``int()`` would load 15.9 as the config's 15 servers; a schema whose
+    ``n_servers`` is not a JSON integer is refused, naming the schema."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    schema_path = tmp_path / "out" / f"{which}.schema.json"
+    schema_path.write_text(json.dumps(dict(json.loads(schema_path.read_text()),
+                                           n_servers=n_servers)))
+    path = write_config(tmp_path / "cfg.json", quick_config())
+    assert _run(stage, "--config", path) == 4
+    err = capsys.readouterr().err
+    assert f"{which}.schema.json is malformed" in err
+    assert f"n_servers must be an integer, not {n_servers!r}" in err
+    assert "Traceback" not in err
+
+
 def test_cli_refuses_rows_that_regenerate_differently(cli_run, tmp_path, monkeypatch,
                                                      capsys):
     """A changed numpy stream regenerates other data than the datasets hold;

@@ -1,9 +1,14 @@
+import csv
+import io
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import line_topology, simple_sfc
+from conftest import dists, gen_settings, line_topology, simple_sfc
+from oracles import reference_extract_features
 from vnfplace import features, netmodel
 from vnfplace.features import Dataset
 from vnfplace.netmodel import ArtifactError
@@ -51,6 +56,25 @@ def test_feature_values_match_sources(small_batch):
     assert vec[col["srv3_mem_capacity"]] == topo.mem[3]
     assert vec[col["tolerance_MME_SGW"]] == sfc.tolerance[1]
     assert vec[col["delay_2_7"]] == topo.delay[2, 7]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_servers=st.integers(min_value=3, max_value=40),
+    base_seed=st.integers(min_value=0, max_value=2**31),
+    indices=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=4),
+    delay=dists(),
+    capacity=dists(),
+    demand=dists(),
+)
+def test_feature_matrix_matches_the_per_row_reference(n_servers, base_seed, indices, delay,
+                                                      capacity, demand):
+    cfg = gen_settings(n_servers, cross_tier_delay=delay, mem_capacity=capacity,
+                       cpu_demand=demand, tolerance=demand, base_seed=base_seed)
+    topos, sfcs = netmodel.load_batch(cfg, indices)
+    expected = np.array([reference_extract_features(t, s) for t, s in zip(topos, sfcs)])
+    assert features.feature_matrix(topos, sfcs).tobytes() == expected.tobytes()
+    assert features.extract_features(topos[-1], sfcs[-1]).tobytes() == expected[-1].tobytes()
 
 
 def test_build_dataset_labels_match_teacher(small_batch):
@@ -127,6 +151,31 @@ def test_empty_dataset_round_trip(tmp_path):
     assert len(lines) == 1  # header only
     back = features.load_dataset(path)
     assert back.n_samples == 0
+
+
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([1e16, 1e-05, 5e-324, -0.0, sys.float_info.max]))
+_COLS = features.feature_names(3, 4)
+_LABEL_COLS = [f"label_inst{i}" for i in range(4)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.lists(_FLOATS, min_size=len(_COLS), max_size=len(_COLS)),
+    st.lists(st.integers(min_value=0, max_value=2**63 - 2), min_size=4, max_size=4)),
+    max_size=4))
+@example(rows=[])
+@example(rows=[([1e16, 1e-05, 5e-324, -0.0, sys.float_info.max] * 4,
+                [0, 1, 2**62, 2**63 - 2])])
+def test_save_dataset_writes_what_csv_writer_writes(tmp_path_factory, rows):
+    """The dataset CSV holds the bytes csv.writer's default dialect writes."""
+    path = tmp_path_factory.getbasetemp() / "save_dataset_property.csv"
+    X = np.array([x for x, _ in rows], dtype=float).reshape(len(rows), len(_COLS))
+    Y = np.array([y for _, y in rows], dtype=np.int64).reshape(len(rows), 4)
+    features.save_dataset(Dataset(X, Y, _COLS, _LABEL_COLS, 2**63 - 1), path)
+    buf = io.StringIO()
+    csv.writer(buf).writerows([_COLS + _LABEL_COLS] + [x + y for x, y in rows])
+    assert path.read_bytes() == buf.getvalue().encode()
 
 
 def test_load_reports_bad_label_column(tmp_path, small_batch):

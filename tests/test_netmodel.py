@@ -1,14 +1,19 @@
+import csv
 import dataclasses
+import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import counts, line_topology
-from oracles import reference_chain_structure, reference_generate_topology
+from conftest import counts, dists, gen_settings, line_topology
+from oracles import (
+    reference_chain_structure, reference_generate_topology, reference_groupby_generate_topology,
+)
 from vnfplace import netmodel
 from vnfplace.netmodel import ConfigError, Dist, GenConfig, Tier, VnfType
 
@@ -172,23 +177,13 @@ def test_generated_topology_invariants_property(n_servers, base_seed, index):
     assert len(sfc.tolerance) == 3 and min(sfc.tolerance) > 0
 
 
-def _dists():
-    bound = st.floats(min_value=0, max_value=2000)
-    return st.one_of(
-        st.tuples(bound, bound).map(lambda ab: Dist("uniform", min(ab), max(ab))),
-        bound.map(lambda a: Dist("uniform", a, a)),
-        st.tuples(st.floats(min_value=-500, max_value=2000), bound).map(
-            lambda ms: Dist("normal", *ms)),
-    )
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     n_servers=st.integers(min_value=4, max_value=30),
     base_seed=st.integers(min_value=0, max_value=2**31),
     index=st.integers(min_value=0, max_value=10**6),
-    intra=_dists(),
-    cross=_dists(),
+    intra=dists(),
+    cross=dists(),
 )
 def test_generate_topology_matches_scalar_draws(n_servers, base_seed, index, intra, cross):
     cfg = GenConfig(n_servers=n_servers, replica_counts=counts(1, 1, 1, 1),
@@ -198,6 +193,38 @@ def test_generate_topology_matches_scalar_draws(n_servers, base_seed, index, int
     assert topo.delay.tobytes() == delay.tobytes()
     assert topo.cpu == cpu.tolist() and topo.mem == mem.tolist()
     assert {type(c) for c in topo.cpu + topo.mem} == {float}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_servers=st.integers(min_value=3, max_value=40),
+    base_seed=st.integers(min_value=0, max_value=2**31),
+    index=st.integers(min_value=0, max_value=10**6),
+    intra=dists(),
+    cross=dists(),
+    capacity=dists(),
+)
+def test_generate_topology_matches_the_per_call_groupby(n_servers, base_seed, index, intra,
+                                                        cross, capacity):
+    cfg = gen_settings(n_servers, intra_tier_delay=intra, cross_tier_delay=cross,
+                       cpu_capacity=capacity, base_seed=base_seed)
+    topo = netmodel.generate_topology(cfg, index)
+    cpu, mem, delay = reference_groupby_generate_topology(cfg, index)
+    assert topo.delay.tobytes() == delay.tobytes()
+    assert np.array(topo.cpu + topo.mem).tobytes() == np.array(cpu + mem).tobytes()
+
+
+def test_pair_layout_is_shared_and_read_only():
+    rows, cols, runs = netmodel.pair_layout(15)
+    assert netmodel.pair_layout(15)[0] is rows
+    with pytest.raises(ValueError):
+        rows[0] = 1
+    with pytest.raises(ValueError):
+        cols[0] = 1
+    # the runs tile the pairs and alternate between intra-tier and cross-tier
+    assert [a for a, _, _ in runs] == [0] + [b for _, b, _ in runs[:-1]]
+    assert runs[-1][1] == len(rows) == 105
+    assert all(x[2] != y[2] for x, y in zip(runs, runs[1:]))
 
 
 def test_normal_dist_clipped_at_zero():
@@ -242,6 +269,23 @@ def test_failed_write_keeps_previous_artifact(tmp_path):
         netmodel.save_csv(path, ["x"], ([1 / x] for x in (1, 0)))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(),
+    st.sampled_from([1e16, 1e-05, 5e-324, -0.0, sys.float_info.max, 2**63 - 1, 10**30]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(_CELLS, min_size=1, max_size=6), max_size=5))
+@example(rows=[])
+def test_save_csv_writes_what_csv_writer_writes(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "save_csv_property.csv"
+    header = ["inst0_cpu_demand", "delay_0_1", "label_inst0"]
+    netmodel.save_csv(path, header, iter(rows))
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header] + rows)
+    assert path.read_bytes() == buf.getvalue().encode()
 
 
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
