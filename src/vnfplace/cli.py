@@ -69,12 +69,13 @@ def _paths(cfg: RunConfig) -> dict[str, str]:
 
 def _remove_outputs(cfg: RunConfig, keys, written=()) -> None:
     """Delete the artifacts named by ``keys``, so that none is left to
-    describe a run that fails before it writes its own. If one of them, or an
-    artifact that ``written`` names, is a directory, raise ConfigError naming
-    it and delete nothing."""
+    describe a run that fails before it writes its own. If one of them, an
+    artifact that ``written`` names or the schema sidecar of a dataset it
+    names is a directory, raise ConfigError naming it and delete nothing."""
     paths = _paths(cfg)
     doomed = [paths[key] for key in keys]
-    for path in doomed + [paths[key] for key in written]:
+    sidecars = [features.schema_path(paths[key]) for key in ("train", "test") if key in written]
+    for path in doomed + [paths[key] for key in written] + sidecars:
         if os.path.isdir(path):
             raise netmodel.ConfigError(f"output path {path} is a directory")
     for path in doomed:
@@ -92,15 +93,14 @@ CHUNK = 16  # topologies per task that ``generate`` hands a worker process
 
 
 def _gen_one(args) -> tuple[netmodel.Topology, netmodel.SfcSpec,
-                            placer.TeacherPlacement | None, dict | None]:
+                            placer.TeacherPlacement | None]:
     gen_cfg, index, budget = args
     topo = netmodel.generate_topology(gen_cfg, index)
     sfc = netmodel.build_sfc(gen_cfg, index)
     try:
-        p = placer.place_teacher(topo, sfc, budget=budget)
+        return topo, sfc, placer.place_teacher(topo, sfc, budget=budget)
     except placer.InfeasiblePlacement:
-        return topo, sfc, None, None
-    return topo, sfc, p, placer.placement_row(index, topo, sfc, p)
+        return topo, sfc, None
 
 
 def cmd_generate(cfg: RunConfig, workers: int) -> None:
@@ -124,17 +124,14 @@ def cmd_generate(cfg: RunConfig, workers: int) -> None:
     else:
         done = [_gen_one(w) for w in work]
 
-    topologies = [d[0] for d in done]
-    sfcs = [d[1] for d in done]
-    teacher = [d[2] for d in done]
-    rows = [d[3] for d in done if d[3] is not None]
-    n_infeasible = n - len(rows)
+    topologies, sfcs, teacher = ([d[k] for d in done] for k in range(3))
+    feasible = [i for i, p in enumerate(teacher) if p is not None]
+    n_infeasible = n - len(feasible)
     if n and n_infeasible / n > cfg.max_infeasible_fraction:
         raise netmodel.PipelineError(
             f"{n_infeasible}/{n} topologies had no feasible placement "
             f"(tolerated fraction {cfg.max_infeasible_fraction})")
 
-    feasible = [r["index"] for r in rows]
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(len(feasible))
     n_test = max(1, int(round(len(feasible) * cfg.test_fraction)))
@@ -145,7 +142,15 @@ def cmd_generate(cfg: RunConfig, workers: int) -> None:
             f"{len(feasible)} feasible topologies leave the train or test "
             f"split empty (train={len(train_idx)}, test={len(test_idx)})")
 
-    netmodel.save_json(rows, paths["placements"])
+    found = [teacher[i] for i in feasible]
+    valid, _, cp_delays = placer.score([topologies[i] for i in feasible],
+                                       [sfcs[i] for i in feasible], [p.servers for p in found])
+    netmodel.save_json([
+        {"index": i, "assignment": {str(k): s for k, s in enumerate(p.servers)},
+         "valid": v, "cp_delays": cp, "teacher_nodes": p.nodes,
+         "budget_exhausted": p.budget_exhausted}
+        for i, p, v, cp in zip(feasible, found, valid.tolist(), cp_delays.tolist())],
+        paths["placements"])
     netmodel.save_json({"train": train_idx, "test": test_idx, "seed": cfg.seed,
                         "config_fingerprint": fingerprints(cfg.to_json()).generate},
                        paths["split"])
@@ -155,11 +160,10 @@ def cmd_generate(cfg: RunConfig, workers: int) -> None:
                                      for i in idx])
         features.save_dataset(ds, paths[name])
 
-    valid = sum(1 for r in rows if r["valid"])
-    _log(f"teacher placements: {valid}/{len(rows)} valid, "
+    _log(f"teacher placements: {int(valid.sum())}/{len(feasible)} valid, "
          f"{n_infeasible} infeasible; train={len(train_idx)} test={len(test_idx)}; "
-         f"{sum(r['teacher_nodes'] for r in rows)} search nodes, budget exhausted on "
-         f"{sum(r['budget_exhausted'] for r in rows)} rows")
+         f"{sum(p.nodes for p in found)} search nodes, budget exhausted on "
+         f"{sum(p.budget_exhausted for p in found)} rows")
 
 
 def _check_fingerprint(doc: dict, expected: str, path: str, stage: str, fields) -> None:

@@ -2,9 +2,10 @@
 
 Each strategy gives one placement per test row: a sequence of server ids
 indexed by instance id, such as a label row of ``test.csv`` (the teacher's)
-or a tree's predicted one. ``evaluate_strategy`` validates each and keeps
-its per-path and per-pair delays as one array row, NaN where the placement
-is invalid (invalid rows are excluded from delay aggregates). Every chain of
+or a tree's predicted one. ``evaluate_strategy`` scores them all with one
+``placer.score`` call, which validates each and keeps its per-pair and
+per-path delays as one row of two tables, NaN where the placement is
+invalid (invalid rows are excluded from delay aggregates). Every chain of
 a configuration has the same paths and pairs, so the comparison takes the
 (row, path) cells of the rows valid for every strategy with one mask. Those
 cells feed the win table, where a cell goes to the strategy with strictly
@@ -22,19 +23,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import ConfigError, SfcSpec, Topology, chain_structure, server_delay
-from .placer import Placement, path_delays, validate_placement
+from .netmodel import ConfigError, SfcSpec, Topology
+from .placer import Placement, score
 
 
 @dataclass
 class StrategyResult:
-    """One strategy's scores: ``valid`` is a per-row bool mask, ``cp_delays``
-    (rows × paths) and ``pair_delays`` (rows × pairs) are NaN on invalid rows."""
+    """One strategy's scores, as ``placer.score`` returns them: ``valid`` is a
+    per-row bool mask, ``pair_delays`` (rows × pairs) and ``cp_delays``
+    (rows × paths) are NaN on invalid rows."""
 
     name: str
     valid: np.ndarray
-    cp_delays: np.ndarray
     pair_delays: np.ndarray
+    cp_delays: np.ndarray
 
     @property
     def ip_rate(self) -> float:
@@ -46,16 +48,7 @@ class StrategyResult:
 def evaluate_strategy(name: str, topologies: list[Topology], sfcs: list[SfcSpec],
                       placements: list[Placement]) -> StrategyResult:
     """Validate and score one strategy's placement of each test row."""
-    n = len(placements)
-    _, pairs, paths = chain_structure(sfcs[0].counts) if sfcs else ((), (), ())
-    valid = np.zeros(n, dtype=bool)
-    cp, pair = np.full((n, len(paths)), np.nan), np.full((n, len(pairs)), np.nan)
-    for r, (topo, sfc, p) in enumerate(zip(topologies, sfcs, placements, strict=True)):
-        if validate_placement(topo, sfc, p).valid:
-            valid[r] = True
-            cp[r] = path_delays(topo, p, sfc)
-            pair[r] = [server_delay(topo, p[a], p[b]) for a, b, _ in pairs]
-    return StrategyResult(name, valid, cp, pair)
+    return StrategyResult(name, *score(topologies, sfcs, placements))
 
 
 def _mean(delays: np.ndarray, valid: np.ndarray) -> float | None:

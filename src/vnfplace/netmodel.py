@@ -164,14 +164,6 @@ class Topology:
         return len(self.cpu)
 
 
-def server_delay(topo: Topology, a: int, b: int) -> float:
-    """Delay in microseconds between servers a and b (0 on the diagonal)."""
-    n = topo.n_servers
-    if not (0 <= a < n and 0 <= b < n):
-        raise IndexError(f"server index out of range: ({a}, {b}) for {n} servers")
-    return float(topo.delay[a, b])
-
-
 class ChainStructure(NamedTuple):
     """What every chain with the same replica counts shares: ``layers[k]``,
     the id range of the k-th chain type; ``pairs``, each dependent (upstream,

@@ -20,19 +20,25 @@ row a dataset stores as labels and a tree predicts. The validator checks
 that it names one server per instance, capacity, per-pair delay tolerance
 and anti-location (replicas of one type on distinct servers); it enforces
 the dependency constraint through the per-pair tolerance check (see
-``validate_placement``). The search, the validator and the path delays
-walk the layers, dependent pairs and paths of ``netmodel.chain_structure``,
+``validate_placement``). The search, the validator and the delays walk
+the layers, dependent pairs and paths of ``netmodel.chain_structure``,
 which every chain with the same replica counts shares.
+
+``score`` is every stage's one measure of a batch of placements: it
+validates each row and reads the valid rows' ``delays`` per dependent pair
+and per path in one gather; ``avg_cp_delay`` is a row's mean path delay.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress
 
-from .netmodel import SfcSpec, Topology, chain_structure, server_delay
+import numpy as np
 
-ComputationalPath = tuple[int, ...]
+from .netmodel import SfcSpec, Topology, chain_structure
+
 #: The server id of each instance, indexed by instance id: a dataset label row.
 Placement = Sequence[int]
 
@@ -57,23 +63,27 @@ class ValidationReport:
     violations: list[tuple[str, tuple]] = field(default_factory=list)
 
 
-def cp_delay(topo: Topology, p: Placement, cp: ComputationalPath) -> float:
-    """Sum of inter-server delays over the adjacent hops of one path."""
-    total = 0.0
-    for a, b in zip(cp, cp[1:]):
-        total += server_delay(topo, p[a], p[b])
-    return total
+def delays(topos: Sequence[Topology], placements, counts: tuple[int, ...]
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """(rows × pairs, rows × paths): the delay of each dependent pair and path
+    of ``chain_structure(counts)`` where ``placements[r]``, in-range server ids,
+    places row r's chain on ``topos[r]`` (one row or more). One gather reads the
+    pairs from each row's own matrix; a path adds its hops' columns in order, as
+    a loop does (``ndarray.sum`` adds more than 8 terms pairwise)."""
+    _, pairs, paths = chain_structure(counts)
+    p = np.array(placements, dtype=np.intp).reshape(len(placements), sum(counts))
+    d = np.stack([t.delay for t, _ in zip(topos, p, strict=True)])
+    rows = np.arange(len(p))[:, None]
+    up, down, _ = np.array(pairs).T
+    ends = np.array(paths).T  # the instance at each chain position, by path
+    return (d[rows, p[:, up], p[:, down]],
+            sum(d[rows, p[:, a], p[:, b]] for a, b in zip(ends, ends[1:])))
 
 
-def path_delays(topo: Topology, p: Placement, sfc: SfcSpec) -> list[float]:
-    """Delay of every computational path, in ``chain_structure`` order."""
-    return [cp_delay(topo, p, cp) for cp in chain_structure(sfc.counts).paths]
-
-
-def avg_cp_delay(topo: Topology, p: Placement, sfc: SfcSpec) -> float:
-    """Arithmetic mean of path delay over all computational paths."""
-    delays = path_delays(topo, p, sfc)
-    return sum(delays) / len(delays)
+def avg_cp_delay(cp_delays: np.ndarray) -> np.ndarray:
+    """Each row's arithmetic mean over a (rows × paths) table: its columns
+    added in order, then divided by the path count."""
+    return sum(cp_delays.T) / cp_delays.shape[1]
 
 
 def validate_placement(topo: Topology, sfc: SfcSpec, p: Placement) -> ValidationReport:
@@ -106,7 +116,7 @@ def validate_placement(topo: Topology, sfc: SfcSpec, p: Placement) -> Validation
     # (2) delay tolerance over every dependent pair (inclusive bound)
     layers, pairs, _ = chain_structure(sfc.counts)
     for a, b, k in pairs:
-        if server_delay(topo, p[a], p[b]) > sfc.tolerance[k]:
+        if topo.delay[p[a], p[b]] > sfc.tolerance[k]:
             violations.append(("delay_tolerance", (a, b)))
 
     # (3) anti-location: same-type replicas on distinct servers
@@ -215,16 +225,17 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
     return TeacherPlacement(best_assignment, nodes, exhausted)
 
 
-# ---------------------------------------------------------------------------
-# Persistence
-
-
-def placement_row(index: int, topo: Topology, sfc: SfcSpec, p: TeacherPlacement) -> dict:
-    return {
-        "index": index,
-        "assignment": {str(i): s for i, s in enumerate(p.servers)},
-        "valid": validate_placement(topo, sfc, p.servers).valid,
-        "cp_delays": path_delays(topo, p.servers, sfc),
-        "teacher_nodes": p.nodes,
-        "budget_exhausted": p.budget_exhausted,
-    }
+def score(topos: Sequence[Topology], sfcs: Sequence[SfcSpec], placements
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate each row's placement on its topology and chain and take the
+    ``delays`` of the valid ones: (valid mask, rows × pairs, rows × paths),
+    the tables NaN on invalid rows. Every chain has the replica counts of
+    the first; with no rows the tables have no columns either."""
+    valid = np.array([validate_placement(t, s, p).valid
+                      for t, s, p in zip(topos, sfcs, placements, strict=True)], dtype=bool)
+    columns = chain_structure(sfcs[0].counts)[1:] if len(valid) else ((), ())
+    pair, path = (np.full((len(valid), len(c)), np.nan) for c in columns)
+    if valid.any():
+        pair[valid], path[valid] = delays(list(compress(topos, valid)),
+                                          list(compress(placements, valid)), sfcs[0].counts)
+    return valid, pair, path

@@ -2,9 +2,10 @@
 
 The objective for a candidate max depth h is, per cross-validation fold:
 take the depth-h prediction of every validation row from the fold tree's
-one walk, validate each predicted placement against its own topology, and
-combine the mean per-path delay of the valid predictions with a logarithmic
-penalty of 1000 * log2(ip + 1) on the invalid count. The reported value is
+one walk, score the fold's predicted placements in one ``placer.score``
+call (each validated against its own topology), and combine the mean
+``avg_cp_delay`` of the valid predictions with a logarithmic penalty of
+1000 * log2(ip + 1) on the invalid count. The reported value is
 the mean over folds, next to the invalid rate over all validation rows. A
 fold with zero valid predictions contributes a data-scaled delay ceiling
 instead of an undefined mean: the 99th percentile, over the training rows,
@@ -21,7 +22,7 @@ import numpy as np
 from .config import PsoParams
 from .features import Dataset, FoldSplit
 from .netmodel import SfcSpec, Topology
-from .placer import avg_cp_delay, validate_placement
+from .placer import avg_cp_delay, delays, score
 
 
 def reg_term(ip: int) -> float:
@@ -59,10 +60,11 @@ def percentile_99(values) -> float:
 
 def make_context(topologies, sfcs, labels) -> EvalContext:
     """The context of dataset rows, given each row's topology, chain and
-    label placement (the teacher's): the delay ceiling is the 99th
-    percentile of the placements' ``avg_cp_delay``."""
-    return EvalContext(list(topologies), list(sfcs), percentile_99(
-        [avg_cp_delay(t, p, s) for t, s, p in zip(topologies, sfcs, labels, strict=True)]))
+    label placement (the teacher's, which ``generate`` validated): the delay
+    ceiling is the 99th percentile of the placements' ``avg_cp_delay``."""
+    topologies, sfcs = list(topologies), list(sfcs)
+    _, paths = delays(topologies, labels, sfcs[0].counts)
+    return EvalContext(topologies, sfcs, percentile_99(avg_cp_delay(paths)))
 
 
 def fold_results(
@@ -88,16 +90,12 @@ def fold_results(
     total_ip = 0
     objectives = []
     for (_, val_idx), levels in zip(folds.folds, preds, strict=True):
-        ip = 0
-        delays = []
-        for row, p in zip(val_idx, levels[min(h, len(levels) - 1)].tolist()):
-            topo = ctx.topologies[row]
-            sfc = ctx.sfcs[row]
-            if validate_placement(topo, sfc, p).valid:
-                delays.append(avg_cp_delay(topo, p, sfc))
-            else:
-                ip += 1
-        avg = float(np.mean(delays)) if delays else ctx.delay_ceiling
+        valid, _, paths = score([ctx.topologies[r] for r in val_idx],
+                                [ctx.sfcs[r] for r in val_idx],
+                                levels[min(h, len(levels) - 1)].tolist())
+        ip = len(valid) - int(valid.sum())
+        avg = (float(np.mean(avg_cp_delay(paths[valid]))) if valid.any()
+               else ctx.delay_ceiling)
         total_ip += ip
         objectives.append(avg + reg_term(ip))
     return total_ip / sum(len(v) for _, v in folds.folds), float(np.mean(objectives))

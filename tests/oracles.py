@@ -42,6 +42,32 @@ def total_pair_delay(topo, p, sfc):
                if types[b] == types[a] + 1)
 
 
+def reference_cp_delay(topo, p, cp):
+    """Sum of inter-server delays over the adjacent hops of one path, added
+    hop by hop."""
+    total = 0.0
+    for a, b in zip(cp, cp[1:]):
+        total += float(topo.delay[p[a], p[b]])
+    return total
+
+
+def reference_path_delays(topo, p, sfc):
+    """Delay of every computational path, in ``chain_structure`` order."""
+    return [reference_cp_delay(topo, p, cp)
+            for cp in netmodel.chain_structure(sfc.counts).paths]
+
+
+def reference_avg_cp_delay(topo, p, sfc):
+    """Arithmetic mean of path delay over all computational paths, the path
+    delays added in order (from Python 3.12 on, ``sum`` of floats is
+    compensated and would not be)."""
+    total = 0.0
+    delays = reference_path_delays(topo, p, sfc)
+    for d in delays:
+        total += d
+    return total / len(delays)
+
+
 def brute_force_placement(topo, sfc):
     """Exhaustive search over all server assignments.
 

@@ -206,7 +206,8 @@ def _refuses_output_directory(tmp_path, capsys, stage, name):
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == before
 
 
-@pytest.mark.parametrize("name", ["comparison.json", "placements.json"])
+@pytest.mark.parametrize("name", ["comparison.json", "placements.json",
+                                  "train.schema.json", "test.schema.json"])
 def test_cli_generate_output_path_that_is_a_directory_exits_2(tmp_path, monkeypatch,
                                                                capsys, name):
     monkeypatch.chdir(tmp_path)
@@ -300,10 +301,11 @@ def test_cli_zero_tolerance_is_infeasible_not_a_crash(tmp_path, monkeypatch, cap
 
 
 def test_cli_optimize_teacher_ceiling_is_avg_cp_delay(tmp_path, monkeypatch):
-    """Each training row's teacher delay is ``placer.avg_cp_delay``, the mean
-    that scores the tree's predictions. With 36 paths numpy's pairwise
-    ``np.mean`` differs from it in the last bits on some rows."""
-    from vnfplace import placer, swarm
+    """Each training row's teacher delay is the mean that scores the tree's
+    predictions, its path delays added in order. With 36 paths numpy's
+    pairwise ``np.mean`` differs from it in the last bits on some rows."""
+    from oracles import reference_avg_cp_delay, reference_path_delays
+    from vnfplace import swarm
 
     class Captured(Exception):
         pass
@@ -324,8 +326,40 @@ def test_cli_optimize_teacher_ceiling_is_avg_cp_delay(tmp_path, monkeypatch):
     cfg = load_run_config(path)
     ds, topos, sfcs = cli._load_split(cfg, "train", _fingerprints(cfg).generate)
     rows = list(zip(topos, ds.labels.tolist(), sfcs))
-    assert teacher_avg == [placer.avg_cp_delay(*row) for row in rows]
-    assert teacher_avg != [float(np.mean(placer.path_delays(*row))) for row in rows]
+    assert list(teacher_avg) == [reference_avg_cp_delay(*row) for row in rows]
+    assert list(teacher_avg) != [float(np.mean(reference_path_delays(*row))) for row in rows]
+
+
+def test_cli_validates_each_scored_placement_once(tmp_path, monkeypatch):
+    """generate, optimize and compare validate each generated teacher row,
+    each validation row of every ``fold_results`` call and each test row of
+    the three compared strategies once, and make no other validation: the
+    count that the benchmark checks under its tracer."""
+    from vnfplace import pipeline, placer
+
+    validations, fold_rows = [0], [0]
+    validate, fold_results = placer.validate_placement, pipeline.fold_results
+
+    def counted_validate(*args):
+        validations[0] += 1
+        return validate(*args)
+
+    def counted_fold_results(h, ds, ctx, folds, preds):
+        fold_rows[0] += sum(len(v) for _, v in folds.folds)
+        return fold_results(h, ds, ctx, folds, preds)
+
+    monkeypatch.setattr(placer, "validate_placement", counted_validate)
+    monkeypatch.setattr(pipeline, "fold_results", counted_fold_results)
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path / "cfg.json", quick_config(n_topologies=40))
+    for stage in ("generate", "optimize", "compare"):
+        assert _run(stage, "--config", path, "--workers", "1") == 0
+    with open(tmp_path / "out" / "placements.json", encoding="utf-8") as fh:
+        generated = len(json.load(fh))
+    with open(tmp_path / "out" / "split.json", encoding="utf-8") as fh:
+        test_rows = len(json.load(fh)["test"])
+    assert fold_rows[0] > 0
+    assert validations[0] == fold_rows[0] + generated + 3 * test_rows
 
 
 def test_cli_generate_without_a_train_and_test_row_exits_3(tmp_path, monkeypatch):

@@ -13,8 +13,8 @@ def _result(name, rows):
     the pair delays; every list has the same length."""
     width = max(len(r) for r in rows if r is not None)
     delays = np.array([[np.nan] * width if r is None else r for r in rows], dtype=float)
-    return StrategyResult(name, np.array([r is not None for r in rows]), delays,
-                          delays.copy())
+    return StrategyResult(name, np.array([r is not None for r in rows]),
+                          pair_delays=delays.copy(), cp_delays=delays)
 
 
 def _differences(a, b):
@@ -170,10 +170,11 @@ def test_report_means_by_path_and_pair():
     its valid rows, null where it has none."""
     a = _result("A", [[1.0, 5.0], None, [4.0, 8.0]])
     b = _result("B", [[2.0, 4.0], [6.0, 6.0], [3.0, 1.0]])
-    none = StrategyResult("C", np.zeros(3, dtype=bool), np.full((3, 2), np.nan),
-                          np.full((3, 3), np.nan))
-    four = StrategyResult("D", np.array([True, False, True]), a.cp_delays,
-                          np.array([[1.0, 2.0, 3.0], [np.nan] * 3, [4.0, 6.0, 9.0]]))
+    none = StrategyResult("C", np.zeros(3, dtype=bool), cp_delays=np.full((3, 2), np.nan),
+                          pair_delays=np.full((3, 3), np.nan))
+    four = StrategyResult("D", np.array([True, False, True]), cp_delays=a.cp_delays,
+                          pair_delays=np.array([[1.0, 2.0, 3.0], [np.nan] * 3,
+                                                [4.0, 6.0, 9.0]]))
     strategies = evaluation.comparison_report([a, b, none, four])["strategies"]
     by_path = [s["mean_cp_delay_by_path"] for s in strategies]
     by_pair = [s["mean_pair_delay_by_pair"] for s in strategies]

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import counts, dists, gen_settings, line_topology
+from conftest import counts, dists, gen_settings, line_topology, simple_sfc
 from oracles import (
     reference_chain_structure, reference_generate_topology, reference_groupby_generate_topology,
 )
-from vnfplace import netmodel
+from vnfplace import netmodel, placer
 from vnfplace.netmodel import ConfigError, Dist, GenConfig, Tier, VnfType
 
 
@@ -130,12 +130,15 @@ def test_chain_structure_matches_grouped_ids_property(replicas):
 
 
 def test_server_delay_reads_matrix():
+    """A dependent pair's delay is the topology's matrix entry for the two
+    servers: zero on one server, the same both ways, and a server id out of
+    range is an IndexError."""
     topo = line_topology([100.0, 250.0, 50.0])
-    assert netmodel.server_delay(topo, 3, 3) == 0
-    assert netmodel.server_delay(topo, 1, 2) == netmodel.server_delay(topo, 2, 1)
-    assert netmodel.server_delay(topo, 0, 2) == 350.0
+    chain = simple_sfc().counts
+    pairs, _ = placer.delays([topo] * 3, [[3, 3, 3, 3], [1, 2, 1, 2], [0, 2, 0, 2]], chain)
+    assert pairs.tolist() == [[0.0] * 3, [250.0] * 3, [350.0] * 3]
     with pytest.raises(IndexError):
-        netmodel.server_delay(topo, 0, 9)
+        placer.delays([topo], [[0, 9, 0, 9]], chain)
 
 
 @pytest.mark.parametrize("entries", [

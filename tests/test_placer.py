@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -8,12 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REPO_ROOT, garbage_after, line_topology, simple_sfc, tiny_config
+from conftest import (
+    DESK_CONFIG_PATH, REPO_ROOT, counts, garbage_after, line_topology, simple_sfc, tiny_config,
+)
 from oracles import (
-    brute_force_placement, reference_place_teacher, reference_valid, total_pair_delay,
+    brute_force_placement, reference_avg_cp_delay, reference_chain_structure,
+    reference_cp_delay, reference_path_delays, reference_place_teacher, reference_valid,
+    total_pair_delay,
 )
 from vnfplace import netmodel, placer
-from vnfplace.netmodel import Dist, chain_structure
+from vnfplace.netmodel import Dist, GenConfig, chain_structure, config_from_json
 from vnfplace.placer import InfeasiblePlacement
 
 
@@ -36,24 +41,26 @@ def test_chain_structure_order_is_lexicographic():
 def test_cp_delay_sums_hops():
     topo = line_topology([100.0, 200.0, 300.0])
     sfc = simple_sfc()
-    p = [0, 1, 2, 3]
+    placements = [[0, 1, 2, 3], [1, 1, 1, 1]]  # the second co-locates every instance
+    _, paths = placer.delays([topo, topo], placements, sfc.counts)
+    assert paths.tolist() == [[600.0], [0.0]]
     (cp,) = chain_structure(sfc.counts).paths
-    assert placer.cp_delay(topo, p, cp) == 600.0
-    co = [1, 1, 1, 1]
-    assert placer.cp_delay(topo, co, cp) == 0.0
+    assert [reference_cp_delay(topo, p, cp) for p in placements] == [600.0, 0.0]
 
 
 def test_cp_delay_matches_independent_recompute():
+    """Each row's pair and path delays, from one gather over a batch of
+    topologies, are those read from its own topology one by one."""
     cfg = tiny_config(seed=11, n_servers=6, replicas=(1, 2, 2, 1))
-    topo = netmodel.generate_topology(cfg, 0)
+    topos = [netmodel.generate_topology(cfg, i) for i in range(5)]
     sfc = netmodel.build_sfc(cfg, 0)
     rng = np.random.default_rng(3)
-    p = [int(rng.integers(0, 6)) for _ in range(sfc.n_instances)]
-    for cp in chain_structure(sfc.counts).paths:
-        expected = sum(
-            topo.delay[p[a], p[b]] for a, b in zip(cp, cp[1:])
-        )
-        assert placer.cp_delay(topo, p, cp) == pytest.approx(expected, abs=0)
+    placements = rng.integers(0, 6, size=(5, sfc.n_instances)).tolist()
+    pairs, paths = placer.delays(topos, placements, sfc.counts)
+    for topo, p, pair_row, path_row in zip(topos, placements, pairs, paths):
+        assert pair_row.tolist() == [topo.delay[p[a], p[b]]
+                                     for a, b, _ in chain_structure(sfc.counts).pairs]
+        assert path_row.tolist() == reference_path_delays(topo, p, sfc)
 
 
 def test_avg_cp_delay_is_mean():
@@ -61,14 +68,16 @@ def test_avg_cp_delay_is_mean():
     topo = line_topology([100.0, 100.0, 100.0, 100.0, 100.0])
     sfc = simple_sfc((1, 2, 2, 1))
     p = [0, 1, 2, 3, 4, 5]
-    cps = chain_structure(sfc.counts).paths
-    delays = [placer.cp_delay(topo, p, cp) for cp in cps]
-    assert placer.avg_cp_delay(topo, p, sfc) == pytest.approx(np.mean(delays), abs=0)
+    _, paths = placer.delays([topo], [p], sfc.counts)
+    assert placer.avg_cp_delay(paths).tolist() == [reference_avg_cp_delay(topo, p, sfc)]
+    assert placer.avg_cp_delay(paths)[0] == pytest.approx(
+        np.mean(reference_path_delays(topo, p, sfc)), abs=0)
 
     one_cp = simple_sfc((1, 1, 1, 1))
     q = [0, 2, 3, 5]
     (cp,) = chain_structure(one_cp.counts).paths
-    assert placer.avg_cp_delay(topo, q, one_cp) == placer.cp_delay(topo, q, cp)
+    _, paths = placer.delays([topo], [q], one_cp.counts)
+    assert placer.avg_cp_delay(paths).tolist() == [reference_cp_delay(topo, q, cp)]
 
 
 def test_teacher_output_is_valid(small_batch):
@@ -135,6 +144,70 @@ def test_validator_matches_four_family_reference_property(desk_gen_config, index
         labels[pos] = server
     p = labels
     assert placer.validate_placement(topo, sfc, p).valid == reference_valid(topo, sfc, p)
+
+
+@functools.cache
+def _tight_snapshot(replicas, index):
+    """Snapshot ``index`` of the desk geometry with ``replicas`` and binding
+    tolerances U(100, 300) us: its topology, chain and teacher labels
+    (0, 1, ... where the teacher finds none)."""
+    with open(DESK_CONFIG_PATH, encoding="utf-8") as fh:
+        cfg = config_from_json(GenConfig, json.load(fh)["gen"], "gen")
+    cfg = dataclasses.replace(cfg, replica_counts=counts(*replicas),
+                              tolerance=Dist("uniform", 100.0, 300.0))
+    topo, sfc = netmodel.generate_topology(cfg, index), netmodel.build_sfc(cfg, index)
+    try:
+        return topo, sfc, placer.place_teacher(topo, sfc).servers
+    except InfeasiblePlacement:
+        return topo, sfc, tuple(range(sfc.n_instances))
+
+
+# Each row is a snapshot's teacher labels with up to three (position, server
+# id) changes, which break capacity (desk servers hold two instances),
+# tolerance or anti-location, or name server -1 or 15 (desk has 15), and with
+# one label cut off or appended. A heavy batch demands more cpu than any
+# server has, so no row is valid; a batch may also have no rows.
+@settings(max_examples=200, deadline=None)
+@given(replicas=st.sampled_from([(1, 2, 2, 1), (2, 3, 3, 2)]),
+       rows=st.lists(st.tuples(st.integers(0, 29),
+                               st.lists(st.tuples(st.integers(0, 9), st.integers(-1, 15)),
+                                        max_size=3),
+                               st.sampled_from([0, 0, 0, -1, 1])), max_size=6),
+       heavy=st.booleans())
+def test_score_matches_validator_and_reference_delays_property(replicas, rows, heavy):
+    """``score`` is ``validate_placement`` per row plus the per-row reference
+    delays of the valid rows, NaN on the others, bit for bit; and
+    ``avg_cp_delay`` of its valid rows is ``reference_avg_cp_delay``. With 36
+    paths, a pairwise sum over the path columns differs from it."""
+    topos, sfcs, placements = [], [], []
+    for index, changes, extra in rows:
+        topo, sfc, labels = _tight_snapshot(replicas, index)
+        p = list(labels)
+        for pos, server in changes:
+            p[pos % len(p)] = server
+        topos.append(topo)
+        sfcs.append(dataclasses.replace(sfc, cpu_demand=[1e9] * sfc.n_instances)
+                    if heavy else sfc)
+        placements.append(p[:extra] if extra < 0 else p + [0] * extra)
+
+    valid, pair, path = placer.score(topos, sfcs, placements)
+    ok = [placer.validate_placement(t, s, p).valid
+          for t, s, p in zip(topos, sfcs, placements)]
+    _, pairs, paths = reference_chain_structure(replicas) if rows else ((), (), ())
+    want_pair = np.array([[float(t.delay[p[a], p[b]]) for a, b, _ in pairs] if v
+                          else [np.nan] * len(pairs)
+                          for t, p, v in zip(topos, placements, ok)]
+                         ).reshape(len(rows), len(pairs))
+    want_path = np.array([reference_path_delays(t, p, s) if v else [np.nan] * len(paths)
+                          for t, s, p, v in zip(topos, sfcs, placements, ok)]
+                         ).reshape(len(rows), len(paths))
+    want_avg = np.array([reference_avg_cp_delay(t, p, s)
+                         for t, s, p, v in zip(topos, sfcs, placements, ok) if v])
+    assert valid.dtype == bool and valid.tolist() == ok
+    assert pair.shape == want_pair.shape and pair.tobytes() == want_pair.tobytes()
+    assert path.shape == want_path.shape and path.tobytes() == want_path.tobytes()
+    if rows:  # without rows the tables have no path columns to average
+        assert placer.avg_cp_delay(path[valid]).tobytes() == want_avg.tobytes()
 
 
 def test_teacher_on_fully_feasible_instance():

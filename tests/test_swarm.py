@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_avg_cp_delay, reference_cp_delay
 from vnfplace import features, pipeline, placer, swarm
 from vnfplace import tree as tree_mod
 from vnfplace.config import PsoParams
@@ -41,15 +42,15 @@ def test_placement_from_labels_by_id_order(small_batch):
     topo, sfc = topos[0], sfcs[0]
     labels = [3, 1, 4, 1, 5, 9]
     assert sfc.n_instances == len(labels)
-    for cp in chain_structure(sfc.counts).paths:
-        assert placer.cp_delay(topo, labels, cp) == sum(
-            topo.delay[labels[a], labels[b]] for a, b in zip(cp, cp[1:]))
+    _, paths = placer.delays([topo], [labels], sfc.counts)
+    assert paths[0].tolist() == [reference_cp_delay(topo, labels, cp)
+                                 for cp in chain_structure(sfc.counts).paths]
 
 
 def test_make_context_ceiling_is_percentile(small_batch):
     _, topos, sfcs, placements = small_batch
     ctx = swarm.make_context(topos, sfcs, placements)
-    delays = [placer.avg_cp_delay(t, p, s) for t, s, p in zip(topos, sfcs, placements)]
+    delays = [reference_avg_cp_delay(t, p, s) for t, s, p in zip(topos, sfcs, placements)]
     assert ctx.delay_ceiling == pytest.approx(np.percentile(delays, 99), abs=0)
 
 
@@ -87,7 +88,7 @@ def reference_fold_results(h, ds, ctx, folds):
         for row, labels in zip(val_idx, pred):
             p = [int(s) for s in labels]
             if placer.validate_placement(ctx.topologies[row], ctx.sfcs[row], p).valid:
-                delays.append(placer.avg_cp_delay(ctx.topologies[row], p, ctx.sfcs[row]))
+                delays.append(reference_avg_cp_delay(ctx.topologies[row], p, ctx.sfcs[row]))
             else:
                 ip += 1
         avg = float(np.mean(delays)) if delays else ctx.delay_ceiling
