@@ -18,8 +18,8 @@ with the same config and seed are byte-identical.
 ``optimize`` and ``compare`` refuse artifacts generated under others. The
 models carry one of the split's fingerprint plus the settings ``optimize``
 read, and ``compare`` refuses models optimized under others or on another
-feature width. A dataset row whose features differ from those of its
-regenerated topology and chain is refused too. Before it can fail,
+feature width or label count. A dataset row whose features differ from
+those of its regenerated topology and chain is refused too. Before it can fail,
 ``generate`` and ``optimize`` remove everything ``optimize`` and ``compare``
 write, and ``compare`` removes what it writes, so that no artifact is left to
 describe inputs that have since changed.
@@ -30,9 +30,9 @@ that is a directory), 3 ``PipelineError`` (data that admit no result), 4
 ``ArtifactError`` (an upstream artifact that is missing, cannot be read, does
 not parse, lacks what the stage reads, holds a non-finite feature, a label
 that is not a server id, a row that does not regenerate or a model whose
-nodes ``predict`` cannot walk, or was generated under other settings; the
-message names the file). Stages raise where they find a failure, and
-``main`` alone turns each error type into its code.
+nodes are not one tree in level order, or was generated under other
+settings; the message names the file). Stages raise where they find a
+failure, and ``main`` alone turns each error type into its code.
 """
 
 from __future__ import annotations
@@ -254,10 +254,11 @@ def cmd_compare(cfg: RunConfig, workers: int) -> None:
             model = tree.DecisionTree.from_json(doc)
             _check_fingerprint(doc, fingerprint.optimize, paths[key], "optimize",
                                OPTIMIZE_FIELDS + GENERATE_FIELDS)
-            if model.n_features != ds.n_features:
+            if (model.n_features, model.n_outputs) != (ds.n_features, ds.n_outputs):
                 raise netmodel.ArtifactError(
-                    f"{paths[key]} was fitted on {model.n_features} features but "
-                    f"{paths['test']} holds {ds.n_features}; rerun optimize")
+                    f"{paths[key]} was fitted on {model.n_features} features and "
+                    f"{model.n_outputs} labels per row but {paths['test']} holds "
+                    f"{ds.n_features} and {ds.n_outputs}; rerun optimize")
             return model
         return netmodel.load_json(_require(paths[key]), build)
 

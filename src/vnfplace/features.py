@@ -55,11 +55,6 @@ def feature_matrix(topos: list[Topology], sfcs: list[SfcSpec]) -> np.ndarray:
     return X
 
 
-def extract_features(topo: Topology, sfc: SfcSpec) -> np.ndarray:
-    """One snapshot's feature vector: the one-row case of ``feature_matrix``."""
-    return feature_matrix([topo], [sfc])[0]
-
-
 @dataclass
 class Dataset:
     """Feature matrix with multi-output server labels (one column per instance)."""

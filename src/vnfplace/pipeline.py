@@ -4,15 +4,15 @@ Every stage reads one per-depth table of cross-validated (invalid rate,
 objective) pairs. Each fold tree is fitted once, unbounded, and walked once
 over its fold's validation rows; the walk's level h holds the depth-h
 predictions, those of its truncation at h, which is the depth-h fit. A
-fold tree stops changing beyond its natural depth, so the table is
-computed once per depth from the lower search bound up to the deepest fold
-tree (or the upper bound, if that is lower), and every deeper depth reads
-that last entry.
+fold tree stops changing beyond its natural depth, so the whole table is
+constant beyond the deepest fold tree, and it holds only the depths from
+the lower search bound up to that tree's depth (or the upper bound, if that
+is lower; at least two depths, the interval PSO needs).
 
 Stage 1 reads the per-depth invalid-rate and full delay-plus-penalty
-objective curves over the initial depth bounds, and runs PSO on that
-objective over the same bounds; the exact curve grades PSO's depth by its
-regret, the objective there minus the curve's minimum. Stage 2 detects the
+objective curves over the table's depths, and runs PSO on that objective
+over the same interval; the exact curve grades PSO's depth by its regret,
+the objective there minus the curve's minimum. Stage 2 detects the
 functional range (below-threshold plus steady state) from the invalid-rate
 curve and picks the depth minimizing the objective over it, with a plateau
 rule preferring the smallest depth within a relative epsilon of the minimum.
@@ -33,15 +33,14 @@ from .swarm import EvalContext, fold_results, pso_minimize
 def depth_table(ds: Dataset, ctx: EvalContext, folds: FoldSplit,
                 trees: list[tree_mod.DecisionTree], lo: int, hi: int
                 ) -> dict[int, tuple[float, float]]:
-    """(invalid rate, objective) for every depth in [lo, hi] from one walk
-    of each fold's unbounded tree over that fold's validation rows, computing
-    each distinct entry once: every depth beyond the deepest fold tree shares
-    that depth's entry."""
+    """(invalid rate, objective) for every depth in [lo, max(lo + 1, min(hi,
+    deepest fold tree))] from one walk of each fold's unbounded tree over that
+    fold's validation rows. Every depth in [lo, hi] beyond that interval would
+    read its last entry."""
     preds = [t.majority[t.descend(ds.features[val_idx])]
              for t, (_, val_idx) in zip(trees, folds.folds, strict=True)]
-    top = min(max(max(t.tree_depth() for t in trees), lo), hi)
-    computed = {h: fold_results(h, ds, ctx, folds, preds) for h in range(lo, top + 1)}
-    return {h: computed[min(h, top)] for h in range(lo, hi + 1)}
+    top = max(lo + 1, min(hi, max(t.tree_depth() for t in trees)))
+    return {h: fold_results(h, ds, ctx, folds, preds) for h in range(lo, top + 1)}
 
 
 def stage1(table: dict[int, tuple[float, float]], pso_params: PsoParams
@@ -151,9 +150,7 @@ def run_pipeline(ds: Dataset, ctx: EvalContext, folds: FoldSplit,
             "regret": regret,
             "trace": trace,
             "fold_depths": [t.tree_depth() for t in trees],
-            # depth_table computes one entry per depth, shared beyond the
-            # deepest tree
-            "distinct_depths": len({id(res) for res in table.values()}),
+            "distinct_depths": len(table),
         },
         "functional_range": list(frange),
         "stage2": {"curve": _by_depth(s2_curve)},

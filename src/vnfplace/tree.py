@@ -29,7 +29,7 @@ may depend on where a sort puts NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,16 +41,34 @@ _TIE_TOL = 1e-12
 
 @dataclass
 class DecisionTree:
+    """A CART in level order: the j-th internal node's children are nodes
+    2j + 1 (left) and 2j + 2 (right), so ``left``, ``right`` and ``depth``
+    follow from ``feature``, and are derived when the tree is built."""
+
     n_features: int
     n_outputs: int
     classes: list[np.ndarray]  # observed label alphabet per output
     feature: np.ndarray  # split feature per node, -1 at leaves
     threshold: np.ndarray  # split threshold per node, nan at leaves
-    left: np.ndarray  # child indices, -1 at leaves
-    right: np.ndarray
-    depth: np.ndarray  # node depth, root = 0
     majority: np.ndarray  # (n_nodes, n_outputs) per-output majority label
     max_depth_fit: int
+    left: np.ndarray = field(init=False)  # child indices, -1 at leaves
+    right: np.ndarray = field(init=False)
+    depth: np.ndarray = field(init=False)  # node depth, root = 0
+
+    def __post_init__(self):
+        internal = self.feature >= 0
+        self.left = np.full(len(internal), -1)
+        self.left[internal] = np.arange(1, 2 * internal.sum(), 2)
+        self.right = np.where(internal, self.left + 1, -1)
+        # The levels up to k + 1 are the root and two children per internal
+        # node of the levels up to k: each level ends where those children do.
+        before = np.cumsum(internal)
+        ends = [1]
+        while ends[-1] < len(internal) and \
+                (end := 1 + 2 * int(before[ends[-1] - 1])) > ends[-1]:
+            ends.append(end)
+        self.depth = np.searchsorted(ends, np.arange(len(internal)), side="right")
 
     def node_count(self) -> int:
         return len(self.feature)
@@ -89,27 +107,20 @@ class DecisionTree:
         """The CART grown on the same rows with this depth limit.
 
         CART grows top-down and a depth limit only stops growth, so the
-        shallower tree is this one with the nodes below ``max_depth`` dropped
-        and the nodes at ``max_depth`` turned into leaves. The kept nodes keep
-        their relative order, so any node order ``from_json`` accepts stays
-        valid: ``fit``'s level order, whose kept nodes are a prefix, and
-        pre-order alike.
+        shallower tree is the prefix of nodes at depth ``max_depth`` or above,
+        with those at ``max_depth`` turned into leaves.
         """
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        keep = self.depth <= max_depth
-        new_index = np.cumsum(keep) - 1
-        leaf = (self.feature[keep] < 0) | (self.depth[keep] == max_depth)
+        kept = int(np.searchsorted(self.depth, max_depth, side="right"))
+        leaf = self.depth[:kept] == max_depth
         return DecisionTree(
             n_features=self.n_features,
             n_outputs=self.n_outputs,
             classes=self.classes,
-            feature=np.where(leaf, -1, self.feature[keep]),
-            threshold=np.where(leaf, np.nan, self.threshold[keep]),
-            left=np.where(leaf, -1, new_index[self.left[keep]]),
-            right=np.where(leaf, -1, new_index[self.right[keep]]),
-            depth=self.depth[keep],
-            majority=self.majority[keep],
+            feature=np.where(leaf, -1, self.feature[:kept]),
+            threshold=np.where(leaf, np.nan, self.threshold[:kept]),
+            majority=self.majority[:kept],
             max_depth_fit=max_depth,
         )
 
@@ -137,58 +148,56 @@ class DecisionTree:
         """The tree ``to_json`` wrote. A node structure that ``predict`` could
         not walk, or that ``to_json`` does not write, raises ValueError: an
         ``n_features``, ``n_outputs``, ``max_depth_fit`` or class label that
-        is not an integer; no node; a root not at depth 0; an internal node
-        whose children are not later nodes one level deeper, or whose
-        threshold is not a finite number; nodes that are not one tree (a node
-        other than the root that is not the child of exactly one node); a
-        leaf with a child or a threshold; a feature, child, depth or label
-        that is not an integer; a feature below -1 or not below
-        ``n_features``; a majority row of other than ``n_outputs`` labels."""
+        is not an integer; no node; a feature, child, depth or label that is
+        not an integer; a feature below -1 or not below ``n_features``; a
+        majority row of other than ``n_outputs`` labels; a leaf with a
+        threshold, or an internal node without a finite one; nodes that are
+        not one tree in level order (other than 2k + 1 nodes of which k are
+        internal, the j-th internal node not before node 2j + 1); a stored
+        ``left``, ``right`` or ``depth`` other than the derived one, as in a
+        model stored in pre-order, before ``fit`` stored its level order."""
         labels = [v for c in d["classes"] for v in c]
         if any(type(v) is not int
                for v in [d["n_features"], d["n_outputs"], d["max_depth_fit"], *labels]):
             raise ValueError("n_features, n_outputs, max_depth_fit and class labels "
                              "are integers")
         nodes = d["nodes"]
-        for n in nodes:
-            if any(type(v) is not int for v in [n["feature"], n["left"], n["right"],
-                                                n["depth"], *n["majority"]]) \
+        stored = [[n["left"], n["right"], n["depth"]] for n in nodes]
+        for n, links in zip(nodes, stored):
+            if any(type(v) is not int for v in [n["feature"], *links, *n["majority"]]) \
                     or type(n["threshold"]) not in (int, float, type(None)):
                 raise ValueError("node features, children, depths and labels are "
                                  "integers, thresholds numbers or null")
+        if not nodes:
+            raise ValueError("a tree needs a root node")
         t = DecisionTree(
             n_features=d["n_features"],
             n_outputs=d["n_outputs"],
             classes=[np.array(c, dtype=int) for c in d["classes"]],
             feature=np.array([n["feature"] for n in nodes], dtype=int),
             threshold=np.array([n["threshold"] for n in nodes], dtype=float),  # null: nan
-            left=np.array([n["left"] for n in nodes], dtype=int),
-            right=np.array([n["right"] for n in nodes], dtype=int),
-            depth=np.array([n["depth"] for n in nodes], dtype=int),
             majority=np.array([n["majority"] for n in nodes], dtype=int),
             max_depth_fit=d["max_depth_fit"],
         )
-        if not nodes or t.depth[0] != 0:
-            raise ValueError("a tree needs a root node at depth 0")
         if ((t.feature < -1) | (t.feature >= t.n_features)).any():
             raise ValueError(f"node features must be -1 or below {t.n_features}")
         if t.majority.shape != (len(nodes), t.n_outputs):
             raise ValueError(f"every node needs {t.n_outputs} majority labels")
-        leaf = t.feature < 0
-        if (t.left[leaf] != -1).any() or (t.right[leaf] != -1).any() \
-                or not np.isnan(t.threshold[leaf]).all():
-            raise ValueError("a leaf has -1 children and a null threshold")
-        node = np.flatnonzero(~leaf)
-        if not np.isfinite(t.threshold[node]).all():
+        if not np.isnan(t.threshold[t.feature < 0]).all():
+            raise ValueError("a leaf has a null threshold")
+        internal = np.flatnonzero(t.feature >= 0)
+        if not np.isfinite(t.threshold[internal]).all():
             raise ValueError("an internal node's threshold is a finite number")
-        for child in (t.left[node], t.right[node]):
-            if ((child <= node) | (child >= len(nodes))).any() \
-                    or (t.depth[child] != t.depth[node] + 1).any():
-                raise ValueError("an internal node's children are later nodes "
-                                 "one level deeper")
-        if not np.array_equal(np.sort(np.concatenate((t.left[node], t.right[node]))),
-                              np.arange(1, len(nodes))):
-            raise ValueError("every node but the root is the child of exactly one node")
+        k = len(internal)
+        if len(nodes) != 2 * k + 1 or (internal >= np.arange(1, 2 * k, 2)).any():
+            raise ValueError(f"{len(nodes)} nodes, {k} of them internal, are not one tree "
+                             "in level order: 2k + 1 nodes, the j-th internal node "
+                             "before node 2j + 1")
+        derived = np.column_stack((t.left, t.right, t.depth)).tolist()
+        for i, (got, want) in enumerate(zip(stored, derived)):
+            if got != want:
+                raise ValueError(f"node {i} is not in level order: its left, right and "
+                                 f"depth are {got}, not {want}; rerun optimize")
         return t
 
 
@@ -366,14 +375,7 @@ def fit(X: np.ndarray, Y: np.ndarray) -> DecisionTree:
         by_child = np.sort((child[order] << bits) | np.arange(order.shape[1]), axis=1)
         order = np.take_along_axis(order, by_child[:, :sizes.sum()] & ((1 << bits) - 1),
                                    axis=1)
-    depth = np.repeat(np.arange(len(feature)), [len(f) for f in feature])
-    feature = np.concatenate(feature)
-    # After the root, nodes are children, two per split node and in the order
-    # of their parents: the j-th split node's are nodes 2j + 1 and 2j + 2.
-    left = np.full(len(feature), -1)
-    left[feature >= 0] = np.arange(1, len(feature), 2)
-    return DecisionTree(n_features=nf, n_outputs=n_out, classes=classes, feature=feature,
-                        threshold=np.concatenate(threshold), left=left,
-                        right=np.where(left < 0, -1, left + 1), depth=depth,
+    return DecisionTree(n_features=nf, n_outputs=n_out, classes=classes,
+                        feature=np.concatenate(feature), threshold=np.concatenate(threshold),
                         majority=np.concatenate(majority),
                         max_depth_fit=n)  # n rows grow at most n - 1 deep

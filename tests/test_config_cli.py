@@ -11,7 +11,8 @@ import pytest
 
 from dataclasses import replace
 
-from vnfplace import cli, config, netmodel
+from oracles import level_order, reference_fit
+from vnfplace import cli, config, features, netmodel
 from vnfplace.config import (
     GENERATE_FIELDS, OPTIMIZE_FIELDS, RunConfig, fingerprints, load_run_config,
     run_config_from_json,
@@ -544,6 +545,25 @@ def _widen_model(text):
     return json.dumps(dict(doc, n_features=doc["n_features"] + 6))
 
 
+def _drop_outputs(text):
+    """Keep the first five of the model's outputs, as if it were fitted on
+    chains of five instances; the fingerprint stays."""
+    doc = json.loads(text)
+    for node in doc["nodes"]:
+        node["majority"] = node["majority"][:5]
+    return json.dumps(dict(doc, n_outputs=5, classes=doc["classes"][:5]))
+
+
+def _preorder(text):
+    """The depth-3 tree of ``tests/oracles.py``'s reference fit on the
+    model's own ``train.csv``, stored in the pre-order that models had before
+    ``fit`` stored its level order; the fingerprint stays."""
+    ds = features.load_dataset("out/train.csv")
+    doc = reference_fit(ds.features, ds.labels, 3)
+    assert level_order(doc) != doc
+    return json.dumps(dict(doc, config_fingerprint=json.loads(text)["config_fingerprint"]))
+
+
 def _set_root_left(value):
     """Point the root's left child at node ``value``; the fingerprint stays."""
     def edit(text):
@@ -613,9 +633,12 @@ def _shift_delay(row):
                  id="test.csv-compare-row-missing"),
     # a hand-edited node structure: a cycle back to the root, a missing node
     pytest.param("model_optimized.json", "compare", _set_root_left(0),
-                 "children are later nodes", id="model_optimized.json-compare-root-cycle"),
+                 "not in level order", id="model_optimized.json-compare-root-cycle"),
     pytest.param("model_optimized.json", "compare", _set_root_left(9999),
-                 "children are later nodes", id="model_optimized.json-compare-root-dangling"),
+                 "not in level order", id="model_optimized.json-compare-root-dangling"),
+    # a model stored in pre-order, before fit stored its level order
+    pytest.param("model_optimized.json", "compare", _preorder, "not in level order",
+                 id="model_optimized.json-compare-preorder"),
     # a node that to_json never writes
     pytest.param("model_optimized.json", "compare", _set_raw(["nodes", 0, "threshold"], "null"),
                  "is malformed", id="model_optimized.json-compare-null-threshold"),
@@ -629,6 +652,9 @@ def _shift_delay(row):
     # fitted on the wider feature rows of an earlier version
     pytest.param("model_optimized.json", "compare", _widen_model, "rerun optimize",
                  id="model_optimized.json-compare-other-width"),
+    # a model of fewer outputs than the chains have instances
+    pytest.param("model_optimized.json", "compare", _drop_outputs, "5 labels per row",
+                 id="model_optimized.json-compare-fewer-outputs"),
     pytest.param("train.csv", "optimize", _set_first_label(-1), "is not a server id",
                  id="train.csv-optimize-label-out-of-range"),
     pytest.param("test.csv", "compare", _set_first_label(99), "is not a server id",

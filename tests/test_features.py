@@ -29,8 +29,8 @@ def test_feature_width_formula(n_servers, n_instances):
 
 def test_extract_features_deterministic(small_batch):
     cfg, topos, sfcs, _ = small_batch
-    a = features.extract_features(topos[0], sfcs[0])
-    b = features.extract_features(topos[0], sfcs[0])
+    a = features.feature_matrix([topos[0]], [sfcs[0]])[0]
+    b = features.feature_matrix([topos[0]], [sfcs[0]])[0]
     assert np.array_equal(a, b)
     assert a.size == 150
 
@@ -38,7 +38,7 @@ def test_extract_features_deterministic(small_batch):
 def test_zero_delay_matrix_gives_zero_delay_features():
     topo = line_topology([0.0, 0.0, 0.0])
     sfc = simple_sfc()
-    vec = features.extract_features(topo, sfc)
+    vec = features.feature_matrix([topo], [sfc])[0]
     names = features.feature_names(4, 4)
     delay_idx = [i for i, n in enumerate(names) if n.startswith("delay_")]
     assert len(delay_idx) == 6
@@ -48,7 +48,7 @@ def test_zero_delay_matrix_gives_zero_delay_features():
 def test_feature_values_match_sources(small_batch):
     cfg, topos, sfcs, _ = small_batch
     topo, sfc = topos[2], sfcs[2]
-    vec = features.extract_features(topo, sfc)
+    vec = features.feature_matrix([topo], [sfc])[0]
     names = features.feature_names(15, 6)
     col = {n: i for i, n in enumerate(names)}
     assert vec[col["inst0_cpu_demand"]] == sfc.cpu_demand[0]
@@ -74,7 +74,7 @@ def test_feature_matrix_matches_the_per_row_reference(n_servers, base_seed, indi
     topos, sfcs = netmodel.load_batch(cfg, indices)
     expected = np.array([reference_extract_features(t, s) for t, s in zip(topos, sfcs)])
     assert features.feature_matrix(topos, sfcs).tobytes() == expected.tobytes()
-    assert features.extract_features(topos[-1], sfcs[-1]).tobytes() == expected[-1].tobytes()
+    assert features.feature_matrix(topos[-1:], sfcs[-1:]).tobytes() == expected[-1:].tobytes()
 
 
 def test_build_dataset_labels_match_teacher(small_batch):

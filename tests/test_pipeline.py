@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings
+from hypothesis import strategies as st
 
 from conftest import line_topology, simple_sfc
 from vnfplace import features, pipeline, swarm, tree
@@ -122,11 +124,8 @@ def _hopeless_problem():
     topo = line_topology([10.0, 10.0, 10.0, 10.0, 10.0])
     sfc = simple_sfc(cpu=1000.0)
     rng = np.random.default_rng(0)
-    rows = []
-    for _ in range(12):
-        X = features.extract_features(topo, sfc)
-        rows.append(X + rng.normal(0, 1e-6, X.size))
-    Xm = np.array(rows)
+    X = features.feature_matrix([topo], [sfc])[0]
+    Xm = np.array([X + rng.normal(0, 1e-6, X.size) for _ in range(12)])
     Y = rng.integers(0, 6, size=(12, 4))
     ds = features.Dataset(Xm, Y.astype(int),
                           features.feature_names(6, 4),
@@ -156,10 +155,12 @@ def test_full_pipeline_on_small_batch(small_dataset):
     table = pipeline.depth_table(ds, ctx, folds, trees, *settings.initial_bounds)
     a1, a2 = report["functional_range"]
     lo, hi = settings.initial_bounds
-    assert lo <= a1 <= a2 <= hi
+    top = max(lo + 1, min(hi, max(t.tree_depth() for t in trees)))
+    assert lo <= a1 <= a2 <= top
     curve = report["stage1"]["curve"]
-    assert set(curve) == {str(h) for h in range(lo, hi + 1)}
-    assert len(report["stage1"]["fold_depths"]) == 5
+    assert set(curve) == {str(h) for h in range(lo, top + 1)} == {str(h) for h in table}
+    assert lo <= report["stage1"]["best_h"] <= top
+    assert report["stage1"]["fold_depths"] == [t.tree_depth() for t in trees]
     h_star = report["h_star"]
     assert model.to_json() == tree.fit(ds.features, ds.labels).truncate(h_star).to_json()
     assert a1 <= h_star <= a2
@@ -218,6 +219,42 @@ def test_report_counts_the_distinct_depths_evaluated(small_dataset, monkeypatch,
     settings = PipelineSettings(error_threshold=1.0, initial_bounds=bounds)
     report, _, _ = pipeline.run_pipeline(ds, ctx, folds, PsoParams(seed=7), settings)
     lo, hi = bounds
-    expected = min(max(max(report["stage1"]["fold_depths"]), lo), hi) - lo + 1
+    expected = max(lo + 1, min(hi, max(report["stage1"]["fold_depths"]))) - lo + 1
     assert report["stage1"]["distinct_depths"] == expected == len(set(depths))
+    assert sorted(depths) == list(range(lo, lo + expected))
+    assert sorted(report["stage1"]["curve"], key=int) == [str(h) for h in sorted(depths)]
     assert len(depths) == len(set(depths))
+
+
+def _depth_choice(table, settings):
+    """a1 and h* of a depth table, or the PipelineError's message."""
+    curve = {h: rate for h, (rate, _) in table.items()}
+    try:
+        frange = detect_functional_range(curve, settings.error_threshold,
+                                         settings.steady_window)
+    except PipelineError as e:
+        return str(e).split(" at depths")[0]
+    h_star, _ = stage2(frange, {h: obj for h, (_, obj) in table.items()}, settings)
+    return frange[0], h_star
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(lo=st.integers(1, 6), span=st.integers(1, 30), deepest=st.integers(0, 40),
+       window=st.integers(1, 12), data=st.data())
+def test_clamped_table_picks_the_depth_of_the_padded_one_property(lo, span, deepest,
+                                                                  window, data):
+    """A table that stops at the deepest fold tree (at least two depths), as
+    ``depth_table``'s does, and the same table padded to the upper bound with
+    copies of its last entry give the same a1 and h*, or fail alike. Rates
+    and objectives come from few values, so ties, plateaus and never-reached
+    thresholds all occur."""
+    hi = lo + span
+    last = max(lo, min(hi, deepest))  # the deepest depth whose entry can differ
+    entries = data.draw(st.lists(
+        st.tuples(st.sampled_from([0.0, 0.05, 0.075, 0.1, 0.5]),
+                  st.sampled_from([100.0, 100.05, 101.0, 150.0, 2000.0])),
+        min_size=last - lo + 1, max_size=last - lo + 1))
+    entry = {h: entries[min(h, last) - lo] for h in range(lo, hi + 1)}
+    clamped = {h: entry[h] for h in range(lo, max(lo + 1, last) + 1)}
+    settings = PipelineSettings(steady_window=window, initial_bounds=(lo, hi))
+    assert _depth_choice(clamped, settings) == _depth_choice(entry, settings)

@@ -120,9 +120,9 @@ def test_fold_results_against_manual_recompute(small_dataset):
 
 
 def test_depth_table_matches_fresh_fits(small_dataset):
-    """Every depth in [lo, D_max + 5] reads exactly what fresh fits truncated
-    at depth h give, including the depths past the deepest fold tree that
-    share its entry, also when lo itself lies past it."""
+    """The table holds exactly the depths [lo, max(lo + 1, min(hi, D_max))],
+    each what fresh fits truncated at depth h give, also when lo itself lies
+    past the deepest fold tree, and when hi lies below it."""
     ds, ctx = small_dataset
     n = 48  # a slice keeps the fresh fits at every depth quick
     ds = dataclasses.replace(ds, features=ds.features[:n], labels=ds.labels[:n])
@@ -130,11 +130,11 @@ def test_depth_table_matches_fresh_fits(small_dataset):
     folds = features.kfold(ds, 3, seed=5)
     trees = unbounded_fold_trees(ds, folds)
     d_max = max(t.tree_depth() for t in trees)
-    hi = d_max + 5
-    expected = {h: reference_fold_results(h, ds, ctx, folds) for h in range(2, hi + 1)}
-    for lo in (2, d_max + 2):
+    expected = {h: reference_fold_results(h, ds, ctx, folds) for h in range(2, d_max + 4)}
+    for lo, hi, top in [(2, d_max + 5, d_max), (d_max + 2, d_max + 5, d_max + 3),
+                        (2, d_max - 1, d_max - 1)]:
         table = pipeline.depth_table(ds, ctx, folds, trees, lo, hi)
-        assert table == {h: expected[h] for h in range(lo, hi + 1)}
+        assert table == {h: expected[h] for h in range(lo, top + 1)}
 
 
 def test_invalid_rate_bounds_and_decrease(small_dataset):

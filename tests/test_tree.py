@@ -164,13 +164,21 @@ def _first_leaf(doc):
     return next(n for n in doc["nodes"] if n["feature"] < 0)
 
 
+def _own_child(doc):
+    """A leaf root and an internal node 1 that names nodes 1 and 2 as its
+    children: internal node 0 of a level order, but after node 1."""
+    leaf, inner = _first_leaf(doc), doc["nodes"][0]
+    doc["nodes"] = [dict(leaf, depth=0), dict(inner, left=1, right=2, depth=1),
+                    dict(leaf, depth=1)]
+
+
 @pytest.mark.parametrize("edit, says", [
     (lambda d: d.update(nodes=[]), "root node"),
-    (lambda d: d["nodes"][0].update(depth=1), "root node"),
-    (lambda d: d["nodes"][0].update(left=0), "later nodes"),
-    (lambda d: d["nodes"][0].update(right=len(d["nodes"])), "later nodes"),
-    (lambda d: d["nodes"][d["nodes"][0]["left"]].update(depth=2), "later nodes"),
-    (lambda d: _first_leaf(d).update(left=0), "leaf"),
+    (lambda d: d["nodes"][0].update(depth=1), "level order"),
+    (lambda d: d["nodes"][0].update(left=0), "level order"),
+    (lambda d: d["nodes"][0].update(right=len(d["nodes"])), "level order"),
+    (lambda d: d["nodes"][d["nodes"][0]["left"]].update(depth=2), "level order"),
+    (lambda d: _first_leaf(d).update(left=0), "level order"),
     (lambda d: _first_leaf(d).update(threshold=0.5), "leaf"),
     (lambda d: d["nodes"][0].update(feature=d["n_features"]), "features"),
     (lambda d: d["nodes"][0].update(feature=-2), "features"),
@@ -185,23 +193,40 @@ def _first_leaf(doc):
     (lambda d: d.update(max_depth_fit=d["max_depth_fit"] - 0.1), "max_depth_fit"),
     (lambda d: d["classes"][0].__setitem__(0, 2.5), "class labels"),
     (lambda d: d.update(n_outputs=True), "n_outputs"),
-    (lambda d: d["nodes"].append(dict(_first_leaf(d))), "exactly one"),
-    (lambda d: d["nodes"][1].update(right=5), "exactly one"),
+    (lambda d: d["nodes"].append(dict(_first_leaf(d))), "level order"),
+    (lambda d: d["nodes"][1].update(right=5), "level order"),
+    (_own_child, "before node 2j"),
 ], ids=["no-node", "root-depth", "cycle", "dangling", "skipped-level", "leaf-child",
         "leaf-threshold", "wide-feature", "negative-feature", "short-majority",
         "null-threshold", "infinite-threshold", "string-threshold", "float-feature",
         "float-child", "float-label", "float-n-features", "float-max-depth",
-        "float-class", "bool-n-outputs", "unreachable-node", "two-parents"])
+        "float-class", "bool-n-outputs", "unreachable-node", "two-parents", "own-child"])
 def test_from_json_rejects_a_broken_node_structure(edit, says):
     """A saved tree that ``predict`` could not walk to a leaf, or whose node
-    count or top-level numbers are not those ``to_json`` writes, is refused.
-    In the fitted tree, nodes 1 and 2 are internal at depth 1, with children
-    3 and 4 and children 5 and 6 at depth 2."""
+    count, links or top-level numbers are not those ``to_json`` writes in
+    level order, is refused. In the fitted tree, nodes 1 and 2 are internal at
+    depth 1, with children 3 and 4 and children 5 and 6 at depth 2."""
     X, Y = random_problem(np.random.default_rng(31), n=70, nf=4, n_out=3)
     doc = tree.fit(X, Y).truncate(6).to_json()
     edit(doc)
     with pytest.raises(ValueError, match=says):
         DecisionTree.from_json(doc)
+
+
+def test_from_json_refuses_a_preorder_model():
+    """A model stored in pre-order, as ``fit`` stored them before it grew level
+    by level, is refused; the same tree in level order loads, and predicts
+    what the fit truncated at its depth predicts."""
+    rng = np.random.default_rng(31)
+    X, Y = random_problem(rng, n=70, nf=4, n_out=3)
+    Xq = np.vstack([X, rng.normal(size=(30, 4)).round(2)])
+    for h in (2, 4, 6):
+        doc = reference_fit(X, Y, h)
+        assert level_order(doc) != doc
+        with pytest.raises(ValueError, match="level order"):
+            DecisionTree.from_json(doc)
+        back = DecisionTree.from_json(level_order(doc))
+        assert np.array_equal(back.predict(Xq), tree.fit(X, Y).truncate(h).predict(Xq))
 
 
 def test_fit_input_validation():
@@ -351,16 +376,21 @@ def test_fit_matches_reference_property(problem):
     """The one-pass split search grows exactly the tree of the per-feature,
     per-output reference scan: truncated at every depth up to one past the
     natural one, it is the reference's depth-limited fit in level order. The
-    reference's deepest tree, read back in its pre-order, truncates to the
-    same trees."""
+    reference's deepest tree, read back in level order, truncates to the
+    same trees; read back in its pre-order, it is refused unless the two
+    orders coincide."""
     X, Y = problem
     full = tree.fit(X, Y)
     natural = full.tree_depth()
-    preorder = DecisionTree.from_json(reference_fit(X, Y, natural + 1))
+    deepest = reference_fit(X, Y, natural + 1)
+    if level_order(deepest) != deepest:
+        with pytest.raises(ValueError, match="level order"):
+            DecisionTree.from_json(deepest)
+    back = DecisionTree.from_json(level_order(deepest))
     for h in range(1, natural + 2):
         want = level_order(reference_fit(X, Y, h))
         assert full.truncate(h).to_json() == want
-        assert level_order(preorder.truncate(h).to_json()) == want
+        assert back.truncate(h).to_json() == want
 
 
 @st.composite
