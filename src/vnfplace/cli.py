@@ -40,7 +40,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -305,12 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_seed(cfg: RunConfig, seed: int) -> RunConfig:
-    return replace(
-        cfg,
-        seed=seed,
-        gen=replace(cfg.gen, base_seed=seed),
-        pso=replace(cfg.pso, seed=seed),
-    )
+    return cfg.replace(seed=seed, gen=cfg.gen.replace(base_seed=seed),
+                       pso=cfg.pso.replace(seed=seed))
 
 
 def main(argv=None) -> int:

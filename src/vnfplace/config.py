@@ -1,35 +1,30 @@
 """Run configuration: one JSON file drives every CLI command.
 
-The JSON keys of each section are exactly the fields of its dataclass
-(``RunConfig``, ``GenConfig``, ``Dist``, ``PsoParams``, ``PipelineSettings``),
-and an absent key takes the field's default, so the defaults live only in
-those dataclasses. Every section is defined here except ``GenConfig`` and
-``Dist``, which ``netmodel``'s generators use; so this module imports only
-``netmodel``, and loading a config loads no stage layer.
-``netmodel.config_from_json`` reads a document by the field types and rejects
-anything else with ``ConfigError``.
+The JSON keys of each section (``RunConfig``, ``GenConfig``, ``Dist``,
+``PsoParams``, ``PipelineSettings``) are exactly the fields its class
+declares once, in ``FIELDS``, with their types and defaults (see
+``netmodel.Section``), and an absent key takes the field's default, so the
+defaults live only in those declarations. Every section is defined here
+except ``GenConfig`` and ``Dist``, which ``netmodel``'s generators use; so
+this module imports only ``netmodel``, and loading a config loads no stage
+layer. ``netmodel.config_from_json`` reads a document by the declared types
+and rejects anything else with ``ConfigError``; ``to_json`` writes it back.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .netmodel import ConfigError, GenConfig, config_from_json, config_to_json
+from .netmodel import ConfigError, GenConfig, Section, config_from_json
 
 
-@dataclass(frozen=True)
-class PsoParams:
-    swarm_size: int = 10
-    iterations: int = 30
-    inertia: float = 0.7
-    cognitive: float = 1.5
-    social: float = 1.5
-    seed: int = 0
+class PsoParams(Section):
+    FIELDS = (("swarm_size", int, 10), ("iterations", int, 30), ("inertia", float, 0.7),
+              ("cognitive", float, 1.5), ("social", float, 1.5), ("seed", int, 0))
 
-    def __post_init__(self):
+    def _check(self):
         if self.swarm_size < 2:
             raise ConfigError("swarm_size must be >= 2")
         if self.iterations < 1:
@@ -42,14 +37,11 @@ class PsoParams:
             raise ConfigError("seed must be >= 0")
 
 
-@dataclass(frozen=True)
-class PipelineSettings:
-    error_threshold: float = 0.075
-    steady_window: int = 10
-    plateau_epsilon: float = 0.001
-    initial_bounds: tuple[int, int] = (2, 100)
+class PipelineSettings(Section):
+    FIELDS = (("error_threshold", float, 0.075), ("steady_window", int, 10),
+              ("plateau_epsilon", float, 0.001), ("initial_bounds", (int, int), (2, 100)))
 
-    def __post_init__(self):
+    def _check(self):
         if not (0 < self.error_threshold <= 1):
             raise ConfigError("error_threshold must be in (0, 1]")
         if self.steady_window < 1:
@@ -61,21 +53,22 @@ class PipelineSettings:
             raise ConfigError("initial_bounds require 1 <= lo < hi")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    gen: GenConfig = field(default_factory=GenConfig)
-    folds: int = 5
-    pso: PsoParams = PsoParams()
-    pipeline: PipelineSettings = PipelineSettings()
-    baseline_depth: int = 100
-    test_fraction: float = 0.2
-    teacher_budget: int = 1000
-    max_infeasible_fraction: float = 0.0
-    histogram_bin_width_us: float = 5.0
-    output_dir: str = "out"
-    seed: int = 42
+class RunConfig(Section):
+    FIELDS = (
+        ("gen", GenConfig, GenConfig()),
+        ("folds", int, 5),
+        ("pso", PsoParams, PsoParams()),
+        ("pipeline", PipelineSettings, PipelineSettings()),
+        ("baseline_depth", int, 100),
+        ("test_fraction", float, 0.2),
+        ("teacher_budget", int, 1000),
+        ("max_infeasible_fraction", float, 0.0),
+        ("histogram_bin_width_us", float, 5.0),
+        ("output_dir", str, "out"),
+        ("seed", int, 42),
+    )
 
-    def __post_init__(self):
+    def _check(self):
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
         if not (0 < self.test_fraction < 1):
@@ -90,9 +83,6 @@ class RunConfig:
             raise ConfigError("histogram_bin_width_us must be > 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-
-    def to_json(self) -> dict:
-        return config_to_json(self)
 
 
 #: The RunConfig fields ``generate`` reads. The other sections (``pso``,

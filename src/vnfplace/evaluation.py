@@ -19,7 +19,7 @@ rows, in ``chain_structure`` order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from .netmodel import ConfigError, SfcSpec, Topology
 from .placer import Placement, score
 
 
-@dataclass
-class StrategyResult:
+class StrategyResult(NamedTuple):
     """One strategy's scores, as ``placer.score`` returns them: ``valid`` is a
     per-row bool mask, ``pair_delays`` (rows × pairs) and ``cp_delays``
     (rows × paths) are NaN on invalid rows."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,19 +55,18 @@ def feature_matrix(topos: list[Topology], sfcs: list[SfcSpec]) -> np.ndarray:
     return X
 
 
-@dataclass
 class Dataset:
-    """Feature matrix with multi-output server labels (one column per instance)."""
+    """Feature matrix with multi-output server labels (one column per instance):
+    ``features`` (n_samples, n_features) float, ``labels`` (n_samples,
+    n_instances) int."""
 
-    features: np.ndarray  # (n_samples, n_features) float
-    labels: np.ndarray  # (n_samples, n_instances) int
-    feature_cols: list[str]
-    label_cols: list[str]
-    n_servers: int
+    __slots__ = ("features", "labels", "feature_cols", "label_cols", "n_servers")
 
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+    def __init__(self, features: np.ndarray, labels: np.ndarray, feature_cols: list[str],
+                 label_cols: list[str], n_servers: int):
+        self.features = np.asarray(features, dtype=float)
+        self.labels = np.asarray(labels, dtype=int)
+        self.feature_cols, self.label_cols, self.n_servers = feature_cols, label_cols, n_servers
         if self.features.ndim != 2 or self.labels.ndim != 2:
             raise ValueError("features and labels must be 2-D")
         if self.features.shape[0] != self.labels.shape[0]:
@@ -103,8 +102,7 @@ def build_dataset(pairs: list[tuple[Topology, SfcSpec, Placement]]) -> Dataset:
                    feature_names(n, n_inst), [f"label_inst{i}" for i in range(n_inst)], n)
 
 
-@dataclass
-class FoldSplit:
+class FoldSplit(NamedTuple):
     folds: list[tuple[np.ndarray, np.ndarray]]  # (train indices, validation indices)
 
 

@@ -23,9 +23,8 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
-from typing import NamedTuple, get_args, get_origin, get_type_hints
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,10 +62,79 @@ class ConfigError(ValueError):
     """Invalid generation or run configuration."""
 
 
-def config_from_json(cls, doc, where: str):
-    """Build the config dataclass ``cls`` from the JSON object ``doc``.
+#: The default of a config field that every JSON object of its section must give.
+REQUIRED = object()
 
-    Each field of ``cls`` is one JSON key, read by its annotated type, and an
+
+class Section:
+    """A config section: an immutable record of the fields its class declares
+    once, in ``FIELDS``, as (name, type, default) triples. Each field is one
+    JSON key; a type is ``int``, ``float``, ``str``, ``ReplicaCounts``, a
+    tuple of types (a JSON list of as many values) or a section, and a
+    default of ``REQUIRED`` makes the key required. The constructor takes the
+    fields by position or keyword and runs ``_check``, so ``replace`` checks
+    its copy too. Sections of one class are equal, and hash equal, when their
+    values are."""
+
+    FIELDS: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        names = [name for name, _, _ in self.FIELDS]
+        unknown = sorted(set(kwargs) - set(names[len(args):]))
+        if len(args) > len(names) or unknown:
+            raise TypeError(f"{type(self).__name__} has the fields {names}, not "
+                            f"{len(args)} positional ones and {unknown}")
+        values = dict(zip(names, args), **kwargs)
+        for name, _, default in self.FIELDS:
+            if values.setdefault(name, default) is REQUIRED:
+                raise TypeError(f"{type(self).__name__} needs a value of {name}")
+        self.__dict__.update(values)
+        self._check()
+
+    def _check(self):
+        """Raise ConfigError unless the values make a valid section."""
+
+    def replace(self, **changes):
+        """A checked copy with the values of ``changes``."""
+        return type(self)(**{**self.__dict__, **changes})
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name, _, _ in self.FIELDS)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: use replace()")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        values = ", ".join(f"{name}={self.__dict__[name]!r}" for name, _, _ in self.FIELDS)
+        return f"{type(self).__name__}({values})"
+
+    def to_json(self) -> dict:
+        """The JSON object that ``config_from_json`` reads back as this section."""
+        return {name: _value_to_json(tp, self.__dict__[name]) for name, tp, _ in self.FIELDS}
+
+
+def _value_to_json(tp, v):
+    if isinstance(v, Section):
+        return v.to_json()
+    if tp is ReplicaCounts:
+        return {t.value: c for t, c in v}
+    return list(v) if isinstance(v, tuple) else v
+
+
+def config_from_json(cls, doc, where: str):
+    """Build the section ``cls`` from the JSON object ``doc``.
+
+    Each field of ``cls`` is one JSON key, read by its declared type, and an
     absent key takes the field's default. A non-object, an unknown or missing
     key, a value of the wrong JSON type, a number that is NaN or infinite, or
     a value ``cls`` rejects raises ConfigError naming the key path (``where``,
@@ -74,13 +142,13 @@ def config_from_json(cls, doc, where: str):
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    types = {name: tp for name, tp, _ in cls.FIELDS}
+    unknown = sorted(set(doc) - set(types))
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {unknown}")
-    for f in fields(cls):
-        if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{where}.{f.name} is required")
-    types = _field_types(cls)
+    for name, _, default in cls.FIELDS:
+        if name not in doc and default is REQUIRED:
+            raise ConfigError(f"{where}.{name} is required")
     kwargs = {k: _value_from_json(types[k], v, f"{where}.{k}") for k, v in doc.items()}
     try:
         return cls(**kwargs)
@@ -89,21 +157,20 @@ def config_from_json(cls, doc, where: str):
 
 
 def _value_from_json(tp, v, where: str):
-    if is_dataclass(tp):
-        return config_from_json(tp, v, where)
-    if tp == ReplicaCounts:
+    if tp is ReplicaCounts:
         if not isinstance(v, dict) or any(type(c) is not int for c in v.values()):
             raise ConfigError(f"{where} must map chain types to integer counts")
         try:
             return tuple((VnfType(t), c) for t, c in v.items())
         except ValueError as e:
             raise ConfigError(f"{where}: {e}") from None
-    if get_origin(tp) is tuple:
-        args = get_args(tp)
-        if not isinstance(v, list) or len(v) != len(args):
-            raise ConfigError(f"{where} must be a list of {len(args)} values")
+    if isinstance(tp, tuple):
+        if not isinstance(v, list) or len(v) != len(tp):
+            raise ConfigError(f"{where} must be a list of {len(tp)} values")
         return tuple(_value_from_json(a, x, f"{where}[{i}]")
-                     for i, (a, x) in enumerate(zip(args, v)))
+                     for i, (a, x) in enumerate(zip(tp, v)))
+    if issubclass(tp, Section):
+        return config_from_json(tp, v, where)
     if tp is float and type(v) in (int, float):
         if not abs(v) <= sys.float_info.max:  # NaN, an infinity or an int no float holds
             raise ConfigError(f"{where} must be a finite number, not {json.dumps(v)}")
@@ -113,40 +180,15 @@ def _value_from_json(tp, v, where: str):
     raise ConfigError(f"{where} must be of type {tp.__name__}, not {json.dumps(v)}")
 
 
-@functools.cache
-def _field_types(cls) -> dict:
-    """Each field's annotation of the dataclass ``cls``, resolved once: the
-    string annotations compile on every ``get_type_hints`` call."""
-    return get_type_hints(cls)
-
-
-def config_to_json(obj) -> dict:
-    """The JSON object that ``config_from_json`` reads back as ``obj``."""
-    types = _field_types(type(obj))
-    return {f.name: _value_to_json(types[f.name], getattr(obj, f.name))
-            for f in fields(obj)}
-
-
-def _value_to_json(tp, v):
-    if is_dataclass(v):
-        return config_to_json(v)
-    if tp == ReplicaCounts:
-        return {t.value: c for t, c in v}
-    return list(v) if isinstance(v, tuple) else v
-
-
-@dataclass
 class Topology:
     """Each server's cpu and mem capacity by server id, plus the servers'
     symmetric inter-server delay matrix (microseconds)."""
 
-    cpu: list[float]
-    mem: list[float]
-    delay: np.ndarray
+    __slots__ = ("cpu", "mem", "delay")
 
-    def __post_init__(self):
-        n = len(self.cpu)
-        self.delay = np.asarray(self.delay, dtype=float)
+    def __init__(self, cpu: list[float], mem: list[float], delay: np.ndarray):
+        self.cpu, self.mem, self.delay = cpu, mem, np.asarray(delay, dtype=float)
+        n = len(cpu)
         if len(self.mem) != n or self.delay.shape != (n, n):
             raise ValueError(f"{n} cpu capacities, {len(self.mem)} mem capacities and "
                              f"a delay matrix of shape {self.delay.shape} disagree")
@@ -187,7 +229,6 @@ def chain_structure(counts: tuple[int, ...]) -> ChainStructure:
     return ChainStructure(layers, pairs, tuple(itertools.product(*layers)))
 
 
-@dataclass
 class SfcSpec:
     """The service chain to place: the replicas per type in ``CHAIN`` order,
     each instance's cpu and mem demand by instance id, and one delay
@@ -195,12 +236,12 @@ class SfcSpec:
     types in chain order (see ``chain_structure``), so a placement can be a
     sequence of server ids indexed by instance id."""
 
-    counts: tuple[int, ...]
-    cpu_demand: list[float]
-    mem_demand: list[float]
-    tolerance: list[float]
+    __slots__ = ("counts", "cpu_demand", "mem_demand", "tolerance")
 
-    def __post_init__(self):
+    def __init__(self, counts: tuple[int, ...], cpu_demand: list[float],
+                 mem_demand: list[float], tolerance: list[float]):
+        self.counts, self.cpu_demand, self.mem_demand, self.tolerance = (
+            counts, cpu_demand, mem_demand, tolerance)
         if len(self.counts) != len(CHAIN) or any(c < 1 for c in self.counts):
             raise ValueError(f"counts {self.counts} must give each chain type a replica")
         n = sum(self.counts)
@@ -218,15 +259,12 @@ class SfcSpec:
         return len(self.cpu_demand)
 
 
-@dataclass(frozen=True)
-class Dist:
+class Dist(Section):
     """A named sampling distribution: uniform(a, b) or normal(mean=a, sd=b) clipped at 0."""
 
-    kind: str
-    a: float
-    b: float
+    FIELDS = (("kind", str, REQUIRED), ("a", float, REQUIRED), ("b", float, REQUIRED))
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in ("uniform", "normal"):
             raise ConfigError(f"unknown distribution kind {self.kind!r}")
         if self.kind == "uniform" and not (0 <= self.a <= self.b):
@@ -243,8 +281,7 @@ class Dist:
 DEFAULT_REPLICA_COUNTS = {VnfType.HSS: 1, VnfType.MME: 2, VnfType.SGW: 2, VnfType.PGW: 1}
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(Section):
     """Synthetic-data generation parameters.
 
     The distribution defaults are synthetic stand-ins chosen for
@@ -252,24 +289,26 @@ class GenConfig:
     publicly available.
     """
 
-    n_servers: int = 15
-    replica_counts: ReplicaCounts = tuple(DEFAULT_REPLICA_COUNTS.items())
-    intra_tier_delay: Dist = Dist("uniform", 50.0, 200.0)
-    cross_tier_delay: Dist = Dist("uniform", 200.0, 1000.0)
-    cpu_capacity: Dist = Dist("uniform", 8.0, 32.0)
-    mem_capacity: Dist = Dist("uniform", 16.0, 64.0)
-    cpu_demand: Dist = Dist("uniform", 1.0, 4.0)
-    mem_demand: Dist = Dist("uniform", 2.0, 8.0)
-    tolerance: Dist = Dist("uniform", 800.0, 2000.0)
-    n_topologies: int = 500
-    base_seed: int = 42
+    FIELDS = (
+        ("n_servers", int, 15),
+        ("replica_counts", ReplicaCounts, tuple(DEFAULT_REPLICA_COUNTS.items())),
+        ("intra_tier_delay", Dist, Dist("uniform", 50.0, 200.0)),
+        ("cross_tier_delay", Dist, Dist("uniform", 200.0, 1000.0)),
+        ("cpu_capacity", Dist, Dist("uniform", 8.0, 32.0)),
+        ("mem_capacity", Dist, Dist("uniform", 16.0, 64.0)),
+        ("cpu_demand", Dist, Dist("uniform", 1.0, 4.0)),
+        ("mem_demand", Dist, Dist("uniform", 2.0, 8.0)),
+        ("tolerance", Dist, Dist("uniform", 800.0, 2000.0)),
+        ("n_topologies", int, 500),
+        ("base_seed", int, 42),
+    )
 
-    def __post_init__(self):
+    def _check(self):
         counts = dict(self.replica_counts)
         if set(counts) != set(CHAIN):
             raise ConfigError("replica_counts must cover exactly the chain types")
         # normalize to chain order so equality is representation-independent
-        object.__setattr__(self, "replica_counts", tuple((t, counts[t]) for t in CHAIN))
+        self.__dict__["replica_counts"] = tuple((t, counts[t]) for t in CHAIN)
         if any(c < 1 for c in counts.values()):
             raise ConfigError("replica counts must be >= 1")
         if self.n_servers < 3:

@@ -9,8 +9,12 @@ distinct placement of the layer before it within one call and shared by
 the layer's replicas; nothing the search builds outlives the call. The
 first descent is the plain greedy placement and the remaining budget buys
 improvement. A search the budget cuts short is not certified optimal; one
-it does not is optimal for total dependent-pair delay, since a cut branch
-cannot beat the best complete assignment. On the first 100 topologies of
+it does not is optimal for its own objective, total dependent-pair delay,
+since a cut branch cannot beat the best complete assignment. That is not
+the measure every stage scores, the mean path delay, which weights each
+pair by the paths through it, per adjacent type pair (2, 1, 2) on desk
+and (6, 4, 6) on medium, so such a search need not minimize the mean path
+delay. On the first 100 topologies of
 ``configs/desk.json``, a budget of 100,000 nodes finds a placement with a
 lower mean path delay than the default budget of 1000 on 43 of them (every
 one of those searches ends within 2,597 nodes).
@@ -32,8 +36,8 @@ and per path in one gather; ``avg_cp_delay`` is a row's mean path delay.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +51,7 @@ class InfeasiblePlacement(Exception):
     """No constraint-satisfying assignment found within the backtracking budget."""
 
 
-@dataclass(frozen=True)
-class TeacherPlacement:
+class TeacherPlacement(NamedTuple):
     """A teacher placement with its search counters: the nodes expanded and
     whether the node budget cut the search short."""
 
@@ -57,10 +60,9 @@ class TeacherPlacement:
     budget_exhausted: bool
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
-    violations: list[tuple[str, tuple]] = field(default_factory=list)
+    violations: list[tuple[str, tuple]]
 
 
 def delays(topos: Sequence[Topology], placements, counts: tuple[int, ...]
@@ -127,7 +129,7 @@ def validate_placement(topo: Topology, sfc: SfcSpec, p: Placement) -> Validation
             if first != iid:
                 violations.append(("anti_location", (first, iid)))
 
-    return ValidationReport(valid=not violations, violations=violations)
+    return ValidationReport(not violations, violations)
 
 
 def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPlacement:

@@ -15,7 +15,6 @@ of the mean path delay of each row's teacher placement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,17 +31,15 @@ def reg_term(ip: int) -> float:
     return 1000.0 * math.log2(ip + 1)
 
 
-@dataclass
 class EvalContext:
     """Per-row topologies and chain specs aligned with the dataset rows, plus
     the delay ceiling used when a fold has no valid prediction."""
 
-    topologies: list[Topology]
-    sfcs: list[SfcSpec]
-    delay_ceiling: float
+    __slots__ = ("topologies", "sfcs", "delay_ceiling")
 
-    def __post_init__(self):
-        if len(self.topologies) != len(self.sfcs):
+    def __init__(self, topologies: list[Topology], sfcs: list[SfcSpec], delay_ceiling: float):
+        self.topologies, self.sfcs, self.delay_ceiling = topologies, sfcs, delay_ceiling
+        if len(topologies) != len(sfcs):
             raise ValueError("topologies and sfcs must align")
 
 

@@ -29,7 +29,6 @@ may depend on where a sort puts NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,26 +38,25 @@ from .netmodel import load_json
 _TIE_TOL = 1e-12
 
 
-@dataclass
 class DecisionTree:
     """A CART in level order: the j-th internal node's children are nodes
     2j + 1 (left) and 2j + 2 (right), so ``left``, ``right`` and ``depth``
     follow from ``feature``, and are derived when the tree is built."""
 
-    n_features: int
-    n_outputs: int
-    classes: list[np.ndarray]  # observed label alphabet per output
-    feature: np.ndarray  # split feature per node, -1 at leaves
-    threshold: np.ndarray  # split threshold per node, nan at leaves
-    majority: np.ndarray  # (n_nodes, n_outputs) per-output majority label
-    max_depth_fit: int
-    left: np.ndarray = field(init=False)  # child indices, -1 at leaves
-    right: np.ndarray = field(init=False)
-    depth: np.ndarray = field(init=False)  # node depth, root = 0
+    __slots__ = ("n_features", "n_outputs", "classes", "feature", "threshold", "majority",
+                 "max_depth_fit", "left", "right", "depth")
 
-    def __post_init__(self):
-        internal = self.feature >= 0
-        self.left = np.full(len(internal), -1)
+    def __init__(self, n_features: int, n_outputs: int, classes: list[np.ndarray],
+                 feature: np.ndarray, threshold: np.ndarray, majority: np.ndarray,
+                 max_depth_fit: int):
+        self.n_features, self.n_outputs = n_features, n_outputs
+        self.classes = classes  # observed label alphabet per output
+        self.feature = feature  # split feature per node, -1 at leaves
+        self.threshold = threshold  # split threshold per node, nan at leaves
+        self.majority = majority  # (n_nodes, n_outputs) per-output majority label
+        self.max_depth_fit = max_depth_fit
+        internal = feature >= 0
+        self.left = np.full(len(internal), -1)  # child indices, -1 at leaves
         self.left[internal] = np.arange(1, 2 * internal.sum(), 2)
         self.right = np.where(internal, self.left + 1, -1)
         # The levels up to k + 1 are the root and two children per internal
@@ -68,6 +66,7 @@ class DecisionTree:
         while ends[-1] < len(internal) and \
                 (end := 1 + 2 * int(before[ends[-1] - 1])) > ends[-1]:
             ends.append(end)
+        # node depth, root = 0
         self.depth = np.searchsorted(ends, np.arange(len(internal)), side="right")
 
     def node_count(self) -> int:

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import os
@@ -46,13 +45,19 @@ def dists():
     )
 
 
+def fields_of(record) -> dict:
+    """A ``__slots__`` record's fields by name, in constructor order: a chain
+    spec compares by identity, so tests compare these."""
+    return {name: getattr(record, name) for name in record.__slots__}
+
+
 def gen_settings(n_servers, **kw):
     """The settings of ``GenConfig(n_servers, 1-1-1-1 replicas, **kw)`` as a
     plain namespace. Generation reads only the settings, and a namespace may
     also hold 3 servers, fewer than GenConfig admits for a 4-instance chain."""
     cfg = GenConfig(n_servers=max(n_servers, 4), replica_counts=counts(1, 1, 1, 1), **kw)
     return types.SimpleNamespace(**{
-        **{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)},
+        **{name: getattr(cfg, name) for name, _, _ in cfg.FIELDS},
         "n_servers": n_servers, "n_instances": cfg.n_instances})
 
 
@@ -79,8 +84,7 @@ def desk_gen_config():
 def small_batch(desk_gen_config):
     """120 desk-config topologies with teacher placements (server tuples),
     shared across tests."""
-    import dataclasses
-    cfg = dataclasses.replace(desk_gen_config, n_topologies=120)
+    cfg = desk_gen_config.replace(n_topologies=120)
     topos, sfcs, placements = [], [], []
     for i in range(cfg.n_topologies):
         t = netmodel.generate_topology(cfg, i)

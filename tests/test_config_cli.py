@@ -2,6 +2,7 @@ import csv
 import glob
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -9,15 +10,13 @@ import sys
 import numpy as np
 import pytest
 
-from dataclasses import replace
-
 from oracles import level_order, reference_fit
 from vnfplace import cli, config, features, netmodel
 from vnfplace.config import (
-    GENERATE_FIELDS, OPTIMIZE_FIELDS, RunConfig, fingerprints, load_run_config,
+    GENERATE_FIELDS, OPTIMIZE_FIELDS, PsoParams, RunConfig, fingerprints, load_run_config,
     run_config_from_json,
 )
-from vnfplace.netmodel import ConfigError
+from vnfplace.netmodel import ConfigError, Dist
 
 
 CONFIGS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -71,6 +70,47 @@ def test_defaults_applied_for_missing_sections():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown"):
         run_config_from_json({"seeed": 5})
+
+
+def test_replace_checks_the_copy():
+    cfg = run_config_from_json(quick_config())
+    assert cfg.replace(seed=3).seed == 3 and cfg.replace(seed=3).gen is cfg.gen
+    for section, change, says in [(cfg, {"seed": -1}, "seed must be >= 0"),
+                                  (cfg.gen, {"base_seed": -1}, "base_seed must be >= 0"),
+                                  (cfg.pso, {"seed": -1}, "seed must be >= 0"),
+                                  (cfg.pipeline, {"initial_bounds": (5, 5)}, "1 <= lo < hi"),
+                                  (cfg.gen.tolerance, {"kind": "beta"}, "unknown")]:
+        with pytest.raises(ConfigError, match=says):
+            section.replace(**change)
+    with pytest.raises(TypeError):
+        cfg.replace(seeed=1)
+
+
+def test_sections_are_immutable_values():
+    cfg, twin = run_config_from_json(quick_config()), run_config_from_json(quick_config())
+    assert twin is not cfg and twin == cfg and hash(twin) == hash(cfg)
+    assert twin.gen == cfg.gen and hash(twin.gen) == hash(cfg.gen)
+    assert cfg.replace(seed=cfg.seed + 1) != cfg and cfg != cfg.to_json()
+    assert pickle.loads(pickle.dumps(cfg)) == cfg  # a process pool sends gen to its workers
+    for section, name in [(cfg, "seed"), (cfg.gen, "n_servers"), (cfg.gen.tolerance, "a"),
+                          (cfg.pso, "seed"), (cfg.pipeline, "steady_window"), (cfg, "extra")]:
+        with pytest.raises(AttributeError):
+            setattr(section, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(section, name)
+    assert cfg == twin
+
+
+def test_sections_take_fields_by_position_or_keyword():
+    dist = Dist("uniform", 1.0, 2.0)
+    assert dist == Dist(kind="uniform", a=1.0, b=2.0) == Dist("uniform", b=2.0, a=1.0)
+    assert repr(dist) == "Dist(kind='uniform', a=1.0, b=2.0)"
+    assert PsoParams(12).swarm_size == 12 and PsoParams(12).seed == 0
+    for args, kwargs in [(("uniform", 1.0), {}), (("uniform", 1.0, 2.0, 3.0), {}),
+                         (("uniform", 1.0, 2.0), {"a": 1.0}), ((), {"kind": "uniform"}),
+                         (("uniform", 1.0, 2.0), {"c": 1.0})]:
+        with pytest.raises(TypeError):
+            Dist(*args, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -128,29 +168,29 @@ def _fingerprints(cfg):
 
 def test_generate_fingerprint_covers_exactly_what_generate_reads():
     cfg = run_config_from_json(quick_config())
-    retuned = replace(cfg, folds=3, baseline_depth=7, output_dir="elsewhere",
-                      histogram_bin_width_us=2.0,
-                      pso=replace(cfg.pso, swarm_size=4, seed=9),
-                      pipeline=replace(cfg.pipeline, error_threshold=0.5))
+    retuned = cfg.replace(folds=3, baseline_depth=7, output_dir="elsewhere",
+                          histogram_bin_width_us=2.0,
+                          pso=cfg.pso.replace(swarm_size=4, seed=9),
+                          pipeline=cfg.pipeline.replace(error_threshold=0.5))
     assert _fingerprints(retuned).generate == _fingerprints(cfg).generate
-    changed = {"gen": replace(cfg.gen, base_seed=cfg.gen.base_seed + 1), "seed": cfg.seed + 1,
+    changed = {"gen": cfg.gen.replace(base_seed=cfg.gen.base_seed + 1), "seed": cfg.seed + 1,
                "test_fraction": 0.3, "teacher_budget": 999, "max_infeasible_fraction": 0.5}
     assert sorted(changed) == sorted(GENERATE_FIELDS)
     for key, value in changed.items():
-        assert (_fingerprints(replace(cfg, **{key: value})).generate
+        assert (_fingerprints(cfg.replace(**{key: value})).generate
                 != _fingerprints(cfg).generate), key
 
 
 def test_optimize_fingerprint_covers_the_split_and_what_optimize_reads():
     cfg = run_config_from_json(quick_config())
-    retuned = replace(cfg, output_dir="elsewhere", histogram_bin_width_us=2.0)
+    retuned = cfg.replace(output_dir="elsewhere", histogram_bin_width_us=2.0)
     assert _fingerprints(retuned).optimize == _fingerprints(cfg).optimize
-    changed = {"folds": 3, "pso": replace(cfg.pso, swarm_size=4), "baseline_depth": 7,
-               "pipeline": replace(cfg.pipeline, error_threshold=0.5)}
+    changed = {"folds": 3, "pso": cfg.pso.replace(swarm_size=4), "baseline_depth": 7,
+               "pipeline": cfg.pipeline.replace(error_threshold=0.5)}
     assert sorted(changed) == sorted(OPTIMIZE_FIELDS)
     changed["teacher_budget"] = 999  # a generate setting: the split's fingerprint
     for key, value in changed.items():
-        assert (_fingerprints(replace(cfg, **{key: value})).optimize
+        assert (_fingerprints(cfg.replace(**{key: value})).optimize
                 != _fingerprints(cfg).optimize), key
 
 
@@ -260,6 +300,12 @@ def test_cli_malformed_config_or_seed_exits_2(tmp_path, capsys, patch, argv):
     path = write_config(tmp_path / "cfg.json", dict(quick_config(), **patch))
     assert _run("generate", "--config", path, *argv) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_override_names_the_first_seed_it_breaks(tmp_path, capsys):
+    path = write_config(tmp_path / "cfg.json", quick_config())
+    assert _run("generate", "--config", path, "--seed", "-1") == 2
+    assert capsys.readouterr().err == "config error: base_seed must be >= 0\n"
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -28,12 +28,13 @@ print(json.dumps([rc, sorted(sys.modules)]))
 
 _LATER_LAYERS = {"vnfplace.tree", "vnfplace.swarm", "vnfplace.pipeline", "vnfplace.evaluation"}
 
-#: Modules each stage must leave unloaded.
+#: Modules each stage must leave unloaded. ``dataclasses`` compiles generated
+#: source for each method of each class it builds, in every process.
 UNLOADED = {
-    "import": {"numpy.ma"} | _LATER_LAYERS,
-    "generate": {"numpy.ma"} | _LATER_LAYERS,
-    "optimize": {"numpy.ma", "vnfplace.evaluation"},
-    "compare": {"numpy.ma", "vnfplace.swarm", "vnfplace.pipeline"},
+    "import": {"numpy.ma", "dataclasses"} | _LATER_LAYERS,
+    "generate": {"numpy.ma", "dataclasses"} | _LATER_LAYERS,
+    "optimize": {"numpy.ma", "dataclasses", "vnfplace.evaluation"},
+    "compare": {"numpy.ma", "dataclasses", "vnfplace.swarm", "vnfplace.pipeline"},
 }
 
 

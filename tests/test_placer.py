@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import math
@@ -133,7 +132,7 @@ def test_validator_lists_every_violation():
        # desk geometry has 6 instances and 15 servers (id 15 is out of range)
        changes=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 15)), max_size=3))
 def test_validator_matches_four_family_reference_property(desk_gen_config, index, changes):
-    cfg = dataclasses.replace(desk_gen_config, tolerance=Dist("uniform", 100.0, 300.0))
+    cfg = desk_gen_config.replace(tolerance=Dist("uniform", 100.0, 300.0))
     topo = netmodel.generate_topology(cfg, index)
     sfc = netmodel.build_sfc(cfg, index)
     try:
@@ -153,8 +152,8 @@ def _tight_snapshot(replicas, index):
     (0, 1, ... where the teacher finds none)."""
     with open(DESK_CONFIG_PATH, encoding="utf-8") as fh:
         cfg = config_from_json(GenConfig, json.load(fh)["gen"], "gen")
-    cfg = dataclasses.replace(cfg, replica_counts=counts(*replicas),
-                              tolerance=Dist("uniform", 100.0, 300.0))
+    cfg = cfg.replace(replica_counts=counts(*replicas),
+                      tolerance=Dist("uniform", 100.0, 300.0))
     topo, sfc = netmodel.generate_topology(cfg, index), netmodel.build_sfc(cfg, index)
     try:
         return topo, sfc, placer.place_teacher(topo, sfc).servers
@@ -186,8 +185,8 @@ def test_score_matches_validator_and_reference_delays_property(replicas, rows, h
         for pos, server in changes:
             p[pos % len(p)] = server
         topos.append(topo)
-        sfcs.append(dataclasses.replace(sfc, cpu_demand=[1e9] * sfc.n_instances)
-                    if heavy else sfc)
+        sfcs.append(netmodel.SfcSpec(sfc.counts, [1e9] * sfc.n_instances, sfc.mem_demand,
+                                     sfc.tolerance) if heavy else sfc)
         placements.append(p[:extra] if extra < 0 else p + [0] * extra)
 
     valid, pair, path = placer.score(topos, sfcs, placements)
@@ -358,7 +357,7 @@ def test_teacher_matches_reference_on_shipped_configs(config):
 
 
 def test_teacher_leaves_no_garbage_cycle(desk_gen_config):
-    tight = dataclasses.replace(desk_gen_config, tolerance=Dist("uniform", 100.0, 300.0))
+    tight = desk_gen_config.replace(tolerance=Dist("uniform", 100.0, 300.0))
     # (config, row, budget): feasible rows that use up the budget, one the
     # search finishes within its budget, and a row with no feasible placement
     cases = [(desk_gen_config, 0, 1000), (desk_gen_config, 1, 1000),

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_avg_cp_delay, reference_cp_delay
-from vnfplace import features, pipeline, placer, swarm
+from vnfplace import features, netmodel, pipeline, placer, swarm
 from vnfplace import tree as tree_mod
 from vnfplace.config import PsoParams
-from vnfplace.netmodel import chain_structure
+from vnfplace.netmodel import SfcSpec, chain_structure
 from vnfplace.swarm import EvalContext, reg_term
 
 
@@ -75,6 +74,20 @@ def test_context_alignment_enforced(small_batch):
         EvalContext(topos[:3], sfcs[:2], 100.0)
 
 
+def test_array_records_compare_by_identity(small_dataset, small_batch):
+    """``==`` on two equal topologies, datasets, contexts or trees is a bool:
+    they compare by identity, never element-wise over their arrays."""
+    ds, ctx = small_dataset
+    cfg = small_batch[0]
+    twins = [(netmodel.generate_topology(cfg, 0), netmodel.generate_topology(cfg, 0)),
+             (ds, features.Dataset(ds.features, ds.labels, ds.feature_cols, ds.label_cols,
+                                   ds.n_servers)),
+             (ctx, EvalContext(ctx.topologies, ctx.sfcs, ctx.delay_ceiling)),
+             (tree_mod.fit(ds.features, ds.labels), tree_mod.fit(ds.features, ds.labels))]
+    for a, b in twins:
+        assert (a == b) is False and (a == a) is True and (a != b) is True
+
+
 def reference_fold_results(h, ds, ctx, folds):
     """Slow reference: each fold's tree truncated at h, every validation row
     validated by hand. Returns (invalid rate over all validation rows, mean
@@ -125,7 +138,8 @@ def test_depth_table_matches_fresh_fits(small_dataset):
     past the deepest fold tree, and when hi lies below it."""
     ds, ctx = small_dataset
     n = 48  # a slice keeps the fresh fits at every depth quick
-    ds = dataclasses.replace(ds, features=ds.features[:n], labels=ds.labels[:n])
+    ds = features.Dataset(ds.features[:n], ds.labels[:n], ds.feature_cols, ds.label_cols,
+                          ds.n_servers)
     ctx = EvalContext(ctx.topologies[:n], ctx.sfcs[:n], ctx.delay_ceiling)
     folds = features.kfold(ds, 3, seed=5)
     trees = unbounded_fold_trees(ds, folds)
@@ -151,9 +165,10 @@ def test_zero_valid_fold_uses_ceiling(small_dataset):
     the penalty of its validation row count."""
     ds, ctx = small_dataset
     n = 40
-    ds = dataclasses.replace(ds, features=ds.features[:n], labels=ds.labels[:n])
+    ds = features.Dataset(ds.features[:n], ds.labels[:n], ds.feature_cols, ds.label_cols,
+                          ds.n_servers)
     # every instance demands more cpu than any server has: all placements fail
-    heavy = [dataclasses.replace(s, cpu_demand=[1e9] * s.n_instances)
+    heavy = [SfcSpec(s.counts, [1e9] * s.n_instances, s.mem_demand, s.tolerance)
              for s in ctx.sfcs[:n]]
     ctx = EvalContext(ctx.topologies[:n], heavy, ctx.delay_ceiling)
     folds = features.kfold(ds, 4, seed=0)
