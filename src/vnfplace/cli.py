@@ -10,9 +10,10 @@ A placement is a dataset label row, one server id per instance id, so
 ``optimize`` and ``compare`` read the teacher's placements from the labels of
 ``train.csv`` and ``test.csv``, regenerate each row's topology and chain
 from the config's ``gen`` section, and read ``split.json`` besides, never
-``placements.json``. All state lives in files under the configured output
-directory, each written atomically; progress goes to stderr only, so reruns
-with the same config and seed are byte-identical.
+``placements.json`` or the datasets' ``.schema.json`` sidecars: the gen
+settings fix a dataset's columns. All state lives in files under the
+configured output directory, each written atomically; progress goes to
+stderr only, so reruns with the same config and seed are byte-identical.
 
 ``split.json`` carries a fingerprint of the settings ``generate`` read, and
 ``optimize`` and ``compare`` refuse artifacts generated under others. The
@@ -24,15 +25,17 @@ those of its regenerated topology and chain is refused too. Before it can fail,
 write, and ``compare`` removes what it writes, so that no artifact is left to
 describe inputs that have since changed.
 
-Exit codes: 0 success, 2 ``ConfigError`` (a bad config or ``--workers``,
-an ``output_dir`` that cannot be created, or an output path of the stage
-that is a directory), 3 ``PipelineError`` (data that admit no result), 4
-``ArtifactError`` (an upstream artifact that is missing, cannot be read, does
-not parse, lacks what the stage reads, holds a non-finite feature, a label
-that is not a server id, a row that does not regenerate or a model whose
-nodes are not one tree in level order, or was generated under other
-settings; the message names the file). Stages raise where they find a
-failure, and ``main`` alone turns each error type into its code.
+Exit codes: 0 success, 2 ``ConfigError`` (a bad config or ``--workers``, a
+distribution that draws a value that is not finite, an ``output_dir`` that
+cannot be created, or an output path of the stage that is a directory), 3
+``PipelineError`` (data that admit no result), 4 ``ArtifactError`` (an
+upstream artifact that is missing, cannot be read, does not parse, lacks
+what the stage reads, is a dataset whose header is not the columns of the
+gen settings, holds a non-finite feature, a label that is not a server id,
+a row that does not regenerate or a model whose nodes are not one tree in
+level order, or was generated under other settings; the message names the
+file). Stages raise where they find a failure, and ``main`` alone turns
+each error type into its code.
 """
 
 from __future__ import annotations
@@ -155,9 +158,9 @@ def cmd_generate(cfg: RunConfig, workers: int) -> None:
                        paths["split"])
 
     for name, idx in [("train", train_idx), ("test", test_idx)]:
-        ds = features.build_dataset([(topologies[i], sfcs[i], teacher[i].servers)
-                                     for i in idx])
-        features.save_dataset(ds, paths[name])
+        X, Y = features.build_dataset([(topologies[i], sfcs[i], teacher[i].servers)
+                                       for i in idx])
+        features.save_dataset(paths[name], X, Y, cfg.gen.n_servers)
 
     _log(f"teacher placements: {int(valid.sum())}/{len(feasible)} valid, "
          f"{n_infeasible} infeasible; train={len(train_idx)} test={len(test_idx)}; "
@@ -175,17 +178,18 @@ def _check_fingerprint(doc: dict, expected: str, path: str, stage: str, fields) 
 
 
 def _load_split(cfg: RunConfig, which: str, fingerprint: str):
-    """Read a split's dataset, whose label rows are the teacher's placements,
-    and regenerate the topology and sfc of each of its rows from ``cfg.gen``:
-    returns (dataset, topologies, sfcs), aligned by row. In this order, a
-    split that does not record ``fingerprint`` (it was generated under other
-    settings than ``cfg``'s), a split that lists no rows of ``which``, a
-    dataset of another row count than the split's, another label count than
-    the chains' instance count or another server count than ``cfg.gen``'s,
-    and a row whose features differ from its regenerated snapshot's (numpy's
-    streams may change between versions) raise ArtifactError."""
+    """Read a split's features and labels, whose rows are the teacher's
+    placements, and regenerate the topology and sfc of each of its rows from
+    ``cfg.gen``: returns (X, Y, topologies, sfcs), aligned by row. In this
+    order, a split that does not record ``fingerprint`` (it was generated
+    under other settings than ``cfg``'s), a split that lists no rows of
+    ``which``, a dataset whose header is not the columns of ``cfg.gen``'s
+    server and instance counts, a dataset of another row count than the
+    split's, and a row whose features differ from its regenerated snapshot's
+    (numpy's streams may change between versions) raise ArtifactError. The
+    columns are derived only once the fingerprint shows that ``generate``
+    ran under ``cfg.gen``, which bounds its server count."""
     paths = _paths(cfg)
-    ds = features.load_dataset(_require(paths[which]))
 
     def pick(split):
         idx = split[which]
@@ -194,27 +198,21 @@ def _load_split(cfg: RunConfig, which: str, fingerprint: str):
         if not idx:
             raise netmodel.ArtifactError(
                 f"{paths['split']} lists no {which} rows; rerun generate")
-        if len(idx) != ds.n_samples:
+        X, Y = features.load_dataset(_require(paths[which]), cfg.gen.n_servers,
+                                     cfg.gen.n_instances)
+        if len(idx) != len(X):
             raise netmodel.ArtifactError(
-                f"{paths[which]} holds {ds.n_samples} rows but {paths['split']} lists "
+                f"{paths[which]} holds {len(X)} rows but {paths['split']} lists "
                 f"{len(idx)} {which} rows; rerun generate")
-        if ds.n_outputs != cfg.gen.n_instances:
-            raise netmodel.ArtifactError(
-                f"{paths[which]} holds {ds.n_outputs} labels per row, not one per "
-                f"instance of the {cfg.gen.n_instances}-instance chains; rerun generate")
-        if ds.n_servers != cfg.gen.n_servers:
-            raise netmodel.ArtifactError(
-                f"{features.schema_path(paths[which])} records {ds.n_servers} servers, "
-                f"not the {cfg.gen.n_servers} of the gen settings; rerun generate")
         topologies, sfcs = netmodel.load_batch(cfg.gen, idx)
         regenerated = features.feature_matrix(topologies, sfcs)
-        for r, (x, row) in enumerate(zip(regenerated, ds.features)):
+        for r, (x, row) in enumerate(zip(regenerated, X)):
             if not np.array_equal(x, row):
                 raise netmodel.ArtifactError(
                     f"{paths[which]}:{r + 2}: the features differ from those of "
                     f"snapshot {idx[r]} regenerated from the gen settings; rerun generate")
-        return topologies, sfcs
-    return (ds, *netmodel.load_json(_require(paths["split"]), pick))
+        return X, Y, topologies, sfcs
+    return netmodel.load_json(_require(paths["split"]), pick)
 
 
 def cmd_optimize(cfg: RunConfig, workers: int) -> None:
@@ -223,15 +221,15 @@ def cmd_optimize(cfg: RunConfig, workers: int) -> None:
     paths = _paths(cfg)
     doc = cfg.to_json()
     fingerprint = fingerprints(doc)
-    ds, topos, sfcs = _load_split(cfg, "train", fingerprint.generate)
-    if ds.n_samples < cfg.folds:
+    X, Y, topos, sfcs = _load_split(cfg, "train", fingerprint.generate)
+    if len(X) < cfg.folds:
         raise netmodel.PipelineError(
-            f"{ds.n_samples} training rows cannot fill {cfg.folds} folds")
-    ctx = swarm.make_context(topos, sfcs, ds.labels.tolist())
-    folds = features.kfold(ds, cfg.folds, cfg.seed)
-    _log(f"optimizing depth on {ds.n_samples} training rows, {cfg.folds} folds")
+            f"{len(X)} training rows cannot fill {cfg.folds} folds")
+    ctx = swarm.make_context(topos, sfcs, Y.tolist())
+    folds = features.kfold(len(X), cfg.folds, cfg.seed)
+    _log(f"optimizing depth on {len(X)} training rows, {cfg.folds} folds")
     report, model, full = pipeline.run_pipeline(
-        ds, ctx, folds, cfg.pso, cfg.pipeline, config_echo=doc)
+        X, Y, ctx, folds, cfg.pso, cfg.pipeline, config_echo=doc)
     netmodel.save_json(report, paths["report"])
     for key, m in [("model_optimized", model),
                    ("model_baseline", full.truncate(cfg.baseline_depth))]:
@@ -246,27 +244,27 @@ def cmd_compare(cfg: RunConfig, workers: int) -> None:
     _remove_outputs(cfg, ("comparison",))
     paths = _paths(cfg)
     fingerprint = fingerprints(cfg.to_json())
-    ds, topos, sfcs = _load_split(cfg, "test", fingerprint.generate)
+    X, Y, topos, sfcs = _load_split(cfg, "test", fingerprint.generate)
 
     def load_model(key):
         def build(doc):
             model = tree.DecisionTree.from_json(doc)
             _check_fingerprint(doc, fingerprint.optimize, paths[key], "optimize",
                                OPTIMIZE_FIELDS + GENERATE_FIELDS)
-            if (model.n_features, model.n_outputs) != (ds.n_features, ds.n_outputs):
+            if (model.n_features, model.n_outputs) != (X.shape[1], Y.shape[1]):
                 raise netmodel.ArtifactError(
                     f"{paths[key]} was fitted on {model.n_features} features and "
                     f"{model.n_outputs} labels per row but {paths['test']} holds "
-                    f"{ds.n_features} and {ds.n_outputs}; rerun optimize")
+                    f"{X.shape[1]} and {Y.shape[1]}; rerun optimize")
             return model
         return netmodel.load_json(_require(paths[key]), build)
 
     optimized, baseline = load_model("model_optimized"), load_model("model_baseline")
 
     results = [evaluation.evaluate_strategy(name, topos, sfcs, labels.tolist())
-               for name, labels in [("heuristic", ds.labels),
-                                    ("baseline_tree", baseline.predict(ds.features)),
-                                    ("optimized_tree", optimized.predict(ds.features))]]
+               for name, labels in [("heuristic", Y),
+                                    ("baseline_tree", baseline.predict(X)),
+                                    ("optimized_tree", optimized.predict(X))]]
     report = evaluation.comparison_report(results, cfg.histogram_bin_width_us)
     report["pairs"] = [[a, b] for a, b, _ in netmodel.chain_structure(sfcs[0].counts).pairs]
     report["node_counts"] = {"baseline_tree": baseline.node_count(),

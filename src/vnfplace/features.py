@@ -1,6 +1,6 @@
 """Snapshot featurization, dataset assembly, CSV persistence, k-fold splitting.
 
-Feature order (fixed for a given configuration, mirrored in the schema file):
+Feature order (fixed by the server and instance counts, ``feature_names``):
   1. per-instance cpu demand, mem demand          (2 * n_instances)
   2. per-server cpu capacity, mem capacity        (2 * n_servers)
   3. tolerance per adjacent type pair             (3)
@@ -15,13 +15,12 @@ instance, indexed by instance id. No scaling: trees are scale-invariant.
 from __future__ import annotations
 
 import csv
-import os
 from typing import NamedTuple
 
 import numpy as np
 
-from .netmodel import (ADJACENT_PAIRS, ArtifactError, SfcSpec, Topology, load_json,
-                       pair_layout, save_csv, save_json)
+from .netmodel import (ADJACENT_PAIRS, ArtifactError, SfcSpec, Topology, pair_layout,
+                       save_csv, save_json)
 from .placer import Placement
 
 
@@ -55,65 +54,35 @@ def feature_matrix(topos: list[Topology], sfcs: list[SfcSpec]) -> np.ndarray:
     return X
 
 
-class Dataset:
-    """Feature matrix with multi-output server labels (one column per instance):
-    ``features`` (n_samples, n_features) float, ``labels`` (n_samples,
-    n_instances) int."""
-
-    __slots__ = ("features", "labels", "feature_cols", "label_cols", "n_servers")
-
-    def __init__(self, features: np.ndarray, labels: np.ndarray, feature_cols: list[str],
-                 label_cols: list[str], n_servers: int):
-        self.features = np.asarray(features, dtype=float)
-        self.labels = np.asarray(labels, dtype=int)
-        self.feature_cols, self.label_cols, self.n_servers = feature_cols, label_cols, n_servers
-        if self.features.ndim != 2 or self.labels.ndim != 2:
-            raise ValueError("features and labels must be 2-D")
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError("features and labels disagree on sample count")
-        if self.features.shape[1] != len(self.feature_cols):
-            raise ValueError("feature width does not match column names")
-        if self.labels.shape[1] != len(self.label_cols):
-            raise ValueError("label width does not match column names")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.n_servers):
-            raise ValueError("labels must be valid server ids")
-
-    @property
-    def n_samples(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.labels.shape[1]
+def columns(n_servers: int, n_instances: int) -> tuple[list[str], list[str]]:
+    """A dataset's feature and label column names, which its geometry fixes."""
+    return feature_names(n_servers, n_instances), [f"label_inst{i}" for i in range(n_instances)]
 
 
-def build_dataset(pairs: list[tuple[Topology, SfcSpec, Placement]]) -> Dataset:
+def build_dataset(pairs: list[tuple[Topology, SfcSpec, Placement]]
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """One row per (topology, chain, teacher placement) triple: the
-    snapshot's ``feature_matrix`` row, and the placement as its labels."""
+    snapshot's ``feature_matrix`` row in X, and the placement, one server id
+    per instance, as its label row in Y."""
     if not pairs:
         raise ValueError("build_dataset requires a configuration; got no pairs")
     topos, sfcs, placements = zip(*pairs)
-    n, n_inst = topos[0].n_servers, sfcs[0].n_instances
-    return Dataset(feature_matrix(topos, sfcs), np.reshape(placements, (len(pairs), n_inst)),
-                   feature_names(n, n_inst), [f"label_inst{i}" for i in range(n_inst)], n)
+    return feature_matrix(topos, sfcs), np.reshape(placements, (len(pairs), sfcs[0].n_instances))
 
 
 class FoldSplit(NamedTuple):
     folds: list[tuple[np.ndarray, np.ndarray]]  # (train indices, validation indices)
 
 
-def kfold(ds: Dataset, b: int, seed: int) -> FoldSplit:
-    """Seeded shuffle then partition into b validation folds of near-equal size."""
+def kfold(n_rows: int, b: int, seed: int) -> FoldSplit:
+    """Seeded shuffle of rows 0..n_rows-1, then partition into b validation
+    folds of near-equal size."""
     if b < 2:
         raise ValueError("number of folds must be >= 2")
-    if b > ds.n_samples:
-        raise ValueError(f"cannot split {ds.n_samples} samples into {b} folds")
+    if b > n_rows:
+        raise ValueError(f"cannot split {n_rows} samples into {b} folds")
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(ds.n_samples)
+    perm = rng.permutation(n_rows)
     val_folds = np.array_split(perm, b)
     # train order follows the shuffle; validation sorted for stable reporting
     return FoldSplit(folds=[(np.concatenate(val_folds[:k] + val_folds[k + 1:]), np.sort(v))
@@ -121,7 +90,8 @@ def kfold(ds: Dataset, b: int, seed: int) -> FoldSplit:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: CSV plus a sidecar schema file
+# Persistence: CSV plus a sidecar schema file that documents its columns for
+# readers outside the package; no stage reads it
 
 
 def schema_path(path: str) -> str:
@@ -131,43 +101,34 @@ def schema_path(path: str) -> str:
     return base + ".schema.json"
 
 
-def save_dataset(ds: Dataset, path: str):
-    save_json({
-        "feature_cols": ds.feature_cols,
-        "label_cols": ds.label_cols,
-        "n_servers": ds.n_servers,
-    }, schema_path(path))
+def save_dataset(path: str, X: np.ndarray, Y: np.ndarray, n_servers: int):
+    feature_cols, label_cols = columns(n_servers, Y.shape[1])
+    save_json({"feature_cols": feature_cols, "label_cols": label_cols, "n_servers": n_servers},
+              schema_path(path))
     # str() of a float is its shortest repr, which reads back bit-exactly
-    save_csv(path, ds.feature_cols + ds.label_cols,
-             (x.tolist() + y.tolist() for x, y in zip(ds.features, ds.labels)))
+    save_csv(path, feature_cols + label_cols, (x.tolist() + y.tolist() for x, y in zip(X, Y)))
 
 
-def load_dataset(path: str) -> Dataset:
-    """Read a dataset ``save_dataset`` wrote. A file that cannot be read as
-    UTF-8 text, breaks its schema, holds a non-finite feature or a label that
-    is not a server id below the schema's ``n_servers`` or does not fit an
-    int64 raises ArtifactError naming the file and, where it can, line
-    and column."""
-    schema = schema_path(path)
-    if not os.path.exists(schema):
-        raise ArtifactError(f"missing schema file {schema}")
-    feature_cols, label_cols, n_servers = load_json(schema, lambda s: (
-        list(s["feature_cols"]), list(s["label_cols"]), s["n_servers"]))
-    if type(n_servers) is not int:  # int() would load 15.9 as 15
-        raise ArtifactError(f"{schema} is malformed: n_servers must be an integer, "
-                            f"not {n_servers!r}")
+def load_dataset(path: str, n_servers: int, n_instances: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read the (X, Y) that ``save_dataset`` wrote for ``n_servers`` servers
+    and ``n_instances``-instance chains. A file that cannot be read as UTF-8
+    text, whose header is not ``columns(n_servers, n_instances)``, or that
+    holds a non-finite feature or a label that is not a server id below
+    ``n_servers`` raises ArtifactError naming the file and, where it can,
+    line and column."""
+    feature_cols, label_cols = columns(n_servers, n_instances)
+    nf = len(feature_cols)
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != feature_cols + label_cols:
+            if next(reader, None) != feature_cols + label_cols:
                 raise ArtifactError(
-                    f"{path}: header does not match schema (expected "
-                    f"{len(feature_cols) + len(label_cols)} documented columns)")
+                    f"{path}: header does not match the {nf} feature and {n_instances} "
+                    f"label columns of {n_servers} servers and {n_instances}-instance "
+                    f"chains; rerun generate")
             X, Y = [], []
-            nf = len(feature_cols)
             for lineno, row in enumerate(reader, start=2):
-                if len(row) != nf + len(label_cols):
+                if len(row) != nf + n_instances:
                     raise ArtifactError(f"{path}:{lineno}: wrong column count")
                 try:
                     X.append([float(v) for v in row[:nf]])
@@ -185,9 +146,6 @@ def load_dataset(path: str) -> Dataset:
                         raise ArtifactError(
                             f"{path}:{lineno}: column {col!r} is not a server id below "
                             f"{n_servers}: {v!r}")
-                    if labels[-1] >= 2**63:  # the int64 label array cannot hold it
-                        raise ArtifactError(f"{path}:{lineno}: column {col!r} is a "
-                                            f"label too large for an int64: {v!r}")
                 Y.append(labels)
     except OSError as e:
         raise ArtifactError(f"{path} cannot be read: {e.strerror}") from None
@@ -199,5 +157,4 @@ def load_dataset(path: str) -> Dataset:
         r, c = non_finite[0]
         raise ArtifactError(f"{path}:{r + 2}: column {feature_cols[c]!r} "
                             f"is not finite: {float(X_arr[r, c])!r}")
-    Y_arr = np.array(Y, dtype=int).reshape(len(Y), len(label_cols))
-    return Dataset(X_arr, Y_arr, feature_cols, label_cols, n_servers)
+    return X_arr, np.array(Y, dtype=int).reshape(len(Y), n_instances)

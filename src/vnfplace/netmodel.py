@@ -353,6 +353,17 @@ def pair_layout(n_servers: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     return rows, cols, tuple((a, b, intra[a]) for a, b in zip(ends, ends[1:]))
 
 
+def _draw(cfg: GenConfig, name: str, rng: np.random.Generator, size=None):
+    """``size`` draws (one, without it) of the distribution ``cfg.<name>``. A
+    value that is not finite raises ConfigError naming the setting: a
+    normal's tail may pass the float range, a uniform's draws lie in [a, b]."""
+    dist = getattr(cfg, name)
+    values = dist.sample(rng, size)
+    if dist.kind == "normal" and not np.isfinite(values).all():
+        raise ConfigError(f"gen.{name} = {dist} draws a value that is not finite")
+    return values
+
+
 def generate_topology(cfg: GenConfig, index: int) -> Topology:
     """Generate the index-th topology of a batch, deterministically.
 
@@ -364,13 +375,13 @@ def generate_topology(cfg: GenConfig, index: int) -> Topology:
     """
     rng = _rng(cfg, index, STREAM_TOPOLOGY)
     n = cfg.n_servers
-    cpu = cfg.cpu_capacity.sample(rng, n).tolist()
-    mem = cfg.mem_capacity.sample(rng, n).tolist()
+    cpu = _draw(cfg, "cpu_capacity", rng, n).tolist()
+    mem = _draw(cfg, "mem_capacity", rng, n).tolist()
     rows, cols, runs = pair_layout(n)
     upper = np.empty(len(rows))
     for start, stop, intra in runs:
-        dist = cfg.intra_tier_delay if intra else cfg.cross_tier_delay
-        upper[start:stop] = dist.sample(rng, stop - start)
+        name = "intra_tier_delay" if intra else "cross_tier_delay"
+        upper[start:stop] = _draw(cfg, name, rng, stop - start)
     delay = np.zeros((n, n))
     delay[rows, cols] = delay[cols, rows] = upper
     return Topology(cpu, mem, delay)
@@ -382,9 +393,9 @@ def build_sfc(cfg: GenConfig, index: int) -> SfcSpec:
     rng = _rng(cfg, index, STREAM_SFC)
     cpu, mem = [], []
     for _ in range(cfg.n_instances):
-        cpu.append(float(cfg.cpu_demand.sample(rng)))
-        mem.append(float(cfg.mem_demand.sample(rng)))
-    tolerance = [float(cfg.tolerance.sample(rng)) for _ in ADJACENT_PAIRS]
+        cpu.append(float(_draw(cfg, "cpu_demand", rng)))
+        mem.append(float(_draw(cfg, "mem_demand", rng)))
+    tolerance = [float(_draw(cfg, "tolerance", rng)) for _ in ADJACENT_PAIRS]
     return SfcSpec(tuple(c for _, c in cfg.replica_counts), cpu, mem, tolerance)
 
 

@@ -25,22 +25,22 @@ from __future__ import annotations
 
 from . import tree as tree_mod
 from .config import PipelineSettings, PsoParams
-from .features import Dataset, FoldSplit
+from .features import FoldSplit
 from .netmodel import PipelineError
 from .swarm import EvalContext, fold_results, pso_minimize
 
 
-def depth_table(ds: Dataset, ctx: EvalContext, folds: FoldSplit,
+def depth_table(X, ctx: EvalContext, folds: FoldSplit,
                 trees: list[tree_mod.DecisionTree], lo: int, hi: int
                 ) -> dict[int, tuple[float, float]]:
     """(invalid rate, objective) for every depth in [lo, max(lo + 1, min(hi,
     deepest fold tree))] from one walk of each fold's unbounded tree over that
     fold's validation rows. Every depth in [lo, hi] beyond that interval would
     read its last entry."""
-    preds = [t.majority[t.descend(ds.features[val_idx])]
+    preds = [t.majority[t.descend(X[val_idx])]
              for t, (_, val_idx) in zip(trees, folds.folds, strict=True)]
     top = max(lo + 1, min(hi, max(t.tree_depth() for t in trees)))
-    return {h: fold_results(h, ds, ctx, folds, preds) for h in range(lo, top + 1)}
+    return {h: fold_results(h, ctx, folds, preds) for h in range(lo, top + 1)}
 
 
 def stage1(table: dict[int, tuple[float, float]], pso_params: PsoParams
@@ -114,12 +114,11 @@ def stage2(frange: tuple[int, int], objective: dict[int, float],
     return h_star, curve
 
 
-def stage3_build(ds: Dataset, h_star: int
-                 ) -> tuple[tree_mod.DecisionTree, tree_mod.DecisionTree]:
+def stage3_build(X, Y, h_star: int) -> tuple[tree_mod.DecisionTree, tree_mod.DecisionTree]:
     """Fit the full training set once, unbounded; return its truncation at
     h_star (the final model) and the unbounded tree, which any other depth
     truncates."""
-    full = tree_mod.fit(ds.features, ds.labels)
+    full = tree_mod.fit(X, Y)
     return full.truncate(h_star), full
 
 
@@ -129,20 +128,20 @@ def _by_depth(curve: dict[int, float]) -> dict[str, float]:
     return {str(h): v for h, v in curve.items()}
 
 
-def run_pipeline(ds: Dataset, ctx: EvalContext, folds: FoldSplit,
+def run_pipeline(X, Y, ctx: EvalContext, folds: FoldSplit,
                  pso_params: PsoParams, settings: PipelineSettings,
                  config_echo: dict | None = None
                  ) -> tuple[dict, tree_mod.DecisionTree, tree_mod.DecisionTree]:
-    """Run the three stages; return the ``pipeline_report.json`` document,
-    the final model and the unbounded full-training-set tree it truncates."""
-    trees = [tree_mod.fit(ds.features[train_idx], ds.labels[train_idx])
-             for train_idx, _ in folds.folds]
-    table = depth_table(ds, ctx, folds, trees, *settings.initial_bounds)
+    """Run the three stages on the training rows' features X and labels Y;
+    return the ``pipeline_report.json`` document, the final model and the
+    unbounded full-training-set tree it truncates."""
+    trees = [tree_mod.fit(X[train_idx], Y[train_idx]) for train_idx, _ in folds.folds]
+    table = depth_table(X, ctx, folds, trees, *settings.initial_bounds)
     curve, objective, best_h, regret, trace = stage1(table, pso_params)
     frange = detect_functional_range(curve, settings.error_threshold,
                                      settings.steady_window)
     h_star, s2_curve = stage2(frange, objective, settings)
-    model, full = stage3_build(ds, h_star)
+    model, full = stage3_build(X, Y, h_star)
     report = {
         "stage1": {
             "curve": _by_depth(curve),

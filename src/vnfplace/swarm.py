@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .config import PsoParams
-from .features import Dataset, FoldSplit
+from .features import FoldSplit
 from .netmodel import SfcSpec, Topology
 from .placer import avg_cp_delay, delays, score
 
@@ -64,13 +64,8 @@ def make_context(topologies, sfcs, labels) -> EvalContext:
     return EvalContext(topologies, sfcs, percentile_99(avg_cp_delay(paths)))
 
 
-def fold_results(
-    h: int,
-    ds: Dataset,
-    ctx: EvalContext,
-    folds: FoldSplit,
-    preds: list[np.ndarray],
-) -> tuple[float, float]:
+def fold_results(h: int, ctx: EvalContext, folds: FoldSplit, preds: list[np.ndarray]
+                 ) -> tuple[float, float]:
     """Depth h's invalid rate and objective over every fold.
 
     ``preds`` holds, per fold, its validation rows' predictions at every
@@ -82,8 +77,6 @@ def fold_results(
     """
     if h < 1:
         raise ValueError("depth must be >= 1")
-    if len(ctx.topologies) != ds.n_samples:
-        raise ValueError("context must carry one (topology, sfc) per dataset row")
     total_ip = 0
     objectives = []
     for (_, val_idx), levels in zip(folds.folds, preds, strict=True):

@@ -4,11 +4,13 @@ depth, applies after the fit: ``fit`` grows until no node splits, and
 
 Split criterion is the unweighted mean over outputs of the weighted child
 Gini impurity; candidate thresholds are midpoints between consecutive
-distinct sorted feature values; ties break to the lowest feature index,
-then the lowest threshold. Leaves (and internal nodes, for depth-truncated
-prediction) store per-output majority labels with ties to the smallest
-label. Fully deterministic. ``descend`` moves every row one level per numpy
-step, so one walk of a deep tree gives every shallower depth's predictions.
+distinct sorted feature values, or the lower value where the midpoint
+rounds onto the upper one or overflows (as scikit-learn's splitter does);
+ties break to the lowest feature index, then the lowest threshold. Leaves
+(and internal nodes, for depth-truncated prediction) store per-output
+majority labels with ties to the smallest label. Fully deterministic.
+``descend`` moves every row one level per numpy step, so one walk of a deep
+tree gives every shallower depth's predictions.
 
 ``fit`` grows the exhaustive CART scan (Breiman et al., 1984) one level at
 a time, and stores the nodes in that order. Each feature's rows are sorted
@@ -307,7 +309,9 @@ def _best_splits(XT, code, order, counts, work):
                 best, feature[i] = score, f
         if feature[i] >= 0:
             f, p = feature[i], first[feature[i], i]
-            threshold[i] = (xs[f, p] + xs[f, p + 1]) / 2.0
+            lo, hi = xs[f, p:p + 2].tolist()  # as floats, an overflow warns nothing
+            mid = (lo + hi) / 2.0  # rounded onto hi or overflowed, it splits nothing off
+            threshold[i] = mid if lo <= mid < hi else lo
     return feature, threshold
 
 

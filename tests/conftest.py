@@ -98,9 +98,9 @@ def small_batch(desk_gen_config):
 @pytest.fixture(scope="session")
 def small_dataset(small_batch):
     cfg, topos, sfcs, placements = small_batch
-    ds = features.build_dataset(list(zip(topos, sfcs, placements)))
+    X, Y = features.build_dataset(list(zip(topos, sfcs, placements)))
     ctx = swarm.make_context(topos, sfcs, placements)
-    return ds, ctx
+    return X, Y, ctx
 
 
 def line_topology(delays):

@@ -92,6 +92,14 @@ def gini(counts):
     return 1.0 - float((p**2).sum())
 
 
+def midpoint(lo, hi):
+    """The threshold between the floats lo < hi: their midpoint, or lo where
+    the midpoint rounds onto hi or overflows, so that lo goes left and hi
+    right."""
+    mid = (lo + hi) / 2.0
+    return mid if lo <= mid < hi else lo
+
+
 def stump_oracle(X, Y):
     """Exhaustive best (feature, threshold) by mean weighted child Gini.
 
@@ -102,9 +110,9 @@ def stump_oracle(X, Y):
     n_out = Y.shape[1]
     best = None  # (score, feature, threshold)
     for f in range(nf):
-        values = sorted(set(X[:, f]))
+        values = sorted(set(X[:, f].tolist()))
         for lo, hi in zip(values, values[1:]):
-            thr = (lo + hi) / 2.0
+            thr = midpoint(lo, hi)
             left = X[:, f] <= thr
             score = 0.0
             for o in range(n_out):
@@ -152,7 +160,7 @@ def reference_best_split(X, Yenc, n_classes):
         i = int(np.flatnonzero(scores <= scores.min() + 1e-12)[0])
         score = float(scores[i])
         if best is None or score < best[0] - 1e-12:
-            best = (score, f, float((xs[i] + xs[i + 1]) / 2.0))
+            best = (score, f, midpoint(*xs[i:i + 2].tolist()))
     if best is None:
         return None
     return best[1], best[2], best[0]

@@ -371,8 +371,8 @@ def test_cli_optimize_teacher_ceiling_is_avg_cp_delay(tmp_path, monkeypatch):
         _run("optimize", "--config", path)
     teacher_avg, = got.value.args
     cfg = load_run_config(path)
-    ds, topos, sfcs = cli._load_split(cfg, "train", _fingerprints(cfg).generate)
-    rows = list(zip(topos, ds.labels.tolist(), sfcs))
+    _, Y, topos, sfcs = cli._load_split(cfg, "train", _fingerprints(cfg).generate)
+    rows = list(zip(topos, Y.tolist(), sfcs))
     assert list(teacher_avg) == [reference_avg_cp_delay(*row) for row in rows]
     assert list(teacher_avg) != [float(np.mean(reference_path_delays(*row))) for row in rows]
 
@@ -391,9 +391,9 @@ def test_cli_validates_each_scored_placement_once(tmp_path, monkeypatch):
         validations[0] += 1
         return validate(*args)
 
-    def counted_fold_results(h, ds, ctx, folds, preds):
+    def counted_fold_results(h, ctx, folds, preds):
         fold_rows[0] += sum(len(v) for _, v in folds.folds)
-        return fold_results(h, ds, ctx, folds, preds)
+        return fold_results(h, ctx, folds, preds)
 
     monkeypatch.setattr(placer, "validate_placement", counted_validate)
     monkeypatch.setattr(pipeline, "fold_results", counted_fold_results)
@@ -407,6 +407,43 @@ def test_cli_validates_each_scored_placement_once(tmp_path, monkeypatch):
         test_rows = len(json.load(fh)["test"])
     assert fold_rows[0] > 0
     assert validations[0] == fold_rows[0] + generated + 3 * test_rows
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_generate_refuses_a_draw_that_is_not_finite(tmp_path, monkeypatch, capsys,
+                                                        workers):
+    """normal(1e308, 1e308) draws delays past the float range: generate exits
+    2 naming the setting, from its own process or from a worker's, and
+    writes no dataset."""
+    monkeypatch.chdir(tmp_path)
+    doc = quick_config(n_topologies=40)
+    doc["gen"]["intra_tier_delay"] = {"kind": "normal", "a": 1e308, "b": 1e308}
+    path = write_config(tmp_path / "cfg.json", doc)
+    assert _run("generate", "--config", path, "--workers", workers) == 2
+    assert ("config error: gen.intra_tier_delay = Dist(kind='normal', a=1e+308, b=1e+308) "
+            "draws a value that is not finite") in capsys.readouterr().err
+    assert not (tmp_path / "out" / "train.csv").exists()
+
+
+def test_cli_runs_capacities_near_the_float_range_end_to_end(tmp_path):
+    """Capacities up to 1.7e308: every midpoint between two of them that
+    overflows splits at the lower one instead, so each stage ends, exits 0
+    and warns of no overflow. Each stage runs in its own process under a
+    timeout, so that a fit that never ends fails the test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    doc = quick_config(output_dir=str(tmp_path / "out"), n_topologies=40)
+    doc["gen"]["cpu_capacity"] = {"kind": "uniform", "a": 0.0, "b": 1.7e308}
+    path = write_config(tmp_path / "cfg.json", doc)
+    for stage in ("generate", "optimize", "compare"):
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "vnfplace.cli", stage,
+             "--config", path, "--workers", "1"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+    thresholds = [n["threshold"] for n in json.loads(
+        (tmp_path / "out" / "model_optimized.json").read_text())["nodes"]]
+    assert max(t for t in thresholds if t is not None) > 1e307
 
 
 def test_cli_generate_without_a_train_and_test_row_exits_3(tmp_path, monkeypatch):
@@ -604,8 +641,9 @@ def _preorder(text):
     """The depth-3 tree of ``tests/oracles.py``'s reference fit on the
     model's own ``train.csv``, stored in the pre-order that models had before
     ``fit`` stored its level order; the fingerprint stays."""
-    ds = features.load_dataset("out/train.csv")
-    doc = reference_fit(ds.features, ds.labels, 3)
+    gen = run_config_from_json(quick_config()).gen
+    doc = reference_fit(*features.load_dataset("out/train.csv", gen.n_servers,
+                                               gen.n_instances), 3)
     assert level_order(doc) != doc
     return json.dumps(dict(doc, config_fingerprint=json.loads(text)["config_fingerprint"]))
 
@@ -660,8 +698,6 @@ def _shift_delay(row):
                  id="model_optimized.json-compare"),
     pytest.param("split.json", "optimize", lambda _: "{}", "is malformed",
                  id="split.json-optimize-no-key"),
-    pytest.param("train.schema.json", "optimize", lambda _: '{"feature_cols": []}',
-                 "is malformed", id="train.schema.json-optimize-no-key"),
     pytest.param("model_optimized.json", "compare", lambda _: '{"nodes": []}',
                  "is malformed", id="model_optimized.json-compare-no-key"),
     pytest.param("train.csv", "optimize", lambda _: "", "header does not match",
@@ -716,23 +752,17 @@ def _shift_delay(row):
     pytest.param("model_optimized.json", "compare",
                  _set_raw(["nodes", 0, "majority", 0], str(10**30)),
                  "is malformed", id="model_optimized.json-compare-huge-label"),
-    pytest.param("test.schema.json", "compare", _set_raw(["n_servers"], "1e400"),
-                 "is malformed", id="test.schema.json-compare-huge-n-servers"),
-    # a label inside the schema's range that no int64 holds
-    pytest.param("test.csv", "compare",
-                 {"test.schema.json": _set_raw(["n_servers"], str(10**30)),
-                  "test.csv": _set_first_label(10**25)},
-                 "is a label too large for an int64", id="test.csv-compare-huge-label"),
+    # a label that no int64 holds
+    pytest.param("test.csv", "compare", _set_first_label(10**25), "is not a server id",
+                 id="test.csv-compare-huge-label"),
 ])
 def test_cli_truncated_artifact_exits_4(cli_run, tmp_path, monkeypatch, capsys,
                                         name, stage, edit, says):
-    """``edit`` rewrites the text of ``name``, or is a dict of such rewrites
-    by file name; the message must name ``name``."""
+    """``edit`` rewrites the text of ``name``; the message must name ``name``."""
     monkeypatch.chdir(tmp_path)
     shutil.copytree(cli_run / "out", tmp_path / "out")
-    for file, rewrite in (edit if isinstance(edit, dict) else {name: edit}).items():
-        target = tmp_path / "out" / file
-        target.write_text(rewrite(target.read_text()))
+    target = tmp_path / "out" / name
+    target.write_text(edit(target.read_text()))
     path = write_config(tmp_path / "cfg.json", quick_config())
     assert _run(stage, "--config", path) == 4
     err = capsys.readouterr().err
@@ -789,27 +819,66 @@ def test_cli_split_without_rows_exits_4(cli_run, tmp_path, monkeypatch, capsys, 
 
 def test_cli_dataset_of_another_label_width_exits_4(cli_run, tmp_path, monkeypatch,
                                                    capsys):
+    """A dataset whose rows lost their last label column, header included."""
     monkeypatch.chdir(tmp_path)
     shutil.copytree(cli_run / "out", tmp_path / "out")
-    schema_path = tmp_path / "out" / "train.schema.json"
-    schema = json.loads(schema_path.read_text())
-    schema["label_cols"] = schema["label_cols"][:-1]
-    schema_path.write_text(json.dumps(schema))
     csv_path = tmp_path / "out" / "train.csv"
     csv_path.write_text("".join(line.rsplit(",", 1)[0] + "\n"
                                 for line in csv_path.read_text().splitlines()))
     path = write_config(tmp_path / "cfg.json", quick_config())
     assert _run("optimize", "--config", path) == 4
     err = capsys.readouterr().err
-    assert "train.csv holds 5 labels per row" in err and "rerun generate" in err
+    assert "train.csv: header does not match the 150 feature and 6 label columns" in err
+    assert "rerun generate" in err
+
+
+@pytest.mark.parametrize("n_servers, n_instances", [(14, 6), (15, 5)])
+@pytest.mark.parametrize("stage, which", [("optimize", "train"), ("compare", "test")])
+def test_cli_dataset_header_of_another_geometry_exits_4(cli_run, tmp_path, monkeypatch,
+                                                        capsys, stage, which, n_servers,
+                                                        n_instances):
+    """A dataset whose header holds the columns of another server count or
+    chain length than the gen settings' is refused, naming the CSV."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    csv_path = tmp_path / "out" / f"{which}.csv"
+    feature_cols, label_cols = features.columns(n_servers, n_instances)
+    rows = csv_path.read_text().split("\n", 1)[1]
+    csv_path.write_text(",".join(feature_cols + label_cols) + "\n" + rows)
+    path = write_config(tmp_path / "cfg.json", quick_config())
+    assert _run(stage, "--config", path) == 4
+    err = capsys.readouterr().err
+    assert f"{os.path.join('out', which)}.csv: header does not match the 150 feature and " \
+           "6 label columns of 15 servers and 6-instance chains; rerun generate" in err
+
+
+@pytest.mark.parametrize("stage, which", [("optimize", "train"), ("compare", "test")])
+def test_cli_missing_split_is_reported_before_the_dataset_is_read(cli_run, tmp_path,
+                                                                  monkeypatch, capsys,
+                                                                  stage, which):
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    (tmp_path / "out" / "split.json").unlink()
+    (tmp_path / "out" / f"{which}.csv").write_text("not a dataset\n")
+
+    def unread(*args):
+        raise AssertionError("the dataset was read")
+
+    monkeypatch.setattr(features, "load_dataset", unread)
+    path = write_config(tmp_path / "cfg.json", quick_config())
+    assert _run(stage, "--config", path) == 4
+    err = capsys.readouterr().err
+    assert f"missing artifact: {os.path.join('out', 'split.json')}" in err
+    assert f"{which}.csv" not in err
 
 
 @pytest.mark.parametrize("stage, which", [("optimize", "train"), ("compare", "test")])
 def test_cli_schema_of_another_server_count_exits_4(cli_run, tmp_path, monkeypatch, capsys,
                                                     stage, which):
-    """A schema whose ``n_servers`` is not the config's admits a label that no
-    regenerated topology has a server for; the split is refused, naming the
-    schema, before a label reaches the topologies."""
+    """A schema whose ``n_servers`` is not the config's admits no label beyond
+    the config's servers: no stage reads it, and the gen settings' server
+    count refuses the label, naming the CSV, before it reaches the
+    topologies."""
     monkeypatch.chdir(tmp_path)
     shutil.copytree(cli_run / "out", tmp_path / "out")
     schema_path = tmp_path / "out" / f"{which}.schema.json"
@@ -820,27 +889,56 @@ def test_cli_schema_of_another_server_count_exits_4(cli_run, tmp_path, monkeypat
     path = write_config(tmp_path / "cfg.json", quick_config())
     assert _run(stage, "--config", path) == 4
     err = capsys.readouterr().err
-    assert f"{which}.schema.json records 100 servers, not the 15" in err
-    assert "rerun generate" in err and "Traceback" not in err
+    assert f"{which}.csv:2: column 'label_inst5' is not a server id below 15: '20'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("n_servers", [15.9, 15.0, True, "15"])
 @pytest.mark.parametrize("stage, which", [("optimize", "train"), ("compare", "test")])
 def test_cli_schema_server_count_that_is_no_integer_exits_4(cli_run, tmp_path, monkeypatch,
                                                             capsys, stage, which, n_servers):
-    """``int()`` would load 15.9 as the config's 15 servers; a schema whose
-    ``n_servers`` is not a JSON integer is refused, naming the schema."""
+    """A schema ``n_servers`` of 15.9 would admit server 15; no stage reads
+    it, and the gen settings' 15 servers refuse that label, naming the CSV."""
     monkeypatch.chdir(tmp_path)
     shutil.copytree(cli_run / "out", tmp_path / "out")
     schema_path = tmp_path / "out" / f"{which}.schema.json"
     schema_path.write_text(json.dumps(dict(json.loads(schema_path.read_text()),
                                            n_servers=n_servers)))
+    csv_path = tmp_path / "out" / f"{which}.csv"
+    csv_path.write_text(_set_first_label(15)(csv_path.read_text()))
     path = write_config(tmp_path / "cfg.json", quick_config())
     assert _run(stage, "--config", path) == 4
     err = capsys.readouterr().err
-    assert f"{which}.schema.json is malformed" in err
-    assert f"n_servers must be an integer, not {n_servers!r}" in err
-    assert "Traceback" not in err
+    assert f"{which}.csv:2: column 'label_inst5' is not a server id below 15: '15'" in err
+    assert "schema" not in err and "Traceback" not in err
+
+
+def _set_n_servers(raw):
+    return lambda path: path.write_text(_set_raw(["n_servers"], raw)(path.read_text()))
+
+
+@pytest.mark.parametrize("spoil", [
+    pytest.param(lambda path: path.unlink(), id="deleted"),
+    pytest.param(lambda path: path.write_text(path.read_text()[:40]), id="truncated"),
+    pytest.param(lambda path: path.write_text('{"feature_cols": []}'), id="no-key"),
+    pytest.param(_set_n_servers("1e400"), id="huge-n-servers"),
+    *(pytest.param(_set_n_servers(raw), id=f"n-servers-{name}")
+      for raw, name in [("15.9", "15.9"), ("15.0", "15.0"), ("true", "true"),
+                        ('"15"', "string")]),
+])
+def test_cli_stages_do_not_read_the_schema_sidecars(cli_run, tmp_path, monkeypatch, spoil):
+    """The gen settings fix a dataset's columns: with both ``.schema.json``
+    files deleted or garbled, optimize and compare write the same bytes."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    for which in ("train", "test"):
+        spoil(tmp_path / "out" / f"{which}.schema.json")
+    path = write_config(tmp_path / "cfg.json", quick_config())
+    assert _run("optimize", "--config", path) == 0
+    assert _run("compare", "--config", path) == 0
+    for name in ["pipeline_report.json", "model_baseline.json", "model_optimized.json",
+                 "comparison.json"]:
+        assert (cli_run / "out" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
 
 def test_cli_refuses_rows_that_regenerate_differently(cli_run, tmp_path, monkeypatch,

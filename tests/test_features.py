@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import sys
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import dists, gen_settings, line_topology, simple_sfc
 from oracles import reference_extract_features
 from vnfplace import features, netmodel
-from vnfplace.features import Dataset
 from vnfplace.netmodel import ArtifactError
 
 
@@ -79,9 +79,9 @@ def test_feature_matrix_matches_the_per_row_reference(n_servers, base_seed, indi
 
 def test_build_dataset_labels_match_teacher(small_batch):
     cfg, topos, sfcs, placements = small_batch
-    ds = features.build_dataset(list(zip(topos, sfcs, placements))[:20])
-    assert ds.n_samples == 20
-    assert list(ds.labels[7]) == list(placements[7])
+    X, Y = features.build_dataset(list(zip(topos, sfcs, placements))[:20])
+    assert X.shape == (20, 150) and Y.shape == (20, 6)
+    assert list(Y[7]) == list(placements[7])
 
 
 def test_build_dataset_rejects_mixed_configs(small_batch):
@@ -102,9 +102,7 @@ def test_build_dataset_rejects_mixed_configs(small_batch):
 def test_kfold_partition_laws(n, b, seed):
     if b > n:
         b = n
-    ds = Dataset(np.zeros((n, 2)), np.zeros((n, 1), dtype=int),
-                 ["a", "b"], ["label_inst0"], 4)
-    split = features.kfold(ds, b, seed)
+    split = features.kfold(n, b, seed)
     perm = np.random.default_rng(seed).permutation(n)
     val_all = np.concatenate([v for _, v in split.folds])
     assert sorted(val_all.tolist()) == list(range(n))  # coverage, disjointness
@@ -115,42 +113,42 @@ def test_kfold_partition_laws(n, b, seed):
         assert not set(train) & set(val)
         held_out = set(val.tolist())  # the shuffle without the fold, in shuffle order
         assert train.tolist() == [i for i in perm.tolist() if i not in held_out]
-    again = features.kfold(ds, b, seed)
+    again = features.kfold(n, b, seed)
     for (t1, v1), (t2, v2) in zip(split.folds, again.folds):
         assert np.array_equal(t1, t2) and np.array_equal(v1, v2)
 
 
 def test_kfold_rejects_bad_b(small_dataset):
-    ds, _ = small_dataset
+    X, _, _ = small_dataset
     with pytest.raises(ValueError):
-        features.kfold(ds, 1, 0)
+        features.kfold(len(X), 1, 0)
     with pytest.raises(ValueError):
-        features.kfold(ds, ds.n_samples + 1, 0)
+        features.kfold(len(X), len(X) + 1, 0)
 
 
 def test_dataset_round_trip(tmp_path, small_batch):
     cfg, topos, sfcs, placements = small_batch
-    ds = features.build_dataset(list(zip(topos, sfcs, placements))[:10])
+    X, Y = features.build_dataset(list(zip(topos, sfcs, placements))[:10])
     path = str(tmp_path / "ds.csv")
-    features.save_dataset(ds, path)
-    back = features.load_dataset(path)
-    assert np.array_equal(ds.features, back.features)
-    assert np.array_equal(ds.labels, back.labels)
-    assert ds.feature_cols == back.feature_cols
-    assert ds.n_servers == back.n_servers
+    features.save_dataset(path, X, Y, 15)
+    back_X, back_Y = features.load_dataset(path, 15, 6)
+    assert back_X.tobytes() == X.tobytes() and back_Y.tolist() == Y.tolist()
+    # the sidecar documents the columns; no reader of the package opens it
+    feature_cols, label_cols = features.columns(15, 6)
+    assert json.loads((tmp_path / "ds.schema.json").read_text()) == {
+        "feature_cols": feature_cols, "label_cols": label_cols, "n_servers": 15}
+    assert label_cols == [f"label_inst{i}" for i in range(6)]
 
 
 def test_empty_dataset_round_trip(tmp_path):
     cols = features.feature_names(6, 4)
-    ds = Dataset(np.empty((0, len(cols))), np.empty((0, 4), dtype=int), cols,
-                 [f"label_inst{i}" for i in range(4)], 6)
     path = str(tmp_path / "empty.csv")
-    features.save_dataset(ds, path)
+    features.save_dataset(path, np.empty((0, len(cols))), np.empty((0, 4), dtype=int), 6)
     with open(path) as fh:
         lines = fh.read().strip().splitlines()
     assert len(lines) == 1  # header only
-    back = features.load_dataset(path)
-    assert back.n_samples == 0
+    X, Y = features.load_dataset(path, 6, 4)
+    assert X.shape == (0, len(cols)) and Y.shape == (0, 4)
 
 
 _FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
@@ -172,7 +170,7 @@ def test_save_dataset_writes_what_csv_writer_writes(tmp_path_factory, rows):
     path = tmp_path_factory.getbasetemp() / "save_dataset_property.csv"
     X = np.array([x for x, _ in rows], dtype=float).reshape(len(rows), len(_COLS))
     Y = np.array([y for _, y in rows], dtype=np.int64).reshape(len(rows), 4)
-    features.save_dataset(Dataset(X, Y, _COLS, _LABEL_COLS, 2**63 - 1), path)
+    features.save_dataset(path, X, Y, 3)
     buf = io.StringIO()
     csv.writer(buf).writerows([_COLS + _LABEL_COLS] + [x + y for x, y in rows])
     assert path.read_bytes() == buf.getvalue().encode()
@@ -180,25 +178,26 @@ def test_save_dataset_writes_what_csv_writer_writes(tmp_path_factory, rows):
 
 def test_load_reports_bad_label_column(tmp_path, small_batch):
     cfg, topos, sfcs, placements = small_batch
-    ds = features.build_dataset(list(zip(topos, sfcs, placements))[:3])
+    X, Y = features.build_dataset(list(zip(topos, sfcs, placements))[:3])
     path = str(tmp_path / "ds.csv")
-    features.save_dataset(ds, path)
+    features.save_dataset(path, X, Y, 15)
     lines = open(path).read().splitlines()
     cells = lines[1].split(",")
     cells[-1] = "not_a_server"
     lines[1] = ",".join(cells)
     open(path, "w").write("\n".join(lines) + "\n")
     with pytest.raises(ArtifactError, match="label_inst5"):
-        features.load_dataset(path)
+        features.load_dataset(path, 15, 6)
 
 
 def test_load_rejects_wrong_header(tmp_path, small_batch):
     cfg, topos, sfcs, placements = small_batch
-    ds = features.build_dataset(list(zip(topos, sfcs, placements))[:3])
+    X, Y = features.build_dataset(list(zip(topos, sfcs, placements))[:3])
     path = str(tmp_path / "ds.csv")
-    features.save_dataset(ds, path)
+    features.save_dataset(path, X, Y, 15)
     lines = open(path).read().splitlines()
     lines[0] = lines[0].replace("inst0_cpu_demand", "renamed")
     open(path, "w").write("\n".join(lines) + "\n")
     with pytest.raises(ArtifactError, match="header"):
-        features.load_dataset(path)
+        features.load_dataset(path, 15, 6)
+

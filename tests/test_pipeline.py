@@ -127,32 +127,29 @@ def _hopeless_problem():
     X = features.feature_matrix([topo], [sfc])[0]
     Xm = np.array([X + rng.normal(0, 1e-6, X.size) for _ in range(12)])
     Y = rng.integers(0, 6, size=(12, 4))
-    ds = features.Dataset(Xm, Y.astype(int),
-                          features.feature_names(6, 4),
-                          [f"label_inst{i}" for i in range(4)], 6)
     ctx = swarm.make_context([topo] * 12, [sfc] * 12, Y.tolist())
-    return ds, ctx
+    return Xm, Y, ctx
 
 
 def test_stage1_raises_when_threshold_unreachable():
-    ds, ctx = _hopeless_problem()
-    folds = features.kfold(ds, 3, seed=0)
+    X, Y, ctx = _hopeless_problem()
+    folds = features.kfold(len(X), 3, seed=0)
     settings = PipelineSettings(initial_bounds=(2, 40))
     with pytest.raises(PipelineError,
                        match="never reached 0.075 .*minimum 1.000, first at depth 2"):
-        pipeline.run_pipeline(ds, ctx, folds, PsoParams(seed=0, iterations=3),
+        pipeline.run_pipeline(X, Y, ctx, folds, PsoParams(seed=0, iterations=3),
                               settings)
 
 
 def test_full_pipeline_on_small_batch(small_dataset):
-    ds, ctx = small_dataset
-    folds = features.kfold(ds, 5, seed=0)
+    X, Y, ctx = small_dataset
+    folds = features.kfold(len(X), 5, seed=0)
     settings = PipelineSettings()
     report, model, _ = pipeline.run_pipeline(
-        ds, ctx, folds, PsoParams(seed=7), settings, config_echo={"note": "test"}
+        X, Y, ctx, folds, PsoParams(seed=7), settings, config_echo={"note": "test"}
     )
-    trees = [tree.fit(ds.features[t], ds.labels[t]) for t, _ in folds.folds]
-    table = pipeline.depth_table(ds, ctx, folds, trees, *settings.initial_bounds)
+    trees = [tree.fit(X[t], Y[t]) for t, _ in folds.folds]
+    table = pipeline.depth_table(X, ctx, folds, trees, *settings.initial_bounds)
     a1, a2 = report["functional_range"]
     lo, hi = settings.initial_bounds
     top = max(lo + 1, min(hi, max(t.tree_depth() for t in trees)))
@@ -162,7 +159,7 @@ def test_full_pipeline_on_small_batch(small_dataset):
     assert lo <= report["stage1"]["best_h"] <= top
     assert report["stage1"]["fold_depths"] == [t.tree_depth() for t in trees]
     h_star = report["h_star"]
-    assert model.to_json() == tree.fit(ds.features, ds.labels).truncate(h_star).to_json()
+    assert model.to_json() == tree.fit(X, Y).truncate(h_star).to_json()
     assert a1 <= h_star <= a2
     assert curve[str(a1)] <= settings.error_threshold
     assert report["stage2"]["curve"] == {str(h): table[h][1] for h in range(a1, a2 + 1)}
@@ -173,21 +170,21 @@ def test_full_pipeline_on_small_batch(small_dataset):
 
 
 def test_pipeline_deterministic(small_dataset):
-    ds, ctx = small_dataset
-    folds = features.kfold(ds, 5, seed=0)
-    r1, m1, _ = pipeline.run_pipeline(ds, ctx, folds, PsoParams(seed=7),
+    X, Y, ctx = small_dataset
+    folds = features.kfold(len(X), 5, seed=0)
+    r1, m1, _ = pipeline.run_pipeline(X, Y, ctx, folds, PsoParams(seed=7),
                                       PipelineSettings())
-    r2, m2, _ = pipeline.run_pipeline(ds, ctx, folds, PsoParams(seed=7),
+    r2, m2, _ = pipeline.run_pipeline(X, Y, ctx, folds, PsoParams(seed=7),
                                       PipelineSettings())
     assert r1 == r2
     assert m1.to_json() == m2.to_json()
 
 
 def test_stage1_pso_graded_by_the_exact_objective_curve(small_dataset):
-    ds, ctx = small_dataset
-    folds = features.kfold(ds, 5, seed=0)
-    trees = [tree.fit(ds.features[t], ds.labels[t]) for t, _ in folds.folds]
-    table = pipeline.depth_table(ds, ctx, folds, trees, 2, 40)
+    X, Y, ctx = small_dataset
+    folds = features.kfold(len(X), 5, seed=0)
+    trees = [tree.fit(X[t], Y[t]) for t, _ in folds.folds]
+    table = pipeline.depth_table(X, ctx, folds, trees, 2, 40)
     curve, objective, best_h, regret, trace = pipeline.stage1(table, PsoParams(seed=7))
     exact = {h: obj for h, (_, obj) in table.items()}
     assert objective == exact
@@ -207,8 +204,8 @@ def test_stage1_regret_of_a_missed_minimum():
 
 @pytest.mark.parametrize("bounds", [(2, 100), (2, 5), (60, 100)])
 def test_report_counts_the_distinct_depths_evaluated(small_dataset, monkeypatch, bounds):
-    ds, ctx = small_dataset
-    folds = features.kfold(ds, 5, seed=0)
+    X, Y, ctx = small_dataset
+    folds = features.kfold(len(X), 5, seed=0)
     depths = []
 
     def counted(h, *args):
@@ -217,7 +214,7 @@ def test_report_counts_the_distinct_depths_evaluated(small_dataset, monkeypatch,
 
     monkeypatch.setattr(pipeline, "fold_results", counted)
     settings = PipelineSettings(error_threshold=1.0, initial_bounds=bounds)
-    report, _, _ = pipeline.run_pipeline(ds, ctx, folds, PsoParams(seed=7), settings)
+    report, _, _ = pipeline.run_pipeline(X, Y, ctx, folds, PsoParams(seed=7), settings)
     lo, hi = bounds
     expected = max(lo + 1, min(hi, max(report["stage1"]["fold_depths"]))) - lo + 1
     assert report["stage1"]["distinct_depths"] == expected == len(set(depths))

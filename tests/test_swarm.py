@@ -75,27 +75,25 @@ def test_context_alignment_enforced(small_batch):
 
 
 def test_array_records_compare_by_identity(small_dataset, small_batch):
-    """``==`` on two equal topologies, datasets, contexts or trees is a bool:
-    they compare by identity, never element-wise over their arrays."""
-    ds, ctx = small_dataset
+    """``==`` on two equal topologies, contexts or trees is a bool: they
+    compare by identity, never element-wise over their arrays."""
+    X, Y, ctx = small_dataset
     cfg = small_batch[0]
     twins = [(netmodel.generate_topology(cfg, 0), netmodel.generate_topology(cfg, 0)),
-             (ds, features.Dataset(ds.features, ds.labels, ds.feature_cols, ds.label_cols,
-                                   ds.n_servers)),
              (ctx, EvalContext(ctx.topologies, ctx.sfcs, ctx.delay_ceiling)),
-             (tree_mod.fit(ds.features, ds.labels), tree_mod.fit(ds.features, ds.labels))]
+             (tree_mod.fit(X, Y), tree_mod.fit(X, Y))]
     for a, b in twins:
         assert (a == b) is False and (a == a) is True and (a != b) is True
 
 
-def reference_fold_results(h, ds, ctx, folds):
+def reference_fold_results(h, X, Y, ctx, folds):
     """Slow reference: each fold's tree truncated at h, every validation row
     validated by hand. Returns (invalid rate over all validation rows, mean
     over folds of mean valid delay + penalty)."""
     ips, objectives = [], []
     for train_idx, val_idx in folds.folds:
-        t = tree_mod.fit(ds.features[train_idx], ds.labels[train_idx]).truncate(h)
-        pred = t.predict(ds.features[val_idx])
+        t = tree_mod.fit(X[train_idx], Y[train_idx]).truncate(h)
+        pred = t.predict(X[val_idx])
         ip = 0
         delays = []
         for row, labels in zip(val_idx, pred):
@@ -110,52 +108,50 @@ def reference_fold_results(h, ds, ctx, folds):
     return sum(ips) / sum(len(v) for _, v in folds.folds), float(np.mean(objectives))
 
 
-def unbounded_fold_trees(ds, folds):
-    return [tree_mod.fit(ds.features[train_idx], ds.labels[train_idx])
-            for train_idx, _ in folds.folds]
+def unbounded_fold_trees(X, Y, folds):
+    return [tree_mod.fit(X[train_idx], Y[train_idx]) for train_idx, _ in folds.folds]
 
 
-def fold_predictions(ds, folds):
+def fold_predictions(X, Y, folds):
     """Per fold, its validation rows' predictions at every level of one walk
     of the fold's unbounded tree."""
-    return [t.majority[t.descend(ds.features[val_idx])]
-            for t, (_, val_idx) in zip(unbounded_fold_trees(ds, folds), folds.folds)]
+    return [t.majority[t.descend(X[val_idx])]
+            for t, (_, val_idx) in zip(unbounded_fold_trees(X, Y, folds), folds.folds)]
 
 
 def test_fold_results_against_manual_recompute(small_dataset):
-    ds, ctx = small_dataset
-    folds = features.kfold(ds, 4, seed=0)
-    preds = fold_predictions(ds, folds)
+    X, Y, ctx = small_dataset
+    folds = features.kfold(len(X), 4, seed=0)
+    preds = fold_predictions(X, Y, folds)
     deepest = max(len(levels) - 1 for levels in preds)
     for h in (1, 6, deepest + 3):  # past every fold tree: each reads its last level
-        assert swarm.fold_results(h, ds, ctx, folds, preds) == \
-            reference_fold_results(h, ds, ctx, folds)
+        assert swarm.fold_results(h, ctx, folds, preds) == \
+            reference_fold_results(h, X, Y, ctx, folds)
 
 
 def test_depth_table_matches_fresh_fits(small_dataset):
     """The table holds exactly the depths [lo, max(lo + 1, min(hi, D_max))],
     each what fresh fits truncated at depth h give, also when lo itself lies
     past the deepest fold tree, and when hi lies below it."""
-    ds, ctx = small_dataset
+    X, Y, ctx = small_dataset
     n = 48  # a slice keeps the fresh fits at every depth quick
-    ds = features.Dataset(ds.features[:n], ds.labels[:n], ds.feature_cols, ds.label_cols,
-                          ds.n_servers)
+    X, Y = X[:n], Y[:n]
     ctx = EvalContext(ctx.topologies[:n], ctx.sfcs[:n], ctx.delay_ceiling)
-    folds = features.kfold(ds, 3, seed=5)
-    trees = unbounded_fold_trees(ds, folds)
+    folds = features.kfold(n, 3, seed=5)
+    trees = unbounded_fold_trees(X, Y, folds)
     d_max = max(t.tree_depth() for t in trees)
-    expected = {h: reference_fold_results(h, ds, ctx, folds) for h in range(2, d_max + 4)}
+    expected = {h: reference_fold_results(h, X, Y, ctx, folds) for h in range(2, d_max + 4)}
     for lo, hi, top in [(2, d_max + 5, d_max), (d_max + 2, d_max + 5, d_max + 3),
                         (2, d_max - 1, d_max - 1)]:
-        table = pipeline.depth_table(ds, ctx, folds, trees, lo, hi)
+        table = pipeline.depth_table(X, ctx, folds, trees, lo, hi)
         assert table == {h: expected[h] for h in range(lo, top + 1)}
 
 
 def test_invalid_rate_bounds_and_decrease(small_dataset):
-    ds, ctx = small_dataset
-    folds = features.kfold(ds, 5, seed=0)
-    preds = fold_predictions(ds, folds)
-    rates = [swarm.fold_results(h, ds, ctx, folds, preds)[0] for h in (1, 4, 10, 25)]
+    X, Y, ctx = small_dataset
+    folds = features.kfold(len(X), 5, seed=0)
+    preds = fold_predictions(X, Y, folds)
+    rates = [swarm.fold_results(h, ctx, folds, preds)[0] for h in (1, 4, 10, 25)]
     assert all(0.0 <= r <= 1.0 for r in rates)
     assert rates[-1] <= rates[0]
 
@@ -163,26 +159,25 @@ def test_invalid_rate_bounds_and_decrease(small_dataset):
 def test_zero_valid_fold_uses_ceiling(small_dataset):
     """A fold whose every prediction is invalid scores the delay ceiling plus
     the penalty of its validation row count."""
-    ds, ctx = small_dataset
+    X, Y, ctx = small_dataset
     n = 40
-    ds = features.Dataset(ds.features[:n], ds.labels[:n], ds.feature_cols, ds.label_cols,
-                          ds.n_servers)
+    X, Y = X[:n], Y[:n]
     # every instance demands more cpu than any server has: all placements fail
     heavy = [SfcSpec(s.counts, [1e9] * s.n_instances, s.mem_demand, s.tolerance)
              for s in ctx.sfcs[:n]]
     ctx = EvalContext(ctx.topologies[:n], heavy, ctx.delay_ceiling)
-    folds = features.kfold(ds, 4, seed=0)
-    for fold, levels in zip(folds.folds, fold_predictions(ds, folds)):
+    folds = features.kfold(n, 4, seed=0)
+    for fold, levels in zip(folds.folds, fold_predictions(X, Y, folds)):
         one = features.FoldSplit(folds=[fold])
-        assert swarm.fold_results(8, ds, ctx, one, [levels]) == (
+        assert swarm.fold_results(8, ctx, one, [levels]) == (
             1.0, ctx.delay_ceiling + reg_term(len(fold[1])))
 
 
 def test_depth_validation(small_dataset):
-    ds, ctx = small_dataset
-    folds = features.kfold(ds, 3, seed=0)
+    X, _, ctx = small_dataset
+    folds = features.kfold(len(X), 3, seed=0)
     with pytest.raises(ValueError):
-        swarm.fold_results(0, ds, ctx, folds, [])
+        swarm.fold_results(0, ctx, folds, [])
 
 
 # [DERIVED] the unique integer minimum of (h - 17)^2 on [2, 100] is 17.

@@ -93,21 +93,20 @@ def test_validate_hook_counts_valid_reports(small_batch):
 
 
 def test_fold_results_hook_counts_depths_and_validation_rows(small_dataset, tmp_path):
-    ds, ctx = small_dataset
-    folds = features.kfold(ds, 3, seed=0)
-    trees = [tree.fit(ds.features[train], ds.labels[train]) for train, _ in folds.folds]
-    preds = [t.majority[t.descend(ds.features[val])]
+    X, Y, ctx = small_dataset
+    folds = features.kfold(len(X), 3, seed=0)
+    trees = [tree.fit(X[train], Y[train]) for train, _ in folds.folds]
+    preds = [t.majority[t.descend(X[val])]
              for t, (_, val) in zip(trees, folds.folds)]
     tracer = TRACER.Tracer()
     fold_results = tracer.wrap("swarm.fold_results", swarm.fold_results,
                                tracer._on_fold_results)
     for h in (2, 5, 5):
-        assert fold_results(h, ds, ctx, folds, preds) == swarm.fold_results(
-            h, ds, ctx, folds, preds)
+        assert fold_results(h, ctx, folds, preds) == swarm.fold_results(h, ctx, folds, preds)
     tracer.dump(tmp_path / "stats.json")
     stats = json.loads((tmp_path / "stats.json").read_text())["swarm.fold_results"]
     assert stats["calls"] == 3 and stats["distinct_depths"] == 2
-    assert stats["validation_rows"] == 3 * ds.n_samples
+    assert stats["validation_rows"] == 3 * len(X)
 
 
 def test_benchmark_traversal_of_a_saved_model_predicts_like_the_tree(tmp_path):

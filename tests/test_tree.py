@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -456,3 +461,40 @@ def test_fit_leaves_no_garbage_cycle():
     fitted = []
     assert garbage_after(lambda: fitted.append(tree.fit(X, Y))) == 0
     assert fitted[0].node_count() > 100
+
+
+#: Fit two rows, one at each of two values, in a fresh interpreter, and print
+#: the model document.
+_FIT_TWO_ROWS = """
+import json, sys
+import numpy as np
+from vnfplace import tree
+print(json.dumps(tree.fit(np.array(json.loads(sys.argv[1])), [[0], [1]]).to_json()))
+"""
+
+
+@pytest.mark.parametrize("lo, hi", [
+    pytest.param(1.0000000000000002, 1.0000000000000004, id="adjacent-doubles"),
+    pytest.param(1e308, 1.7e308, id="positive-overflow"),
+    pytest.param(-1.7e308, -1e308, id="negative-overflow"),
+    pytest.param(5e-324, 1e-323, id="adjacent-subnormals"),
+    pytest.param(-5e-324, 0.0, id="negative-zero-midpoint"),
+])
+def test_fit_ends_where_a_midpoint_is_not_between_its_values(lo, hi):
+    """A midpoint that rounds onto hi (or onto -0.0, which is not below 0.0)
+    or overflows once sent both rows to one child, the parent again, level
+    after level without end. The threshold is lo there, as in scikit-learn's
+    splitter. The fit runs in a child process under a timeout, so that such
+    a loop fails the test instead of hanging the suite, and with
+    RuntimeWarnings as errors, so that the midpoint may not warn of its
+    overflow."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tree.__file__)))
+    X = [[lo], [hi]]
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _FIT_TWO_ROWS, json.dumps(X)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert [n["threshold"] for n in doc["nodes"]] == [lo, None, None]
+    assert doc == level_order(reference_fit(X, [[0], [1]], 2))
+    assert DecisionTree.from_json(doc).predict(X).tolist() == [[0], [1]]
