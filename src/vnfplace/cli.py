@@ -36,11 +36,21 @@ a row that does not regenerate or a model whose nodes are not one tree in
 level order, or was generated under other settings; the message names the
 file). Stages raise where they find a failure, and ``main`` alone turns
 each error type into its code.
+
+``run`` owns the process: ``python -m vnfplace.cli`` and the installed
+``vnfplace`` command call it. It freezes the import heap (numpy and these
+modules, none of which can become garbage in a process that runs one stage
+and exits), so that no collection during the stage or at interpreter exit
+walks it again; the stage's own objects are collected as before.
+``main(argv)`` is the in-process entry: it runs one stage and returns the
+exit code, and freezes nothing, since a freeze there would pin whatever
+garbage its caller holds.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -328,5 +338,12 @@ def main(argv=None) -> int:
     return 0
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Run one stage as the whole process: freeze the import heap, then exit
+    with ``main``'s code. A ``--workers`` pool forks from the frozen heap."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

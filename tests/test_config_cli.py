@@ -21,6 +21,7 @@ from vnfplace.netmodel import ConfigError, Dist
 
 CONFIGS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "configs")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
 def quick_config(output_dir="out", n_topologies=80, seed=42):
@@ -430,7 +431,6 @@ def test_cli_runs_capacities_near_the_float_range_end_to_end(tmp_path):
     overflows splits at the lower one instead, so each stage ends, exits 0
     and warns of no overflow. Each stage runs in its own process under a
     timeout, so that a fit that never ends fails the test."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     doc = quick_config(output_dir=str(tmp_path / "out"), n_topologies=40)
     doc["gen"]["cpu_capacity"] = {"kind": "uniform", "a": 0.0, "b": 1.7e308}
     path = write_config(tmp_path / "cfg.json", doc)
@@ -438,7 +438,7 @@ def test_cli_runs_capacities_near_the_float_range_end_to_end(tmp_path):
         done = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "vnfplace.cli", stage,
              "--config", path, "--workers", "1"],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
             timeout=120)
         assert done.returncode == 0, done.stderr
     thresholds = [n["threshold"] for n in json.loads(
@@ -549,6 +549,21 @@ def test_cli_parallel_generation_matches_serial(cli_run, tmp_path, monkeypatch):
     assert _run("generate", "--config", str(cfgpath), "--workers", "4") == 0
     for name in ("placements.json", "split.json", "train.csv", "test.csv"):
         assert (cli_run / "out" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+
+
+def test_cli_process_entry_writes_the_in_process_bytes(cli_run, tmp_path):
+    """Each stage as its own ``python -m vnfplace.cli`` process, which freezes
+    its import heap before the stage, and ``generate`` with a pool forked
+    from that frozen parent: every artifact equals the in-process run's."""
+    path = write_config(tmp_path / "cfg.json", quick_config())
+    for stage, *extra in (("generate", "--workers", "2"), ("optimize",), ("compare",)):
+        done = subprocess.run([sys.executable, "-m", "vnfplace.cli", stage, "--config", path,
+                               *extra], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(EXPECTED_ARTIFACTS)
+    for name in EXPECTED_ARTIFACTS:
+        assert (tmp_path / "out" / name).read_bytes() == (cli_run / "out" / name).read_bytes(), name
 
 
 def test_cli_generate_pool_has_at_most_one_worker_per_chunk(tmp_path, monkeypatch, capsys):
@@ -1047,11 +1062,10 @@ def test_cli_stages_remove_stale_outputs_before_they_can_fail(cli_run, tmp_path,
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys, vnfplace.cli; print('concurrent.futures.process' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
 
 

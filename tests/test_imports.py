@@ -4,6 +4,7 @@ Every stage is a fresh interpreter, and on small inputs its start-up costs
 more than its work, so the modules a stage loads are part of its cost.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -48,9 +49,8 @@ def _loaded_modules(*argv) -> set[str]:
 
 
 @pytest.fixture(scope="module")
-def stage_modules(tmp_path_factory):
-    """The modules loaded by a bare import and by each stage of a tiny run,
-    every one in a fresh interpreter."""
+def tiny_desk(tmp_path_factory) -> str:
+    """The path of a 20-topology desk config whose output_dir is absolute."""
     tmp = tmp_path_factory.mktemp("imports")
     with open(os.path.join(CONFIGS_DIR, "desk.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -58,9 +58,16 @@ def stage_modules(tmp_path_factory):
     doc["output_dir"] = str(tmp / "out")
     path = tmp / "cfg.json"
     path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def stage_modules(tiny_desk):
+    """The modules loaded by a bare import and by each stage of a tiny run,
+    every one in a fresh interpreter."""
     loaded = {"import": _loaded_modules()}
     for stage in ("generate", "optimize", "compare"):
-        loaded[stage] = _loaded_modules(stage, "--config", str(path), "--workers", "1")
+        loaded[stage] = _loaded_modules(stage, "--config", tiny_desk, "--workers", "1")
     return loaded
 
 
@@ -68,3 +75,25 @@ def stage_modules(tmp_path_factory):
 def test_stage_leaves_unused_layers_unloaded(stage_modules, stage):
     assert "vnfplace.cli" in stage_modules[stage]
     assert sorted(UNLOADED[stage] & stage_modules[stage]) == []
+
+
+#: Run the CLI module as ``__main__``, as ``python -m vnfplace.cli`` does, and
+#: print the number of frozen objects once the process exits.
+MAIN_SCRIPT = """
+import atexit, gc, runpy
+atexit.register(lambda: print(gc.get_freeze_count()))
+runpy.run_module("vnfplace.cli", run_name="__main__")
+"""
+
+
+def test_process_entry_freezes_and_library_call_does_not(tiny_desk):
+    """``run`` freezes the import heap of the process it owns; ``main`` leaves
+    its caller's collector as it found it."""
+    done = subprocess.run([sys.executable, "-c", MAIN_SCRIPT, "generate", "--config", tiny_desk,
+                           "--workers", "1"], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.splitlines()[-1]) > 0
+    frozen = gc.get_freeze_count()
+    assert cli.main(["generate", "--config", tiny_desk, "--workers", "1"]) == 0
+    assert gc.get_freeze_count() == frozen
