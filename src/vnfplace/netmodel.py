@@ -192,7 +192,7 @@ class Topology:
         if len(self.mem) != n or self.delay.shape != (n, n):
             raise ValueError(f"{n} cpu capacities, {len(self.mem)} mem capacities and "
                              f"a delay matrix of shape {self.delay.shape} disagree")
-        if any(c < 0 for c in (*self.cpu, *self.mem)):
+        if not all(c >= 0 for c in (*self.cpu, *self.mem)):  # NaN included
             raise ValueError("capacities must be non-negative")
         if not np.array_equal(self.delay, self.delay.T):
             raise ValueError("delay matrix must be symmetric")
@@ -247,11 +247,11 @@ class SfcSpec:
         n = sum(self.counts)
         if len(self.cpu_demand) != n or len(self.mem_demand) != n:
             raise ValueError(f"{n} instances need {n} cpu and mem demands")
-        if any(d < 0 for d in (*self.cpu_demand, *self.mem_demand)):
+        if not all(d >= 0 for d in (*self.cpu_demand, *self.mem_demand)):  # NaN included
             raise ValueError("demands must be non-negative")
         if len(self.tolerance) != len(ADJACENT_PAIRS):
             raise ValueError("tolerance must hold one value per adjacent type pair")
-        if any(t < 0 for t in self.tolerance):
+        if not all(t >= 0 for t in self.tolerance):  # NaN included
             raise ValueError("tolerances must be non-negative")
 
     @property

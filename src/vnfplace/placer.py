@@ -5,19 +5,20 @@ incremental cost (summed delay to the replicas of the previous chain type),
 then lowest server id, and backtracks within a node budget, keeping the best
 complete assignment found so far (branch and bound). Every replica of a type
 has the same upstream, so each layer's candidate order is computed once per
-distinct placement of the layer before it within one call and shared by
-the layer's replicas; nothing the search builds outlives the call. The
-first descent is the plain greedy placement and the remaining budget buys
-improvement. A search the budget cuts short is not certified optimal; one
-it does not is optimal for its own objective, total dependent-pair delay,
-since a cut branch cannot beat the best complete assignment. That is not
-the measure every stage scores, the mean path delay, which weights each
-pair by the paths through it, per adjacent type pair (2, 1, 2) on desk
-and (6, 4, 6) on medium, so such a search need not minimize the mean path
-delay. On the first 100 topologies of
-``configs/desk.json``, a budget of 100,000 nodes finds a placement with a
-lower mean path delay than the default budget of 1000 on 43 of them (every
-one of those searches ends within 2,597 nodes).
+distinct placement of the layer before it within one call and shared by the
+layer's replicas (one comprehension for an upstream of two or three
+replicas, a loop otherwise); nothing the search builds outlives the call. A
+child meets the bound before the capacity test. The first descent is the
+plain greedy placement and the remaining budget buys improvement. A search
+the budget cuts short is not certified optimal; one it does not is optimal
+for its own objective, total dependent-pair delay, since a cut branch cannot
+beat the best complete assignment. That is not the measure every stage
+scores, the mean path delay, which weights each pair by the paths through
+it, per adjacent type pair (2, 1, 2) on desk and (6, 4, 6) on medium, so
+such a search need not minimize the mean path delay. On the first 100
+topologies of ``configs/desk.json``, a budget of 100,000 nodes finds a
+placement with a lower mean path delay than the default budget of 1000 on 43
+of them (every one of those searches ends within 2,597 nodes).
 
 A placement is a sequence of server ids indexed by instance id, the same
 row a dataset stores as labels and a tree predicts. The validator checks
@@ -145,8 +146,12 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
     same upstream, so a layer's (cost, server) order depends only on where
     the previous layer sits: it is computed once per distinct placement of
     that layer within the call, when the search first enters the layer's
-    first replica under it, and shared by the layer's replicas. Nothing the
-    search builds outlives the call.
+    first replica under it, and shared by the layer's replicas. One
+    comprehension scores every server for an upstream of two or three
+    replicas, a per-server loop any other layer; both add the delays from
+    0.0 in upstream order. A child over the bound ends the sorted
+    candidates, so it is tested before capacity and anti-location. Nothing
+    the search builds outlives the call.
     ``budget`` caps the number of expanded nodes; the best complete
     assignment seen is returned with the nodes expanded and
     ``budget_exhausted``, which is true exactly when a larger budget would
@@ -174,15 +179,26 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
     def layer_order(layer: int, prev: tuple[int, ...]) -> list[tuple[float, int]]:
         upstream = [rows[s] for s in prev]
         tol = tolerance[layer]
-        out = []
-        for s in range(len(rows)):
-            cost = 0.0
-            for row in upstream:  # summed in upstream order: bit-identical costs
-                if row[s] > tol:
-                    break
-                cost += row[s]
-            else:
-                out.append((cost, s))
+        servers = range(len(rows))
+        # every branch adds a server's upstream delays from 0.0 in upstream
+        # order, so all give the same bits; a server is out when one of its
+        # delays is > tol
+        if len(upstream) == 2:
+            out = [(0.0 + x + y, s) for s, x, y in zip(servers, *upstream)
+                   if not (x > tol or y > tol)]
+        elif len(upstream) == 3:
+            out = [(0.0 + x + y + z, s) for s, x, y, z in zip(servers, *upstream)
+                   if not (x > tol or y > tol or z > tol)]
+        else:  # the first layer, or an upstream of one or over three replicas
+            out = []
+            for s in servers:
+                cost = 0.0
+                for row in upstream:
+                    if row[s] > tol:
+                        break
+                    cost += row[s]
+                else:
+                    out.append((cost, s))
         out.sort()
         return out
 
@@ -197,10 +213,11 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
                 candidates = orders[key] = layer_order(layer, used)
             used = ()
         for inc, sid in candidates:
+            child = cost + inc
+            if child >= best_cost:
+                break  # candidates sorted: no cheaper child remains
             if cpu > cpu_left[sid] or mem > mem_left[sid] or sid in used:
                 continue
-            if cost + inc >= best_cost:
-                break  # candidates sorted: no cheaper child remains
             if nodes >= budget:
                 exhausted = True  # this child would be expanded under a larger budget
                 return
@@ -209,12 +226,12 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
             if k == last:
                 # a complete assignment; the next candidate costs no less and
                 # fails the bound check above
-                best_cost = cost + inc
+                best_cost = child
                 best_assignment = tuple(assignment)
                 return
             cpu_left[sid] -= cpu
             mem_left[sid] -= mem
-            search(k + 1, cost + inc, candidates, used + (sid,))
+            search(k + 1, child, candidates, used + (sid,))
             cpu_left[sid] += cpu
             mem_left[sid] += mem
 

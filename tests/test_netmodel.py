@@ -91,12 +91,14 @@ def test_sfc_instance_and_path_counts(replicas, n_inst, n_cps):
     ({"cpu_demand": [1.0] * 5 + [-1.0]}, "non-negative"),
     ({"tolerance": [900.0] * 4}, "one value per adjacent type pair"),
     ({"tolerance": [900.0, -1.0, 900.0]}, "non-negative"),
+    ({"mem_demand": [1.0] * 5 + [float("nan")]}, "non-negative"),
+    ({"tolerance": [900.0, float("nan"), 900.0]}, "non-negative"),
 ], ids=["short-counts", "zero-count", "short-cpu", "long-mem", "negative-demand",
-        "long-tolerance", "negative-tolerance"])
+        "long-tolerance", "negative-tolerance", "nan-demand", "nan-tolerance"])
 def test_sfc_rejects_arrays_of_wrong_length_or_sign(change, says):
     """A chain's demands have one entry per instance of its counts and are
     non-negative, and its tolerances one non-negative entry per adjacent pair
-    (0: the pair must share a server)."""
+    (0: the pair must share a server); NaN is refused as a negative is."""
     sfc = netmodel.build_sfc(GenConfig(n_servers=30, replica_counts=counts(1, 2, 2, 1)), 0)
     with pytest.raises(ValueError, match=says):
         netmodel.SfcSpec(**{**fields_of(sfc), **change})
@@ -104,11 +106,14 @@ def test_sfc_rejects_arrays_of_wrong_length_or_sign(change, says):
 
 @pytest.mark.parametrize("cpu, mem", [([1.0] * 2, [1.0] * 3), ([1.0] * 3, [1.0] * 4),
                                       ([1.0, -0.5, 1.0], [1.0] * 3),
-                                      ([1.0] * 3, [1.0, 1.0, -2.0])],
-                         ids=["short-cpu", "long-mem", "negative-cpu", "negative-mem"])
+                                      ([1.0] * 3, [1.0, 1.0, -2.0]),
+                                      ([float("nan"), 1.0, 1.0], [1.0] * 3),
+                                      ([1.0] * 3, [1.0, float("nan"), 1.0])],
+                         ids=["short-cpu", "long-mem", "negative-cpu", "negative-mem",
+                              "nan-cpu", "nan-mem"])
 def test_topology_rejects_capacities_of_wrong_length_or_sign(cpu, mem):
     """A topology holds one non-negative cpu and mem capacity per row of its
-    delay matrix."""
+    delay matrix; NaN is refused as a negative is."""
     delay = line_topology([100.0, 250.0]).delay
     with pytest.raises(ValueError, match="disagree|non-negative"):
         netmodel.Topology(cpu, mem, delay)
