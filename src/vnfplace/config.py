@@ -11,8 +11,6 @@ layer. ``netmodel.config_from_json`` reads a document by the declared types
 and rejects anything else with ``ConfigError``; ``to_json`` writes it back.
 """
 
-from __future__ import annotations
-
 import hashlib
 import json
 from typing import NamedTuple

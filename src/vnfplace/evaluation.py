@@ -16,8 +16,6 @@ also holds its mean delay per path and per dependent pair over its own valid
 rows, in ``chain_structure`` order.
 """
 
-from __future__ import annotations
-
 import itertools
 from typing import NamedTuple
 

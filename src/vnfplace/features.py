@@ -12,8 +12,6 @@ no split can use it. A row's labels are its placement: one server id per
 instance, indexed by instance id. No scaling: trees are scale-invariant.
 """
 
-from __future__ import annotations
-
 import csv
 from typing import NamedTuple
 
@@ -31,7 +29,7 @@ def feature_names(n_servers: int, n_instances: int) -> list[str]:
     for s in range(n_servers):
         names += [f"srv{s}_cpu_capacity", f"srv{s}_mem_capacity"]
     for a, b in ADJACENT_PAIRS:
-        names.append(f"tolerance_{a.value}_{b.value}")
+        names.append(f"tolerance_{a}_{b}")
     rows, cols, _ = pair_layout(n_servers)
     return names + [f"delay_{i}_{j}" for i, j in zip(rows.tolist(), cols.tolist())]
 

@@ -16,14 +16,11 @@ computational paths) follows from the replica counts and ``n_servers``
 that ``split.json``'s fingerprint pins.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import json
 import os
 import sys
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -31,31 +28,15 @@ import numpy as np
 STREAM_TOPOLOGY = 0
 STREAM_SFC = 1
 
-
-class Tier(str, Enum):
-    CORE = "core"
-    AGGREGATION = "aggregation"
-    ACCESS = "access"
-
-
-class VnfType(str, Enum):
-    HSS = "HSS"
-    MME = "MME"
-    SGW = "SGW"
-    PGW = "PGW"
-
-
-#: Fixed chain order of the vEPC service chain.
-CHAIN: tuple[VnfType, ...] = (VnfType.HSS, VnfType.MME, VnfType.SGW, VnfType.PGW)
+#: The vEPC service chain's types by name, in chain order.
+CHAIN = ("HSS", "MME", "SGW", "PGW")
 
 #: Adjacent dependent type pairs, in chain order.
-ADJACENT_PAIRS: tuple[tuple[VnfType, VnfType], ...] = tuple(
-    (CHAIN[i], CHAIN[i + 1]) for i in range(len(CHAIN) - 1)
-)
+ADJACENT_PAIRS = tuple(zip(CHAIN, CHAIN[1:]))
 
-
-#: Replicas per chain type, in chain order; a JSON object keyed by type name.
-ReplicaCounts = tuple[tuple[VnfType, int], ...]
+#: Replicas per chain type: one int per type in ``CHAIN`` order, the tuple
+#: ``SfcSpec.counts`` holds. In JSON, an object keyed by type name.
+ReplicaCounts = tuple[int, ...]
 
 
 class ConfigError(ValueError):
@@ -127,7 +108,7 @@ def _value_to_json(tp, v):
     if isinstance(v, Section):
         return v.to_json()
     if tp is ReplicaCounts:
-        return {t.value: c for t, c in v}
+        return dict(zip(CHAIN, v))
     return list(v) if isinstance(v, tuple) else v
 
 
@@ -158,12 +139,11 @@ def config_from_json(cls, doc, where: str):
 
 def _value_from_json(tp, v, where: str):
     if tp is ReplicaCounts:
-        if not isinstance(v, dict) or any(type(c) is not int for c in v.values()):
-            raise ConfigError(f"{where} must map chain types to integer counts")
-        try:
-            return tuple((VnfType(t), c) for t, c in v.items())
-        except ValueError as e:
-            raise ConfigError(f"{where}: {e}") from None
+        if (not isinstance(v, dict) or sorted(v) != sorted(CHAIN)
+                or any(type(c) is not int for c in v.values())):
+            raise ConfigError(f"{where} must map each chain type {', '.join(CHAIN)} "
+                              f"to an integer count, not {json.dumps(v)}")
+        return tuple(v[t] for t in CHAIN)
     if isinstance(tp, tuple):
         if not isinstance(v, list) or len(v) != len(tp):
             raise ConfigError(f"{where} must be a list of {len(tp)} values")
@@ -272,17 +252,19 @@ class Dist(Section):
         if self.kind == "normal" and self.b < 0:
             raise ConfigError("normal distribution requires sd >= 0")
 
-    def sample(self, rng: np.random.Generator, size=None):
+    # numpy.random loads on first access, so each annotation that names it
+    # is a string: evaluated at import, it would load numpy.random in every
+    # process that imports this module, one that only reads a config too
+    def sample(self, rng: "np.random.Generator", size=None):
         if self.kind == "uniform":
             return rng.uniform(self.a, self.b, size=size)
         return np.maximum(rng.normal(self.a, self.b, size=size), 0.0)
 
 
-DEFAULT_REPLICA_COUNTS = {VnfType.HSS: 1, VnfType.MME: 2, VnfType.SGW: 2, VnfType.PGW: 1}
-
-
 class GenConfig(Section):
-    """Synthetic-data generation parameters.
+    """Synthetic-data generation parameters. ``replica_counts`` is the
+    replicas per type in ``CHAIN`` order (``ReplicaCounts``), the counts
+    every chain of the batch holds.
 
     The distribution defaults are synthetic stand-ins chosen for
     reproducibility; real datacenter delay/resource distributions are not
@@ -291,7 +273,7 @@ class GenConfig(Section):
 
     FIELDS = (
         ("n_servers", int, 15),
-        ("replica_counts", ReplicaCounts, tuple(DEFAULT_REPLICA_COUNTS.items())),
+        ("replica_counts", ReplicaCounts, (1, 2, 2, 1)),
         ("intra_tier_delay", Dist, Dist("uniform", 50.0, 200.0)),
         ("cross_tier_delay", Dist, Dist("uniform", 200.0, 1000.0)),
         ("cpu_capacity", Dist, Dist("uniform", 8.0, 32.0)),
@@ -304,16 +286,13 @@ class GenConfig(Section):
     )
 
     def _check(self):
-        counts = dict(self.replica_counts)
-        if set(counts) != set(CHAIN):
-            raise ConfigError("replica_counts must cover exactly the chain types")
-        # normalize to chain order so equality is representation-independent
-        self.__dict__["replica_counts"] = tuple((t, counts[t]) for t in CHAIN)
-        if any(c < 1 for c in counts.values()):
+        if len(self.replica_counts) != len(CHAIN):
+            raise ConfigError("replica_counts must hold one count per chain type")
+        if any(c < 1 for c in self.replica_counts):
             raise ConfigError("replica counts must be >= 1")
         if self.n_servers < 3:
             raise ConfigError("n_servers must be >= 3 to form three tiers")
-        if self.n_servers < sum(counts.values()):
+        if self.n_servers < self.n_instances:
             raise ConfigError("n_servers must be >= number of instances")
         if self.n_topologies < 0:
             raise ConfigError("n_topologies must be >= 0")
@@ -322,20 +301,19 @@ class GenConfig(Section):
 
     @property
     def n_instances(self) -> int:
-        return sum(dict(self.replica_counts).values())
+        return sum(self.replica_counts)
 
 
-def tier_assignment(n_servers: int) -> list[Tier]:
-    """Partition server indices into core:aggregation:access roughly 1:2:2."""
+def tier_assignment(n_servers: int) -> list[str]:
+    """Each server's tier by server id: ``"core"``, ``"aggregation"`` or
+    ``"access"``, in that order and roughly 1:2:2."""
     n_core = max(1, n_servers // 5)
     n_agg = max(1, (2 * n_servers) // 5)
     n_access = n_servers - n_core - n_agg
-    return (
-        [Tier.CORE] * n_core + [Tier.AGGREGATION] * n_agg + [Tier.ACCESS] * n_access
-    )
+    return ["core"] * n_core + ["aggregation"] * n_agg + ["access"] * n_access
 
 
-def _rng(cfg: GenConfig, index: int, stream: int) -> np.random.Generator:
+def _rng(cfg: GenConfig, index: int, stream: int) -> "np.random.Generator":
     return np.random.default_rng([cfg.base_seed, index, stream])
 
 
@@ -347,13 +325,13 @@ def pair_layout(n_servers: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     that are all intra-tier or all cross-tier in ``tier_assignment``'s tiers."""
     rows, cols = np.triu_indices(n_servers, 1)
     rows.flags.writeable = cols.flags.writeable = False
-    tier = np.array([t.value for t in tier_assignment(n_servers)])
+    tier = np.array(tier_assignment(n_servers))
     intra = (tier[rows] == tier[cols]).tolist()
     ends = [0, *itertools.accumulate(len(list(run)) for _, run in itertools.groupby(intra))]
     return rows, cols, tuple((a, b, intra[a]) for a, b in zip(ends, ends[1:]))
 
 
-def _draw(cfg: GenConfig, name: str, rng: np.random.Generator, size=None):
+def _draw(cfg: GenConfig, name: str, rng: "np.random.Generator", size=None):
     """``size`` draws (one, without it) of the distribution ``cfg.<name>``. A
     value that is not finite raises ConfigError naming the setting: a
     normal's tail may pass the float range, a uniform's draws lie in [a, b]."""
@@ -396,7 +374,7 @@ def build_sfc(cfg: GenConfig, index: int) -> SfcSpec:
         cpu.append(float(_draw(cfg, "cpu_demand", rng)))
         mem.append(float(_draw(cfg, "mem_demand", rng)))
     tolerance = [float(_draw(cfg, "tolerance", rng)) for _ in ADJACENT_PAIRS]
-    return SfcSpec(tuple(c for _, c in cfg.replica_counts), cpu, mem, tolerance)
+    return SfcSpec(cfg.replica_counts, cpu, mem, tolerance)
 
 
 def load_batch(gen: GenConfig, indices) -> tuple[list[Topology], list[SfcSpec]]:

@@ -64,7 +64,10 @@ def detect_functional_range(curve: dict[int, float], threshold: float,
     """Find [a1, a2]: a1 = first depth at or below the threshold; a2 = the
     first depth from a1 on that the curve never improves upon for
     steady_window consecutive depths, plus the window (clamped to the curve).
-    A curve that never reaches the threshold raises PipelineError.
+    The last depth's window is empty, so the search stops there at the
+    latest, and a2 needs no clamp to a1: the steady depth and the last depth
+    are both >= a1, and steady_window >= 1 (``PipelineSettings`` enforces
+    it). A curve that never reaches the threshold raises PipelineError.
     """
     depths = sorted(curve)
     if depths != list(range(depths[0], depths[-1] + 1)):
@@ -78,16 +81,10 @@ def detect_functional_range(curve: dict[int, float], threshold: float,
             f"{next(d for d in depths if curve[d] == best)}"
         )
     last = depths[-1]
-    steady = None
-    for d in range(a1, last + 1):
-        window = [curve[j] for j in range(d + 1, min(d + steady_window, last) + 1)]
-        if all(v >= curve[d] - 1e-12 for v in window):
-            steady = d
-            break
-    if steady is None:
-        steady = last
-    a2 = min(steady + steady_window, last)
-    return a1, max(a1, a2)
+    steady = next(d for d in range(a1, last + 1)
+                  if all(curve[j] >= curve[d] - 1e-12
+                         for j in range(d + 1, min(d + steady_window, last) + 1)))
+    return a1, min(steady + steady_window, last)
 
 
 def stage2(frange: tuple[int, int], objective: dict[int, float],

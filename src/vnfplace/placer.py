@@ -34,8 +34,6 @@ validates each row and reads the valid rows' ``delays`` per dependent pair
 and per path in one gather; ``avg_cp_delay`` is a row's mean path delay.
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 from itertools import compress
 from typing import NamedTuple

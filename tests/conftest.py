@@ -11,23 +11,17 @@ from hypothesis import strategies as st
 sys.path.insert(0, os.path.dirname(__file__))
 
 from vnfplace import features, netmodel, placer, swarm
-from vnfplace.netmodel import Dist, GenConfig, VnfType, config_from_json
+from vnfplace.netmodel import Dist, GenConfig, config_from_json
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DESK_CONFIG_PATH = os.path.join(REPO_ROOT, "configs", "desk.json")
-
-
-def counts(hss, mme, sgw, pgw):
-    return (
-        (VnfType.HSS, hss), (VnfType.MME, mme), (VnfType.SGW, sgw), (VnfType.PGW, pgw),
-    )
 
 
 def tiny_config(seed=7, n_servers=4, replicas=(1, 1, 1, 1)):
     """Exhaustively checkable instances with generous tolerances."""
     return GenConfig(
         n_servers=n_servers,
-        replica_counts=counts(*replicas),
+        replica_counts=replicas,
         tolerance=Dist("uniform", 1500.0, 3000.0),
         n_topologies=200,
         base_seed=seed,
@@ -55,7 +49,7 @@ def gen_settings(n_servers, **kw):
     """The settings of ``GenConfig(n_servers, 1-1-1-1 replicas, **kw)`` as a
     plain namespace. Generation reads only the settings, and a namespace may
     also hold 3 servers, fewer than GenConfig admits for a 4-instance chain."""
-    cfg = GenConfig(n_servers=max(n_servers, 4), replica_counts=counts(1, 1, 1, 1), **kw)
+    cfg = GenConfig(n_servers=max(n_servers, 4), replica_counts=(1, 1, 1, 1), **kw)
     return types.SimpleNamespace(**{
         **{name: getattr(cfg, name) for name, _, _ in cfg.FIELDS},
         "n_servers": n_servers, "n_instances": cfg.n_instances})

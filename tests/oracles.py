@@ -300,7 +300,7 @@ def reference_groupby_generate_topology(cfg, index):
     cpu = cfg.cpu_capacity.sample(rng, n).tolist()
     mem = cfg.mem_capacity.sample(rng, n).tolist()
     rows, cols = np.triu_indices(n, 1)
-    tier = np.array([t.value for t in tiers])
+    tier = np.array(tiers)
     upper = np.empty(len(rows))
     start = 0
     for intra, run in itertools.groupby((tier[rows] == tier[cols]).tolist()):

@@ -114,6 +114,12 @@ def test_sections_take_fields_by_position_or_keyword():
             Dist(*args, **kwargs)
 
 
+#: A type missing, a type not in the chain, a count that is not an int.
+BAD_REPLICA_COUNTS = [{"HSS": 1, "MME": 2, "SGW": 2},
+                      {"HSS": 1, "MME": 2, "SGW": 2, "PGW": 1, "XYZ": 1},
+                      {"HSS": True, "MME": 2, "SGW": 2, "PGW": 1}]
+
+
 @pytest.mark.parametrize(
     "patch",
     [
@@ -147,11 +153,19 @@ def test_sections_take_fields_by_position_or_keyword():
         {"pso": {"cognitive": float("nan")}},
         {"histogram_bin_width_us": float("nan")},
         {"histogram_bin_width_us": float("inf")},
+        *[{"gen": {"replica_counts": counts}} for counts in BAD_REPLICA_COUNTS],
     ],
 )
 def test_bad_values_rejected(patch):
     with pytest.raises(ConfigError):
         run_config_from_json(patch)
+
+
+def test_bad_replica_counts_name_their_key():
+    """``gen.replica_counts`` maps each chain type, and only those, to an int."""
+    for counts in BAD_REPLICA_COUNTS:
+        with pytest.raises(ConfigError, match=r"config\.gen\.replica_counts must map each"):
+            run_config_from_json({"gen": {"replica_counts": counts}})
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],

@@ -5,13 +5,17 @@ more than its work, so the modules a stage loads are part of its cost.
 """
 
 import gc
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 
 import pytest
 
+import vnfplace
 from vnfplace import cli
 
 CONFIGS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -30,9 +34,11 @@ print(json.dumps([rc, sorted(sys.modules)]))
 _LATER_LAYERS = {"vnfplace.tree", "vnfplace.swarm", "vnfplace.pipeline", "vnfplace.evaluation"}
 
 #: Modules each stage must leave unloaded. ``dataclasses`` compiles generated
-#: source for each method of each class it builds, in every process.
+#: source for each method of each class it builds, in every process. numpy
+#: loads ``numpy.random`` on first access, which a bare import (a process that
+#: only reads a config) never makes.
 UNLOADED = {
-    "import": {"numpy.ma", "dataclasses"} | _LATER_LAYERS,
+    "import": {"numpy.ma", "numpy.random", "dataclasses"} | _LATER_LAYERS,
     "generate": {"numpy.ma", "dataclasses"} | _LATER_LAYERS,
     "optimize": {"numpy.ma", "dataclasses", "vnfplace.evaluation"},
     "compare": {"numpy.ma", "dataclasses", "vnfplace.swarm", "vnfplace.pipeline"},
@@ -97,3 +103,19 @@ def test_process_entry_freezes_and_library_call_does_not(tiny_desk):
     frozen = gc.get_freeze_count()
     assert cli.main(["generate", "--config", tiny_desk, "--workers", "1"]) == 0
     assert gc.get_freeze_count() == frozen
+
+
+def test_no_named_tuple_holds_a_forward_ref():
+    """A ``typing.NamedTuple`` declared under ``from __future__ import
+    annotations`` turns each string annotation into a ``typing.ForwardRef``,
+    which compiles it in every process that builds the class."""
+    annotations = {}
+    for info in pkgutil.iter_modules(vnfplace.__path__):
+        module = importlib.import_module(f"vnfplace.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields"):
+                annotations[obj.__qualname__] = obj.__annotations__
+    assert {"ChainStructure", "Fingerprints", "FoldSplit", "StrategyResult",
+            "TeacherPlacement", "ValidationReport"} <= set(annotations)
+    assert {name: [field for field, tp in fields.items() if isinstance(tp, typing.ForwardRef)]
+            for name, fields in annotations.items()} == {name: [] for name in annotations}

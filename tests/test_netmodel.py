@@ -9,12 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import counts, dists, fields_of, gen_settings, line_topology, simple_sfc
+from conftest import dists, fields_of, gen_settings, line_topology, simple_sfc
 from oracles import (
     reference_chain_structure, reference_generate_topology, reference_groupby_generate_topology,
 )
 from vnfplace import netmodel, placer
-from vnfplace.netmodel import ConfigError, Dist, GenConfig, Tier, VnfType
+from vnfplace.netmodel import ConfigError, Dist, GenConfig
 
 
 def test_topology_shape_and_invariants():
@@ -44,7 +44,7 @@ def test_batch_topologies_are_distinct():
 
 def test_too_few_servers_rejected():
     with pytest.raises(ConfigError):
-        GenConfig(n_servers=2, replica_counts=counts(1, 1, 1, 1))
+        GenConfig(n_servers=2, replica_counts=(1, 1, 1, 1))
 
 
 def test_intra_tier_delays_statistically_smaller():
@@ -62,13 +62,13 @@ def test_intra_tier_delays_statistically_smaller():
 
 def test_tier_split_ratio():
     tiers = netmodel.tier_assignment(15)
-    assert tiers.count(Tier.CORE) == 3
-    assert tiers.count(Tier.AGGREGATION) == 6
-    assert tiers.count(Tier.ACCESS) == 6
+    assert tiers.count("core") == 3
+    assert tiers.count("aggregation") == 6
+    assert tiers.count("access") == 6
     for n in (3, 7, 30):
         t = netmodel.tier_assignment(n)
         assert len(t) == n
-        assert all(t.count(x) >= 1 for x in Tier)
+        assert all(t.count(x) >= 1 for x in ("core", "aggregation", "access"))
 
 
 @pytest.mark.parametrize(
@@ -76,7 +76,7 @@ def test_tier_split_ratio():
     [((1, 2, 2, 1), 6, 4), ((2, 3, 3, 2), 10, 36), ((1, 1, 1, 1), 4, 1)],
 )
 def test_sfc_instance_and_path_counts(replicas, n_inst, n_cps):
-    cfg = GenConfig(n_servers=30, replica_counts=counts(*replicas))
+    cfg = GenConfig(n_servers=30, replica_counts=replicas)
     sfc = netmodel.build_sfc(cfg, 0)
     assert sfc.counts == replicas
     assert sfc.n_instances == len(sfc.mem_demand) == n_inst
@@ -99,7 +99,7 @@ def test_sfc_rejects_arrays_of_wrong_length_or_sign(change, says):
     """A chain's demands have one entry per instance of its counts and are
     non-negative, and its tolerances one non-negative entry per adjacent pair
     (0: the pair must share a server); NaN is refused as a negative is."""
-    sfc = netmodel.build_sfc(GenConfig(n_servers=30, replica_counts=counts(1, 2, 2, 1)), 0)
+    sfc = netmodel.build_sfc(GenConfig(n_servers=30, replica_counts=(1, 2, 2, 1)), 0)
     with pytest.raises(ValueError, match=says):
         netmodel.SfcSpec(**{**fields_of(sfc), **change})
 
@@ -193,7 +193,7 @@ def test_generated_topology_invariants_property(n_servers, base_seed, index):
     cross=dists(),
 )
 def test_generate_topology_matches_scalar_draws(n_servers, base_seed, index, intra, cross):
-    cfg = GenConfig(n_servers=n_servers, replica_counts=counts(1, 1, 1, 1),
+    cfg = GenConfig(n_servers=n_servers, replica_counts=(1, 1, 1, 1),
                     intra_tier_delay=intra, cross_tier_delay=cross, base_seed=base_seed)
     topo = netmodel.generate_topology(cfg, index)
     cpu, mem, delay = reference_generate_topology(cfg, index)
@@ -249,9 +249,11 @@ def test_invalid_dist_rejected():
 
 def test_bad_config_rejected():
     with pytest.raises(ConfigError):
-        GenConfig(n_servers=4, replica_counts=counts(2, 3, 3, 2))
+        GenConfig(n_servers=4, replica_counts=(2, 3, 3, 2))
     with pytest.raises(ConfigError):
-        GenConfig(replica_counts=counts(0, 1, 1, 1))
+        GenConfig(replica_counts=(0, 1, 1, 1))
+    with pytest.raises(ConfigError, match="one count per chain type"):
+        GenConfig(replica_counts=(1, 2, 2))
 
 
 def test_load_batch_regenerates_the_indexed_rows():

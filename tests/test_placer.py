@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    DESK_CONFIG_PATH, REPO_ROOT, counts, garbage_after, line_topology, simple_sfc, tiny_config,
+    DESK_CONFIG_PATH, REPO_ROOT, garbage_after, line_topology, simple_sfc, tiny_config,
 )
 from oracles import (
     brute_force_placement, reference_avg_cp_delay, reference_chain_structure,
@@ -152,7 +152,7 @@ def _tight_snapshot(replicas, index):
     (0, 1, ... where the teacher finds none)."""
     with open(DESK_CONFIG_PATH, encoding="utf-8") as fh:
         cfg = config_from_json(GenConfig, json.load(fh)["gen"], "gen")
-    cfg = cfg.replace(replica_counts=counts(*replicas),
+    cfg = cfg.replace(replica_counts=replicas,
                       tolerance=Dist("uniform", 100.0, 300.0))
     topo, sfc = netmodel.generate_topology(cfg, index), netmodel.build_sfc(cfg, index)
     try:
