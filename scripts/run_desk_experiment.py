@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Run the full desk-scale experiment and print a one-page summary.
+"""Run the full experiment on a config and print a one-page summary.
 
-Equivalent to:
+With the default ``--config configs/desk.json``, equivalent to:
 
     vnfplace generate --config configs/desk.json
     vnfplace optimize --config configs/desk.json
     vnfplace compare  --config configs/desk.json
 
-followed by a digest of the artifacts the three stages wrote.
+followed by a summary read from ``pipeline_report.json`` and
+``comparison.json``. Any config runs the same way, ``configs/medium.json``
+too. ``--workers`` reaches ``generate`` only, and the exit code is the
+first failing stage's.
 """
 
 import argparse
@@ -21,7 +24,7 @@ from vnfplace.config import load_run_config
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=os.path.join(REPO_ROOT, "configs", "desk.json"))
     ap.add_argument("--seed", type=int, default=None)
@@ -29,13 +32,13 @@ def main() -> int:
     ap.add_argument("--skip-generate", action="store_true",
                     help="run only optimize and compare, on an earlier generate's "
                          "datasets and split")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     common = ["--config", args.config]
     if args.seed is not None:
         common += ["--seed", str(args.seed)]
     stages = [] if args.skip_generate else [["generate"]]
-    if not args.skip_generate and args.workers:
+    if not args.skip_generate and args.workers is not None:
         stages[0] += ["--workers", str(args.workers)]
     stages += [["optimize"], ["compare"]]
     for stage in stages:

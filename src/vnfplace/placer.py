@@ -7,18 +7,22 @@ complete assignment found so far (branch and bound). Every replica of a type
 has the same upstream, so each layer's candidate order is computed once per
 distinct placement of the layer before it within one call and shared by the
 layer's replicas (one comprehension for an upstream of two or three
-replicas, a loop otherwise); nothing the search builds outlives the call. A
-child meets the bound before the capacity test. The first descent is the
-plain greedy placement and the remaining budget buys improvement. A search
-the budget cuts short is not certified optimal; one it does not is optimal
-for its own objective, total dependent-pair delay, since a cut branch cannot
-beat the best complete assignment. That is not the measure every stage
-scores, the mean path delay, which weights each pair by the paths through
-it, per adjacent type pair (2, 1, 2) on desk and (6, 4, 6) on medium, so
-such a search need not minimize the mean path delay. On the first 100
-topologies of ``configs/desk.json``, a budget of 100,000 nodes finds a
-placement with a lower mean path delay than the default budget of 1000 on 43
-of them (every one of those searches ends within 2,597 nodes).
+replicas, a loop otherwise). Placements that differ only by a swap of their
+first two replicas share one order too: a cost adds the upstream delays
+from 0.0 in replica order, and 0.0 + x + y is 0.0 + y + x to the bit, while
+a later term's place changes the rounding. Nothing the search builds
+outlives the call. A child meets the bound before the capacity test. The
+first descent is the plain greedy placement and the remaining budget buys
+improvement. A search the budget cuts short is not certified optimal; one
+it does not is optimal for its own objective, total dependent-pair delay,
+since a cut branch cannot beat the best complete assignment. That is not
+the measure every stage scores, the mean path delay, which weights each
+pair by the paths through it, per adjacent type pair (2, 1, 2) on desk and
+(6, 4, 6) on medium, so such a search need not minimize the mean path
+delay. On the first 100 topologies of ``configs/desk.json``, a budget of
+100,000 nodes finds a placement with a lower mean path delay than the
+default budget of 1000 on 43 of them (every one of those searches ends
+within 2,597 nodes).
 
 A placement is a sequence of server ids indexed by instance id, the same
 row a dataset stores as labels and a tree predicts. The validator checks
@@ -144,7 +148,10 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
     same upstream, so a layer's (cost, server) order depends only on where
     the previous layer sits: it is computed once per distinct placement of
     that layer within the call, when the search first enters the layer's
-    first replica under it, and shared by the layer's replicas. One
+    first replica under it, and shared by the layer's replicas. Two
+    placements that differ only by a swap of their first two replicas share
+    it as well, since 0.0 + x + y == 0.0 + y + x; only those two may swap,
+    because (x + y) + z and (x + z) + y can round apart. One
     comprehension scores every server for an upstream of two or three
     replicas, a per-server loop any other layer; both add the delays from
     0.0 in upstream order. A child over the bound ends the sorted
@@ -166,8 +173,9 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
     cpu_left = list(topo.cpu)
     mem_left = list(topo.mem)
     assignment = [-1] * sfc.n_instances
-    # (layer, *previous layer's servers in replica order) -> the layer's order;
-    # ordered, because costs are summed in upstream order
+    # (layer, *previous layer's servers in replica order, the first two
+    # ascending) -> the layer's order. Costs are summed from 0.0 in upstream
+    # order and 0.0 + x + y == 0.0 + y + x, so only the first two may swap
     orders: dict[tuple[int, ...], list[tuple[float, int]]] = {}
     best_cost = float("inf")
     best_assignment: tuple[int, ...] | None = None
@@ -205,7 +213,10 @@ def place_teacher(topo: Topology, sfc: SfcSpec, budget: int = 1000) -> TeacherPl
         layer, iid, cpu, mem, first = order[k]
         if first:
             # entering a layer, ``used`` holds the previous layer's servers
-            key = (layer,) + used
+            if len(used) > 1 and used[0] > used[1]:
+                key = (layer, used[1], used[0]) + used[2:]
+            else:
+                key = (layer,) + used
             candidates = orders.get(key)
             if candidates is None:
                 candidates = orders[key] = layer_order(layer, used)
