@@ -12,8 +12,11 @@ ones. Only a run's last stdout line, its JSON result, is read. For every
 end-to-end metric of the change's ``BENCHMARK.json`` the summary gives each
 side's median and quartiles (``statistics.quantiles``, inclusive method),
 the pairs each side ran better (ties count for neither), and the gap between
-the medians beside the parent's interquartile range. A pair in which a run
-reported no metrics is left out of every line.
+the medians beside the parent's interquartile range. It ends with whether
+the claim rule is met: the change ran better in at least nine tenths of the
+pairs, and its median is better than the parent's by more than the parent's
+interquartile range. A pair in which a run reported no metrics is left out
+of every line.
 """
 
 import argparse
@@ -44,12 +47,16 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[tuple[str, str]]) ->
         worse = [(c - p) * (1 if better == "lower" else -1) for p, c in zip(*sides)]
         (p_lo, p_mid, p_hi), (c_lo, c_mid, c_hi) = (
             statistics.quantiles(v, n=4, method="inclusive") for v in sides)
+        wins = sum(w < 0 for w in worse)
+        gain = (p_mid - c_mid) * (1 if better == "lower" else -1)
+        met = 10 * wins >= 9 * len(worse) and gain > p_hi - p_lo
         lines.append(
             f"{name} ({better} is better): parent {p_mid:.4f} [{p_lo:.4f}, {p_hi:.4f}], "
             f"change {c_mid:.4f} [{c_lo:.4f}, {c_hi:.4f}] ({c_mid / p_mid - 1:+.1%}); "
-            f"change better in {sum(w < 0 for w in worse)}/{len(worse)}, "
+            f"change better in {wins}/{len(worse)}, "
             f"parent in {sum(w > 0 for w in worse)}/{len(worse)}; "
-            f"median gap {abs(c_mid - p_mid):.4f}, parent IQR {p_hi - p_lo:.4f}")
+            f"median gap {abs(c_mid - p_mid):.4f}, parent IQR {p_hi - p_lo:.4f}; "
+            f"claim rule {'met' if met else 'not met'}")
     return lines
 
 

@@ -15,15 +15,17 @@ settings fix a dataset's columns. All state lives in files under the
 configured output directory, each written atomically; progress goes to
 stderr only, so reruns with the same config and seed are byte-identical.
 
-``split.json`` carries a fingerprint of the settings ``generate`` read, and
-``optimize`` and ``compare`` refuse artifacts generated under others. The
-models carry one of the split's fingerprint plus the settings ``optimize``
-read, and ``compare`` refuses models optimized under others or on another
-feature width or label count. A dataset row whose features differ from
-those of its regenerated topology and chain is refused too. Before it can fail,
-``generate`` and ``optimize`` remove everything ``optimize`` and ``compare``
-write, and ``compare`` removes what it writes, so that no artifact is left to
-describe inputs that have since changed.
+``split.json`` records, under ``settings``, the config's JSON of the fields
+``generate`` read (``config.GENERATE_FIELDS``), and ``optimize`` and
+``compare`` refuse a split whose settings differ from their config's, naming
+each top-level field that differs. The models record those fields plus the
+ones ``optimize`` read (``config.OPTIMIZE_FIELDS``), and ``compare`` refuses
+models optimized under other settings or on another feature width or label
+count. A dataset row whose features differ from those of its regenerated
+topology and chain is refused too. Before it can fail, ``generate`` and
+``optimize`` remove everything ``optimize`` and ``compare`` write, and
+``compare`` removes what it writes, so that no artifact is left to describe
+inputs that have since changed.
 
 Exit codes: 0 success, 2 ``ConfigError`` (a bad config or ``--workers``, a
 distribution that draws a value that is not finite, an ``output_dir`` that
@@ -57,9 +59,7 @@ import sys
 import numpy as np
 
 from . import features, netmodel, placer
-from .config import (
-    GENERATE_FIELDS, OPTIMIZE_FIELDS, RunConfig, fingerprints, load_run_config,
-)
+from .config import GENERATE_FIELDS, OPTIMIZE_FIELDS, RunConfig, load_run_config
 
 
 def _log(msg: str):
@@ -163,9 +163,9 @@ def cmd_generate(cfg: RunConfig, workers: int) -> None:
          "budget_exhausted": p.budget_exhausted}
         for i, p, v, cp in zip(feasible, found, valid.tolist(), cp_delays.tolist())],
         paths["placements"])
-    netmodel.save_json({"train": train_idx, "test": test_idx, "seed": cfg.seed,
-                        "config_fingerprint": fingerprints(cfg.to_json()).generate},
-                       paths["split"])
+    doc = cfg.to_json()
+    netmodel.save_json({"train": train_idx, "test": test_idx,
+                        "settings": {k: doc[k] for k in GENERATE_FIELDS}}, paths["split"])
 
     for name, idx in [("train", train_idx), ("test", test_idx)]:
         X, Y = features.build_dataset([(topologies[i], sfcs[i], teacher[i].servers)
@@ -178,33 +178,40 @@ def cmd_generate(cfg: RunConfig, workers: int) -> None:
          f"{sum(p.budget_exhausted for p in found)} rows")
 
 
-def _check_fingerprint(doc: dict, expected: str, path: str, stage: str, fields) -> None:
-    """Raise ArtifactError unless ``doc`` records ``expected`` as its
-    ``config_fingerprint``; artifacts written before the key existed have none."""
-    if doc.get("config_fingerprint") != expected:
+def _check_settings(artifact: dict, doc: dict, fields, path: str, stage: str) -> None:
+    """Raise ArtifactError unless ``artifact`` records under ``settings`` the
+    config document ``doc``'s ``fields``, key for key, naming each top-level
+    setting that differs: every one, for an artifact that records none, as
+    those written before the key existed."""
+    recorded = artifact.get("settings")
+    if not isinstance(recorded, dict):
+        recorded = {}
+    changed = [k for k in dict.fromkeys([*fields, *recorded])
+               if k not in fields or k not in recorded or recorded[k] != doc[k]]
+    if changed:
         raise netmodel.ArtifactError(
-            f"{path} was {stage}d under other settings of {', '.join(fields)} "
+            f"{path} was {stage}d under other settings of {', '.join(changed)} "
             f"than this config's; rerun {stage}")
 
 
-def _load_split(cfg: RunConfig, which: str, fingerprint: str):
+def _load_split(cfg: RunConfig, which: str, doc: dict):
     """Read a split's features and labels, whose rows are the teacher's
     placements, and regenerate the topology and sfc of each of its rows from
-    ``cfg.gen``: returns (X, Y, topologies, sfcs), aligned by row. In this
-    order, a split that does not record ``fingerprint`` (it was generated
-    under other settings than ``cfg``'s), a split that lists no rows of
-    ``which``, a dataset whose header is not the columns of ``cfg.gen``'s
-    server and instance counts, a dataset of another row count than the
-    split's, and a row whose features differ from its regenerated snapshot's
-    (numpy's streams may change between versions) raise ArtifactError. The
-    columns are derived only once the fingerprint shows that ``generate``
-    ran under ``cfg.gen``, which bounds its server count."""
+    ``cfg.gen``: returns (X, Y, topologies, sfcs), aligned by row. ``doc`` is
+    ``cfg.to_json()``. In this order, a split that does not record the
+    settings of ``doc`` that ``generate`` reads (it was generated under
+    others), a split that lists no rows of ``which``, a dataset whose header
+    is not the columns of ``cfg.gen``'s server and instance counts, a dataset
+    of another row count than the split's, and a row whose features differ
+    from its regenerated snapshot's (numpy's streams may change between
+    versions) raise ArtifactError. The columns are derived only once the
+    settings show that ``generate`` ran under ``cfg.gen``, which bounds its
+    server count."""
     paths = _paths(cfg)
 
     def pick(split):
         idx = split[which]
-        _check_fingerprint(split, fingerprint, paths["split"], "generate",
-                           GENERATE_FIELDS)
+        _check_settings(split, doc, GENERATE_FIELDS, paths["split"], "generate")
         if not idx:
             raise netmodel.ArtifactError(
                 f"{paths['split']} lists no {which} rows; rerun generate")
@@ -230,8 +237,7 @@ def cmd_optimize(cfg: RunConfig, workers: int) -> None:
     _remove_outputs(cfg, DOWNSTREAM)
     paths = _paths(cfg)
     doc = cfg.to_json()
-    fingerprint = fingerprints(doc)
-    X, Y, topos, sfcs = _load_split(cfg, "train", fingerprint.generate)
+    X, Y, topos, sfcs = _load_split(cfg, "train", doc)
     if len(X) < cfg.folds:
         raise netmodel.PipelineError(
             f"{len(X)} training rows cannot fill {cfg.folds} folds")
@@ -241,10 +247,10 @@ def cmd_optimize(cfg: RunConfig, workers: int) -> None:
     report, model, full = pipeline.run_pipeline(
         X, Y, ctx, folds, cfg.pso, cfg.pipeline, config_echo=doc)
     netmodel.save_json(report, paths["report"])
+    settings = {k: doc[k] for k in GENERATE_FIELDS + OPTIMIZE_FIELDS}
     for key, m in [("model_optimized", model),
                    ("model_baseline", full.truncate(cfg.baseline_depth))]:
-        netmodel.save_json(dict(m.to_json(), config_fingerprint=fingerprint.optimize),
-                           paths[key])
+        netmodel.save_json(dict(m.to_json(), settings=settings), paths[key])
     a1, a2 = report["functional_range"]
     _log(f"functional range [{a1}, {a2}], optimal depth {report['h_star']}")
 
@@ -253,14 +259,14 @@ def cmd_compare(cfg: RunConfig, workers: int) -> None:
     from . import evaluation, tree
     _remove_outputs(cfg, ("comparison",))
     paths = _paths(cfg)
-    fingerprint = fingerprints(cfg.to_json())
-    X, Y, topos, sfcs = _load_split(cfg, "test", fingerprint.generate)
+    doc = cfg.to_json()
+    X, Y, topos, sfcs = _load_split(cfg, "test", doc)
 
     def load_model(key):
-        def build(doc):
-            model = tree.DecisionTree.from_json(doc)
-            _check_fingerprint(doc, fingerprint.optimize, paths[key], "optimize",
-                               OPTIMIZE_FIELDS + GENERATE_FIELDS)
+        def build(artifact):
+            model = tree.DecisionTree.from_json(artifact)
+            _check_settings(artifact, doc, GENERATE_FIELDS + OPTIMIZE_FIELDS, paths[key],
+                            "optimize")
             if (model.n_features, model.n_outputs) != (X.shape[1], Y.shape[1]):
                 raise netmodel.ArtifactError(
                     f"{paths[key]} was fitted on {model.n_features} features and "

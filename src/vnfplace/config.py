@@ -9,11 +9,11 @@ except ``GenConfig`` and ``Dist``, which ``netmodel``'s generators use; so
 this module imports only ``netmodel``, and loading a config loads no stage
 layer. ``netmodel.config_from_json`` reads a document by the declared types
 and rejects anything else with ``ConfigError``; ``to_json`` writes it back.
+An artifact records the JSON of the fields its stage read, so that a later
+stage can name each field its own config sets otherwise.
 """
 
-import hashlib
 import json
-from typing import NamedTuple
 
 from .netmodel import ConfigError, GenConfig, Section, config_from_json
 
@@ -83,32 +83,15 @@ class RunConfig(Section):
             raise ConfigError("seed must be >= 0")
 
 
-#: The RunConfig fields ``generate`` reads. The other sections (``pso``,
-#: ``pipeline``, ``folds``, ``baseline_depth``, ...) shape only later stages.
+#: The RunConfig fields ``generate`` reads, which ``split.json`` records. The
+#: other sections (``pso``, ``pipeline``, ``folds``, ``baseline_depth``, ...)
+#: shape only later stages.
 GENERATE_FIELDS = ("gen", "seed", "test_fraction", "teacher_budget",
                    "max_infeasible_fraction")
 
-#: The RunConfig fields ``optimize`` reads beyond those its input was generated under.
+#: The RunConfig fields ``optimize`` reads beyond those its input was generated
+#: under; the models record both.
 OPTIMIZE_FIELDS = ("folds", "pso", "pipeline", "baseline_depth")
-
-
-class Fingerprints(NamedTuple):
-    generate: str  # of the settings ``generate`` reads, recorded in split.json
-    optimize: str  # of ``generate`` plus the settings ``optimize`` reads, in the models
-
-
-def _fingerprint(doc: dict) -> str:
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def fingerprints(doc: dict) -> Fingerprints:
-    """sha256 of the canonical JSON of the settings ``generate`` reads from
-    the config document ``doc`` (``RunConfig.to_json()``), and of that
-    fingerprint plus the settings ``optimize`` reads."""
-    split = _fingerprint({k: doc[k] for k in GENERATE_FIELDS})
-    return Fingerprints(split, _fingerprint(dict({k: doc[k] for k in OPTIMIZE_FIELDS},
-                                                 split=split)))
 
 
 def run_config_from_json(d: dict) -> RunConfig:

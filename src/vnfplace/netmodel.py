@@ -13,7 +13,7 @@ the whole snapshot: every value generation draws (demands, capacities,
 tolerances, delays) is a feature column written with ``repr``, which reads
 back bit-exactly, and the rest (the chain's layers, dependent pairs and
 computational paths) follows from the replica counts and ``n_servers``
-that ``split.json``'s fingerprint pins.
+that ``split.json``'s recorded settings pin.
 """
 
 import functools

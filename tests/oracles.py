@@ -288,6 +288,20 @@ def reference_generate_topology(cfg, index):
     return cpu, mem, delay
 
 
+def reference_build_sfc(cfg, index):
+    """The chain generator as one scalar draw per value: each instance's cpu
+    demand then mem demand, in instance-id order, then one tolerance per
+    adjacent type pair. ``netmodel.build_sfc`` must return the same demands
+    and tolerances, bit for bit."""
+    rng = np.random.default_rng([cfg.base_seed, index, netmodel.STREAM_SFC])
+    cpu, mem = [], []
+    for _ in range(sum(cfg.replica_counts)):
+        cpu.append(float(cfg.cpu_demand.sample(rng)))
+        mem.append(float(cfg.mem_demand.sample(rng)))
+    tolerance = [float(cfg.tolerance.sample(rng)) for _ in range(len(CHAIN) - 1)]
+    return cpu, mem, tolerance
+
+
 def reference_groupby_generate_topology(cfg, index):
     """The topology generator before its pair layout was computed once per
     server count: every call rebuilds the upper-triangle indices and the tier

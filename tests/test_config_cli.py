@@ -1,8 +1,10 @@
 import csv
 import glob
+import hashlib
 import json
 import os
 import pickle
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +15,7 @@ import pytest
 from oracles import level_order, reference_fit
 from vnfplace import cli, config, features, netmodel
 from vnfplace.config import (
-    GENERATE_FIELDS, OPTIMIZE_FIELDS, PsoParams, RunConfig, fingerprints, load_run_config,
+    GENERATE_FIELDS, OPTIMIZE_FIELDS, PsoParams, RunConfig, load_run_config,
     run_config_from_json,
 )
 from vnfplace.netmodel import ConfigError, Dist
@@ -177,46 +179,57 @@ def test_non_finite_config_number_names_its_key(value):
         run_config_from_json({"pso": {"cognitive": value}})
 
 
-def _fingerprints(cfg):
-    return fingerprints(cfg.to_json())
+def _named(err: str) -> list[str]:
+    """The settings that a refusal's message ``err`` names."""
+    return re.search(r"under other settings of (.*) than this config's; rerun", err)[1].split(", ")
 
 
-def test_generate_fingerprint_covers_exactly_what_generate_reads():
+def _refused_settings(artifact, cfg, fields):
+    """The settings named when ``cfg`` meets ``artifact``, which records
+    ``fields``: [] when it is accepted."""
+    try:
+        cli._check_settings(artifact, cfg.to_json(), fields, "artifact.json", "generate")
+    except netmodel.ArtifactError as e:
+        return _named(str(e))
+    return []
+
+
+def test_split_settings_cover_exactly_what_generate_reads(cli_run):
+    """split.json records the settings generate reads and no other: a config
+    that differs from them in one is refused naming it alone, and one that
+    differs only in settings of later stages is accepted."""
+    split = json.loads((cli_run / "out" / "split.json").read_text())
+    assert sorted(split["settings"]) == sorted(GENERATE_FIELDS)
     cfg = run_config_from_json(quick_config())
     retuned = cfg.replace(folds=3, baseline_depth=7, output_dir="elsewhere",
                           histogram_bin_width_us=2.0,
                           pso=cfg.pso.replace(swarm_size=4, seed=9),
                           pipeline=cfg.pipeline.replace(error_threshold=0.5))
-    assert _fingerprints(retuned).generate == _fingerprints(cfg).generate
+    assert _refused_settings(split, retuned, GENERATE_FIELDS) == []
     changed = {"gen": cfg.gen.replace(base_seed=cfg.gen.base_seed + 1), "seed": cfg.seed + 1,
                "test_fraction": 0.3, "teacher_budget": 999, "max_infeasible_fraction": 0.5}
     assert sorted(changed) == sorted(GENERATE_FIELDS)
     for key, value in changed.items():
-        assert (_fingerprints(cfg.replace(**{key: value})).generate
-                != _fingerprints(cfg).generate), key
+        assert _refused_settings(split, cfg.replace(**{key: value}), GENERATE_FIELDS) == [key]
 
 
-def test_optimize_fingerprint_covers_the_split_and_what_optimize_reads():
+def test_model_settings_cover_the_split_and_what_optimize_reads(cli_run):
+    """Both models record the settings generate and optimize read and no
+    other, each refused alone when a config differs in it."""
+    fields = GENERATE_FIELDS + OPTIMIZE_FIELDS
+    models = [json.loads((cli_run / "out" / name).read_text())
+              for name in ("model_optimized.json", "model_baseline.json")]
+    assert models[0]["settings"] == models[1]["settings"]
+    assert sorted(models[0]["settings"]) == sorted(fields)
     cfg = run_config_from_json(quick_config())
     retuned = cfg.replace(output_dir="elsewhere", histogram_bin_width_us=2.0)
-    assert _fingerprints(retuned).optimize == _fingerprints(cfg).optimize
+    assert _refused_settings(models[0], retuned, fields) == []
     changed = {"folds": 3, "pso": cfg.pso.replace(swarm_size=4), "baseline_depth": 7,
                "pipeline": cfg.pipeline.replace(error_threshold=0.5)}
     assert sorted(changed) == sorted(OPTIMIZE_FIELDS)
-    changed["teacher_budget"] = 999  # a generate setting: the split's fingerprint
+    changed["teacher_budget"] = 999  # a generate setting, which the split records too
     for key, value in changed.items():
-        assert (_fingerprints(cfg.replace(**{key: value})).optimize
-                != _fingerprints(cfg).optimize), key
-
-
-def test_desk_fingerprints_are_pinned():
-    """The shipped desk config's fingerprints, as recorded in the split and
-    the models of every run since they were introduced: a change to how a
-    config serializes would orphan those artifacts."""
-    cfg = load_run_config(os.path.join(CONFIGS_DIR, "desk.json"))
-    assert _fingerprints(cfg) == (
-        "ab0eb46ec847d55aea1aacd5e0e3e3c5f0fbbf471084613f07250b922dc817ed",
-        "8e589dabb38bafdfdc14c67bdc325f68362047b34fcd03b2f50b93a87e9a3815")
+        assert _refused_settings(models[0], cfg.replace(**{key: value}), fields) == [key]
 
 
 def test_load_missing_and_invalid_files(tmp_path):
@@ -386,7 +399,7 @@ def test_cli_optimize_teacher_ceiling_is_avg_cp_delay(tmp_path, monkeypatch):
         _run("optimize", "--config", path)
     teacher_avg, = got.value.args
     cfg = load_run_config(path)
-    _, Y, topos, sfcs = cli._load_split(cfg, "train", _fingerprints(cfg).generate)
+    _, Y, topos, sfcs = cli._load_split(cfg, "train", cfg.to_json())
     rows = list(zip(topos, Y.tolist(), sfcs))
     assert list(teacher_avg) == [reference_avg_cp_delay(*row) for row in rows]
     assert list(teacher_avg) != [float(np.mean(reference_path_delays(*row))) for row in rows]
@@ -473,10 +486,11 @@ def test_cli_stage_refuses_artifacts_generated_under_other_settings(tmp_path, mo
     path = write_config(tmp_path / "cfg.json", quick_config(n_topologies=12))
     assert _run("generate", "--config", path, "--workers", "1", "--seed", "1") == 0
     split = json.loads((tmp_path / "out" / "split.json").read_text())
-    assert len(split["config_fingerprint"]) == 64
+    assert (split["settings"]["seed"], split["settings"]["gen"]["base_seed"]) == (1, 1)
     capsys.readouterr()
     assert _run("optimize", "--config", path, "--seed", "2") == 4
-    assert "split.json was generated under other settings" in capsys.readouterr().err
+    assert ("split.json was generated under other settings of gen, seed than"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out" / "pipeline_report.json").exists()
     assert _run("optimize", "--config", path, "--seed", "1") == 0
     capsys.readouterr()
@@ -621,7 +635,7 @@ def test_cli_seed_override_changes_data(cli_run, tmp_path, monkeypatch):
     assert ((cli_run / "out" / "train.csv").read_bytes()
             != (tmp_path / "out" / "train.csv").read_bytes())
     split = json.loads((tmp_path / "out" / "split.json").read_text())
-    assert split["seed"] == 123
+    assert split["settings"]["seed"] == 123
 
 
 def test_cli_former_aliases_exit_2(tmp_path):
@@ -644,8 +658,8 @@ def _non_finite_features(text):
     return "\n".join([header, ",".join(cells), rest])
 
 
-def _drop_fingerprint(text):
-    return json.dumps({k: v for k, v in json.loads(text).items() if k != "config_fingerprint"})
+def _drop_settings(text):
+    return json.dumps({k: v for k, v in json.loads(text).items() if k != "settings"})
 
 
 def _drop_last_row(text):
@@ -659,7 +673,7 @@ def _widen_model(text):
 
 def _drop_outputs(text):
     """Keep the first five of the model's outputs, as if it were fitted on
-    chains of five instances; the fingerprint stays."""
+    chains of five instances; the settings stay."""
     doc = json.loads(text)
     for node in doc["nodes"]:
         node["majority"] = node["majority"][:5]
@@ -669,16 +683,16 @@ def _drop_outputs(text):
 def _preorder(text):
     """The depth-3 tree of ``tests/oracles.py``'s reference fit on the
     model's own ``train.csv``, stored in the pre-order that models had before
-    ``fit`` stored its level order; the fingerprint stays."""
+    ``fit`` stored its level order; the settings stay."""
     gen = run_config_from_json(quick_config()).gen
     doc = reference_fit(*features.load_dataset("out/train.csv", gen.n_servers,
                                                gen.n_instances), 3)
     assert level_order(doc) != doc
-    return json.dumps(dict(doc, config_fingerprint=json.loads(text)["config_fingerprint"]))
+    return json.dumps(dict(doc, settings=json.loads(text)["settings"]))
 
 
 def _set_root_left(value):
-    """Point the root's left child at node ``value``; the fingerprint stays."""
+    """Point the root's left child at node ``value``; the settings stay."""
     def edit(text):
         doc = json.loads(text)
         doc["nodes"][0]["left"] = value
@@ -735,9 +749,9 @@ def _shift_delay(row):
                  "could not convert", id="train.csv-optimize-not-a-number"),
     pytest.param("train.csv", "optimize", _non_finite_features, "is not finite",
                  id="train.csv-optimize-non-finite"),
-    # written before split.json carried the fingerprint
-    pytest.param("split.json", "optimize", _drop_fingerprint, "rerun generate",
-                 id="split.json-optimize-no-fingerprint"),
+    # a split that records no settings
+    pytest.param("split.json", "optimize", _drop_settings, "rerun generate",
+                 id="split.json-optimize-no-settings"),
     pytest.param("train.csv", "optimize", _drop_last_row, "rerun generate",
                  id="train.csv-optimize-row-missing"),
     pytest.param("test.csv", "compare", _drop_last_row, "rerun generate",
@@ -833,7 +847,7 @@ def test_cli_unreadable_artifact_exits_4(cli_run, tmp_path, monkeypatch, capsys,
 @pytest.mark.parametrize("stage, which", [("optimize", "train"), ("compare", "test")])
 def test_cli_split_without_rows_exits_4(cli_run, tmp_path, monkeypatch, capsys, stage,
                                         which):
-    """A split that keeps its fingerprint but lists no rows of the stage's
+    """A split that keeps its settings but lists no rows of the stage's
     dataset, next to a header-only CSV, is refused, not a traceback."""
     monkeypatch.chdir(tmp_path)
     shutil.copytree(cli_run / "out", tmp_path / "out")
@@ -1021,6 +1035,56 @@ def test_cli_compare_refuses_models_of_other_optimize_settings(cli_run, tmp_path
     assert "rerun optimize" in err
     assert _run("compare", "--config", write_config(tmp_path / "same.json",
                                                     quick_config())) == 0
+
+
+@pytest.mark.parametrize("stage, key, value, name, upstream", [
+    pytest.param("optimize", "teacher_budget", 999, "split.json", "generate",
+                 id="teacher_budget"),
+    pytest.param("compare", "folds", 4, "model_optimized.json", "optimize", id="folds"),
+])
+def test_cli_refusal_names_only_the_setting_that_changed(cli_run, tmp_path, monkeypatch,
+                                                         capsys, stage, key, value, name,
+                                                         upstream):
+    """A split generated under teacher_budget 1000 and optimized under 999,
+    and models optimized under 5 folds and compared under 4, are refused
+    naming that one setting."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    doc = quick_config()
+    assert (doc["teacher_budget"], doc["folds"]) == (1000, 5)
+    path = write_config(tmp_path / "cfg.json", dict(doc, **{key: value}))
+    assert _run(stage, "--config", path) == 4
+    err = capsys.readouterr().err
+    assert (f"{name} was {upstream}d under other settings of {key} than this config's; "
+            f"rerun {upstream}") in err
+
+
+def _fingerprint_for_settings(text):
+    """The artifact as written before it recorded its settings: the sha256 of
+    their canonical JSON under ``config_fingerprint`` in their place."""
+    doc = json.loads(text)
+    settings = json.dumps(doc.pop("settings"), sort_keys=True, separators=(",", ":"))
+    return json.dumps(dict(doc, config_fingerprint=hashlib.sha256(settings.encode()).hexdigest()))
+
+
+@pytest.mark.parametrize("name, stage, upstream, fields", [
+    pytest.param("split.json", "optimize", "generate", GENERATE_FIELDS, id="split.json"),
+    pytest.param("model_optimized.json", "compare", "optimize",
+                 GENERATE_FIELDS + OPTIMIZE_FIELDS, id="model_optimized.json"),
+])
+def test_cli_refuses_a_fingerprinted_artifact_naming_every_setting(
+        cli_run, tmp_path, monkeypatch, capsys, name, stage, upstream, fields):
+    """An artifact that holds a ``config_fingerprint`` and no ``settings``,
+    as the stages wrote before, records none of the settings."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_run / "out", tmp_path / "out")
+    target = tmp_path / "out" / name
+    target.write_text(_fingerprint_for_settings(target.read_text()))
+    path = write_config(tmp_path / "cfg.json", quick_config())
+    assert _run(stage, "--config", path) == 4
+    err = capsys.readouterr().err
+    assert name in err and f"rerun {upstream}" in err
+    assert _named(err) == list(fields)
 
 
 def test_cli_dataset_labels_are_the_teacher_placements(cli_run):

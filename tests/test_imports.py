@@ -36,9 +36,13 @@ _LATER_LAYERS = {"vnfplace.tree", "vnfplace.swarm", "vnfplace.pipeline", "vnfpla
 #: Modules each stage must leave unloaded. ``dataclasses`` compiles generated
 #: source for each method of each class it builds, in every process. numpy
 #: loads ``numpy.random`` on first access, which a bare import (a process that
-#: only reads a config) never makes.
+#: only reads a config) never makes. ``hashlib`` loads OpenSSL (``_hashlib``);
+#: no stage hashes, but every stage draws or splits rows through
+#: ``numpy.random``, which imports ``secrets`` and so ``hashlib``, so only the
+#: bare import is guarded against it.
 UNLOADED = {
-    "import": {"numpy.ma", "numpy.random", "dataclasses"} | _LATER_LAYERS,
+    "import": {"numpy.ma", "numpy.random", "dataclasses", "hashlib", "_hashlib"}
+    | _LATER_LAYERS,
     "generate": {"numpy.ma", "dataclasses"} | _LATER_LAYERS,
     "optimize": {"numpy.ma", "dataclasses", "vnfplace.evaluation"},
     "compare": {"numpy.ma", "dataclasses", "vnfplace.swarm", "vnfplace.pipeline"},
@@ -115,7 +119,7 @@ def test_no_named_tuple_holds_a_forward_ref():
         for name, obj in vars(module).items():
             if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields"):
                 annotations[obj.__qualname__] = obj.__annotations__
-    assert {"ChainStructure", "Fingerprints", "FoldSplit", "StrategyResult",
+    assert {"ChainStructure", "FoldSplit", "StrategyResult",
             "TeacherPlacement", "ValidationReport"} <= set(annotations)
     assert {name: [field for field, tp in fields.items() if isinstance(tp, typing.ForwardRef)]
             for name, fields in annotations.items()} == {name: [] for name in annotations}

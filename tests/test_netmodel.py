@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import dists, fields_of, gen_settings, line_topology, simple_sfc
 from oracles import (
-    reference_chain_structure, reference_generate_topology, reference_groupby_generate_topology,
+    reference_build_sfc, reference_chain_structure, reference_generate_topology,
+    reference_groupby_generate_topology,
 )
 from vnfplace import netmodel, placer
 from vnfplace.netmodel import ConfigError, Dist, GenConfig
@@ -200,6 +201,25 @@ def test_generate_topology_matches_scalar_draws(n_servers, base_seed, index, int
     assert topo.delay.tobytes() == delay.tobytes()
     assert topo.cpu == cpu.tolist() and topo.mem == mem.tolist()
     assert {type(c) for c in topo.cpu + topo.mem} == {float}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    replicas=st.tuples(*[st.integers(min_value=1, max_value=5)] * 4),
+    base_seed=st.integers(min_value=0, max_value=2**31),
+    index=st.integers(min_value=0, max_value=10**6),
+    cpu=dists(),
+    mem=dists(),
+    tolerance=dists(),
+)
+def test_build_sfc_matches_scalar_draws(replicas, base_seed, index, cpu, mem, tolerance):
+    cfg = GenConfig(n_servers=20, replica_counts=replicas, cpu_demand=cpu, mem_demand=mem,
+                    tolerance=tolerance, base_seed=base_seed)
+    sfc = netmodel.build_sfc(cfg, index)
+    got = (sfc.cpu_demand, sfc.mem_demand, sfc.tolerance)
+    assert [np.array(v).tobytes() for v in got] == [
+        np.array(v).tobytes() for v in reference_build_sfc(cfg, index)]
+    assert {type(v) for values in got for v in values} == {float}
 
 
 @settings(max_examples=80, deadline=None)

@@ -49,12 +49,30 @@ def test_bench_pairs_summary_of_canned_result_lines():
         # 1.05, 1.1, 1.15; the change is lower, so better, in pairs 0 and 1
         "t (lower is better): parent 1.1000 [1.0500, 1.1500], "
         "change 1.0000 [0.9500, 1.0750] (-9.1%); change better in 2/3, parent in 1/3; "
-        "median gap 0.1000, parent IQR 0.1000",
+        "median gap 0.1000, parent IQR 0.1000; claim rule not met",
         # higher is better: pair 0 ties, pairs 1 and 2 go to the change
         "r (higher is better): parent 5.0000 [4.5000, 5.5000], "
         "change 6.0000 [5.5000, 6.5000] (+20.0%); change better in 2/3, parent in 0/3; "
-        "median gap 1.0000, parent IQR 1.0000",
+        "median gap 1.0000, parent IQR 1.0000; claim rule not met",
     ]
+
+
+@pytest.mark.parametrize("shift, worse_pairs, verdict", [
+    # better in 10/10 and 9/10 pairs, medians 0.2 apart against an IQR of 0.045
+    (0.2, 0, "met"), (0.2, 1, "met"),
+    # better in 8/10 pairs only
+    (0.2, 2, "not met"),
+    # better in 10/10 pairs, but by less than the parent's IQR
+    (0.01, 0, "not met"),
+])
+def test_bench_pairs_claim_rule(shift, worse_pairs, verdict):
+    """The claim rule: the change ran better in at least 9 of 10 pairs, and
+    its median is better by more than the parent's interquartile range."""
+    parent = [1.0 + 0.01 * i for i in range(10)]
+    change = [p + 0.01 if i < worse_pairs else p - shift for i, p in enumerate(parent)]
+    pairs = [(_line(True, t=p, r=-p), _line(True, t=c, r=-c)) for p, c in zip(parent, change)]
+    lines = _script("bench_pairs").summarize(pairs, [("t", "lower"), ("r", "higher")])
+    assert [line.rsplit("; ", 1)[1] for line in lines[1:]] == [f"claim rule {verdict}"] * 2
 
 
 @pytest.mark.parametrize("pairs", ["1", "0"])
